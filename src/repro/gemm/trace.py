@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+#: Pack operands by their code in :attr:`TraceArrays.packs` column 0.
+OPERANDS = ("A", "B")
+OPERAND_CODES = {name: code for code, name in enumerate(OPERANDS)}
+
 
 @dataclass(frozen=True)
 class PackEvent:
@@ -43,6 +49,24 @@ class GebpEvent:
     beta_pass: bool = False
 
 
+@dataclass(frozen=True)
+class TraceArrays:
+    """A trace's events as integer arrays, in trace order.
+
+    The array form the analytic model prices (no per-event objects).
+
+    Attributes:
+        gebps: ``(N, 4)`` int64 rows ``(mc, kc, nc, thread)``.
+        beta: ``(N,)`` bool ``beta_pass`` flag of each GEBP.
+        packs: ``(P, 4)`` int64 rows ``(operand, rows, cols, thread)``,
+            operand coded by :data:`OPERAND_CODES`.
+    """
+
+    gebps: np.ndarray
+    beta: np.ndarray
+    packs: np.ndarray
+
+
 @dataclass
 class GemmTrace:
     """Accumulated events of one DGEMM execution.
@@ -71,6 +95,35 @@ class GemmTrace:
         self, mc: int, kc: int, nc: int, thread: int = 0, beta_pass: bool = False
     ) -> None:
         self.gebps.append(GebpEvent(mc, kc, nc, thread, beta_pass))
+
+    @classmethod
+    def from_arrays(
+        cls, m: int, n: int, k: int, threads: int, arrays: TraceArrays
+    ) -> "GemmTrace":
+        """The event-object trace holding ``arrays``' events."""
+        packs = arrays.packs.tolist()
+        return cls(
+            m=m, n=n, k=k, threads=threads,
+            packs=[PackEvent(OPERANDS[op], r, c, t) for op, r, c, t in packs],
+            gebps=list(map(
+                GebpEvent, *arrays.gebps.T.tolist(), arrays.beta.tolist()
+            )),
+        )
+
+    def to_arrays(self) -> TraceArrays:
+        """This trace's events as :class:`TraceArrays`."""
+        return TraceArrays(
+            gebps=np.array(
+                [(e.mc, e.kc, e.nc, e.thread) for e in self.gebps],
+                dtype=np.int64,
+            ).reshape(-1, 4),
+            beta=np.array([e.beta_pass for e in self.gebps], dtype=bool),
+            packs=np.array(
+                [(OPERAND_CODES[p.operand], p.rows, p.cols, p.thread)
+                 for p in self.packs],
+                dtype=np.int64,
+            ).reshape(-1, 4),
+        )
 
     def absorb(self, other: "GemmTrace") -> None:
         """Append ``other``'s events (a per-thread buffer) to this trace."""

@@ -570,9 +570,21 @@ class Cache:
             snap["mode"] = "generic"
             snap["tags"] = [list(t) for t in self._tags]
             snap["dirty"] = [list(d) for d in self._dirty]
-            # RANDOM policies may share one RNG across sets; their state()
-            # copies are then identical and restore is idempotent.
-            snap["policies"] = [p.state() for p in self._policies]
+            if self.params.replacement is ReplacementPolicy.RANDOM:
+                # Seeded caches share one RNG across their sets: keep each
+                # distinct RNG's state once, plus which RNG each set uses.
+                index: Dict[int, int] = {}
+                states: list = []
+                for policy in self._policies:
+                    if id(policy.rng) not in index:
+                        index[id(policy.rng)] = len(states)
+                        states.append(policy.rng.getstate())
+                snap["rng_states"] = states
+                snap["rng_of_set"] = [
+                    index[id(p.rng)] for p in self._policies
+                ]
+            else:
+                snap["policies"] = [p.state() for p in self._policies]
         return snap
 
     def restore(self, snap: dict) -> None:
@@ -595,8 +607,15 @@ class Cache:
         else:
             self._tags = [list(t) for t in snap["tags"]]
             self._dirty = [list(d) for d in snap["dirty"]]
-            for policy, state in zip(self._policies, snap["policies"]):
-                policy.set_state(state)
+            if "rng_states" in snap:
+                restored = set()
+                for policy, i in zip(self._policies, snap["rng_of_set"]):
+                    if id(policy.rng) not in restored:
+                        restored.add(id(policy.rng))
+                        policy.rng.setstate(snap["rng_states"][i])
+            else:
+                for policy, state in zip(self._policies, snap["policies"]):
+                    policy.set_state(state)
 
     def reset_stats(self) -> None:
         """Zero every statistic, including the batched-engine coverage

@@ -71,10 +71,14 @@ class RandomSetPolicy(SetPolicy):
     def victim(self) -> int:
         return self._rng.randrange(self.ways)
 
+    @property
+    def rng(self) -> random.Random:
+        """The victim RNG; seeded hierarchies share one across a cache's
+        sets, so :meth:`repro.memory.cache.Cache.snapshot` stores each
+        distinct RNG's state once."""
+        return self._rng
+
     def state(self):
-        # The RNG may be shared across a cache's sets (seeded hierarchies):
-        # every set then reports the same state and restoring is
-        # idempotent, leaving the shared stream where the snapshot took it.
         return self._rng.getstate()
 
     def set_state(self, state) -> None:

@@ -81,8 +81,14 @@ def atomic_write_text(path: Any, text: str) -> None:
         raise
 
 
-def atomic_write_json(path: Any, doc: Any, indent: int = 2) -> None:
-    """Serialize ``doc`` deterministically and write it atomically."""
+def atomic_write_json(
+    path: Any, doc: Any, indent: Optional[int] = 2
+) -> None:
+    """Serialize ``doc`` deterministically and write it atomically.
+
+    ``indent=None`` writes one line, which ``json.dumps`` serializes with
+    its C encoder (any indentation forces the pure-Python one).
+    """
     atomic_write_text(
         path, json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     )

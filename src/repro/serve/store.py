@@ -101,6 +101,7 @@ class ResultStore:
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # One line: without indentation json.dumps uses its C encoder.
         atomic_write_json(path, {
             "kind": "serve-cache-entry",
             "store_schema_version": STORE_SCHEMA_VERSION,
@@ -108,7 +109,7 @@ class ResultStore:
             "key": key,
             "query": query,
             "answer": answer,
-        })
+        }, indent=None)
         return path
 
     # -- maintenance --------------------------------------------------------

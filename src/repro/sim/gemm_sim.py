@@ -23,13 +23,21 @@ the structural trace of the actual Goto loop nest:
 Edge effects need no special casing: the synthetic trace carries the real
 (clamped) block extents, and padded register tiles execute at full-tile
 cost, which is exactly what the zero-padded packed buffers do.
+
+The trace is priced as integer event arrays
+(:class:`~repro.gemm.trace.TraceArrays`), never as per-event objects;
+``docs/model.md`` explains why the array sums are bit-identical to an
+event-by-event loop.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
+
+import numpy as np
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
@@ -39,15 +47,26 @@ from repro.blocking.cache_blocking import (
     solve_cache_blocking,
 )
 from repro.errors import SimulationError
-from repro.gemm.trace import GemmTrace
+from repro.gemm.trace import OPERAND_CODES, GemmTrace, TraceArrays
 from repro.kernels.kernel_spec import KernelSpec
 from repro.kernels.variants import VARIANTS
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache_fit import Residency, analyze_residency, stream_costs
+from repro.sim.cache_fit import analyze_residency, stream_costs
 from repro.sim.energy import dgemm_energy
 from repro.sim.gebp_cachesim import GebpCacheResult, simulate_gebp_cache
 from repro.sim.params import DEFAULT_SIM_PARAMS, SimParams
-from repro.sim.synthetic_trace import micro_tiles, synthesize_trace
+from repro.sim.synthetic_trace import micro_tiles, trace_arrays
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...`` added strictly in order.
+
+    A running sum (``np.add.accumulate``) rounds exactly like a Python
+    loop; ``np.sum``'s pairwise reduction does not.
+    """
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,23 @@ class GemmPerformance:
     joules: float = 0.0
     gflops_per_watt: float = 0.0
     energy_breakdown: Dict[str, float] = field(default_factory=dict)
+
+
+class CycleTotals(NamedTuple):
+    """A trace's priced events, before parallel composition.
+
+    Attributes:
+        per_thread: Busy cycles of each thread, in thread-id order.
+        kernel, fill, c_update, pack: Cycle totals by component.
+        l1_loads: Retired 128-bit L1 loads.
+    """
+
+    per_thread: List[float]
+    kernel: float
+    fill: float
+    c_update: float
+    pack: float
+    l1_loads: float
 
 
 class GemmSimulator:
@@ -279,22 +315,162 @@ class GemmSimulator:
         label = self._label(kernel)
         blk = blocking or self.default_blocking(kernel, threads)
         if trace is None:
-            trace = synthesize_trace(m, n, k, blk, threads, axis=parallel_axis)
+            events = trace_arrays(m, n, k, blk, threads, axis=parallel_axis)
+        else:
+            events = trace.to_arrays()
+            used = np.concatenate((events.gebps[:, 3], events.packs[:, 3]))
+            if used.size and not 0 <= used.min() <= used.max() < threads:
+                raise SimulationError(
+                    f"trace thread ids must lie in [0, {threads})"
+                )
         metrics = self.metrics
+        span = nullcontext()
         if metrics is not None:
             metrics.inc("gemm_sim.simulations")
-            metrics.observe("gemm_sim.gebp_events", len(trace.gebps))
-            with metrics.span("gemm_sim.simulate"):
-                return self._simulate_priced(
-                    label, m, n, k, threads, blk, trace, spec, prefetch,
-                    parallel_axis,
-                )
-        return self._simulate_priced(
-            label, m, n, k, threads, blk, trace, spec, prefetch,
-            parallel_axis,
+            metrics.observe("gemm_sim.gebp_events", len(events.gebps))
+            span = metrics.span("gemm_sim.simulate")
+        with span:
+            totals = self.price_events(
+                events, spec, blk, m, n, threads, prefetch, parallel_axis
+            )
+            return self.compose(label, m, n, k, threads, blk, totals)
+
+    def shape_costs(
+        self,
+        shapes: np.ndarray,
+        spec: KernelSpec,
+        blk: CacheBlocking,
+        m: int,
+        n: int,
+        threads: int,
+        prefetch: bool,
+        parallel_axis: str,
+    ) -> np.ndarray:
+        """Per-micro-tile stream costs of GEBP shapes.
+
+        Args:
+            shapes: ``(S, 3)`` integer rows ``(mc, kc, nc)``.
+            spec, blk, m, n, threads, prefetch, parallel_axis: As in
+                :meth:`simulate`, resolved.
+
+        Returns:
+            ``(S, 2)`` rows ``(per_iter_fill, per_tile_c)``: exposed fill
+            cycles per k-iteration (A and B streams plus shared-L2
+            contention) and the C-update cycles of one micro-tile.
+        """
+        hide = self.params.hide_fraction(
+            self._window_limited(spec), prefetching=prefetch
+        )
+        l2_sharers = max(1, math.ceil(threads / self.chip.modules))
+        a_lines = spec.mr * 8 / self.chip.l1d.line_bytes
+        contention = (
+            a_lines
+            * self.params.l2_contention_cycles_per_line
+            * (l2_sharers - 1)
+        )
+        table = np.empty((len(shapes), 2))
+        for row, (mcur, kcur, ncur) in enumerate(shapes.tolist()):
+            eff_blk = CacheBlocking(
+                mr=blk.mr, nr=blk.nr,
+                kc=kcur, mc=mcur, nc=ncur,
+                k1=blk.k1, k2=blk.k2, k3=blk.k3,
+            )
+            res = analyze_residency(
+                self.chip, eff_blk, threads=threads, m=m, n=n,
+                b_panels=threads if parallel_axis == "n" else 1,
+            )
+            sc = stream_costs(
+                self.chip, spec, eff_blk, res, hide,
+                hide_b=self.params.prefetch_hide_b_stream,
+            )
+            table[row] = (sc.a_fill + sc.b_fill + contention,
+                          sc.c_update * kcur)
+        return table
+
+    def price_events(
+        self,
+        events: TraceArrays,
+        spec: KernelSpec,
+        blk: CacheBlocking,
+        m: int,
+        n: int,
+        threads: int,
+        prefetch: bool,
+        parallel_axis: str,
+    ) -> CycleTotals:
+        """Price a trace's events (model steps 1-4 and per-thread sums).
+
+        Every term is computed element-wise over the event arrays with
+        the operand order of a per-event loop, and every total is an
+        in-order running sum (:func:`_ordered_sum`), so the result is
+        bit-identical to pricing the events one at a time.
+        """
+        group_cycles = self.kernel_group_cycles(spec)
+        kg = spec.k_iters_per_group
+
+        mc, kc, nc, gebp_thread = events.gebps.T
+        mspan, kspan, nspan = (
+            events.gebps[:, :3].max(axis=0, initial=0) + 1
+        ).tolist()
+        # Every integer product below is at most mspan*kspan*nspan.
+        if mspan * kspan * nspan >= 2**63:
+            raise SimulationError(
+                "GEBP extents too large for int64 event arithmetic"
+            )
+        # One integer per distinct (mc, kc, nc) shape, to price each once.
+        codes, shape_of = np.unique(
+            (mc * kspan + kc) * nspan + nc, return_inverse=True
+        )
+        shapes = np.stack(
+            (codes // (kspan * nspan), codes // nspan % kspan,
+             codes % nspan), axis=1,
+        )
+        costs = self.shape_costs(
+            shapes, spec, blk, m, n, threads, prefetch, parallel_axis
+        )[shape_of]
+        per_iter_fill, per_tile_c = costs[:, 0], costs[:, 1]
+
+        tiles = micro_tiles(mc, nc, spec.mr, spec.nr)
+        groups = -(-kc // kg)
+        kc_part = (tiles * groups) * group_cycles
+        fl_part = (tiles * kc) * per_iter_fill
+        c_part = tiles * per_tile_c
+        gebp_total = kc_part + fl_part + c_part
+        gebp_loads = tiles * (
+            groups * spec.ldr_per_group + spec.mr * spec.nr / 2.0
         )
 
-    def _simulate_priced(
+        # Packing: B packs are cooperative (split across threads), A packs
+        # belong to their thread. Each pack streams its words once.
+        operand, rows, cols, pack_thread = events.packs.T
+        words = rows * cols
+        pack_cyc = words * self.params.pack_cycles_per_word
+        if threads > 1 and parallel_axis == "m":
+            shared = operand == OPERAND_CODES["B"]
+        else:
+            shared = np.zeros(len(operand), dtype=bool)
+        pack_share = np.where(shared, pack_cyc / threads, pack_cyc)
+
+        # A thread's busy cycles: its GEBPs in event order, then its packs
+        # in pack order (every thread takes a share of each shared pack).
+        per_thread = [
+            _ordered_sum(np.concatenate((
+                gebp_total[gebp_thread == t],
+                pack_share[shared | (pack_thread == t)],
+            )))
+            for t in range(threads)
+        ]
+        return CycleTotals(
+            per_thread=per_thread,
+            kernel=_ordered_sum(kc_part),
+            fill=_ordered_sum(fl_part),
+            c_update=_ordered_sum(c_part),
+            pack=_ordered_sum(pack_cyc),
+            # Packing reads count as q-loads, after the kernels' loads.
+            l1_loads=_ordered_sum(np.concatenate((gebp_loads, words / 2.0))),
+        )
+
+    def compose(
         self,
         kernel: str,
         m: int,
@@ -302,93 +478,17 @@ class GemmSimulator:
         k: int,
         threads: int,
         blk: CacheBlocking,
-        trace: GemmTrace,
-        spec: KernelSpec,
-        prefetch: bool,
-        parallel_axis: str,
+        totals: CycleTotals,
     ) -> GemmPerformance:
-        """Price a resolved (blocking, trace) pair — see :meth:`simulate`."""
-
-        hide = self.params.hide_fraction(
-            self._window_limited(spec), prefetching=prefetch
-        )
-        group_cycles = self.kernel_group_cycles(spec)
-        kg = spec.k_iters_per_group
-
-        # Cache residency/stream costs per distinct GEBP shape.
-        cost_cache: Dict[Tuple[int, int, int], Tuple[float, float]] = {}
-
-        def event_costs(mcur: int, kcur: int, ncur: int) -> Tuple[float, float]:
-            key = (mcur, kcur, ncur)
-            if key not in cost_cache:
-                eff_blk = CacheBlocking(
-                    mr=blk.mr, nr=blk.nr,
-                    kc=kcur, mc=mcur, nc=ncur,
-                    k1=blk.k1, k2=blk.k2, k3=blk.k3,
-                )
-                res = analyze_residency(
-                    self.chip, eff_blk, threads=threads, m=m, n=n,
-                    b_panels=threads if parallel_axis == "n" else 1,
-                )
-                sc = stream_costs(
-                    self.chip, spec, eff_blk, res, hide,
-                    hide_b=self.params.prefetch_hide_b_stream,
-                )
-                l2_sharers = max(1, math.ceil(threads / self.chip.modules))
-                a_lines = spec.mr * 8 / self.chip.l1d.line_bytes
-                contention = (
-                    a_lines
-                    * self.params.l2_contention_cycles_per_line
-                    * (l2_sharers - 1)
-                )
-                per_iter_fill = sc.a_fill + sc.b_fill + contention
-                per_tile_c = sc.c_update * kcur
-                cost_cache[key] = (per_iter_fill, per_tile_c)
-            return cost_cache[key]
-
-        per_thread: Dict[int, float] = {t: 0.0 for t in range(threads)}
-        kernel_cycles = 0.0
-        fill_cycles = 0.0
-        c_cycles = 0.0
-        l1_loads = 0.0
-
-        for ev in trace.gebps:
-            tiles = micro_tiles(ev.mc, ev.nc, spec.mr, spec.nr)
-            groups = math.ceil(ev.kc / kg)
-            per_iter_fill, per_tile_c = event_costs(ev.mc, ev.kc, ev.nc)
-            kc_part = tiles * groups * group_cycles
-            fl_part = tiles * ev.kc * per_iter_fill
-            c_part = tiles * per_tile_c
-            per_thread[ev.thread] += kc_part + fl_part + c_part
-            kernel_cycles += kc_part
-            fill_cycles += fl_part
-            c_cycles += c_part
-            l1_loads += tiles * (
-                groups * spec.ldr_per_group + spec.mr * spec.nr / 2.0
-            )
-
-        # Packing: B packs are cooperative (split across threads), A packs
-        # belong to their thread. Each pack streams its words once.
-        pack_cycles = 0.0
-        for p in trace.packs:
-            words = p.rows * p.cols
-            cyc = words * self.params.pack_cycles_per_word
-            if p.operand == "B" and threads > 1 and parallel_axis == "m":
-                share = cyc / threads
-                for t in range(threads):
-                    per_thread[t] += share
-            else:
-                per_thread[p.thread] += cyc
-            pack_cycles += cyc
-            l1_loads += words / 2.0  # packing reads count as q-loads
-
+        """Compose priced event totals into chip time (model step 5),
+        Gflops, efficiency and energy."""
         # Synchronization: one barrier per (jj, kk) segment.
         n_segments = math.ceil(n / blk.nc) * math.ceil(k / blk.kc)
         barrier = (
             self.params.barrier_cycles * n_segments if threads > 1 else 0.0
         )
 
-        compute_cycles = max(per_thread.values()) + barrier
+        compute_cycles = max(totals.per_thread) + barrier
 
         # DRAM bandwidth floor on total off-chip traffic.
         n_jj = math.ceil(n / blk.nc)
@@ -409,10 +509,10 @@ class GemmSimulator:
         energy = dgemm_energy(
             self.chip,
             flops=flops,
-            l1_loads=l1_loads,
+            l1_loads=totals.l1_loads,
             bytes_offchip=bytes_total,
             cycles=cycles,
-            per_thread_cycles=per_thread.values(),
+            per_thread_cycles=totals.per_thread,
         )
 
         return GemmPerformance(
@@ -425,12 +525,12 @@ class GemmSimulator:
             flops=flops,
             gflops=gflops,
             efficiency=eff,
-            l1_loads=l1_loads,
+            l1_loads=totals.l1_loads,
             breakdown={
-                "kernel": kernel_cycles,
-                "fill": fill_cycles,
-                "c_update": c_cycles,
-                "pack": pack_cycles,
+                "kernel": totals.kernel,
+                "fill": totals.fill,
+                "c_update": totals.c_update,
+                "pack": totals.pack,
                 "barrier": barrier,
                 "bandwidth_floor": bw_cycles,
             },

@@ -6,13 +6,98 @@ the same packing events, the same round-robin thread assignment — producing
 the identical :class:`~repro.gemm.trace.GemmTrace` those functions record,
 at negligible cost. The sweeps of Figs. 11/12/14 use these; tests assert
 byte-for-byte agreement with traces recorded by the real implementation.
+
+:func:`trace_arrays` is the one definition of that structure, as integer
+arrays in trace order; :func:`synthesize_trace` wraps its rows in event
+objects and the analytic model prices the arrays directly.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.blocking.cache_blocking import CacheBlocking
 from repro.errors import GemmError
-from repro.gemm.trace import GemmTrace
+from repro.gemm.trace import OPERAND_CODES, GemmTrace, TraceArrays
+
+
+def _extents(size: int, block: int) -> np.ndarray:
+    """``min(block, size - start)`` for every block start, in order."""
+    return np.minimum(block, size - np.arange(0, size, block))
+
+
+def _round_robin(blocks: int, threads: int) -> np.ndarray:
+    """Block indices in thread-major order: ``range(blocks)[t::threads]``
+    for ``t = 0, 1, ...``, concatenated."""
+    return np.argsort(np.arange(blocks) % threads, kind="stable")
+
+
+def trace_arrays(
+    m: int,
+    n: int,
+    k: int,
+    blocking: CacheBlocking,
+    threads: int = 1,
+    axis: str = "m",
+) -> TraceArrays:
+    """The structural trace of one DGEMM execution, as arrays.
+
+    Both axes run the same ``(column block, k block, row block)`` nest;
+    each ``(jj, kk)`` step packs one B panel, then an A block before
+    every GEBP. Under ``axis="m"`` the row blocks are dealt round-robin
+    to threads (and visited thread by thread); under ``axis="n"`` with
+    several threads the column blocks are, and each thread packs its own
+    B panels.
+
+    Args: as :func:`synthesize_trace`.
+    """
+    if min(m, n, k) < 0 or threads < 1:
+        raise GemmError("sizes must be non-negative and threads >= 1")
+    if axis not in ("m", "n"):
+        raise GemmError("axis must be 'm' or 'n'")
+    if m == 0 or n == 0 or k == 0:
+        empty = np.zeros((0, 4), dtype=np.int64)
+        return TraceArrays(empty, np.zeros(0, dtype=bool), empty)
+
+    mcur = _extents(m, blocking.mc)
+    kcur = _extents(k, blocking.kc)
+    ncur = _extents(n, blocking.nc)
+    if axis == "n" and threads > 1:
+        cols = _round_robin(len(ncur), threads)
+        ncur = ncur[cols]
+        b_thread = cols % threads
+        a_thread = b_thread[:, None, None]
+    else:
+        rows = _round_robin(len(mcur), threads)
+        mcur = mcur[rows]
+        b_thread = np.zeros(len(ncur), dtype=np.int64)
+        a_thread = (rows % threads)[None, None, :]
+    shape = (len(ncur), len(kcur), len(mcur))
+    mc = mcur[None, None, :]
+    kc = kcur[None, :, None]
+    nc = ncur[:, None, None]
+
+    gebps = np.empty(shape + (4,), dtype=np.int64)
+    gebps[..., 0] = mc
+    gebps[..., 1] = kc
+    gebps[..., 2] = nc
+    gebps[..., 3] = a_thread
+    beta = np.broadcast_to(
+        (np.arange(len(kcur)) == 0)[None, :, None], shape
+    ).ravel()
+
+    packs = np.empty(shape[:2] + (1 + shape[2], 4), dtype=np.int64)
+    packs[:, :, 0, 0] = OPERAND_CODES["B"]
+    packs[:, :, 0, 1] = kcur[None, :]
+    packs[:, :, 0, 2] = ncur[:, None]
+    packs[:, :, 0, 3] = b_thread[:, None]
+    packs[:, :, 1:, 0] = OPERAND_CODES["A"]
+    packs[:, :, 1:, 1] = mc
+    packs[:, :, 1:, 2] = kc
+    packs[:, :, 1:, 3] = a_thread
+    return TraceArrays(
+        gebps.reshape(-1, 4), beta, packs.reshape(-1, 4)
+    )
 
 
 def synthesize_trace(
@@ -33,60 +118,13 @@ def synthesize_trace(
             :func:`repro.gemm.parallel.parallel_dgemm` — ``"m"`` (the
             paper's layer-3 split) or ``"n"`` (the layer-1 ablation).
     """
-    if min(m, n, k) < 0 or threads < 1:
-        raise GemmError("sizes must be non-negative and threads >= 1")
-    if axis not in ("m", "n"):
-        raise GemmError("axis must be 'm' or 'n'")
-    trace = GemmTrace(m=m, n=n, k=k, threads=threads)
-    if m == 0 or n == 0 or k == 0:
-        return trace
-
-    if axis == "n" and threads > 1:
-        col_blocks = list(range(0, n, blocking.nc))
-        for t in range(threads):
-            for jj in col_blocks[t::threads]:
-                ncur = min(blocking.nc, n - jj)
-                first_k = True
-                for kk in range(0, k, blocking.kc):
-                    kcur = min(blocking.kc, k - kk)
-                    trace.record_pack("B", kcur, ncur, thread=t)
-                    for ii in range(0, m, blocking.mc):
-                        mcur = min(blocking.mc, m - ii)
-                        trace.record_pack("A", mcur, kcur, thread=t)
-                        trace.record_gebp(
-                            mcur, kcur, ncur, thread=t, beta_pass=first_k
-                        )
-                    first_k = False
-        return trace
-
-    row_blocks = list(range(0, m, blocking.mc))
-    assignment = {
-        t: row_blocks[t::threads] for t in range(threads)
-    }
-
-    for jj in range(0, n, blocking.nc):
-        ncur = min(blocking.nc, n - jj)
-        first_k = True
-        for kk in range(0, k, blocking.kc):
-            kcur = min(blocking.kc, k - kk)
-            trace.record_pack("B", kcur, ncur, thread=0)
-            if threads == 1:
-                for ii in row_blocks:
-                    mcur = min(blocking.mc, m - ii)
-                    trace.record_pack("A", mcur, kcur)
-                    trace.record_gebp(mcur, kcur, ncur, beta_pass=first_k)
-            else:
-                for t in range(threads):
-                    for ii in assignment[t]:
-                        mcur = min(blocking.mc, m - ii)
-                        trace.record_pack("A", mcur, kcur, thread=t)
-                        trace.record_gebp(
-                            mcur, kcur, ncur, thread=t, beta_pass=first_k
-                        )
-            first_k = False
-    return trace
+    arrays = trace_arrays(m, n, k, blocking, threads, axis=axis)
+    return GemmTrace.from_arrays(m, n, k, threads, arrays)
 
 
 def micro_tiles(mcur: int, ncur: int, mr: int, nr: int) -> int:
-    """Number of (padded) register tiles covering an mcur x ncur panel."""
+    """Number of (padded) register tiles covering an mcur x ncur panel.
+
+    Works element-wise on integer arrays too.
+    """
     return (-(-mcur // mr)) * (-(-ncur // nr))

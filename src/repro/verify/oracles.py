@@ -22,7 +22,9 @@ Each oracle is declared once and covers one bit-identity claim:
   vs scalar walk of the blocked access stream;
 - ``conv.im2col`` — convolution lowered through im2col + DGEMM vs the
   directly-blocked gather nest, plus the batched vs scalar walk of the
-  direct lowering's access stream.
+  direct lowering's access stream;
+- ``tune.analytic`` — the analytic DGEMM model pricing event arrays vs
+  the per-event loop over event objects it replaced.
 
 Result documents contain only JSON-able leaves. Float64 payloads (C
 tiles/panels) are compared bit-exactly: values are carried as exact
@@ -32,7 +34,9 @@ single flipped mantissa bit anywhere fails the comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 import random
 from typing import Any, Dict, Iterator, List
 
@@ -933,6 +937,218 @@ register(Oracle(
     reference=_tune_reference,
     fast=_tune_fast,
     shrink=_tune_shrink,
+))
+
+
+# =============================================================================
+# tune.analytic — array-priced analytic model vs the per-event loop
+# =============================================================================
+
+
+def _analytic_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    from repro.kernels.variants import VARIANTS
+    from repro.verify.machines import random_asym_machine
+
+    hi = 160 if budget == "smoke" else 640
+    pick = rng.random()
+    if pick < 0.5:
+        machine: Any = rng.choice(sorted(PRESETS))
+        cores = PRESETS[machine].cores
+    else:
+        machine = (
+            random_machine(rng, budget) if pick < 0.8
+            else random_asym_machine(rng, budget)
+        )
+        cores = build_chip(machine).cores
+    kernel = rng.choice(sorted(VARIANTS))
+    threads = rng.randint(1, cores)
+    blocking = None
+    # Random machines may be too small for the blocking solver, so they
+    # always price an explicit blocking; its tile need not be the kernel's.
+    if not isinstance(machine, str) or rng.random() < 0.5:
+        spec = VARIANTS[kernel]
+        mr, nr = rng.choice(((spec.mr, spec.nr), (12, 4), (6, 8), (4, 4)))
+        blocking = {
+            "mr": mr,
+            "nr": nr,
+            "kc": rng.randint(1, 96),
+            "mc": rng.randint(1, 96),
+            "nc": rng.randint(1, 192),
+            "k1": rng.randint(1, 2),
+            "k2": rng.randint(1, 2),
+            "k3": 1,
+        }
+    m = rng.randint(1, hi)
+    if blocking is not None and threads > 1 and rng.random() < 0.3:
+        # More threads than row blocks: surplus workers get no GEBPs.
+        m = rng.randint(1, blocking["mc"] * (threads - 1))
+    return {
+        "machine": machine,
+        "kernel": kernel,
+        "m": m,
+        "n": rng.randint(1, hi),
+        "k": rng.randint(1, hi),
+        "threads": threads,
+        "axis": rng.choice(("m", "n")),
+        "prefetch": rng.random() < 0.8,
+        "blocking": blocking,
+        "explicit_trace": rng.random() < 0.3,
+    }
+
+
+def _analytic_setup(params: Dict[str, Any]):
+    """(simulator, resolved blocking, clamped threads) of one case."""
+    from repro.sim.gemm_sim import GemmSimulator
+
+    machine = params["machine"]
+    chip = CHIPS[machine] if isinstance(machine, str) else build_chip(machine)
+    sim = GemmSimulator(chip)
+    threads = min(params["threads"], chip.cores)
+    blk = params["blocking"]
+    blocking = (
+        sim.default_blocking(params["kernel"], threads) if blk is None
+        else CacheBlocking(**blk)
+    )
+    return sim, blocking, threads
+
+
+def _analytic_trace(params: Dict[str, Any], blocking: CacheBlocking,
+                    threads: int):
+    from repro.sim.synthetic_trace import synthesize_trace
+
+    return synthesize_trace(
+        params["m"], params["n"], params["k"], blocking, threads,
+        axis=params["axis"],
+    )
+
+
+def _price_trace_objects(sim, trace, spec, blk, m, n, threads, prefetch,
+                         axis):
+    """The analytic model's event pricing, one event object at a time.
+
+    The reference for :meth:`GemmSimulator.price_events`: the same
+    per-event loop the model ran before it priced event arrays.
+    """
+    from repro.sim.gemm_sim import CycleTotals
+    from repro.sim.synthetic_trace import micro_tiles
+
+    group_cycles = sim.kernel_group_cycles(spec)
+    kg = spec.k_iters_per_group
+    cost_cache: Dict[tuple, List[float]] = {}
+    per_thread = {t: 0.0 for t in range(threads)}
+    kernel_cycles = fill_cycles = c_cycles = l1_loads = 0.0
+    for ev in trace.gebps:
+        tiles = micro_tiles(ev.mc, ev.nc, spec.mr, spec.nr)
+        groups = math.ceil(ev.kc / kg)
+        key = (ev.mc, ev.kc, ev.nc)
+        if key not in cost_cache:
+            cost_cache[key] = sim.shape_costs(
+                np.array([key]), spec, blk, m, n, threads, prefetch, axis
+            )[0].tolist()
+        per_iter_fill, per_tile_c = cost_cache[key]
+        kc_part = tiles * groups * group_cycles
+        fl_part = tiles * ev.kc * per_iter_fill
+        c_part = tiles * per_tile_c
+        per_thread[ev.thread] += kc_part + fl_part + c_part
+        kernel_cycles += kc_part
+        fill_cycles += fl_part
+        c_cycles += c_part
+        l1_loads += tiles * (
+            groups * spec.ldr_per_group + spec.mr * spec.nr / 2.0
+        )
+    pack_cycles = 0.0
+    for p in trace.packs:
+        words = p.rows * p.cols
+        cyc = words * sim.params.pack_cycles_per_word
+        if p.operand == "B" and threads > 1 and axis == "m":
+            share = cyc / threads
+            for t in range(threads):
+                per_thread[t] += share
+        else:
+            per_thread[p.thread] += cyc
+        pack_cycles += cyc
+        l1_loads += words / 2.0
+    return CycleTotals(
+        list(per_thread.values()), kernel_cycles, fill_cycles, c_cycles,
+        pack_cycles, l1_loads,
+    )
+
+
+def _analytic_reference(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Per-event pricing of the synthesized event-object trace."""
+    from repro.kernels.variants import VARIANTS
+
+    sim, blk, threads = _analytic_setup(params)
+    m, n, k = params["m"], params["n"], params["k"]
+    totals = _price_trace_objects(
+        sim, _analytic_trace(params, blk, threads), VARIANTS[params["kernel"]],
+        blk, m, n, threads, params["prefetch"], params["axis"],
+    )
+    return dataclasses.asdict(
+        sim.compose(params["kernel"], m, n, k, threads, blk, totals)
+    )
+
+
+def _analytic_fast(params: Dict[str, Any]) -> Dict[str, Any]:
+    """``GemmSimulator.simulate``: array pricing, synthesized or explicit."""
+    sim, blk, threads = _analytic_setup(params)
+    trace = (
+        _analytic_trace(params, blk, threads)
+        if params["explicit_trace"] else None
+    )
+    return dataclasses.asdict(sim.simulate(
+        params["kernel"], params["m"], params["n"], params["k"],
+        threads=threads, blocking=blk, trace=trace,
+        prefetch=params["prefetch"], parallel_axis=params["axis"],
+    ))
+
+
+def _analytic_shrink(params: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    from repro.verify.machines import simplified_asym_machines
+
+    for dim in ("m", "n", "k"):
+        if params[dim] > 1:
+            yield {**params, dim: max(1, params[dim] // 2)}
+            yield {**params, dim: params[dim] - 1}
+    if params["threads"] > 1:
+        yield {**params, "threads": 1}
+    if params["axis"] == "n":
+        yield {**params, "axis": "m"}
+    for flag in ("prefetch", "explicit_trace"):
+        if params[flag]:
+            yield {**params, flag: False}
+    blk = params["blocking"]
+    if blk is not None:
+        for key in ("kc", "mc", "nc", "k1", "k2"):
+            if blk[key] > 1:
+                yield {**params, "blocking": {**blk, key: blk[key] // 2}}
+    machine = params["machine"]
+    if isinstance(machine, str):
+        if blk is not None:
+            yield {**params, "blocking": None}
+        if machine != "xgene":
+            yield {**params, "machine": "xgene"}
+    else:
+        simpler = (
+            simplified_asym_machines if machine.get("clusters")
+            else simplified_machines
+        )
+        for doc in simpler(machine):
+            yield {**params, "machine": doc}
+
+
+register(Oracle(
+    name="tune.analytic",
+    suite="tune",
+    description=(
+        "the analytic model priced on event arrays is bit-identical to "
+        "pricing the event objects one at a time (every GemmPerformance "
+        "field)"
+    ),
+    generate=_analytic_generate,
+    reference=_analytic_reference,
+    fast=_analytic_fast,
+    shrink=_analytic_shrink,
 ))
 
 

@@ -123,6 +123,58 @@ class TestSnapshotRestore:
         assert _hierarchy_fingerprint(h) == first
 
 
+_XGENE_RANDOM = with_replacement(XGENE, ReplacementPolicy.RANDOM)
+
+
+def _replay_lines(h: MemoryHierarchy, lines):
+    """The level serving each access: which lines survived shows which
+    victims the RANDOM policy drew."""
+    return [h.access_line(0, line).level_hit for line in lines]
+
+
+class TestRandomSnapshotState:
+    """Seeded hierarchies share one victim RNG per cache across its sets;
+    a snapshot stores that RNG's state once, not once per set."""
+
+    def test_seeded_snapshot_holds_one_rng_state_per_cache(self):
+        h = MemoryHierarchy(_XGENE_RANDOM, seed=3)
+        _replay_lines(h, range(0, 4096, 3))
+        snap = h.snapshot()
+        for name, cache in h.all_caches().items():
+            cache_snap = snap["caches"][name]
+            assert len(cache_snap["rng_states"]) == 1, name
+            assert cache_snap["rng_of_set"] == [0] * cache.params.num_sets
+
+    def test_unseeded_snapshot_keeps_one_state_per_set(self):
+        h = MemoryHierarchy(_XGENE_RANDOM)
+        snap = h.snapshot()
+        l1 = snap["caches"][next(iter(h.all_caches()))]
+        sets = XGENE.l1d.num_sets
+        assert len(l1["rng_states"]) == sets
+        assert l1["rng_of_set"] == list(range(sets))
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_restore_then_replay_matches_fresh(self, seed):
+        rng = random.Random(17)
+        warm = [rng.randrange(20_000) for _ in range(3000)]
+        main = [rng.randrange(20_000) for _ in range(3000)]
+        fresh = MemoryHierarchy(_XGENE_RANDOM, seed=seed)
+        expected = _replay_lines(fresh, warm + main)
+
+        h = MemoryHierarchy(_XGENE_RANDOM, seed=seed)
+        start = h.snapshot()
+        _replay_lines(h, main)  # consume the victim RNGs
+        h.restore(start)
+        assert _replay_lines(h, warm) == expected[:len(warm)]
+        mid = h.snapshot()
+        first = _replay_lines(h, main)
+        assert first == expected[len(warm):]
+        for _ in range(2):  # the snapshot stays reusable
+            h.restore(mid)
+            assert _replay_lines(h, main) == first
+        assert _hierarchy_fingerprint(h) == _hierarchy_fingerprint(fresh)
+
+
 _CHIP_CASES = {
     "lru": XGENE,
     "random": with_replacement(XGENE, ReplacementPolicy.RANDOM),

@@ -173,6 +173,14 @@ class TestResultStore:
         assert list(store.keys()) == [key]
         assert len(store) == 1 and store.bytes_held() > 0
 
+    def test_entry_is_one_compact_line(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key, answer = self._entry(store)
+        text = store.path_for(key).read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text)["answer"] == answer
+        assert store.get(key) == answer
+
     def test_missing_key_is_none(self, tmp_path):
         assert ResultStore(tmp_path).get("ab" + "0" * 62) is None
 

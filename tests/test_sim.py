@@ -304,11 +304,127 @@ class TestGemmSimulator:
         with pytest.raises(SimulationError):
             self.SIM.simulate("nonesuch", 10, 10, 10)
 
+    def test_int64_overflow_rejected(self):
+        """One GEBP whose extents multiply past int64 (the pricing's
+        integer products) is refused, not silently wrapped."""
+        huge = 3_000_000
+        blk = CacheBlocking(8, 6, huge, huge, huge, 1, 1, 1)
+        with pytest.raises(SimulationError):
+            self.SIM.simulate(
+                "OpenBLAS-8x6", huge, huge, huge, blocking=blk
+            )
+
     def test_gflops_efficiency_consistent(self):
         p = self.SIM.simulate("OpenBLAS-8x6", 1024, 1024, 1024, threads=8)
         assert p.gflops * 1e9 == pytest.approx(
             p.efficiency * XGENE.peak_flops_for(8)
         )
+
+
+class TestExplicitTrace:
+    """``simulate(trace=...)`` with a trace the functional driver recorded
+    prices exactly what the synthesized path prices."""
+
+    BLK = CacheBlocking(8, 6, 64, 24, 48, 1, 2, 1)
+
+    def _recorded(self, m, n, k, threads, axis):
+        import numpy as np
+        from repro.gemm import GemmTrace, dgemm, parallel_dgemm
+
+        rng = np.random.default_rng(11)
+        a, b, c = (
+            np.asfortranarray(rng.standard_normal(shape))
+            for shape in ((m, k), (k, n), (m, n))
+        )
+        trace = GemmTrace()
+        if threads == 1:
+            dgemm(a, b, c, blocking=self.BLK, trace=trace)
+        else:
+            parallel_dgemm(a, b, c, threads=threads, blocking=self.BLK,
+                           axis=axis, trace=trace)
+        return trace
+
+    @pytest.mark.parametrize("threads,axis", [(1, "m"), (3, "m"), (3, "n")])
+    def test_recorded_trace_equals_synthesized(self, threads, axis):
+        m, n, k = 150, 130, 140
+        trace = self._recorded(m, n, k, threads, axis)
+        sim = GemmSimulator()
+        for kernel in ("OpenBLAS-8x6", "ATLAS-5x5"):
+            synthesized = sim.simulate(
+                kernel, m, n, k, threads=threads, blocking=self.BLK,
+                parallel_axis=axis,
+            )
+            explicit = sim.simulate(
+                kernel, m, n, k, threads=threads, blocking=self.BLK,
+                trace=trace, parallel_axis=axis,
+            )
+            assert repr(explicit) == repr(synthesized)
+
+    def test_trace_arrays_roundtrip(self):
+        from repro.gemm import GemmTrace
+
+        trace = self._recorded(100, 200, 60, 3, "n")
+        back = GemmTrace.from_arrays(100, 200, 60, 3, trace.to_arrays())
+        assert back.gebps == trace.gebps and back.packs == trace.packs
+
+    def test_foreign_thread_ids_rejected(self):
+        trace = self._recorded(150, 130, 140, 3, "m")
+        with pytest.raises(SimulationError):
+            GemmSimulator().simulate(
+                "OpenBLAS-8x6", 150, 130, 140, threads=2, blocking=self.BLK,
+                trace=trace,
+            )
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_gebp_events_histogram(self, explicit):
+        """The ``gemm_sim.gebp_events`` observation counts GEBP events
+        (``baseline_simulate.json`` pins 10 for this run)."""
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        sim = GemmSimulator(metrics=metrics)
+        blk = sim.default_blocking("OpenBLAS-8x6", 2)
+        trace = synthesize_trace(512, 512, 512, blk, 2) if explicit else None
+        sim.simulate("OpenBLAS-8x6", 512, 512, 512, threads=2, trace=trace)
+        hist = metrics.as_dict()["histograms"]["gemm_sim.gebp_events"]
+        assert (hist["count"], hist["total"]) == (1, 10.0)
+        assert metrics.as_dict()["counters"]["gemm_sim.simulations"] == 1
+
+
+class TestArrayPricingOracle:
+    """The ``tune.analytic`` oracle over a wider sweep than CI's smoke
+    budget: array pricing equals the per-event loop exactly."""
+
+    def test_sweep_matches_and_covers_the_space(self):
+        from repro.kernels.variants import VARIANTS
+        from repro.verify import fuzz_params, get_oracle, run_case
+
+        oracle = get_oracle("tune.analytic")
+        cases = [
+            params
+            for seed in range(3)
+            for params in fuzz_params(oracle, seed, "deep")
+        ]
+        seen = set()
+        for params in cases:
+            outcome = run_case(oracle, params)
+            assert outcome.ok, (params, outcome.mismatches)
+            machine, blk = params["machine"], params["blocking"]
+            seen.add(params["kernel"])
+            seen.add(("axis", params["axis"]))
+            seen.add(("explicit", params["explicit_trace"]))
+            if isinstance(machine, dict) and machine.get("clusters"):
+                seen.add("two-cluster")
+            if blk is not None:
+                spec = VARIANTS[params["kernel"]]
+                if (blk["mr"], blk["nr"]) != (spec.mr, spec.nr):
+                    seen.add("foreign-tile")
+                if params["threads"] > -(-params["m"] // blk["mc"]):
+                    seen.add("surplus-threads")
+        assert seen >= set(VARIANTS) | {
+            ("axis", "m"), ("axis", "n"), ("explicit", True),
+            "two-cluster", "foreign-tile", "surplus-threads",
+        }
 
 
 class TestMicrobench:
