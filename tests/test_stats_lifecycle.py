@@ -5,8 +5,8 @@ if those objects have a trustworthy lifecycle: ``reset_stats`` must zero
 *every* counter (including registered hardware prefetchers),
 ``flush``/``reset`` must return a component to a state where replaying
 the same access stream reproduces the same counters as a fresh object,
-and engine-selection metadata (``engine``, ``fallback_reason``) must be
-recorded rather than silently swallowed.
+and the engine a timed run reports (``engine``) must be the one that
+ran.
 
 The core property, checked per policy and per engine:
 
@@ -20,13 +20,14 @@ import pytest
 
 from repro.arch import XGENE, ReplacementPolicy
 from repro.blocking import solve_cache_blocking
+from repro.errors import SimulationError
 from repro.kernels import get_variant
 from repro.kernels.kernel_spec import PAPER_KERNELS
 from repro.memory import MemoryHierarchy
 from repro.memory.cache import Cache
 from repro.memory.prefetcher import SequentialPrefetcher
 from repro.sim import simulate_gebp_cache
-from repro.sim.timed_executor import engine_selection, run_timed_micro_tile
+from repro.sim.timed_executor import run_timed_micro_tile
 
 SPEC_8X6 = next(s for s in PAPER_KERNELS if s.name == "8x6")
 
@@ -215,41 +216,65 @@ class TestPrefetcherLifecycle:
         assert not pf._last_line
 
 
+def _micro_operands(kernel):
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    kc = kernel.plan.unroll
+    return (rng.standard_normal((kc, kernel.spec.mr)),
+            rng.standard_normal((kc, kernel.spec.nr)))
+
+
 class TestEngineSelection:
+    """The engine a timed run reports is the one that ran: ``auto`` and
+    ``compiled`` name the compiled engine, ``interpreted`` the oracle."""
+
     def test_auto_compiles_odd_tiles(self):
         """The odd-tile ATLAS kernel compiles in the lane-padded layout
         (it used to fall back with an "odd tile" reason)."""
         kernel = get_variant("ATLAS-5x5")
-        assert engine_selection(kernel, "auto") == ("compiled", None)
+        run = run_timed_micro_tile(kernel, *_micro_operands(kernel))
+        assert run.engine == "compiled"
 
-    def test_auto_records_fallback_reason(self):
+    def test_auto_raises_compilability_reason(self):
         from tests.test_compiled_engine import _noncompilable_kernel
 
-        selected, reason = engine_selection(_noncompilable_kernel(), "auto")
-        assert selected == "interpreted"
-        assert "full-vector" in reason
+        kernel = _noncompilable_kernel()
+        with pytest.raises(SimulationError, match="full-vector"):
+            run_timed_micro_tile(
+                kernel, *_micro_operands(kernel), engine="auto"
+            )
 
     def test_auto_prefers_compiled(self):
         kernel = get_variant("OpenBLAS-8x6")
-        assert engine_selection(kernel, "auto") == ("compiled", None)
+        run = run_timed_micro_tile(
+            kernel, *_micro_operands(kernel), engine="auto"
+        )
+        assert run.engine == "compiled"
 
     def test_explicit_engines(self):
         kernel = get_variant("OpenBLAS-8x6")
-        assert engine_selection(kernel, "interpreted") == (
-            "interpreted", None,
-        )
-        assert engine_selection(kernel, "compiled") == ("compiled", None)
+        for engine in ("interpreted", "compiled"):
+            run = run_timed_micro_tile(
+                kernel, *_micro_operands(kernel), engine=engine
+            )
+            assert run.engine == engine
 
     def test_compiled_on_noncompilable_raises(self):
         from tests.test_compiled_engine import _noncompilable_kernel
 
-        with pytest.raises(Exception, match="full-vector"):
-            engine_selection(_noncompilable_kernel(), "compiled")
+        kernel = _noncompilable_kernel()
+        with pytest.raises(SimulationError, match="full-vector"):
+            run_timed_micro_tile(
+                kernel, *_micro_operands(kernel), engine="compiled"
+            )
 
     def test_unknown_engine_rejected(self):
         kernel = get_variant("OpenBLAS-8x6")
-        with pytest.raises(Exception, match="engine"):
-            engine_selection(kernel, "turbo")
+        with pytest.raises(SimulationError, match="engine"):
+            run_timed_micro_tile(
+                kernel, *_micro_operands(kernel), engine="turbo"
+            )
 
     def test_timed_run_records_engine(self):
         import numpy as np
@@ -261,8 +286,6 @@ class TestEngineSelection:
         b = rng.standard_normal((8, spec.nr))
         auto = run_timed_micro_tile(kernel, a, b, engine="auto")
         assert auto.engine == "compiled"
-        assert auto.fallback_reason is None
         interp = run_timed_micro_tile(kernel, a, b, engine="interpreted")
         assert interp.engine == "interpreted"
-        assert interp.fallback_reason is None
         assert interp.cycles == auto.cycles
