@@ -112,16 +112,6 @@ def neighborhood(
     return out
 
 
-def _candidate_tiles(chip: ChipParams, max_candidates: int) -> List[Tuple[int, int]]:
-    # Backward-compatible private alias kept for older callers.
-    return candidate_tiles(chip, max_candidates)
-
-
-def _neighborhood(value: int, step: int, multiple: int) -> List[int]:
-    # Backward-compatible private alias kept for older callers.
-    return neighborhood(value, step, multiple)
-
-
 def autotune(
     chip: ChipParams = XGENE,
     threads: int = 1,

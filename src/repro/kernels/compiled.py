@@ -42,7 +42,6 @@ latency histograms and C values on every compilable kernel variant).
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +58,7 @@ from repro.kernels.codegen import (
 )
 from repro.kernels.execute import _body_load_targets, padded_stream_widths
 from repro.kernels.kernel_spec import KernelStyle
+from repro.memo import BoundedMemo
 from repro.memory.batch import ACCESS_DTYPE, BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH
 from repro.memory.prefetcher import SequentialPrefetcher
@@ -561,11 +561,8 @@ def _compile_events(kernel):
 
 
 #: id-keyed compilation cache; bounded so e.g. property tests generating
-#: many throwaway kernels cannot grow it without limit. Dict order is the
-#: LRU order; the lock keeps it consistent under pool threads.
-_CACHE: Dict[int, CompiledKernel] = {}
-_CACHE_LIMIT = 64
-_CACHE_LOCK = threading.Lock()
+#: many throwaway kernels cannot grow it without limit.
+_CACHE: BoundedMemo[CompiledKernel] = BoundedMemo(64)
 
 
 def compile_kernel(kernel) -> CompiledKernel:
@@ -575,18 +572,9 @@ def compile_kernel(kernel) -> CompiledKernel:
     dual-GEBP, benchmarks) share trace templates and scoreboard memos
     for the memoized kernel variants without explicit plumbing.
     """
-    key = id(kernel)
-    with _CACHE_LOCK:
-        cached = _CACHE.pop(key, None)
-        if cached is not None and cached.kernel is kernel:
-            _CACHE[key] = cached  # refresh recency
-            return cached
+    cached = _CACHE.get(id(kernel))
+    if cached is not None and cached.kernel is kernel:
+        return cached
     compiled = CompiledKernel(kernel)
-    with _CACHE_LOCK:
-        _CACHE.pop(key, None)
-        while len(_CACHE) >= _CACHE_LIMIT:
-            # Evict the least-recently-used entry only: a wholesale clear
-            # would drop every hot kernel's trace caches and memos.
-            _CACHE.pop(next(iter(_CACHE)))
-        _CACHE[key] = compiled
+    _CACHE.put(id(kernel), compiled)
     return compiled

@@ -19,7 +19,6 @@ This is the most detailed level of the simulator stack:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +45,7 @@ from repro.kernels.execute import (
     padded_stream_widths,
 )
 from repro.kernels.kernel_spec import KernelStyle
+from repro.memo import BoundedMemo
 from repro.memory.batch import warm_region
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import SequentialPrefetcher
@@ -200,11 +200,8 @@ def _timed_run(
 #: the module L2), keyed by everything the warm stream depends on. Only
 #: consulted for freshly created hierarchies, whose pre-warm state is
 #: pristine by construction — restoring the snapshot is then bit-identical
-#: to replaying the warm stream into the fresh hierarchy. Dict order is
-#: the LRU order; the lock keeps it consistent under pool threads.
-_WARM_MEMO: Dict[tuple, dict] = {}
-_WARM_MEMO_LIMIT = 16
-_WARM_MEMO_LOCK = threading.Lock()
+#: to replaying the warm stream into the fresh hierarchy.
+_WARM_MEMO: BoundedMemo[dict] = BoundedMemo(16)
 
 
 def _warm_micro_tile_l2(
@@ -221,26 +218,16 @@ def _warm_micro_tile_l2(
     """Establish GEBP's precondition (packed buffers L2-resident) and
     zero the stats, restoring a memoized snapshot when possible."""
     key = (chip, core_id, kc, unroll, wa, wb, line)
-    if memoizable:
-        with _WARM_MEMO_LOCK:
-            snap = _WARM_MEMO.pop(key, None)
-            if snap is not None:
-                _WARM_MEMO[key] = snap  # refresh recency
-        if snap is not None:
-            h.restore(snap)
-            return
+    snap = _WARM_MEMO.get(key) if memoizable else None
+    if snap is not None:
+        h.restore(snap)
+        return
     module_l2 = h.l2[h.module_of(core_id)]
     warm_region(module_l2, A_BASE, (kc + unroll) * wa * DOUBLE_BYTES, line)
     warm_region(module_l2, B_BASE, (kc + unroll) * wb * DOUBLE_BYTES, line)
     h.reset_stats()
     if memoizable:
-        snap = h.snapshot()
-        with _WARM_MEMO_LOCK:
-            _WARM_MEMO.pop(key, None)
-            while len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-                # Evict the least-recently-used entry only.
-                _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-            _WARM_MEMO[key] = snap
+        _WARM_MEMO.put(key, h.snapshot())
 
 
 def _run_interpreted(

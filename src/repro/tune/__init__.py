@@ -13,7 +13,6 @@ evaluation by content hash into a persistent result store; and
 from repro.tune.evaluate import (
     analytic_eval,
     build_kernel,
-    clear_eval_caches,
     resolve_plan,
     timed_eval,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "TuneMemo",
     "analytic_eval",
     "build_kernel",
-    "clear_eval_caches",
     "enumerate_candidates",
     "eval_key",
     "make_answer",

@@ -1,0 +1,152 @@
+"""The bounded memo: one LRU policy behind every process-global memo.
+
+The module memos (compiled kernels, the micro-tile and GEBP warm-state
+snapshots) share :class:`~repro.memo.BoundedMemo`; the tune caches are
+``functools.lru_cache``. These tests pin the policy on each module's own
+instance at its own bound, and hammer it from threads the way serve's
+``WorkerPool`` does.
+"""
+
+import dataclasses
+import random
+import sys
+import threading
+
+import pytest
+
+from repro.arch import XGENE
+from repro.blocking.cache_blocking import CacheBlocking
+from repro.kernels import compiled
+from repro.kernels.variants import VARIANTS
+from repro.memo import BoundedMemo
+from repro.sim import gebp_cachesim, timed_executor
+from repro.sim.gebp_cachesim import simulate_gebp_cache
+from repro.tune.evaluate import build_kernel
+
+#: Each module memo with the bound it must keep.
+MODULE_MEMOS = {
+    "kernels.compiled": (compiled._CACHE, 64),
+    "sim.gebp_cachesim": (gebp_cachesim._WARM_MEMO, 32),
+    "sim.timed_executor": (timed_executor._WARM_MEMO, 16),
+}
+
+
+@pytest.fixture(params=sorted(MODULE_MEMOS))
+def module_memo(request):
+    memo, limit = MODULE_MEMOS[request.param]
+    assert isinstance(memo, BoundedMemo)
+    assert memo.limit == limit
+    memo.clear()
+    yield memo
+    memo.clear()
+
+
+def _run_threads(target, n):
+    """Run ``target(i)`` on ``n`` threads under a tiny switch interval."""
+    errors = []
+
+    def guarded(i):
+        try:
+            target(i)
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+class TestBoundedMemo:
+    def test_eviction_keeps_most_recent_entries(self, module_memo):
+        """After ``limit + 1`` distinct keys the ``limit`` most recent
+        survive: eviction is least-recently-used, never wholesale."""
+        limit = module_memo.limit
+        evicted = [module_memo.put(i, f"v{i}") for i in range(limit + 1)]
+        assert evicted == [0] * limit + [1]
+        assert 0 not in module_memo
+        assert all(i in module_memo for i in range(1, limit + 1))
+        assert len(module_memo) == limit
+
+    def test_hit_refreshes_recency(self, module_memo):
+        limit = module_memo.limit
+        for i in range(limit):
+            module_memo.put(i, f"v{i}")
+        assert module_memo.get(0) == "v0"  # oldest, touched before insert
+        assert module_memo.put(limit, "new") == 1
+        assert 0 in module_memo
+        assert 1 not in module_memo
+        assert module_memo.get(1) is None
+        # Re-putting a present key replaces it without evicting.
+        assert module_memo.put(0, "v0'") == 0
+        assert module_memo.get(0) == "v0'"
+        assert len(module_memo) == limit
+
+    def test_build_kernel_cache_is_bounded(self):
+        build_kernel.cache_clear()
+        try:
+            for kc in range(1, 66):
+                build_kernel(4, 4, "static", "earliest", kc)
+            assert build_kernel.cache_info().currsize == 64
+        finally:
+            build_kernel.cache_clear()
+
+
+class TestConcurrency:
+    def test_hammered_memo_stays_consistent(self):
+        memo = BoundedMemo(limit=2)
+        sizes = []
+
+        def worker(i):
+            rng = random.Random(i)
+            for _ in range(2000):
+                key = rng.randrange(6)
+                if rng.random() < 0.5:
+                    assert memo.get(key) in (None, key)
+                else:
+                    memo.put(key, key)
+                sizes.append(len(memo))
+
+        _run_threads(worker, 8)
+        assert max(sizes) <= memo.limit
+
+    def test_threaded_gebp_sweep_matches_cold_start(self, monkeypatch):
+        """Serve's pool threads share the GEBP warm memo. Under eviction
+        pressure (more distinct warm keys than the bound, and prefix
+        extensions of each) every threaded result must equal its
+        single-threaded cold start."""
+        monkeypatch.setattr(gebp_cachesim, "_WARM_MEMO", BoundedMemo(2))
+        spec = VARIANTS["OpenBLAS-4x4"]
+        points = [(mc, m) for mc in (8, 16, 24, 32) for m in (1, 2, 3)]
+
+        def point(mc, m, incremental):
+            nc = spec.nr * m
+            blk = CacheBlocking(
+                mr=spec.mr, nr=spec.nr, kc=32, mc=mc, nc=nc,
+                k1=1, k2=1, k3=1,
+            )
+            return dataclasses.astuple(simulate_gebp_cache(
+                spec, blk, chip=XGENE, nc_slice=nc, engine="batched",
+                seed=0, incremental=incremental,
+            ))
+
+        cold = {p: point(*p, incremental=False) for p in points}
+        mismatches = []
+
+        def worker(i):
+            order = points * 2
+            random.Random(i).shuffle(order)
+            for p in order:
+                if point(*p, incremental=True) != cold[p]:
+                    mismatches.append(p)
+
+        _run_threads(worker, 8)
+        assert mismatches == []
