@@ -23,7 +23,6 @@ from repro.memory.prefetcher import (
     SequentialPrefetcher,
 )
 from repro.memory.replacement import (
-    LruSetPolicy,
     PlruSetPolicy,
     RandomSetPolicy,
     SetPolicy,
@@ -35,6 +34,7 @@ from repro.memory.trace import (
     TraceCost,
     contiguous_trace,
     run_trace,
+    run_trace_levels,
     strided_matrix_trace,
 )
 
@@ -58,13 +58,13 @@ __all__ = [
     "Access",
     "TraceCost",
     "run_trace",
+    "run_trace_levels",
     "contiguous_trace",
     "strided_matrix_trace",
     "SetPolicy",
     "DropPattern",
     "SequentialPrefetcher",
     "PrefetcherStats",
-    "LruSetPolicy",
     "RandomSetPolicy",
     "PlruSetPolicy",
     "make_set_policy",

@@ -2,18 +2,19 @@
 
 The simulator is line-granular: callers present byte addresses (or line
 indices) and the cache tracks presence per 64-byte line per set, with the
-configured associativity and replacement policy. A fast path implements true
-LRU with :class:`collections.OrderedDict`; RANDOM and PLRU run through the
-generic per-set policy objects.
+configured associativity and replacement policy. LRU caches hold their
+state in one *timestamp-LRU* form from construction on: per-set
+tag/timestamp/dirty arrays, where the victim is the way with the smallest
+timestamp. RANDOM and PLRU run through the generic per-set policy objects.
 
-For trace replay at array granularity, :meth:`Cache.access_lines_batched`
-resolves a whole vector of line accesses at once. LRU caches switch to a
-*timestamp-LRU* representation (per-set tag/timestamp/dirty arrays) and the
-batch is processed in "rounds": round ``r`` handles the ``r``-th access of
-every set in parallel, which is exact because sets are independent and the
-within-set order equals program order. RANDOM and PLRU caches fall back to
-the scalar per-access path (which preserves the per-cache RNG consumption
-order), so the batched engine is bit-identical for every policy.
+Scalar :meth:`Cache.access_line` and the batched
+:meth:`Cache.access_lines_batched` share that state. The batch resolves a
+whole vector of line accesses in "rounds": round ``r`` handles the ``r``-th
+access of every set in parallel, which is exact because sets are
+independent and the within-set order equals program order. RANDOM and
+PLRU caches fall back to the scalar per-access path (which preserves the
+per-cache RNG consumption order), so the batched engine is bit-identical
+for every policy.
 
 Statistics distinguish demand loads, stores and software prefetches, which
 is what Fig. 15 (L1-dcache-load counts) and Table VII (L1 miss rates) need.
@@ -22,8 +23,7 @@ is what Fig. 15 (L1-dcache-load counts) and Table VII (L1 miss rates) need.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -113,7 +113,6 @@ class Cache:
         self, params: CacheParams, rng: Optional[random.Random] = None
     ) -> None:
         self.params = params
-        self.stats = CacheStats()
         self._num_sets = params.num_sets
         self._line_bytes = params.line_bytes
         self._ways = params.ways
@@ -121,34 +120,21 @@ class Cache:
         # Write-through caches never hold dirty lines: every store is
         # propagated outward by the hierarchy instead of being buffered.
         self._write_back = params.write_policy is WritePolicy.WRITE_BACK
-        # Batched-engine observability: line accesses resolved through the
-        # vectorized timestamp-LRU sweep vs. through the per-access
-        # fallback (non-LRU policies). Not part of CacheStats on purpose.
-        self.batched_accesses = 0
-        self.batched_fallback_accesses = 0
-        # Timestamp-LRU array state (populated lazily on the first batched
-        # access; scalar accesses then run against the same representation).
-        self._array_mode = False
-        self._tags_arr: Optional[np.ndarray] = None
-        self._ts_arr: Optional[np.ndarray] = None
-        self._dirty_arr: Optional[np.ndarray] = None
+        # Contents, replacement state, stats and the batched-engine
+        # coverage counters all start out as reset() leaves them.
+        self.reset(rng)
+
+    def _empty_lru_state(self) -> None:
+        """Empty timestamp-LRU state with the recency clock rewound.
+
+        Empty ways get distinct negative timestamps (way 0 lowest), so the
+        ``argmin`` victim rule fills them in index order before evicting.
+        """
+        ways, sets = self._ways, self._num_sets
+        self._tags_arr = np.full((sets, ways), -1, dtype=np.int64)
+        self._ts_arr = np.tile(np.arange(-ways, 0, dtype=np.int64), (sets, 1))
+        self._dirty_arr = np.zeros((sets, ways), dtype=bool)
         self._clock = 1
-        if self._is_lru:
-            # tag -> dirty flag, in recency order (last = MRU).
-            self._lru_sets: List["OrderedDict[int, bool]"] = [
-                OrderedDict() for _ in range(self._num_sets)
-            ]
-        else:
-            self._tags: List[List[Optional[int]]] = [
-                [None] * self._ways for _ in range(self._num_sets)
-            ]
-            self._dirty: List[List[bool]] = [
-                [False] * self._ways for _ in range(self._num_sets)
-            ]
-            self._policies: List[SetPolicy] = [
-                make_set_policy(params.replacement, self._ways, rng)
-                for _ in range(self._num_sets)
-            ]
 
     # -- address helpers ----------------------------------------------------
 
@@ -171,36 +157,18 @@ class Cache:
         if kind not in _KINDS:
             raise SimulationError(f"unknown access kind: {kind!r}")
         if self._is_lru:
-            if self._array_mode:
-                hit = self._access_lru_array(line, kind)
-            else:
-                hit = self._access_lru(line, kind)
+            hit = self._access_ts_lru(line, kind)
         else:
             hit = self._access_generic(line, kind)
         self._count(kind, hit)
         return hit
 
-    def _access_lru(self, line: int, kind: str) -> bool:
-        s = self._lru_sets[line % self._num_sets]
-        dirty = kind == KIND_STORE and self._write_back
-        if line in s:
-            s[line] = s[line] or dirty
-            s.move_to_end(line)
-            return True
-        if len(s) >= self._ways:
-            _, evicted_dirty = s.popitem(last=False)
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.writebacks += 1
-        s[line] = dirty
-        return False
+    def _access_ts_lru(self, line: int, kind: str) -> bool:
+        """One LRU access against the timestamp arrays.
 
-    def _access_lru_array(self, line: int, kind: str) -> bool:
-        """One LRU access against the timestamp-array representation.
-
-        Counter-equivalent to :meth:`_access_lru`: the LRU victim is the
-        way with the smallest timestamp, and empty ways carry negative
-        timestamps so they are filled before anything is evicted.
+        The LRU victim is the way with the smallest timestamp, and empty
+        ways carry negative timestamps so they are filled before anything
+        is evicted.
         """
         s = line % self._num_sets
         tags = self._tags_arr[s]
@@ -265,33 +233,6 @@ class Cache:
 
     # -- batched access -----------------------------------------------------
 
-    def _ensure_array_mode(self) -> None:
-        """Migrate the OrderedDict LRU state to timestamp arrays.
-
-        Empty ways get distinct negative timestamps (way 0 lowest) so the
-        ``argmin`` victim rule fills them in index order before evicting;
-        resident lines get increasing positive timestamps in recency order,
-        which reproduces the OrderedDict's LRU ordering exactly.
-        """
-        if self._array_mode:
-            return
-        ways, sets = self._ways, self._num_sets
-        self._tags_arr = np.full((sets, ways), -1, dtype=np.int64)
-        self._ts_arr = np.tile(
-            np.arange(-ways, 0, dtype=np.int64), (sets, 1)
-        )
-        self._dirty_arr = np.zeros((sets, ways), dtype=bool)
-        clock = 1
-        for s, od in enumerate(self._lru_sets):
-            for w, (line, dirty) in enumerate(od.items()):  # LRU .. MRU
-                self._tags_arr[s, w] = line
-                self._ts_arr[s, w] = clock
-                self._dirty_arr[s, w] = dirty
-                clock += 1
-        self._clock = clock
-        self._array_mode = True
-        self._lru_sets = []
-
     def access_lines_batched(
         self,
         lines: np.ndarray,
@@ -331,7 +272,6 @@ class Cache:
                 )
             self.batched_fallback_accesses += n
             return hits
-        self._ensure_array_mode()
         hits = self._sweep_lru_batch(lines, kinds, tail_min)
         # Per-kind counters, identical to per-access _count() totals.
         kind_counts = np.bincount(kinds, minlength=3)
@@ -483,36 +423,27 @@ class Cache:
     def contains_line(self, line: int) -> bool:
         """True if ``line`` is currently resident (no state update)."""
         if self._is_lru:
-            if self._array_mode:
-                return bool(
-                    (self._tags_arr[line % self._num_sets] == line).any()
-                )
-            return line in self._lru_sets[line % self._num_sets]
+            return bool((self._tags_arr[line % self._num_sets] == line).any())
         return line in self._tags[line % self._num_sets]
 
     def set_contents(self, set_index: int) -> List[int]:
         """Resident lines of one set (diagnostic view, no state update).
 
-        LRU caches return lines in recency order, LRU first — whichever
-        representation (OrderedDict or timestamp arrays) currently holds
-        the state. Other policies return them in way order.
+        LRU caches return lines in recency order, LRU first. Other
+        policies return them in way order.
         """
         if not 0 <= set_index < self._num_sets:
             raise SimulationError(f"set index {set_index} out of range")
         if self._is_lru:
-            if self._array_mode:
-                tags = self._tags_arr[set_index]
-                order = np.argsort(self._ts_arr[set_index], kind="stable")
-                return [int(tags[w]) for w in order if tags[w] >= 0]
-            return list(self._lru_sets[set_index])
+            tags = self._tags_arr[set_index]
+            order = np.argsort(self._ts_arr[set_index], kind="stable")
+            return [int(tags[w]) for w in order if tags[w] >= 0]
         return [tag for tag in self._tags[set_index] if tag is not None]
 
     def resident_lines(self) -> int:
         """Total number of lines currently resident."""
         if self._is_lru:
-            if self._array_mode:
-                return int((self._tags_arr >= 0).sum())
-            return sum(len(s) for s in self._lru_sets)
+            return int((self._tags_arr >= 0).sum())
         return sum(
             1 for ways in self._tags for tag in ways if tag is not None
         )
@@ -520,71 +451,52 @@ class Cache:
     def flush(self) -> None:
         """Drop all contents (stats are retained).
 
-        A flushed cache behaves exactly like a content-fresh one in
-        either LRU representation: the array mode's recency clock is
-        rewound alongside the timestamps, so the OrderedDict and
-        timestamp-array states stay interchangeable across flushes.
+        LRU caches also rewind the recency clock, so a flushed cache is
+        indistinguishable from a content-fresh one.
         """
         if self._is_lru:
-            if self._array_mode:
-                self._tags_arr.fill(-1)
-                self._ts_arr[:] = np.arange(
-                    -self._ways, 0, dtype=np.int64
-                )
-                self._dirty_arr.fill(False)
-                self._clock = 1
-                return
-            for s in self._lru_sets:
-                s.clear()
-        else:
-            for tags, dirty in zip(self._tags, self._dirty):
-                for i in range(self._ways):
-                    tags[i] = None
-                    dirty[i] = False
+            self._empty_lru_state()
+            return
+        for tags, dirty in zip(self._tags, self._dirty):
+            for i in range(self._ways):
+                tags[i] = None
+                dirty[i] = False
 
     def snapshot(self) -> dict:
         """Copy of the full cache state: contents, stats and counters.
 
-        The snapshot preserves whichever LRU representation (OrderedDict
-        or timestamp arrays) currently holds the state, so a restored
-        cache replays any trace bit-identically — including the lazy
-        array-mode migration point. The snapshot itself stays reusable:
-        it can be restored any number of times.
+        LRU caches copy their tag/timestamp/dirty arrays and recency
+        clock; RANDOM/PLRU caches copy their per-set tags and policy
+        state. A restored cache replays any trace bit-identically, and
+        the snapshot itself stays reusable: it can be restored any number
+        of times.
         """
         snap: dict = {
             "stats": replace(self.stats),
             "batched_accesses": self.batched_accesses,
             "batched_fallback_accesses": self.batched_fallback_accesses,
-            "clock": self._clock,
         }
         if self._is_lru:
-            if self._array_mode:
-                snap["mode"] = "array"
-                snap["tags"] = self._tags_arr.copy()
-                snap["ts"] = self._ts_arr.copy()
-                snap["dirty"] = self._dirty_arr.copy()
-            else:
-                snap["mode"] = "lru"
-                snap["sets"] = [OrderedDict(s) for s in self._lru_sets]
+            snap["clock"] = self._clock
+            snap["tags"] = self._tags_arr.copy()
+            snap["ts"] = self._ts_arr.copy()
+            snap["dirty"] = self._dirty_arr.copy()
+            return snap
+        snap["tags"] = [list(t) for t in self._tags]
+        snap["dirty"] = [list(d) for d in self._dirty]
+        if self.params.replacement is ReplacementPolicy.RANDOM:
+            # Seeded caches share one RNG across their sets: keep each
+            # distinct RNG's state once, plus which RNG each set uses.
+            index: Dict[int, int] = {}
+            states: list = []
+            for policy in self._policies:
+                if id(policy.rng) not in index:
+                    index[id(policy.rng)] = len(states)
+                    states.append(policy.rng.getstate())
+            snap["rng_states"] = states
+            snap["rng_of_set"] = [index[id(p.rng)] for p in self._policies]
         else:
-            snap["mode"] = "generic"
-            snap["tags"] = [list(t) for t in self._tags]
-            snap["dirty"] = [list(d) for d in self._dirty]
-            if self.params.replacement is ReplacementPolicy.RANDOM:
-                # Seeded caches share one RNG across their sets: keep each
-                # distinct RNG's state once, plus which RNG each set uses.
-                index: Dict[int, int] = {}
-                states: list = []
-                for policy in self._policies:
-                    if id(policy.rng) not in index:
-                        index[id(policy.rng)] = len(states)
-                        states.append(policy.rng.getstate())
-                snap["rng_states"] = states
-                snap["rng_of_set"] = [
-                    index[id(p.rng)] for p in self._policies
-                ]
-            else:
-                snap["policies"] = [p.state() for p in self._policies]
+            snap["policies"] = [p.state() for p in self._policies]
         return snap
 
     def restore(self, snap: dict) -> None:
@@ -592,36 +504,31 @@ class Cache:
         self.stats = replace(snap["stats"])
         self.batched_accesses = snap["batched_accesses"]
         self.batched_fallback_accesses = snap["batched_fallback_accesses"]
-        self._clock = snap["clock"]
-        mode = snap["mode"]
-        if mode == "array":
-            self._array_mode = True
+        if self._is_lru:
+            self._clock = snap["clock"]
             self._tags_arr = snap["tags"].copy()
             self._ts_arr = snap["ts"].copy()
             self._dirty_arr = snap["dirty"].copy()
-            self._lru_sets = []
-        elif mode == "lru":
-            self._array_mode = False
-            self._tags_arr = self._ts_arr = self._dirty_arr = None
-            self._lru_sets = [OrderedDict(s) for s in snap["sets"]]
+            return
+        self._tags = [list(t) for t in snap["tags"]]
+        self._dirty = [list(d) for d in snap["dirty"]]
+        if "rng_states" in snap:
+            restored = set()
+            for policy, i in zip(self._policies, snap["rng_of_set"]):
+                if id(policy.rng) not in restored:
+                    restored.add(id(policy.rng))
+                    policy.rng.setstate(snap["rng_states"][i])
         else:
-            self._tags = [list(t) for t in snap["tags"]]
-            self._dirty = [list(d) for d in snap["dirty"]]
-            if "rng_states" in snap:
-                restored = set()
-                for policy, i in zip(self._policies, snap["rng_of_set"]):
-                    if id(policy.rng) not in restored:
-                        restored.add(id(policy.rng))
-                        policy.rng.setstate(snap["rng_states"][i])
-            else:
-                for policy, state in zip(self._policies, snap["policies"]):
-                    policy.set_state(state)
+            for policy, state in zip(self._policies, snap["policies"]):
+                policy.set_state(state)
 
     def reset_stats(self) -> None:
         """Zero every statistic, including the batched-engine coverage
-        counters (``batched_accesses`` / ``batched_fallback_accesses``),
-        which earlier survived resets and leaked across measurement
-        windows."""
+        counters: line accesses resolved through the vectorized
+        timestamp-LRU sweep (``batched_accesses``) vs the per-access
+        fallback of RANDOM/PLRU caches (``batched_fallback_accesses``).
+        They are kept out of :class:`CacheStats` on purpose, but reset
+        with it so they cannot leak across measurement windows."""
         self.stats = CacheStats()
         self.batched_accesses = 0
         self.batched_fallback_accesses = 0
@@ -630,10 +537,9 @@ class Cache:
         """Return the cache to its just-constructed state.
 
         Beyond :meth:`flush` + :meth:`reset_stats`, this also rebuilds
-        the replacement-policy state (RANDOM victim RNG consumption,
-        PLRU tree bits) and drops the lazy timestamp-array migration, so
-        a reset cache replays any trace with counters identical to a
-        freshly constructed one — the round-trip property
+        the RANDOM/PLRU replacement-policy state (victim RNG consumption,
+        PLRU tree bits), so a reset cache replays any trace with counters
+        identical to a freshly constructed one — the round-trip property
         ``tests/test_stats_lifecycle.py`` pins down.
 
         Args:
@@ -642,21 +548,16 @@ class Cache:
                 construction-time victim stream.
         """
         self.reset_stats()
-        self._clock = 1
         if self._is_lru:
-            self._array_mode = False
-            self._tags_arr = self._ts_arr = self._dirty_arr = None
-            self._lru_sets = [
-                OrderedDict() for _ in range(self._num_sets)
-            ]
-        else:
-            self._tags = [
-                [None] * self._ways for _ in range(self._num_sets)
-            ]
-            self._dirty = [
-                [False] * self._ways for _ in range(self._num_sets)
-            ]
-            self._policies = [
-                make_set_policy(self.params.replacement, self._ways, rng)
-                for _ in range(self._num_sets)
-            ]
+            self._empty_lru_state()
+            return
+        self._tags: List[List[Optional[int]]] = [
+            [None] * self._ways for _ in range(self._num_sets)
+        ]
+        self._dirty: List[List[bool]] = [
+            [False] * self._ways for _ in range(self._num_sets)
+        ]
+        self._policies: List[SetPolicy] = [
+            make_set_policy(self.params.replacement, self._ways, rng)
+            for _ in range(self._num_sets)
+        ]

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class MemoryHierarchy:
         # Weak references: the hierarchy must not keep a dead prefetcher
         # (or its install closure over this hierarchy) alive.
         self._prefetchers: "weakref.WeakSet" = weakref.WeakSet()
-        # Observability hook: when set to a MetricsRegistry, the batched
-        # replay paths record access/DRAM counters and span timings into
-        # it. None (the default) keeps the hot paths entirely branch-cheap.
-        self.metrics = None
 
     def _cache_rng(self, index: int) -> Optional[random.Random]:
         """The per-cache victim RNG for position ``index`` (see ``seed``)."""
@@ -205,18 +201,51 @@ class MemoryHierarchy:
     # -- batched replay -----------------------------------------------------
 
     def run_batch(
-        self,
-        core: int,
-        trace: "BatchTrace",
-        max_level: int = 8,
-        force_scalar: bool = False,
+        self, core: int, trace: "BatchTrace", max_level: int = 8
     ) -> "TraceCost":
         """Replay a :class:`~repro.memory.batch.BatchTrace` on ``core``.
 
         Produces bit-identical counters (per-level :class:`CacheStats`,
         ``dram_accesses``, TLB stats) and an identical
         :class:`~repro.memory.trace.TraceCost` to scalar
-        :func:`~repro.memory.trace.run_trace` over the same records.
+        :func:`~repro.memory.trace.run_trace` over the same records:
+        the per-access outcomes of :meth:`_walk`, summed.
+        """
+        from repro.memory.trace import TraceCost
+
+        served, latencies = self._walk(core, trace)
+        hits = np.bincount(
+            np.minimum(served, max_level) - 1, minlength=max_level
+        )
+        return TraceCost(
+            accesses=int(served.size),
+            latency_cycles=int(latencies.sum()),
+            level_hits=hits.tolist(),
+        )
+
+    def run_batch_levels(
+        self, core: int, trace: "BatchTrace"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Replay a trace like :meth:`run_batch`, returning per-access detail.
+
+        Returns ``(levels, latencies)`` arrays with one entry per *demand*
+        line access of ``trace`` in program order: the 1-based cache level
+        that served it (``len(levels)+1`` = DRAM) and the latency charged —
+        exactly the :class:`AccessResult` fields :meth:`access_line` would
+        have produced for the same access in the same sequence, as
+        :func:`~repro.memory.trace.run_trace_levels` collects them. Cache
+        and TLB state and statistics evolve identically to the scalar
+        replay; this is what the compiled timed-execution engine feeds
+        into the scoreboard.
+        """
+        return self._walk(core, trace)
+
+    def _walk(
+        self, core: int, trace: "BatchTrace"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The batched level walk behind :meth:`run_batch` and
+        :meth:`run_batch_levels`; returns ``(levels, latencies)`` per
+        demand line access.
 
         The walk is level-wise: the whole batch is resolved against the L1
         in one vectorized sweep, then only the miss subset — merged, in
@@ -227,20 +256,12 @@ class MemoryHierarchy:
         that hit them outward as an *injected* store subset, merged with
         the walking miss subset in program order — the batched mirror of
         the scalar propagation chain. RANDOM/PLRU levels are handled per
-        cache inside :meth:`Cache.access_lines_batched`;
-        ``force_scalar=True`` takes the scalar oracle path.
+        cache inside :meth:`Cache.access_lines_batched`.
         """
-        from repro.memory.trace import TraceCost, run_trace
-
         levels = self.levels_for(core)
         level_params = self.chip.cache_levels
-        if force_scalar:
-            return run_trace(self, core, trace, max_level)
         lb = self.dram_line_bytes
         lines, kinds, plevels = trace.expand_lines(lb)
-        cost = TraceCost(level_hits=[0] * max_level)
-        if lines.size == 0:
-            return cost
         is_prefetch = kinds == CODE_PREFETCH
         if is_prefetch.any():
             targets = plevels[is_prefetch]
@@ -251,17 +272,21 @@ class MemoryHierarchy:
                     f"out of range"
                 )
         demand = ~is_prefetch
-        cost.accesses = int(demand.sum())
-        latency = 0
+        served_at = np.zeros(lines.size, dtype=np.int64)
+        tlb_penalty = np.zeros(lines.size, dtype=np.int64)
         # The TLB sees every demand access in program order, independently
         # of which cache level serves it, so it can be replayed up front.
         tlb = self.tlbs[core]
         if tlb is not None:
-            tlb_misses = 0
-            for line in lines[demand]:
-                if not tlb.access_line(int(line), lb):
-                    tlb_misses += 1
-            latency += tlb_misses * tlb.params.miss_penalty_cycles
+            demand_idx = np.flatnonzero(demand)
+            missed = np.array(
+                [
+                    not tlb.access_line(ln, lb)
+                    for ln in lines[demand_idx].tolist()
+                ],
+                dtype=bool,
+            )
+            tlb_penalty[demand_idx[missed]] = tlb.params.miss_penalty_cycles
         active = np.flatnonzero(demand | (plevels == 1))
         inject = np.empty(0, dtype=np.int64)
         is_store = kinds == CODE_STORE
@@ -292,10 +317,7 @@ class MemoryHierarchy:
                 walk_idx, walk_hits = merged, hits
             else:
                 walk_idx, walk_hits = merged[from_walk], hits[from_walk]
-            hit_demand = int(demand[walk_idx[walk_hits]].sum())
-            if hit_demand:
-                cost.level_hits[min(depth - 1, max_level - 1)] += hit_demand
-                latency += hit_demand * level_params[depth - 1].latency_cycles
+            served_at[walk_idx[walk_hits]] = depth
             # Write-through: stores served here start propagating, and
             # already-injected stores keep chaining — both regardless of
             # the propagated access's own outcome (the scalar chain is
@@ -320,125 +342,8 @@ class MemoryHierarchy:
             # Misses — demand walks on; prefetches install level by level
             # until they find the line resident (the scalar break).
             active = walk_idx[~walk_hits]
-        to_dram = int(demand[active].sum())
-        if to_dram:
-            self.dram_accesses += to_dram
-            cost.level_hits[min(len(levels), max_level - 1)] += to_dram
-            latency += to_dram * self.chip.dram.latency_cycles
-        cost.latency_cycles = latency
-        m = self.metrics
-        if m is not None:
-            m.inc("hierarchy.batched_replays")
-            m.inc("hierarchy.demand_line_accesses", cost.accesses)
-            m.inc("hierarchy.dram_line_accesses", to_dram)
-            m.inc("hierarchy.latency_cycles", latency)
-        return cost
-
-    def run_batch_levels(
-        self,
-        core: int,
-        trace: "BatchTrace",
-        force_scalar: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Replay a trace like :meth:`run_batch`, returning per-access detail.
-
-        Returns ``(levels, latencies)`` arrays with one entry per *demand*
-        line access of ``trace`` in program order: the 1-based cache level
-        that served it (``len(levels)+1`` = DRAM) and the latency charged —
-        exactly the :class:`AccessResult` fields :meth:`access_line` would
-        have produced for the same access in the same sequence. Cache and
-        TLB state and statistics evolve identically to the scalar replay;
-        this is what the compiled timed-execution engine feeds into the
-        scoreboard.
-        """
-        levels = self.levels_for(core)
-        level_params = self.chip.cache_levels
-        lb = self.dram_line_bytes
-        if force_scalar:
-            served: List[int] = []
-            lats: List[int] = []
-            for acc in trace:
-                if acc.kind == KIND_PREFETCH:
-                    self.prefetch_line(core, acc.address // lb, acc.level)
-                    continue
-                for res in self.access_bytes(
-                    core, acc.address, acc.nbytes, acc.kind
-                ):
-                    served.append(res.level_hit)
-                    lats.append(res.latency_cycles)
-            return (
-                np.array(served, dtype=np.int64),
-                np.array(lats, dtype=np.int64),
-            )
-        lines, kinds, plevels = trace.expand_lines(lb)
-        is_prefetch = kinds == CODE_PREFETCH
-        if is_prefetch.any():
-            targets = plevels[is_prefetch]
-            lo, hi = int(targets.min()), int(targets.max())
-            if lo < 1 or hi > len(levels):
-                raise SimulationError(
-                    f"prefetch target level {lo if lo < 1 else hi} "
-                    f"out of range"
-                )
-        demand = ~is_prefetch
-        served_at = np.zeros(lines.size, dtype=np.int64)
-        tlb_penalty = np.zeros(lines.size, dtype=np.int64)
-        tlb = self.tlbs[core]
-        if tlb is not None:
-            demand_idx = np.flatnonzero(demand)
-            for idx in demand_idx:
-                if not tlb.access_line(int(lines[idx]), lb):
-                    tlb_penalty[idx] = tlb.params.miss_penalty_cycles
-        active = np.flatnonzero(demand | (plevels == 1))
-        inject = np.empty(0, dtype=np.int64)
-        is_store = kinds == CODE_STORE
-        for depth, cache in enumerate(levels, start=1):
-            if depth > 1:
-                entering = np.flatnonzero(is_prefetch & (plevels == depth))
-                if entering.size:
-                    active = np.sort(np.concatenate([active, entering]))
-            if active.size == 0 and inject.size == 0:
-                continue
-            # See run_batch: injected write-through stores merge with the
-            # walking subset in program order; the two are disjoint.
-            if inject.size:
-                merged = np.concatenate([active, inject])
-                order = np.argsort(merged, kind="stable")
-                merged = merged[order]
-                from_walk = np.concatenate(
-                    [
-                        np.ones(active.size, dtype=bool),
-                        np.zeros(inject.size, dtype=bool),
-                    ]
-                )[order]
-            else:
-                merged, from_walk = active, None
-            hits = cache.access_lines_batched(lines[merged], kinds[merged])
-            if from_walk is None:
-                walk_idx, walk_hits = merged, hits
-            else:
-                walk_idx, walk_hits = merged[from_walk], hits[from_walk]
-            served_at[walk_idx[walk_hits]] = depth
-            wt = (
-                level_params[depth - 1].write_policy
-                is WritePolicy.WRITE_THROUGH
-            )
-            if wt:
-                stores_hit = walk_idx[walk_hits & is_store[walk_idx]]
-                next_inject = (
-                    np.sort(np.concatenate([stores_hit, inject]))
-                    if inject.size
-                    else stores_hit
-                )
-                if depth == len(levels):
-                    self.dram_accesses += int(next_inject.size)
-                    next_inject = np.empty(0, dtype=np.int64)
-            else:
-                next_inject = np.empty(0, dtype=np.int64)
-            inject = next_inject
-            active = walk_idx[~walk_hits]
         dram_idx = active[demand[active]]
-        self.dram_accesses += dram_idx.size
+        self.dram_accesses += int(dram_idx.size)
         served_at[dram_idx] = len(levels) + 1
         latency_of = np.array(
             [0]
@@ -447,14 +352,7 @@ class MemoryHierarchy:
             dtype=np.int64,
         )
         out_levels = served_at[demand]
-        out_lat = latency_of[out_levels] + tlb_penalty[demand]
-        m = self.metrics
-        if m is not None:
-            m.inc("hierarchy.batched_replays")
-            m.inc("hierarchy.demand_line_accesses", int(out_levels.size))
-            m.inc("hierarchy.dram_line_accesses", int(dram_idx.size))
-            m.inc("hierarchy.latency_cycles", int(out_lat.sum()))
-        return out_levels, out_lat
+        return out_levels, latency_of[out_levels] + tlb_penalty[demand]
 
     # -- prefetchers --------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Replacement policies for the set-associative cache simulator.
 
 Each policy manages victim selection within a single cache set. The paper's
-block-size derivation (Sec. IV-B) leans on the L1/L2/L3 being LRU; the
-RANDOM and tree-PLRU policies are provided for the ablation study in
+block-size derivation (Sec. IV-B) leans on the L1/L2/L3 being LRU, which
+:class:`~repro.memory.cache.Cache` keeps in timestamp arrays instead; the
+RANDOM and tree-PLRU policies here are provided for the ablation study in
 ``benchmarks/bench_ablation_replacement.py``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.params import ReplacementPolicy
 
@@ -35,27 +36,6 @@ class SetPolicy:
     def set_state(self, state) -> None:
         """Restore a state captured by :meth:`state`."""
         raise NotImplementedError
-
-
-class LruSetPolicy(SetPolicy):
-    """True LRU: maintain ways in recency order (index 0 = LRU)."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._order: List[int] = list(range(ways))
-
-    def touch(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.append(way)
-
-    def victim(self) -> int:
-        return self._order[0]
-
-    def state(self):
-        return list(self._order)
-
-    def set_state(self, state) -> None:
-        self._order = list(state)
 
 
 class RandomSetPolicy(SetPolicy):
@@ -143,9 +123,8 @@ class PlruSetPolicy(SetPolicy):
 def make_set_policy(
     policy: ReplacementPolicy, ways: int, rng: Optional[random.Random] = None
 ) -> SetPolicy:
-    """Factory mapping a :class:`ReplacementPolicy` to per-set state."""
-    if policy is ReplacementPolicy.LRU:
-        return LruSetPolicy(ways)
+    """Factory mapping a RANDOM or PLRU :class:`ReplacementPolicy` to
+    per-set state (LRU caches keep timestamp arrays instead)."""
     if policy is ReplacementPolicy.RANDOM:
         return RandomSetPolicy(ways, rng)
     if policy is ReplacementPolicy.PLRU:

@@ -10,9 +10,11 @@ MemoryHierarchy` to obtain per-level miss counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
 
-from repro.memory.cache import KIND_LOAD, KIND_PREFETCH, KIND_STORE
+import numpy as np
+
+from repro.memory.cache import KIND_LOAD, KIND_PREFETCH
 from repro.memory.hierarchy import MemoryHierarchy
 
 DOUBLE = 8
@@ -99,3 +101,30 @@ def run_trace(
             idx = min(res.level_hit - 1, max_level - 1)
             cost.level_hits[idx] += 1
     return cost
+
+
+def run_trace_levels(
+    hierarchy: MemoryHierarchy,
+    core: int,
+    trace: Iterable[Access],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay ``trace`` on ``core`` one access at a time; returns the
+    per-demand-line ``(levels, latencies)`` arrays that
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch_levels`
+    must reproduce."""
+    lb = hierarchy.dram_line_bytes
+    served: List[int] = []
+    lats: List[int] = []
+    for acc in trace:
+        if acc.kind == KIND_PREFETCH:
+            hierarchy.prefetch_line(core, acc.address // lb, acc.level)
+            continue
+        for res in hierarchy.access_bytes(
+            core, acc.address, acc.nbytes, acc.kind
+        ):
+            served.append(res.level_hit)
+            lats.append(res.latency_cycles)
+    return (
+        np.array(served, dtype=np.int64),
+        np.array(lats, dtype=np.int64),
+    )

@@ -8,8 +8,9 @@ Each oracle is declared once and covers one bit-identity claim:
   per-access scalar :func:`run_trace` walk (PR 2's engine);
 - ``timed.compiled`` — compiled timed-execution templates vs the
   instruction-by-instruction interpreter (PR 3's engine);
-- ``lru.array`` — the timestamp-array LRU representation behind
-  :meth:`Cache.access_lines_batched` vs the ``OrderedDict`` list mode;
+- ``lru.array`` — the timestamp-array LRU :class:`Cache`, batched
+  sweeps alone and mixed with scalar accesses, vs an independent
+  ``OrderedDict`` LRU model;
 - ``timed.oddtile`` — the compiled engine on the formerly interpreted
   tail (odd-tile lane padding, k-vectorized ``faddp`` folds) vs the
   interpreter;
@@ -38,6 +39,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import OrderedDict
 from typing import Any, Dict, Iterator, List
 
 import numpy as np
@@ -49,6 +51,7 @@ from repro.memory.cache import (
     CODE_LOAD,
     CODE_PREFETCH,
     CODE_STORE,
+    CODE_TO_KIND,
     Cache,
     CacheStats,
 )
@@ -597,7 +600,7 @@ register(Oracle(
 
 
 # =============================================================================
-# lru.array — timestamp-array LRU representation vs the OrderedDict mode
+# lru.array — timestamp-array LRU cache vs an independent OrderedDict model
 # =============================================================================
 
 
@@ -627,51 +630,100 @@ def _lru_cache(params: Dict[str, Any]) -> Cache:
     ))
 
 
-def _lru_doc(cache: Cache, hits: List[bool]) -> Dict[str, Any]:
+def _lru_doc(
+    hits: List[bool], stats: CacheStats, resident: int,
+    sets: List[List[int]],
+) -> Dict[str, Any]:
     return {
         "hits": "".join("1" if h else "0" for h in hits),
-        "stats": snapshot_cache_stats(cache.stats),
-        "resident_lines": cache.resident_lines(),
-        # Full state comparison, recency order included: both LRU
-        # representations must agree on *which* lines survive and in
-        # what eviction order, not just on the counters.
-        "sets": [
-            cache.set_contents(s) for s in range(cache.params.num_sets)
-        ],
+        "stats": snapshot_cache_stats(stats),
+        "resident_lines": resident,
+        # Full state comparison, recency order included: the engine must
+        # agree with the model on *which* lines survive and in what
+        # eviction order, not just on the counters.
+        "sets": sets,
     }
 
 
-def _lru_reference(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.memory.cache import CODE_TO_KIND
+#: (access counter, miss counter) of each access-kind code.
+_LRU_STAT_FIELDS = (
+    ("loads", "load_misses"),
+    ("stores", "store_misses"),
+    ("prefetches", "prefetch_misses"),
+)
 
-    cache = _lru_cache(params)
-    hits = [
-        cache.access_line(line, CODE_TO_KIND[kind])
-        for line, kind in _lru_accesses(params)
+
+def _lru_model(params: Dict[str, Any]) -> Dict[str, Any]:
+    """A self-contained LRU model: one ``OrderedDict`` (line -> dirty,
+    LRU first) per set, sharing no code with :class:`Cache`."""
+    ways, write_back = params["ways"], params["write_back"]
+    sets: List["OrderedDict[int, bool]"] = [
+        OrderedDict() for _ in range(params["sets"])
     ]
-    return _lru_doc(cache, hits)
+    stats = CacheStats()
+    hits: List[bool] = []
+    for line, kind in _lru_accesses(params):
+        od = sets[line % len(sets)]
+        dirty = kind == CODE_STORE and write_back
+        hit = line in od
+        if hit:
+            od[line] = od[line] or dirty
+            od.move_to_end(line)
+        else:
+            if len(od) >= ways:
+                _, evicted_dirty = od.popitem(last=False)
+                stats.evictions += 1
+                stats.writebacks += evicted_dirty
+            od[line] = dirty
+        hits.append(hit)
+        count, misses = _LRU_STAT_FIELDS[kind]
+        setattr(stats, count, getattr(stats, count) + 1)
+        if not hit:
+            setattr(stats, misses, getattr(stats, misses) + 1)
+    return _lru_doc(
+        hits, stats, sum(map(len, sets)), [list(od) for od in sets]
+    )
 
 
-def _lru_fast(params: Dict[str, Any]) -> Dict[str, Any]:
+def _lru_chunked(params: Dict[str, Any], mixed: bool) -> Dict[str, Any]:
+    """Replay the case through :class:`Cache` in chunks (boundaries come
+    from the case, deterministically). Every chunk is batched, or with
+    ``mixed`` the chunks alternate batched sweeps and scalar
+    ``access_line`` runs on the same state."""
     cache = _lru_cache(params)
     accesses = _lru_accesses(params)
     lines = np.array([a[0] for a in accesses], dtype=np.int64)
     kinds = np.array([a[1] for a in accesses], dtype=np.int8)
-    # Split into chunks so the OrderedDict -> array migration happens
-    # mid-stream (chunk boundaries come from the case, deterministically).
     rng = random.Random(params["access_seed"] ^ 0x5BD1E995)
     hits: List[bool] = []
-    start = 0
+    start, batched = 0, True
     while start < len(accesses):
         stop = min(len(accesses), start + rng.randint(1, params["length"]))
-        hits.extend(
-            bool(h)
-            for h in cache.access_lines_batched(
+        if batched:
+            hits.extend(cache.access_lines_batched(
                 lines[start:stop], kinds[start:stop]
+            ).tolist())
+        else:
+            hits.extend(
+                cache.access_line(line, CODE_TO_KIND[kind])
+                for line, kind in accesses[start:stop]
             )
-        )
-        start = stop
-    return _lru_doc(cache, hits)
+        start, batched = stop, batched != mixed
+    return _lru_doc(hits, cache.stats, cache.resident_lines(), [
+        cache.set_contents(s) for s in range(cache.params.num_sets)
+    ])
+
+
+def _lru_reference(params: Dict[str, Any]) -> Dict[str, Any]:
+    doc = _lru_model(params)
+    return {"batched": doc, "mixed": doc}
+
+
+def _lru_fast(params: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        "batched": _lru_chunked(params, mixed=False),
+        "mixed": _lru_chunked(params, mixed=True),
+    }
 
 
 def _lru_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
@@ -703,8 +755,9 @@ register(Oracle(
     name="lru.array",
     suite="lru",
     description=(
-        "timestamp-array LRU (batched mode) matches the OrderedDict "
-        "list mode on hits, counters and full per-set recency state"
+        "timestamp-array LRU cache (batched sweeps, alone and mixed with "
+        "scalar accesses) matches an independent OrderedDict LRU model "
+        "on hits, counters and full per-set recency state"
     ),
     generate=_lru_generate,
     reference=_lru_reference,

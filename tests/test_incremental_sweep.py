@@ -107,16 +107,16 @@ class TestSnapshotRestore:
         assert _hierarchy_fingerprint(h) == first
 
     def test_snapshot_survives_representation_migration(self):
-        """A snapshot taken in OrderedDict LRU mode restores correctly
-        even after the live cache migrated to timestamp arrays."""
+        """A snapshot taken after scalar accesses restores correctly
+        after a batched replay has moved the live state on."""
         h = MemoryHierarchy(XGENE)
         for line in range(10):
-            h.access_line(0, line)  # scalar: OrderedDict mode
+            h.access_line(0, line)  # scalar accesses
         snap = h.snapshot()
         trace = BatchTrace.from_rows(
             [(i * 64, 8, CODE_LOAD, 0) for i in range(40)]
         )
-        h.run_batch(0, trace)  # migrates the L1 to array mode
+        h.run_batch(0, trace)  # batched replay on the same state
         first = _hierarchy_fingerprint(h)
         h.restore(snap)
         h.run_batch(0, trace)

@@ -200,6 +200,8 @@ class TestBatchedCache:
         assert c.stats == twin.stats
 
     def test_set_contents_consistent_across_modes(self):
+        """A cache fed partly through the batched sweep and its all-scalar
+        twin hold the same lines in the same recency order."""
         twin = l1_cache()
         c = l1_cache()
         for ln in (0, 8, 16, 8, 24):  # all map to set 0 (8 sets, 2 ways)
@@ -215,6 +217,7 @@ class TestBatchedCache:
             c.set_contents(99)
 
     def test_flush_in_array_mode(self):
+        """Flush empties a cache that has run a batch."""
         c = l1_cache()
         c.access_lines_batched(
             np.array([0, 8, 16], dtype=np.int64), np.zeros(3, dtype=np.int8)
@@ -286,13 +289,13 @@ class TestRunBatch:
         )
 
     def test_force_scalar_is_identical(self):
+        """The scalar ``run_trace`` reference and the batched walk agree
+        on the cost and the L1 counters of the same compiled trace."""
         chip = small_chip()
         trace = BatchTrace.from_accesses(self.generator_trace())
         h_a = MemoryHierarchy(chip)
         h_b = MemoryHierarchy(chip)
-        assert h_a.run_batch(0, trace, force_scalar=True) == h_b.run_batch(
-            0, trace
-        )
+        assert run_trace(h_a, 0, trace) == h_b.run_batch(0, trace)
         assert h_a.l1_stats() == h_b.l1_stats()
 
     def test_write_through_levels_stay_batched(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch import XGENE, TlbParams, single_core
 from repro.errors import SimulationError
-from repro.memory import KIND_STORE, MemoryHierarchy, Tlb
+from repro.memory import KIND_STORE, MemoryHierarchy, Tlb, run_trace_levels
 
 
 class TestTopology:
@@ -218,7 +218,7 @@ class TestRunBatchLevels:
         h_fast = MemoryHierarchy(XGENE, with_tlb=with_tlb)
         h_ref = MemoryHierarchy(XGENE, with_tlb=with_tlb)
         lv_fast, lat_fast = h_fast.run_batch_levels(0, trace)
-        lv_ref, lat_ref = h_ref.run_batch_levels(0, trace, force_scalar=True)
+        lv_ref, lat_ref = run_trace_levels(h_ref, 0, trace)
         assert np.array_equal(lv_fast, lv_ref)
         assert np.array_equal(lat_fast, lat_ref)
         assert h_fast.l1_stats(0) == h_ref.l1_stats(0)

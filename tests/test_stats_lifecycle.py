@@ -121,7 +121,7 @@ class TestHierarchyLifecycle:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_flush_plus_reset_stats_equals_fresh(self, engine):
         """XGENE is all-LRU, so the two-step lifecycle is equivalent to a
-        full reset — including the array-mode clock rewind."""
+        full reset — including the LRU recency-clock rewind."""
         h = MemoryHierarchy(XGENE, seed=0)
         _run_gebp(h, engine)
         h.flush()
