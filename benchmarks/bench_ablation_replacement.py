@@ -10,6 +10,11 @@ random L1 replacement shows two things:
   reuse of the B sliver is the textbook LRU worst case), and random
   replacement actually edges out LRU by keeping a residual fraction of
   the sliver resident.
+
+Runs standalone (``python bench_ablation_replacement.py`` prints the
+exhibit exactly as committed in ``results/ablation_replacement.txt``,
+which CI diffs against) or under pytest-benchmark with the rest of the
+harness.
 """
 
 import dataclasses
@@ -54,15 +59,15 @@ def run_ablation():
     return rows
 
 
-def test_ablation_replacement(benchmark, report_dir):
-    rows = benchmark(run_ablation)
-    text = format_table(
+def format_ablation(rows) -> str:
+    return format_table(
         ["prefetch", "L1 replacement", "L1 load miss rate %"],
         [[pf, p, r * 100] for pf, p, r in rows],
         title="Replacement-policy ablation (8x6 GEBP, derived blocking)",
     )
-    save_report(report_dir, "ablation_replacement", text)
 
+
+def check_ablation(rows) -> None:
     rates = {(pf, p): r for pf, p, r in rows}
     # Prefetching makes the policy nearly irrelevant.
     on = [rates[("on", p.value)] for p in ReplacementPolicy]
@@ -71,3 +76,20 @@ def test_ablation_replacement(benchmark, report_dir):
     assert rates[("off", "random")] <= rates[("off", "lru")] + 1e-9
     # And prefetching is worth ~5x either way.
     assert rates[("off", "lru")] > 4 * rates[("on", "lru")]
+
+
+def test_ablation_replacement(benchmark, report_dir):
+    rows = benchmark(run_ablation)
+    save_report(report_dir, "ablation_replacement", format_ablation(rows))
+    check_ablation(rows)
+
+
+def main() -> int:
+    rows = run_ablation()
+    print(format_ablation(rows))
+    check_ablation(rows)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

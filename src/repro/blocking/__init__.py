@@ -1,6 +1,6 @@
 """Analytic block-size engine (paper Sec. IV) and empirical auto-tuning."""
 
-from repro.blocking.autotune import TuneResult, autotune, best_blocking
+from repro.blocking.autotune import TuneResult, autotune
 
 from repro.blocking.cache_blocking import (
     CacheBlocking,
@@ -23,7 +23,6 @@ from repro.blocking.register_blocking import (
 
 __all__ = [
     "autotune",
-    "best_blocking",
     "TuneResult",
     "RegisterBlocking",
     "RegisterBlockingProblem",

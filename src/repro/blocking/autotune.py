@@ -188,9 +188,3 @@ def autotune(
     results.sort(key=lambda r: r.efficiency, reverse=True)
     return results
 
-
-def best_blocking(
-    chip: ChipParams = XGENE, threads: int = 1, problem_size: int = 2048
-) -> CacheBlocking:
-    """The auto-tuner's winning configuration."""
-    return autotune(chip, threads=threads, problem_size=problem_size)[0].blocking

@@ -23,7 +23,6 @@ from repro.isa.registers import (
     VLane,
     VReg,
     XReg,
-    all_vregs,
     parse_vreg,
     parse_xreg,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "VLane",
     "VReg",
     "XReg",
-    "all_vregs",
     "parse_vreg",
     "parse_xreg",
     "parse_line",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import AssemblyError
 
@@ -103,8 +102,3 @@ def parse_xreg(text: str) -> XReg:
         raise AssemblyError(f"not a general register: {text!r}")
     return XReg(int(m.group(1)))
 
-
-def all_vregs() -> Iterator[VReg]:
-    """All 32 vector registers in index order."""
-    for i in range(NUM_VECTOR_REGS):
-        yield VReg(i)

@@ -22,12 +22,6 @@ from repro.memory.prefetcher import (
     PrefetcherStats,
     SequentialPrefetcher,
 )
-from repro.memory.replacement import (
-    PlruSetPolicy,
-    RandomSetPolicy,
-    SetPolicy,
-    make_set_policy,
-)
 from repro.memory.tlb import Tlb, TlbStats
 from repro.memory.trace import (
     Access,
@@ -61,11 +55,7 @@ __all__ = [
     "run_trace_levels",
     "contiguous_trace",
     "strided_matrix_trace",
-    "SetPolicy",
     "DropPattern",
     "SequentialPrefetcher",
     "PrefetcherStats",
-    "RandomSetPolicy",
-    "PlruSetPolicy",
-    "make_set_policy",
 ]

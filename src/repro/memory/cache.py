@@ -2,19 +2,30 @@
 
 The simulator is line-granular: callers present byte addresses (or line
 indices) and the cache tracks presence per 64-byte line per set, with the
-configured associativity and replacement policy. LRU caches hold their
-state in one *timestamp-LRU* form from construction on: per-set
-tag/timestamp/dirty arrays, where the victim is the way with the smallest
-timestamp. RANDOM and PLRU run through the generic per-set policy objects.
+configured associativity and replacement policy.
 
-Scalar :meth:`Cache.access_line` and the batched
-:meth:`Cache.access_lines_batched` share that state. The batch resolves a
-whole vector of line accesses in "rounds": round ``r`` handles the ``r``-th
-access of every set in parallel, which is exact because sets are
-independent and the within-set order equals program order. RANDOM and
-PLRU caches fall back to the scalar per-access path (which preserves the
-per-cache RNG consumption order), so the batched engine is bit-identical
-for every policy.
+Every cache holds one state from construction on, whatever its policy:
+per-set tag and dirty arrays (tag ``-1`` marks an empty way) plus one
+policy-state array with a row per set:
+
+- LRU: per-way timestamps from a recency clock; the victim is the way
+  with the smallest timestamp.
+- PLRU: the bits of a binary tree over the ways (``int8``).
+- RANDOM: a draw counter into a victim sequence drawn lazily from the
+  cache's RNG. A seeded cache shares its RNG across all sets, so its
+  victims are that RNG's stream in program order. An unseeded cache gives
+  every set the sequence of ``random.Random(0)``, each set advancing its
+  own counter.
+
+Each policy has one per-access transition over a set's rows as Python
+lists. Scalar :meth:`Cache.access_line` runs it on one set. The batched
+:meth:`Cache.access_lines_batched` runs it over the whole batch in
+program order for RANDOM/PLRU, and over the tail of the LRU sweep. That
+sweep resolves a vector of accesses in "rounds": round ``r`` handles the
+``r``-th access of every set in parallel, which is exact because sets
+are independent and the within-set order equals program order. Scalar
+and batched accesses share the state, so they can be freely interleaved
+and give bit-identical results.
 
 Statistics distinguish demand loads, stores and software prefetches, which
 is what Fig. 15 (L1-dcache-load counts) and Table VII (L1 miss rates) need.
@@ -24,13 +35,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.arch.params import CacheParams, ReplacementPolicy, WritePolicy
 from repro.errors import SimulationError
-from repro.memory.replacement import SetPolicy, make_set_policy
 
 KIND_LOAD = "load"
 KIND_STORE = "store"
@@ -101,12 +111,15 @@ class CacheStats:
         )
 
 
+
 class Cache:
     """One set-associative cache level.
 
     Args:
         params: Geometry and policy description.
-        rng: RNG used by the RANDOM policy (seeded for reproducibility).
+        rng: Victim RNG of the RANDOM policy, shared by all sets (seeded
+            for reproducibility). ``None`` gives every set the victim
+            sequence of ``random.Random(0)``.
     """
 
     def __init__(
@@ -115,26 +128,34 @@ class Cache:
         self.params = params
         self._num_sets = params.num_sets
         self._line_bytes = params.line_bytes
-        self._ways = params.ways
+        self._ways = ways = params.ways
         self._is_lru = params.replacement is ReplacementPolicy.LRU
         # Write-through caches never hold dirty lines: every store is
         # propagated outward by the hierarchy instead of being buffered.
         self._write_back = params.write_policy is WritePolicy.WRITE_BACK
-        # Contents, replacement state, stats and the batched-engine
-        # coverage counters all start out as reset() leaves them.
-        self.reset(rng)
-
-    def _empty_lru_state(self) -> None:
-        """Empty timestamp-LRU state with the recency clock rewound.
-
-        Empty ways get distinct negative timestamps (way 0 lowest), so the
-        ``argmin`` victim rule fills them in index order before evicting.
-        """
-        ways, sets = self._ways, self._num_sets
-        self._tags_arr = np.full((sets, ways), -1, dtype=np.int64)
-        self._ts_arr = np.tile(np.arange(-ways, 0, dtype=np.int64), (sets, 1))
-        self._dirty_arr = np.zeros((sets, ways), dtype=bool)
-        self._clock = 1
+        self._rng: Optional[random.Random] = None
+        # One row of the policy-state array as constructed, and the
+        # policy's per-access transition over a set's rows, kept unbound:
+        # a bound method would make every cache a reference cycle, and
+        # its arrays would then wait for the cyclic collector.
+        if self._is_lru:
+            # Empty ways get distinct negative timestamps (way 0 lowest),
+            # so the argmin victim rule fills them in index order.
+            self._state_row = np.arange(-ways, 0, dtype=np.int64)
+            self._step = Cache._lru_step
+        elif params.replacement is ReplacementPolicy.PLRU:
+            leaves = 1 << (ways - 1).bit_length()
+            self._plru_inner = leaves - 1
+            self._plru_paths = [_plru_path(w, leaves) for w in range(ways)]
+            self._state_row = np.zeros(max(1, leaves - 1), dtype=np.int8)
+            self._step = Cache._plru_step
+        else:
+            self._shared_stream = rng is not None
+            self._rng = rng if rng is not None else random.Random(0)
+            self._rng_start = self._rng.getstate()
+            self._state_row = np.zeros(1, dtype=np.int64)
+            self._step = Cache._random_step
+        self.reset()
 
     # -- address helpers ----------------------------------------------------
 
@@ -156,66 +177,94 @@ class Cache:
         """
         if kind not in _KINDS:
             raise SimulationError(f"unknown access kind: {kind!r}")
-        if self._is_lru:
-            hit = self._access_ts_lru(line, kind)
-        else:
-            hit = self._access_generic(line, kind)
+        s = line % self._num_sets
+        tags = self._tags[s].tolist()
+        dirty = self._dirty[s].tolist()
+        state = self._state[s].tolist()
+        store = kind == KIND_STORE and self._write_back
+        hit = self._step(self, tags, dirty, state, line, store)
+        self._state[s] = state
+        if store or not hit:  # a clean hit leaves tags and dirty bits
+            self._tags[s] = tags
+            self._dirty[s] = dirty
         self._count(kind, hit)
         return hit
 
-    def _access_ts_lru(self, line: int, kind: str) -> bool:
-        """One LRU access against the timestamp arrays.
+    # The per-access transitions. Each takes one set's tag, dirty and
+    # policy-state rows as Python lists, updates them in place (evictions
+    # and writebacks go straight to the stats) and returns the hit flag.
 
-        The LRU victim is the way with the smallest timestamp, and empty
-        ways carry negative timestamps so they are filled before anything
-        is evicted.
-        """
-        s = line % self._num_sets
-        tags = self._tags_arr[s]
-        ts = self._ts_arr[s]
-        dirty = kind == KIND_STORE and self._write_back
-        match = np.flatnonzero(tags == line)
-        if match.size:
-            w = int(match[0])
-            ts[w] = self._clock
-            if dirty:
-                self._dirty_arr[s, w] = True
-            self._clock += 1
-            return True
-        w = int(ts.argmin())
+    def _lru_step(self, tags, dirty, ts, line, store) -> bool:
+        try:
+            w = tags.index(line)
+        except ValueError:
+            w = ts.index(min(ts))
+            self._fill(tags, dirty, w, line, store)
+            hit = False
+        else:
+            hit = True
+            if store:
+                dirty[w] = True
+        ts[w] = self._clock
+        self._clock += 1
+        return hit
+
+    def _plru_step(self, tags, dirty, bits, line, store) -> bool:
+        try:
+            w = tags.index(line)
+        except ValueError:
+            w = tags.index(-1) if -1 in tags else self._plru_victim(bits)
+            self._fill(tags, dirty, w, line, store)
+            hit = False
+        else:
+            hit = True
+            if store:
+                dirty[w] = True
+        for node, bit in self._plru_paths[w]:
+            bits[node] = bit
+        return hit
+
+    def _random_step(self, tags, dirty, drawn, line, store) -> bool:
+        try:
+            w = tags.index(line)
+        except ValueError:
+            w = tags.index(-1) if -1 in tags else self._random_victim(drawn)
+            self._fill(tags, dirty, w, line, store)
+            return False
+        if store:
+            dirty[w] = True
+        return True
+
+    def _fill(self, tags, dirty, w, line, store) -> None:
         if tags[w] >= 0:
             self.stats.evictions += 1
-            if self._dirty_arr[s, w]:
-                self.stats.writebacks += 1
+            self.stats.writebacks += dirty[w]
         tags[w] = line
-        ts[w] = self._clock
-        self._dirty_arr[s, w] = dirty
-        self._clock += 1
-        return False
+        dirty[w] = store
 
-    def _access_generic(self, line: int, kind: str) -> bool:
-        set_idx = line % self._num_sets
-        tags = self._tags[set_idx]
-        dirty = self._dirty[set_idx]
-        policy = self._policies[set_idx]
-        for way, tag in enumerate(tags):
-            if tag == line:
-                policy.touch(way)
-                if kind == KIND_STORE and self._write_back:
-                    dirty[way] = True
-                return True
-        # Miss: prefer an empty way, else the policy's victim.
-        try:
-            way = tags.index(None)
-        except ValueError:
-            way = policy.victim()
-            self.stats.evictions += 1
-            if dirty[way]:
-                self.stats.writebacks += 1
-        tags[way] = line
-        dirty[way] = kind == KIND_STORE and self._write_back
-        policy.touch(way)
-        return False
+    def _plru_victim(self, bits) -> int:
+        """Follow the tree bits to a leaf. A non-power-of-two way count
+        pads the tree; a walk ending on a padded leaf touches the last
+        real way and walks again."""
+        inner = self._plru_inner
+        while True:
+            node = 0
+            while node < inner:
+                node = 2 * node + 1 + bits[node]
+            if node - inner < self._ways:
+                return node - inner
+            for n, bit in self._plru_paths[self._ways - 1]:
+                bits[n] = bit
+
+    def _random_victim(self, drawn) -> int:
+        """The set's next victim; ``drawn`` is its one-element counter."""
+        c = drawn[0]
+        drawn[0] = c + 1
+        if self._shared_stream:
+            return self._rng.randrange(self._ways)
+        if c == len(self._victims):
+            self._victims.append(self._rng.randrange(self._ways))
+        return self._victims[c]
 
     def _count(self, kind: str, hit: bool) -> None:
         if kind == KIND_LOAD:
@@ -245,13 +294,14 @@ class Cache:
             lines: Line indices (non-negative integers), program order.
             kinds: Per-access kind codes (:data:`CODE_LOAD`,
                 :data:`CODE_STORE`, :data:`CODE_PREFETCH`).
-            tail_min: Round width below which the vectorized sweep hands
-                the remaining accesses to the per-access loop.
+            tail_min: Round width below which the vectorized LRU sweep
+                hands the remaining accesses to the per-access loop.
 
         Counters (loads/stores/prefetches, misses, evictions, writebacks)
         are updated exactly as if :meth:`access_line` had been called once
         per element. LRU caches run the vectorized timestamp sweep; RANDOM
-        and PLRU fall back to the scalar path per access.
+        and PLRU run their per-access step in program order (counted in
+        ``batched_fallback_accesses``).
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         kinds = np.ascontiguousarray(kinds, dtype=np.int8)
@@ -264,15 +314,27 @@ class Cache:
             raise SimulationError("unknown access kind code in batch")
         if lines.min() < 0:
             raise SimulationError("negative line index in batch")
-        if not self._is_lru:
-            hits = np.empty(n, dtype=bool)
-            for i in range(n):
-                hits[i] = self.access_line(
-                    int(lines[i]), CODE_TO_KIND[kinds[i]]
-                )
+        if self._write_back:
+            stores = kinds == CODE_STORE
+        else:
+            stores = np.zeros(n, dtype=bool)
+        if self._is_lru:
+            hits = self._sweep_lru_batch(lines, stores, tail_min)
+            self.batched_accesses += n
+        else:
+            # Program order, because a seeded RANDOM cache's victims depend
+            # on the order across sets. Adjacent repeats of a line collapse
+            # onto their first access: the repeats hit and change no tree
+            # bit or draw counter, and the first access carries any store.
+            head = np.empty(n, dtype=bool)
+            head[0] = True
+            np.not_equal(lines[1:], lines[:-1], out=head[1:])
+            pos = np.flatnonzero(head)
+            hits = np.ones(n, dtype=bool)
+            hits[pos] = self._step_in_order(
+                lines[pos], np.logical_or.reduceat(stores, pos)
+            )
             self.batched_fallback_accesses += n
-            return hits
-        hits = self._sweep_lru_batch(lines, kinds, tail_min)
         # Per-kind counters, identical to per-access _count() totals.
         kind_counts = np.bincount(kinds, minlength=3)
         miss_counts = np.bincount(kinds[~hits], minlength=3)
@@ -283,23 +345,40 @@ class Cache:
         st.load_misses += int(miss_counts[CODE_LOAD])
         st.store_misses += int(miss_counts[CODE_STORE])
         st.prefetch_misses += int(miss_counts[CODE_PREFETCH])
-        self.batched_accesses += n
         return hits
 
+    def _step_in_order(self, lines: np.ndarray, stores: np.ndarray) -> np.ndarray:
+        """Run the policy step over ``lines`` in order against list copies
+        of just the touched sets' rows, copied out and written back once;
+        returns the hit mask (stats other than evictions and writebacks
+        are left to the caller)."""
+        touched, row = np.unique(lines % self._num_sets, return_inverse=True)
+        tags = self._tags[touched].tolist()
+        dirty = self._dirty[touched].tolist()
+        state = self._state[touched].tolist()
+        step = self._step
+        hits = [
+            step(self, tags[r], dirty[r], state[r], line, store)
+            for r, line, store in zip(
+                row.tolist(), lines.tolist(), stores.tolist()
+            )
+        ]
+        self._tags[touched] = tags
+        self._dirty[touched] = dirty
+        self._state[touched] = state
+        return np.array(hits, dtype=bool)
+
     def _sweep_lru_batch(
-        self, lines: np.ndarray, kinds: np.ndarray, tail_min: int
+        self, lines: np.ndarray, stores: np.ndarray, tail_min: int
     ) -> np.ndarray:
-        """The vectorized timestamp-LRU sweep (stats-free; returns hits)."""
+        """The vectorized timestamp-LRU sweep (returns hits; updates only
+        the eviction and writeback counters)."""
         n = lines.size
         sets = lines % self._num_sets
         # Group accesses by set; within a group order equals program order.
         sort_idx = np.argsort(sets, kind="stable")
         ss = sets[sort_idx]
         ls = lines[sort_idx]
-        if self._write_back:
-            store_sorted = (kinds[sort_idx] == CODE_STORE).view(np.int8)
-        else:
-            store_sorted = np.zeros(n, dtype=np.int8)
         # Run compression: consecutive accesses to the same line of a set
         # collapse into one state transition. Followers are guaranteed
         # hits, and the run's dirty contribution is "any store in the run".
@@ -313,7 +392,7 @@ class Cache:
         nruns = rep_pos.size
         run_sets = ss[rep_pos]
         run_lines = ls[rep_pos]
-        run_store = np.maximum.reduceat(store_sorted, rep_pos).astype(bool)
+        run_store = np.logical_or.reduceat(stores[sort_idx], rep_pos)
         # Round r = the r-th run of every set, processed in parallel.
         run_new_set = np.empty(nruns, dtype=bool)
         run_new_set[0] = True
@@ -330,7 +409,7 @@ class Cache:
         rsb = run_store[order_sort]
         run_hit = np.zeros(nruns, dtype=bool)
 
-        tags, ts, dirty = self._tags_arr, self._ts_arr, self._dirty_arr
+        tags, ts, dirty = self._tags, self._state, self._dirty
         clock = self._clock
         evictions = 0
         writebacks = 0
@@ -363,39 +442,11 @@ class Cache:
             dirty[st, way] = (hit & vdirty) | sb
             clock += 1
             r += 1
-        if r < nrounds:
-            # Python tail: few sets remain; process their runs in order
-            # against list copies of just those sets' state rows.
-            p0 = int(offs[r])
-            tail_sets = np.unique(rs[p0:])
-            row_of = {int(s): i for i, s in enumerate(tail_sets)}
-            ttags = tags[tail_sets].tolist()
-            tts = ts[tail_sets].tolist()
-            tdirty = dirty[tail_sets].tolist()
-            for p in range(p0, nruns):
-                line = int(rl[p])
-                row = row_of[int(rs[p])]
-                trow = ttags[row]
-                tsrow = tts[row]
-                try:
-                    w = trow.index(line)
-                    run_hit[order_sort[p]] = True
-                    if rsb[p]:
-                        tdirty[row][w] = True
-                except ValueError:
-                    w = tsrow.index(min(tsrow))
-                    if trow[w] >= 0:
-                        evictions += 1
-                        if tdirty[row][w]:
-                            writebacks += 1
-                    trow[w] = line
-                    tdirty[row][w] = bool(rsb[p])
-                tsrow[w] = clock
-                clock += 1
-            tags[tail_sets] = ttags
-            ts[tail_sets] = tts
-            dirty[tail_sets] = tdirty
         self._clock = clock
+        if r < nrounds:
+            # Few sets remain: run their runs in order through the step.
+            p0 = int(offs[r])
+            run_hit[order_sort[p0:]] = self._step_in_order(rl[p0:], rsb[p0:])
         self.stats.evictions += evictions
         self.stats.writebacks += writebacks
         # Expand run verdicts back to per-access hits: run heads carry the
@@ -422,9 +473,7 @@ class Cache:
 
     def contains_line(self, line: int) -> bool:
         """True if ``line`` is currently resident (no state update)."""
-        if self._is_lru:
-            return bool((self._tags_arr[line % self._num_sets] == line).any())
-        return line in self._tags[line % self._num_sets]
+        return bool((self._tags[line % self._num_sets] == line).any())
 
     def set_contents(self, set_index: int) -> List[int]:
         """Resident lines of one set (diagnostic view, no state update).
@@ -434,130 +483,109 @@ class Cache:
         """
         if not 0 <= set_index < self._num_sets:
             raise SimulationError(f"set index {set_index} out of range")
+        tags = self._tags[set_index]
         if self._is_lru:
-            tags = self._tags_arr[set_index]
-            order = np.argsort(self._ts_arr[set_index], kind="stable")
-            return [int(tags[w]) for w in order if tags[w] >= 0]
-        return [tag for tag in self._tags[set_index] if tag is not None]
+            ways = np.argsort(self._state[set_index], kind="stable")
+        else:
+            ways = range(self._ways)
+        return [int(tags[w]) for w in ways if tags[w] >= 0]
 
     def resident_lines(self) -> int:
         """Total number of lines currently resident."""
-        if self._is_lru:
-            return int((self._tags_arr >= 0).sum())
-        return sum(
-            1 for ways in self._tags for tag in ways if tag is not None
-        )
+        return int((self._tags >= 0).sum())
 
     def flush(self) -> None:
         """Drop all contents (stats are retained).
 
-        LRU caches also rewind the recency clock, so a flushed cache is
-        indistinguishable from a content-fresh one.
+        LRU caches also rewind their timestamps and recency clock, so a
+        flushed cache is indistinguishable from a content-fresh one. PLRU
+        tree bits and the RANDOM victim stream carry on, as replacement
+        state rather than contents.
         """
+        sets, ways = self._num_sets, self._ways
+        self._tags = np.full((sets, ways), -1, dtype=np.int64)
+        self._dirty = np.zeros((sets, ways), dtype=bool)
         if self._is_lru:
-            self._empty_lru_state()
-            return
-        for tags, dirty in zip(self._tags, self._dirty):
-            for i in range(self._ways):
-                tags[i] = None
-                dirty[i] = False
+            self._rewind_state()
+
+    def _rewind_state(self) -> None:
+        self._state = np.tile(self._state_row, (self._num_sets, 1))
+        self._clock = 1
+        self._victims: List[int] = []
 
     def snapshot(self) -> dict:
         """Copy of the full cache state: contents, stats and counters.
 
-        LRU caches copy their tag/timestamp/dirty arrays and recency
-        clock; RANDOM/PLRU caches copy their per-set tags and policy
-        state. A restored cache replays any trace bit-identically, and
-        the snapshot itself stays reusable: it can be restored any number
-        of times.
+        That is the tag/dirty/policy-state arrays, the recency clock, the
+        RANDOM victims drawn so far and the RNG state to draw more. A
+        snapshot restored into a cache of the same geometry and policy,
+        even one built with another RNG, replays any trace
+        bit-identically, and the snapshot stays reusable: it can be
+        restored any number of times.
         """
-        snap: dict = {
+        return {
             "stats": replace(self.stats),
             "batched_accesses": self.batched_accesses,
             "batched_fallback_accesses": self.batched_fallback_accesses,
+            "tags": self._tags.copy(),
+            "dirty": self._dirty.copy(),
+            "state": self._state.copy(),
+            "clock": self._clock,
+            "victims": list(self._victims),
+            "rng": self._rng.getstate() if self._rng is not None else None,
         }
-        if self._is_lru:
-            snap["clock"] = self._clock
-            snap["tags"] = self._tags_arr.copy()
-            snap["ts"] = self._ts_arr.copy()
-            snap["dirty"] = self._dirty_arr.copy()
-            return snap
-        snap["tags"] = [list(t) for t in self._tags]
-        snap["dirty"] = [list(d) for d in self._dirty]
-        if self.params.replacement is ReplacementPolicy.RANDOM:
-            # Seeded caches share one RNG across their sets: keep each
-            # distinct RNG's state once, plus which RNG each set uses.
-            index: Dict[int, int] = {}
-            states: list = []
-            for policy in self._policies:
-                if id(policy.rng) not in index:
-                    index[id(policy.rng)] = len(states)
-                    states.append(policy.rng.getstate())
-            snap["rng_states"] = states
-            snap["rng_of_set"] = [index[id(p.rng)] for p in self._policies]
-        else:
-            snap["policies"] = [p.state() for p in self._policies]
-        return snap
 
     def restore(self, snap: dict) -> None:
         """Restore a :meth:`snapshot` (contents, stats, counters)."""
         self.stats = replace(snap["stats"])
         self.batched_accesses = snap["batched_accesses"]
         self.batched_fallback_accesses = snap["batched_fallback_accesses"]
-        if self._is_lru:
-            self._clock = snap["clock"]
-            self._tags_arr = snap["tags"].copy()
-            self._ts_arr = snap["ts"].copy()
-            self._dirty_arr = snap["dirty"].copy()
-            return
-        self._tags = [list(t) for t in snap["tags"]]
-        self._dirty = [list(d) for d in snap["dirty"]]
-        if "rng_states" in snap:
-            restored = set()
-            for policy, i in zip(self._policies, snap["rng_of_set"]):
-                if id(policy.rng) not in restored:
-                    restored.add(id(policy.rng))
-                    policy.rng.setstate(snap["rng_states"][i])
-        else:
-            for policy, state in zip(self._policies, snap["policies"]):
-                policy.set_state(state)
+        self._tags = snap["tags"].copy()
+        self._dirty = snap["dirty"].copy()
+        self._state = snap["state"].copy()
+        self._clock = snap["clock"]
+        self._victims = list(snap["victims"])
+        if snap["rng"] is not None:
+            self._rng.setstate(snap["rng"])
 
     def reset_stats(self) -> None:
         """Zero every statistic, including the batched-engine coverage
         counters: line accesses resolved through the vectorized
         timestamp-LRU sweep (``batched_accesses``) vs the per-access
-        fallback of RANDOM/PLRU caches (``batched_fallback_accesses``).
-        They are kept out of :class:`CacheStats` on purpose, but reset
-        with it so they cannot leak across measurement windows."""
+        RANDOM/PLRU loop (``batched_fallback_accesses``). They are kept
+        out of :class:`CacheStats` on purpose, but reset with it so they
+        cannot leak across measurement windows."""
         self.stats = CacheStats()
         self.batched_accesses = 0
         self.batched_fallback_accesses = 0
 
-    def reset(self, rng: Optional[random.Random] = None) -> None:
+    def reset(self) -> None:
         """Return the cache to its just-constructed state.
 
-        Beyond :meth:`flush` + :meth:`reset_stats`, this also rebuilds
-        the RANDOM/PLRU replacement-policy state (victim RNG consumption,
-        PLRU tree bits), so a reset cache replays any trace with counters
-        identical to a freshly constructed one — the round-trip property
-        ``tests/test_stats_lifecycle.py`` pins down.
-
-        Args:
-            rng: Replacement for the RANDOM policy's RNG; pass a
-                generator seeded like the original to reproduce the
-                construction-time victim stream.
+        Beyond :meth:`flush` + :meth:`reset_stats`, this rewinds the
+        replacement state: PLRU tree bits, RANDOM draw counters, and the
+        RANDOM RNG back to its state at construction. A reset cache
+        replays any trace with counters identical to a freshly
+        constructed one.
         """
         self.reset_stats()
-        if self._is_lru:
-            self._empty_lru_state()
-            return
-        self._tags: List[List[Optional[int]]] = [
-            [None] * self._ways for _ in range(self._num_sets)
-        ]
-        self._dirty: List[List[bool]] = [
-            [False] * self._ways for _ in range(self._num_sets)
-        ]
-        self._policies: List[SetPolicy] = [
-            make_set_policy(self.params.replacement, self._ways, rng)
-            for _ in range(self._num_sets)
-        ]
+        self.flush()
+        if not self._is_lru:  # flush() rewinds LRU state itself
+            self._rewind_state()
+        if self._rng is not None:
+            self._rng.setstate(self._rng_start)
+
+
+def _plru_path(way: int, leaves: int) -> List[tuple]:
+    """``(node, bit)`` writes of a PLRU touch of ``way``: every node on
+    the way's root-to-leaf path points away from it."""
+    path, node, lo, hi = [], 0, 0, leaves
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if way < mid:
+            path.append((node, 1))
+            node, hi = 2 * node + 1, mid
+        else:
+            path.append((node, 0))
+            node, lo = 2 * node + 2, mid
+    return path

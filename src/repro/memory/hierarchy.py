@@ -66,7 +66,9 @@ class MemoryHierarchy:
             replay identically and per-cache victim streams stay
             independent of the order levels are visited in (which is what
             keeps the batched engine bit-identical under RANDOM). ``None``
-            keeps the legacy per-set ``Random(0)`` default.
+            gives each cache one ``Random(0)`` victim sequence that every
+            set reads through its own draw counter: the same victims as
+            the historical per-set ``Random(0)`` generators.
     """
 
     def __init__(
@@ -411,9 +413,9 @@ class MemoryHierarchy:
         return self.l3.stats
 
     def batched_fallback_accesses(self) -> int:
-        """Line accesses the batched engine resolved through the scalar
-        per-access fallback (RANDOM/PLRU caches), summed over all caches
-        since the last stats reset."""
+        """Line accesses the batched engine resolved through the
+        per-access RANDOM/PLRU loop instead of the vectorized LRU sweep,
+        summed over all caches since the last stats reset."""
         return sum(
             c.batched_fallback_accesses for c in self.all_caches().values()
         )
@@ -483,13 +485,13 @@ class MemoryHierarchy:
     def reset(self) -> None:
         """Restore the pristine just-constructed state.
 
-        Unlike ``flush()`` + ``reset_stats()``, this also rebuilds each
-        cache's replacement-policy state *and* its victim RNG from the
-        hierarchy seed, so RANDOM/PLRU hierarchies replay the exact same
-        victim stream as a freshly constructed ``MemoryHierarchy``.
+        Unlike ``flush()`` + ``reset_stats()``, this also rewinds each
+        cache's replacement-policy state and victim RNG (see
+        :meth:`Cache.reset`), so RANDOM/PLRU hierarchies replay the exact
+        same victim stream as a freshly constructed ``MemoryHierarchy``.
         """
-        for index, cache in enumerate(self.all_caches().values()):
-            cache.reset(rng=self._cache_rng(index))
+        for cache in self.all_caches().values():
+            cache.reset()
         self.dram_accesses = 0
         for tlb in self.tlbs:
             if tlb is not None:

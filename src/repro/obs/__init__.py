@@ -40,8 +40,6 @@ from repro.obs.run_report import (
     snapshot_pipeline,
     snapshot_pool_stats,
     snapshot_timed_run,
-    snapshot_workload_cache_result,
-    snapshot_workload_timed_result,
     validate_report,
 )
 
@@ -63,8 +61,6 @@ __all__ = [
     "snapshot_pipeline",
     "snapshot_pool_stats",
     "snapshot_timed_run",
-    "snapshot_workload_cache_result",
-    "snapshot_workload_timed_result",
     "Comparison",
     "Finding",
     "DEFAULT_TOLERANCE",

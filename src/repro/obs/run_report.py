@@ -413,27 +413,3 @@ def snapshot_gebp_cache_result(result: Any) -> Dict[str, Any]:
         "kernel_loads": result.kernel_loads,
     }
 
-
-def snapshot_workload_cache_result(result: Any) -> Dict[str, Any]:
-    """Serialize a :class:`~repro.workloads.base.WorkloadCacheResult`."""
-    return {
-        "l1_loads": result.l1_loads,
-        "l1_load_misses": result.l1_load_misses,
-        "l1_load_miss_rate": result.l1_load_miss_rate,
-        "l2_loads": result.l2_loads,
-        "l2_load_misses": result.l2_load_misses,
-        "dram_accesses": result.dram_accesses,
-        "trace_records": result.trace_records,
-    }
-
-
-def snapshot_workload_timed_result(result: Any) -> Dict[str, Any]:
-    """Serialize a :class:`~repro.workloads.base.WorkloadTimedResult`."""
-    return {
-        "cycles": result.cycles,
-        "seconds": result.seconds,
-        "gflops": result.gflops,
-        "efficiency": result.efficiency,
-        "engine": result.engine,
-        "pipeline": snapshot_pipeline(result.pipeline),
-    }

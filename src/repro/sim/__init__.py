@@ -14,7 +14,6 @@ from repro.sim.gebp_cachesim import (
     simulate_gebp_cache,
 )
 from repro.sim.gemm_sim import GemmPerformance, GemmSimulator
-from repro.sim.machine import SimulatedMachine
 from repro.sim.microbench import (
     TABLE_IV_PAPER,
     TABLE_IV_RATIOS,
@@ -35,7 +34,6 @@ from repro.sim.timed_executor import (
 
 __all__ = [
     "GemmSimulator",
-    "SimulatedMachine",
     "GemmPerformance",
     "SimParams",
     "DEFAULT_SIM_PARAMS",

@@ -11,6 +11,9 @@ Each oracle is declared once and covers one bit-identity claim:
 - ``lru.array`` — the timestamp-array LRU :class:`Cache`, batched
   sweeps alone and mixed with scalar accesses, vs an independent
   ``OrderedDict`` LRU model;
+- ``cache.policy`` — RANDOM and PLRU :class:`Cache` levels on the same
+  arrays, batched, mixed and handed through a snapshot, vs self-contained
+  per-set policy models;
 - ``timed.oddtile`` — the compiled engine on the formerly interpreted
   tail (odd-tile lane padding, k-vectorized ``faddp`` folds) vs the
   interpreter;
@@ -40,10 +43,11 @@ import hashlib
 import math
 import random
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.arch.params import CacheParams, ReplacementPolicy, WritePolicy
 from repro.arch.presets import MOBILE_SOC, PRESETS, XGENE
 from repro.blocking.cache_blocking import CacheBlocking
 from repro.memory.batch import BatchTrace
@@ -613,9 +617,9 @@ def _lru_accesses(params: Dict[str, Any]) -> List[tuple]:
     ]
 
 
-def _lru_cache(params: Dict[str, Any]) -> Cache:
-    from repro.arch.params import CacheParams, WritePolicy
-
+def _lru_cache(
+    params: Dict[str, Any], rng: Optional[random.Random] = None
+) -> Cache:
     line = 64
     return Cache(CacheParams(
         name="fuzzL",
@@ -627,7 +631,10 @@ def _lru_cache(params: Dict[str, Any]) -> Cache:
             WritePolicy.WRITE_BACK if params["write_back"]
             else WritePolicy.WRITE_THROUGH
         ),
-    ))
+        replacement=ReplacementPolicy(
+            params.get("policy", "lru").split("-")[0]
+        ),
+    ), rng=rng)
 
 
 def _lru_doc(
@@ -676,21 +683,31 @@ def _lru_model(params: Dict[str, Any]) -> Dict[str, Any]:
                 stats.writebacks += evicted_dirty
             od[line] = dirty
         hits.append(hit)
-        count, misses = _LRU_STAT_FIELDS[kind]
-        setattr(stats, count, getattr(stats, count) + 1)
-        if not hit:
-            setattr(stats, misses, getattr(stats, misses) + 1)
+        _model_count(stats, kind, hit)
     return _lru_doc(
         hits, stats, sum(map(len, sets)), [list(od) for od in sets]
     )
 
 
-def _lru_chunked(params: Dict[str, Any], mixed: bool) -> Dict[str, Any]:
-    """Replay the case through :class:`Cache` in chunks (boundaries come
-    from the case, deterministically). Every chunk is batched, or with
-    ``mixed`` the chunks alternate batched sweeps and scalar
-    ``access_line`` runs on the same state."""
-    cache = _lru_cache(params)
+def _model_count(stats: CacheStats, kind: int, hit: bool) -> None:
+    count, misses = _LRU_STAT_FIELDS[kind]
+    setattr(stats, count, getattr(stats, count) + 1)
+    if not hit:
+        setattr(stats, misses, getattr(stats, misses) + 1)
+
+
+def _lru_chunked(
+    params: Dict[str, Any], mixed: bool,
+    make_cache: Callable[[Dict[str, Any]], Cache] = _lru_cache,
+    rebuild: Optional[Callable[[Dict[str, Any]], Cache]] = None,
+) -> Dict[str, Any]:
+    """Replay the case through a :class:`Cache` from ``make_cache`` in
+    chunks (boundaries come from the case, deterministically). Every
+    chunk is batched, or with ``mixed`` the chunks alternate batched
+    sweeps and scalar ``access_line`` runs on the same state. With
+    ``rebuild``, the first chunk boundary at or past mid-stream moves the
+    state through ``snapshot()`` into a fresh cache from ``rebuild``."""
+    cache = make_cache(params)
     accesses = _lru_accesses(params)
     lines = np.array([a[0] for a in accesses], dtype=np.int64)
     kinds = np.array([a[1] for a in accesses], dtype=np.int8)
@@ -698,6 +715,11 @@ def _lru_chunked(params: Dict[str, Any], mixed: bool) -> Dict[str, Any]:
     hits: List[bool] = []
     start, batched = 0, True
     while start < len(accesses):
+        if rebuild is not None and 2 * start >= len(accesses):
+            snap = cache.snapshot()
+            cache = rebuild(params)
+            cache.restore(snap)
+            rebuild = None
         stop = min(len(accesses), start + rng.randint(1, params["length"]))
         if batched:
             hits.extend(cache.access_lines_batched(
@@ -714,15 +736,15 @@ def _lru_chunked(params: Dict[str, Any], mixed: bool) -> Dict[str, Any]:
     ])
 
 
-def _lru_reference(params: Dict[str, Any]) -> Dict[str, Any]:
-    doc = _lru_model(params)
+def _lru_reference(params: Dict[str, Any], model=_lru_model) -> Dict[str, Any]:
+    doc = model(params)
     return {"batched": doc, "mixed": doc}
 
 
-def _lru_fast(params: Dict[str, Any]) -> Dict[str, Any]:
+def _lru_fast(params: Dict[str, Any], **factories: Any) -> Dict[str, Any]:
     return {
-        "batched": _lru_chunked(params, mixed=False),
-        "mixed": _lru_chunked(params, mixed=True),
+        "batched": _lru_chunked(params, mixed=False, **factories),
+        "mixed": _lru_chunked(params, mixed=True, **factories),
     }
 
 
@@ -762,6 +784,123 @@ register(Oracle(
     generate=_lru_generate,
     reference=_lru_reference,
     fast=_lru_fast,
+    shrink=_lru_shrink,
+))
+
+
+# =============================================================================
+# cache.policy — RANDOM/PLRU on the shared cache arrays vs per-set models
+# =============================================================================
+
+
+def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
+    """A self-contained per-set RANDOM/PLRU model sharing no code with
+    :class:`Cache`: tag/dirty lists per set (empty ways fill first, in way
+    order). PLRU walks a binary tree of ``leaves - 1`` bits per set; a
+    walk ending on a padded leaf (non-power-of-two ways) touches the last
+    way and walks again. RANDOM draws ``randrange(ways)`` from one
+    ``random.Random(rng_seed)`` per cache when seeded, and from one
+    ``random.Random(0)`` per set when unseeded."""
+    ways, nsets, write_back = (
+        params["ways"], params["sets"], params["write_back"]
+    )
+    policy = params["policy"]
+    leaves = 1
+    while leaves < ways:
+        leaves *= 2
+    tags: List[List[Any]] = [[None] * ways for _ in range(nsets)]
+    dirty = [[False] * ways for _ in range(nsets)]
+    bits = [[0] * max(1, leaves - 1) for _ in range(nsets)]
+    if policy == "random":
+        rngs = [random.Random(params["rng_seed"])] * nsets
+    else:
+        rngs = [random.Random(0) for _ in range(nsets)]
+
+    def touch(b: List[int], way: int) -> None:
+        node, lo, hi = 0, 0, leaves
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if way < mid:
+                b[node], node, hi = 1, 2 * node + 1, mid
+            else:
+                b[node], node, lo = 0, 2 * node + 2, mid
+
+    def victim(s: int) -> int:
+        if policy != "plru":
+            return rngs[s].randrange(ways)
+        while True:
+            node, lo, hi = 0, 0, leaves
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if bits[s][node] == 0:
+                    node, hi = 2 * node + 1, mid
+                else:
+                    node, lo = 2 * node + 2, mid
+            if lo < ways:
+                return lo
+            touch(bits[s], min(lo, ways - 1))
+
+    stats = CacheStats()
+    hits: List[bool] = []
+    for line, kind in _lru_accesses(params):
+        s = line % nsets
+        store = kind == CODE_STORE and write_back
+        hit = line in tags[s]
+        if hit:
+            way = tags[s].index(line)
+            dirty[s][way] = dirty[s][way] or store
+        else:
+            if None in tags[s]:
+                way = tags[s].index(None)
+            else:
+                way = victim(s)
+                stats.evictions += 1
+                stats.writebacks += dirty[s][way]
+            tags[s][way], dirty[s][way] = line, store
+        if policy == "plru":
+            touch(bits[s], way)
+        hits.append(hit)
+        _model_count(stats, kind, hit)
+    contents = [[t for t in ts if t is not None] for ts in tags]
+    return _lru_doc(hits, stats, sum(map(len, contents)), contents)
+
+
+def _policy_cache(params: Dict[str, Any], rng_offset: int = 0) -> Cache:
+    seeded = params["policy"] == "random"
+    rng = random.Random(params["rng_seed"] + rng_offset) if seeded else None
+    return _lru_cache(params, rng)
+
+
+def _policy_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    return {
+        "policy": rng.choice(("plru", "random", "random-unseeded")),
+        "ways": rng.choice((1, 2, 3, 4, 6, 8)),
+        "sets": rng.choice((1, 2, 4, 16)),
+        "write_back": rng.random() < 0.8,
+        "span_lines": rng.choice((4, 16, 64, 256)),
+        "length": rng.randint(20, 200 if budget == "smoke" else 2000),
+        "access_seed": rng.randint(0, 2**31 - 1),
+        "rng_seed": rng.randint(0, 2**31 - 1),
+    }
+
+
+register(Oracle(
+    name="cache.policy",
+    suite="cachesim",
+    description=(
+        "RANDOM (seeded and unseeded) and PLRU caches on the shared "
+        "tag/dirty/policy-state arrays (batched, mixed with scalar "
+        "accesses, and handed through snapshot() to a cache with another "
+        "RNG mid-stream) match self-contained per-set models on hits, "
+        "counters and per-set contents"
+    ),
+    generate=_policy_generate,
+    reference=lambda p: _lru_reference(p, model=_policy_model),
+    # Mid-stream, the state moves into a cache built with another RNG.
+    fast=lambda p: _lru_fast(
+        p, make_cache=_policy_cache,
+        rebuild=lambda q: _policy_cache(q, rng_offset=1),
+    ),
     shrink=_lru_shrink,
 ))
 

@@ -11,6 +11,7 @@ compilable.
 """
 
 import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -133,8 +134,10 @@ def _replay_lines(h: MemoryHierarchy, lines):
 
 
 class TestRandomSnapshotState:
-    """Seeded hierarchies share one victim RNG per cache across its sets;
-    a snapshot stores that RNG's state once, not once per set."""
+    """A RANDOM cache's victim state is one RNG plus per-set draw
+    counters: seeded caches read that RNG's stream in program order,
+    unseeded ones index a shared ``Random(0)`` victim sequence per set.
+    A snapshot stores the RNG state once per cache, never once per set."""
 
     def test_seeded_snapshot_holds_one_rng_state_per_cache(self):
         h = MemoryHierarchy(_XGENE_RANDOM, seed=3)
@@ -142,16 +145,35 @@ class TestRandomSnapshotState:
         snap = h.snapshot()
         for name, cache in h.all_caches().items():
             cache_snap = snap["caches"][name]
-            assert len(cache_snap["rng_states"]) == 1, name
-            assert cache_snap["rng_of_set"] == [0] * cache.params.num_sets
+            assert isinstance(cache_snap["rng"], tuple), name
+            # Victims come straight from the shared stream: none buffered.
+            assert cache_snap["victims"] == [], name
+            assert cache_snap["state"].shape == (cache.params.num_sets, 1)
 
     def test_unseeded_snapshot_keeps_one_state_per_set(self):
         h = MemoryHierarchy(_XGENE_RANDOM)
+        _replay_lines(h, range(0, 65_536, 5))
         snap = h.snapshot()
         l1 = snap["caches"][next(iter(h.all_caches()))]
         sets = XGENE.l1d.num_sets
-        assert len(l1["rng_states"]) == sets
-        assert l1["rng_of_set"] == list(range(sets))
+        # One draw counter per set into one buffered victim sequence.
+        assert l1["state"].shape == (sets, 1)
+        assert l1["state"].max() > 0
+        assert len(l1["victims"]) == l1["state"].max()
+        assert isinstance(l1["rng"], tuple)
+
+    def test_unseeded_snapshot_is_no_larger_than_lru(self):
+        """Regression: per-set ``Random(0)`` generators made the snapshot
+        of serve-cold's RANDOM X-Gene shape ~4x the LRU one pickled."""
+        random_chip = with_replacement(
+            XGENE, ReplacementPolicy.RANDOM, l3=ReplacementPolicy.LRU
+        )
+        sizes = {}
+        for chip in (XGENE, random_chip):
+            h = MemoryHierarchy(chip)
+            _replay_lines(h, range(0, 65_536, 5))
+            sizes[chip.name] = len(pickle.dumps(h.snapshot()))
+        assert sizes[random_chip.name] <= 1.5 * sizes[XGENE.name], sizes
 
     @pytest.mark.parametrize("seed", [None, 5])
     def test_restore_then_replay_matches_fresh(self, seed):

@@ -58,7 +58,7 @@ class TestCacheLifecycle:
     def test_reset_equals_fresh(self, policy):
         cache, params = _small_cache(policy)
         _mixed_workload(cache, params)
-        cache.reset(rng=random.Random(7))
+        cache.reset()
 
         fresh, _ = _small_cache(policy)
         assert _mixed_workload(cache, params) == _mixed_workload(
@@ -66,6 +66,21 @@ class TestCacheLifecycle:
         )
         assert cache.stats == fresh.stats
         assert cache.resident_lines() == fresh.resident_lines()
+
+    def test_seeded_random_reset_keeps_its_stream(self):
+        """reset() rewinds a seeded RANDOM cache to its own
+        construction-time victim stream, not to the unseeded one."""
+        cache, params = _small_cache(ReplacementPolicy.RANDOM, seed=11)
+        first = _mixed_workload(cache, params)
+        cache.reset()
+        assert _mixed_workload(cache, params) == first
+
+        fresh, _ = _small_cache(ReplacementPolicy.RANDOM, seed=11)
+        _mixed_workload(fresh, params)
+        assert cache.stats == fresh.stats
+        assert [cache.set_contents(s) for s in range(params.num_sets)] == [
+            fresh.set_contents(s) for s in range(params.num_sets)
+        ]
 
     @pytest.mark.parametrize(
         "policy", [ReplacementPolicy.LRU, ReplacementPolicy.PLRU]

@@ -42,8 +42,9 @@ class TestRegistry:
         assert names == [
             "gemm.pool", "cachesim.batch", "timed.compiled",
             "timed.oddtile", "cachesim.writethrough", "sweep.incremental",
-            "lru.array", "serve.cache", "tune.memo", "tune.analytic",
-            "asym.partition", "stencil.blocked", "conv.im2col",
+            "lru.array", "cache.policy", "serve.cache", "tune.memo",
+            "tune.analytic", "asym.partition", "stencil.blocked",
+            "conv.im2col",
         ]
 
     def test_suites_cover_every_oracle(self):

@@ -1,12 +1,15 @@
 """Differential regression pins for the non-LRU replacement policies.
 
-The batched cache engine handles RANDOM and PLRU replacement through a
-per-cache scalar fallback that must preserve the victim-RNG draw order
-exactly; LRU identity is already property-tested, but these policies were
-previously untested differentially. Each test runs the full Table VII
-sweep (truncated to a thin ``nc_slice`` so it stays fast) on a chip whose
-every level uses the policy, under three fixed seeds, and requires the
-batched and scalar engines to agree bit-for-bit.
+The batched cache engine runs RANDOM and PLRU replacement through the
+same per-access transition as scalar accesses, in program order, which
+must preserve the victim draw order exactly: a seeded cache's sets share
+one RNG stream, and an unseeded cache's sets each advance a counter into
+one ``Random(0)`` victim sequence. LRU identity is property-tested
+elsewhere, and the ``cache.policy`` oracle fuzzes these policies against
+per-set models; these pins cover whole hierarchies. Each test runs the
+full Table VII sweep (truncated to a thin ``nc_slice`` so it stays fast)
+on a chip whose every level uses the policy, under three fixed seeds, and
+requires the batched and scalar engines to agree bit-for-bit.
 """
 
 import pytest
