@@ -42,7 +42,7 @@ from repro.kernels.kernel_spec import PAPER_KERNELS
 from repro.memory import MemoryHierarchy
 from repro.obs import RunReport
 from repro.sim import run_timed_micro_tile, simulate_gebp_cache
-from repro.sim.gebp_cachesim import clear_warm_memo
+from repro.workloads.base import clear_warm_memo
 
 #: (kernel variant, kc multiplier) — the compiled-tail population.
 TIMED_FULL = (("ATLAS-5x5", 14), ("ATLAS-5x5-kvec", 14))

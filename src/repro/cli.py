@@ -346,8 +346,9 @@ def _cmd_timed(args: argparse.Namespace) -> int:
     template engine, checks every observable (cycles, stall breakdown,
     load-latency histogram, C values) is bit-identical, and prints the
     timing detail plus engine throughput. With a single engine runs only
-    that one — ``auto`` reports when (and why) it fell back to the
-    interpreter on a non-compilable kernel.
+    that one; ``auto`` and ``compiled`` both run the compiled engine,
+    which errors with the compilability reason on a kernel it cannot
+    lower.
     """
     import time
 
@@ -1159,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="both",
                    choices=["both", "auto", "compiled", "interpreted"],
                    help="run both engines and cross-check (default), or "
-                        "a single one; 'auto' reports its fallback reason")
+                        "a single one ('auto' runs the compiled engine)")
     p.add_argument("--seed", type=int, default=0,
                    help="operand RNG seed")
     add_json(p)

@@ -133,14 +133,6 @@ class PoolStats:
         with self._lock:
             self.thread_class.update(mapping)
 
-    def class_busy_seconds(self) -> Dict[str, float]:
-        """Busy seconds per core class; unclassified threads → ``"all"``."""
-        totals: Dict[str, float] = {}
-        for t, c in self.snapshot().items():
-            name = self.thread_class.get(t, "all")
-            totals[name] = totals.get(name, 0.0) + c.busy_seconds
-        return totals
-
     def record_call(self) -> None:
         """Count one engine call, serialized with resets and snapshots.
 

@@ -67,11 +67,6 @@ class GeneratedKernel:
     prefetch: Optional[PrefetchPlan]
 
     @property
-    def k_iterations_per_body(self) -> int:
-        """k-iterations performed by one pass over the body."""
-        return self.plan.unroll
-
-    @property
     def flops_per_body(self) -> int:
         return self.spec.flops_per_iter * self.plan.unroll
 

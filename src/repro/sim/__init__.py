@@ -8,7 +8,6 @@ from repro.sim.cache_fit import (
     stream_costs,
 )
 from repro.sim.gebp_cachesim import (
-    ENGINES,
     GebpCacheResult,
     gebp_traces,
     simulate_gebp_cache,
@@ -44,7 +43,6 @@ __all__ = [
     "fill_latency",
     "simulate_gebp_cache",
     "gebp_traces",
-    "ENGINES",
     "GebpCacheResult",
     "run_microbench",
     "build_mix",

@@ -2,16 +2,18 @@
 
 Replays the exact memory-access sequence of one GEBP call — packed-A
 sliver loads, packed-B sliver loads, C tile read-modify-writes, and the
-kernel's software prefetches — through the set-associative hierarchy of
-:mod:`repro.memory`. Every 128-bit ``ldr`` of the register kernel becomes
-one demand access, so the L1 counters correspond directly to the paper's
-``L1-dcache-loads`` and ``L1-dcache-load-miss`` perf events.
+kernel's software prefetches — as a :class:`GebpSlice` workload through
+:func:`~repro.workloads.base.simulate_workload_cache`, the cache-replay
+driver every workload shares. Every 128-bit ``ldr`` of the register
+kernel becomes one demand access, so the L1 counters correspond directly
+to the paper's ``L1-dcache-loads`` and ``L1-dcache-load-miss`` events.
 
 Two prefetch mechanisms act on the streams, as on the real core:
 
 - **software** (``PLDL1KEEP``/``PLDL2KEEP``): issued by the kernel at the
   PREFA/PREFB distances. Best-effort — dropped when the load queue is
-  full, modeled by a deterministic drop pattern at rate ``prefetch_drop``.
+  full, modeled by a deterministic drop pattern at rate
+  :data:`PREFETCH_DROP`.
 - **hardware**: the core's tagged sequential prefetcher. Both the packed
   A and packed B streams are perfectly sequential inside the k-loop, so
   on every transition to a new line the next line is pulled in, except
@@ -30,50 +32,42 @@ Both prefetch streams are pure functions of the demand addresses — the
 drop patterns are deterministic and the sequential prefetcher only looks
 at line transitions — so the whole access sequence is compiled **once per
 GEBP shape** into a pair of :class:`~repro.memory.batch.BatchTrace`
-objects (warm-up and main loop) and replayed through either engine:
-
-- ``engine="batched"`` (and ``"auto"``): the vectorized
-  :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch` sweep.
-- ``engine="scalar"``: per-access :func:`~repro.memory.trace.run_trace`,
-  kept as the bit-identical differential-testing oracle.
+objects (warm-up and main loop). The warm-up stream is A stores
+(``nc``-independent) followed by B stores (growing with ``nc``), so along
+an ``nc`` sweep the driver's warm-state memo replays only the delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
-from repro.errors import SimulationError
 from repro.kernels.kernel_spec import KernelSpec
-from repro.memo import BoundedMemo
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
-from repro.memory.trace import run_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.workloads.base import (
+    Workload,
+    clear_warm_memo,
+    simulate_workload_cache,
+)
+
+__all__ = ["GebpCacheResult", "GebpSlice", "clear_warm_memo", "gebp_traces",
+           "simulate_gebp_cache"]
 
 QWORD = 16
 
-#: Valid values for ``simulate_gebp_cache``'s ``engine`` argument.
-ENGINES = ("auto", "batched", "scalar")
+#: Fraction of the kernel's software prefetches dropped (load queue full).
+PREFETCH_DROP = 0.35
 
-#: Warm-state snapshots carried across adjacent sweep points (see
-#: ``simulate_gebp_cache(incremental=...)``). Keyed by everything that
-#: determines the warm-up stream and the hierarchy it replays into —
-#: the warm trace is independent of ``nc``-prefix position, so entries
-#: hold ``(warm_rows_replayed, snapshot)`` and a sweep point whose warm
-#: trace extends a cached one replays only the delta rows.
-_WARM_MEMO: BoundedMemo[Tuple[int, dict]] = BoundedMemo(32)
-
-
-def clear_warm_memo() -> None:
-    """Drop all carried warm-state snapshots (test-isolation hook)."""
-    _WARM_MEMO.clear()
+#: A-stream software prefetch distance in bytes (PREFA).
+PREFA_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -107,9 +101,7 @@ def _gebp_trace(
     nc: int,
     line: int,
     prefetch: bool,
-    prefetch_drop: float,
     hw_late: float,
-    prefa_bytes: int,
 ) -> Tuple[BatchTrace, BatchTrace, int]:
     """Compile the GEBP access stream for one shape, at address base 0.
 
@@ -135,7 +127,7 @@ def _gebp_trace(
         warm_rows.append((b_base + off, 1, CODE_STORE, 1))
 
     rows: List[Tuple[int, int, int, int]] = []
-    drop = DropPattern(prefetch_drop if prefetch else 1.0)
+    drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
     hw = SequentialPrefetcher(
         None,
         0,
@@ -174,7 +166,7 @@ def _gebp_trace(
                     demand(b_addr + q * QWORD, "B")
                     kernel_loads += 1
                 if prefetch:
-                    pf_a = a_addr + prefa_bytes
+                    pf_a = a_addr + PREFA_BYTES
                     if pf_a < a_sliver + kc * mr * elem and not drop.dropped():
                         rows.append(
                             ((pf_a // line) * line, 1, CODE_PREFETCH, 1)
@@ -204,9 +196,7 @@ def gebp_traces(
     core: int = 0,
     nc_slice: Optional[int] = None,
     prefetch: bool = True,
-    prefetch_drop: float = 0.35,
     hw_late: float = 0.25,
-    prefa_bytes: int = 1024,
 ) -> Tuple[BatchTrace, BatchTrace, int]:
     """The ``(warm, main, kernel_loads)`` streams one GEBP replay issues.
 
@@ -222,12 +212,44 @@ def gebp_traces(
         nc,
         chip.l1d.line_bytes,
         bool(prefetch),
-        float(prefetch_drop),
         float(hw_late),
-        int(prefa_bytes),
     )
     offset = core * (1 << 30)
     return warm.shifted(offset), main.shifted(offset), kernel_loads
+
+
+@dataclass
+class GebpSlice(Workload):
+    """One GEBP slice as a :class:`~repro.workloads.base.Workload` whose
+    streams are :func:`gebp_traces`; :meth:`traces` sets ``kernel_loads``.
+    """
+
+    spec: KernelSpec
+    blocking: CacheBlocking
+    nc_slice: Optional[int] = None
+    prefetch: bool = True
+    hw_late: float = 0.25
+    incremental: bool = True
+    kernel_loads: int = field(default=0, init=False)
+
+    name = "gebp"
+
+    def traces(
+        self, chip: ChipParams, core: int = 0
+    ) -> Tuple[BatchTrace, BatchTrace]:
+        warm, main, self.kernel_loads = gebp_traces(
+            self.spec, self.blocking, chip, core, self.nc_slice,
+            self.prefetch, self.hw_late,
+        )
+        return warm, main
+
+    def warm_key(self, chip: ChipParams) -> Optional[Hashable]:
+        # The warm stream depends on the kernel shape and kc/mc only (the
+        # driver's key covers the chip); a larger nc extends it.
+        if not self.incremental:
+            return None
+        return (self.name, self.spec.mr, self.spec.nr,
+                self.blocking.kc, self.blocking.mc)
 
 
 def simulate_gebp_cache(
@@ -238,9 +260,7 @@ def simulate_gebp_cache(
     hierarchy: Optional[MemoryHierarchy] = None,
     nc_slice: Optional[int] = None,
     prefetch: bool = True,
-    prefetch_drop: float = 0.35,
     hw_late: float = 0.25,
-    prefa_bytes: int = 1024,
     engine: str = "auto",
     seed: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -258,10 +278,8 @@ def simulate_gebp_cache(
         nc_slice: Columns of the B panel to replay (default
             ``min(nc, 6*nr)`` — steady state is reached within a sliver).
         prefetch: Software prefetching enabled.
-        prefetch_drop: Fraction of software prefetches dropped.
         hw_late: Fraction of hardware sequential prefetches that arrive
             too late to cover the demand access.
-        prefa_bytes: A-stream prefetch distance.
         engine: ``"auto"``/``"batched"`` for the vectorized sweep,
             ``"scalar"`` for the per-access oracle. Both produce
             bit-identical counters.
@@ -271,98 +289,17 @@ def simulate_gebp_cache(
             timings; ``None`` (the default) costs nothing.
         incremental: Reuse the post-warm-up hierarchy state across calls
             that share a warm stream (same kernel shape, ``kc``/``mc``,
-            chip, seed, core and engine): an exact match restores a
-            snapshot instead of re-replaying the warm-up; a call whose
-            warm trace extends a cached one (larger ``nc``) restores and
-            replays only the delta rows. Bit-identical to a cold start
-            by construction (the ``sweep.incremental`` oracle pins it);
-            only applies when ``hierarchy`` is omitted.
+            chip, seed, core and engine) through the driver's warm-state
+            memo; only applies when ``hierarchy`` is omitted.
     """
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    h = hierarchy or MemoryHierarchy(chip, seed=seed)
-    warm, main, kernel_loads = gebp_traces(
-        spec,
-        blocking,
-        chip=chip,
-        core=core,
-        nc_slice=nc_slice,
-        prefetch=prefetch,
-        prefetch_drop=prefetch_drop,
-        hw_late=hw_late,
-        prefa_bytes=prefa_bytes,
+    workload = GebpSlice(spec, blocking, nc_slice=nc_slice,
+                         prefetch=prefetch, hw_late=hw_late,
+                         incremental=incremental)
+    r = simulate_workload_cache(
+        workload, chip, core=core, hierarchy=hierarchy, engine=engine,
+        seed=seed, metrics=metrics,
     )
-
-    selected = "scalar" if engine == "scalar" else "batched"
-    if metrics is not None:
-        metrics.inc("cachesim.replays")
-        metrics.inc(f"cachesim.engine.{selected}")
-        metrics.observe("cachesim.trace_records", len(main))
-        span = metrics.span("cachesim.replay")
-    else:
-        span = None
-
-    def _replay(trace: BatchTrace) -> None:
-        if selected == "scalar":
-            run_trace(h, core, trace)
-        else:
-            h.run_batch(core, trace)
-
-    # Warm the L2/L3 the way GEBP's preconditions state: the packed A
-    # block resides in L2, the packed B panel in L3. Packing itself wrote
-    # them, which is what installs them. With ``incremental``, the
-    # post-warm-up state is snapshotted and carried to the next sweep
-    # point sharing the stream: warm rows are A stores (nc-independent)
-    # followed by B stores (growing with nc), so adjacent points' warm
-    # traces are literal prefixes of each other and a restore plus a
-    # delta replay reproduces the cold-start state bit-exactly.
-    memo_key = None
-    if incremental and hierarchy is None:
-        memo_key = (
-            chip,
-            seed,
-            core,
-            selected,
-            spec.mr,
-            spec.nr,
-            blocking.kc,
-            blocking.mc,
-            chip.l1d.line_bytes,
-        )
-    cached = _WARM_MEMO.get(memo_key) if memo_key is not None else None
-    n_warm = len(warm)
-    if cached is not None and cached[0] <= n_warm:
-        cached_rows, snap = cached
-        h.restore(snap)  # snapshot taken post-reset: stats are zero
-        if cached_rows < n_warm:
-            _replay(BatchTrace(warm.records[cached_rows:]))
-            h.reset_stats()
-        if metrics is not None:
-            metrics.inc("cachesim.warm_restores")
-    else:
-        _replay(warm)
-        h.reset_stats()
-    if memo_key is not None and (cached is None or cached[0] != n_warm):
-        evicted = _WARM_MEMO.put(memo_key, (n_warm, h.snapshot()))
-        if metrics is not None and evicted:
-            metrics.inc("cachesim.warm_evictions", evicted)
-
-    if span is not None:
-        with span:
-            _replay(main)
-    else:
-        _replay(main)
-
-    l1 = h.l1_stats(core)
-    l2 = h.l2_stats(h.module_of(core))
     return GebpCacheResult(
-        l1_loads=l1.loads,
-        l1_load_misses=l1.load_misses,
-        l1_load_miss_rate=l1.load_miss_rate,
-        l2_loads=l2.loads,
-        l2_load_misses=l2.load_misses,
-        dram_accesses=h.dram_accesses,
-        kernel_loads=kernel_loads,
+        r.l1_loads, r.l1_load_misses, r.l1_load_miss_rate, r.l2_loads,
+        r.l2_load_misses, r.dram_accesses, workload.kernel_loads,
     )

@@ -202,8 +202,8 @@ class GemmSimulator:
         Complements :meth:`simulate`'s analytic model with the
         set-associative simulator behind Table VII. ``blocking`` defaults
         to :meth:`default_blocking` for ``threads``; remaining keyword
-        arguments (``core``, ``hierarchy``, ``nc_slice``, prefetch
-        knobs, ``seed``) pass through to
+        arguments (``core``, ``hierarchy``, ``nc_slice``, ``prefetch``,
+        ``hw_late``, ``seed``, ``incremental``) pass through to
         :func:`repro.sim.gebp_cachesim.simulate_gebp_cache`.
         """
         spec = self._resolve(kernel)

@@ -51,14 +51,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import SequentialPrefetcher
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
-
-#: Execution engines for the timed entry points. ``auto`` (the default)
-#: and ``compiled`` both run the compiled engine, which raises
-#: :class:`SimulationError` with the
-#: :func:`repro.kernels.compiled.compilability` reason on a kernel it
-#: cannot lower; ``interpreted`` runs the instruction interpreter, the
-#: oracle the compiled engine is differentially tested against.
-TIMED_ENGINES = ("auto", "compiled", "interpreted")
+from repro.workloads.base import TIMED_ENGINES
 
 
 def _stream_widths(kernel) -> Tuple[int, int]:

@@ -547,7 +547,8 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
     import dataclasses
 
     from repro.kernels.variants import VARIANTS
-    from repro.sim.gebp_cachesim import clear_warm_memo, simulate_gebp_cache
+    from repro.sim.gebp_cachesim import simulate_gebp_cache
+    from repro.workloads.base import clear_warm_memo
 
     spec = VARIANTS[params["kernel"]]
     chip = CHIPS[params["chip"]]
@@ -1511,15 +1512,7 @@ def _stencil_run(params: Dict[str, Any], blocked: bool) -> Dict[str, Any]:
     return {
         "output": _array_doc(out),
         "flops": workload.flops,
-        "walk": {
-            "l1_loads": walk.l1_loads,
-            "l1_load_misses": walk.l1_load_misses,
-            "l1_load_miss_rate": walk.l1_load_miss_rate,
-            "l2_loads": walk.l2_loads,
-            "l2_load_misses": walk.l2_load_misses,
-            "dram_accesses": walk.dram_accesses,
-            "trace_records": walk.trace_records,
-        },
+        "walk": walk.counters(),
     }
 
 
@@ -1624,15 +1617,7 @@ def _conv_run(params: Dict[str, Any], direct: bool) -> Dict[str, Any]:
     return {
         "out": _array_doc(out),
         "flops": workload.flops,
-        "walk": {
-            "l1_loads": walk.l1_loads,
-            "l1_load_misses": walk.l1_load_misses,
-            "l1_load_miss_rate": walk.l1_load_miss_rate,
-            "l2_loads": walk.l2_loads,
-            "l2_load_misses": walk.l2_load_misses,
-            "dram_accesses": walk.dram_accesses,
-            "trace_records": walk.trace_records,
-        },
+        "walk": walk.counters(),
     }
 
 

@@ -2,7 +2,8 @@
 
 Each exhibit runs a workload family's variant pair through both machine
 models — the cache walk (:func:`~repro.workloads.base.simulate_workload_cache`)
-and the timed scoreboard (:func:`~repro.workloads.base.timed_workload`) —
+and the timed scoreboard (:func:`~repro.workloads.base.timed_workload`),
+which prices that same replay —
 plus the *numeric* bit-equality check that makes the comparison honest:
 the variants must produce byte-identical outputs before their memory
 behaviour is worth comparing.
@@ -49,13 +50,7 @@ def _variant_doc(
     cache: WorkloadCacheResult, timed: WorkloadTimedResult
 ) -> Dict[str, Any]:
     return {
-        "l1_loads": cache.l1_loads,
-        "l1_load_misses": cache.l1_load_misses,
-        "l1_load_miss_rate": cache.l1_load_miss_rate,
-        "l2_loads": cache.l2_loads,
-        "l2_load_misses": cache.l2_load_misses,
-        "dram_accesses": cache.dram_accesses,
-        "trace_records": cache.trace_records,
+        **cache.counters(),
         "cycles": timed.cycles,
         "gflops": timed.gflops,
         "efficiency": timed.efficiency,
@@ -63,10 +58,8 @@ def _variant_doc(
 
 
 def _measure(workload: Workload, chip: ChipParams) -> Dict[str, Any]:
-    return _variant_doc(
-        simulate_workload_cache(workload, chip),
-        timed_workload(workload, chip),
-    )
+    cache = simulate_workload_cache(workload, chip)
+    return _variant_doc(cache, timed_workload(workload, chip, cache))
 
 
 def stencil_exhibit(

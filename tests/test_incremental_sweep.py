@@ -28,9 +28,10 @@ from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.trace import run_trace
-from repro.sim.gebp_cachesim import clear_warm_memo, simulate_gebp_cache
+from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
 from repro.verify.machines import build_chip, random_machine, with_replacement
+from repro.workloads.base import clear_warm_memo
 
 
 class TestCompiledCoverage:
@@ -269,7 +270,7 @@ class TestWarmMemoEviction:
         at a time, never the recently-touched hot entry (the old
         wholesale clear() nuked every snapshot at the 33rd shape)."""
         from repro.obs import MetricsRegistry
-        from repro.sim import gebp_cachesim as gc
+        from repro.workloads import base
 
         spec = VARIANTS["OpenBLAS-4x4"]
         blk = CacheBlocking(
@@ -287,7 +288,7 @@ class TestWarmMemoEviction:
         try:
             hot = point(0)
             metrics = MetricsRegistry()
-            distinct = gc._WARM_MEMO.limit + 8
+            distinct = base._WARM_MEMO.limit + 8
             for seed in range(1, distinct + 1):
                 point(seed, metrics=metrics)  # install a cold shape
                 point(0, metrics=metrics)     # keep the hot one recent
@@ -297,9 +298,9 @@ class TestWarmMemoEviction:
             # were evicted one at a time, oldest first.
             assert counters["cachesim.warm_restores"] == distinct
             assert counters["cachesim.warm_evictions"] == (
-                1 + distinct - gc._WARM_MEMO.limit
+                1 + distinct - base._WARM_MEMO.limit
             )
-            assert len(gc._WARM_MEMO) == gc._WARM_MEMO.limit
+            assert len(base._WARM_MEMO) == base._WARM_MEMO.limit
             # And restoring it still reproduces the cold-start result.
             assert point(0) == hot
         finally:

@@ -1,10 +1,10 @@
 """The bounded memo: one LRU policy behind every process-global memo.
 
-The module memos (compiled kernels, the micro-tile and GEBP warm-state
-snapshots) share :class:`~repro.memo.BoundedMemo`; the tune caches are
-``functools.lru_cache``. These tests pin the policy on each module's own
-instance at its own bound, and hammer it from threads the way serve's
-``WorkerPool`` does.
+The module memos (compiled kernels, the micro-tile and cache-replay
+warm-state snapshots) share :class:`~repro.memo.BoundedMemo`; the tune
+caches are ``functools.lru_cache``. These tests pin the policy on each
+module's own instance at its own bound, and hammer it from threads the way
+serve's ``WorkerPool`` does.
 """
 
 import dataclasses
@@ -19,14 +19,15 @@ from repro.blocking.cache_blocking import CacheBlocking
 from repro.kernels import compiled
 from repro.kernels.variants import VARIANTS
 from repro.memo import BoundedMemo
-from repro.sim import gebp_cachesim, timed_executor
+from repro.sim import timed_executor
 from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.tune.evaluate import build_kernel
+from repro.workloads import base as workloads_base
 
 #: Each module memo with the bound it must keep.
 MODULE_MEMOS = {
     "kernels.compiled": (compiled._CACHE, 64),
-    "sim.gebp_cachesim": (gebp_cachesim._WARM_MEMO, 32),
+    "workloads.base": (workloads_base._WARM_MEMO, 32),
     "sim.timed_executor": (timed_executor._WARM_MEMO, 16),
 }
 
@@ -123,7 +124,7 @@ class TestConcurrency:
         pressure (more distinct warm keys than the bound, and prefix
         extensions of each) every threaded result must equal its
         single-threaded cold start."""
-        monkeypatch.setattr(gebp_cachesim, "_WARM_MEMO", BoundedMemo(2))
+        monkeypatch.setattr(workloads_base, "_WARM_MEMO", BoundedMemo(2))
         spec = VARIANTS["OpenBLAS-4x4"]
         points = [(mc, m) for mc in (8, 16, 24, 32) for m in (1, 2, 3)]
 

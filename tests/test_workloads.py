@@ -6,6 +6,7 @@ exhibits, and the ``repro stencil`` / ``repro conv`` CLI surface.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.gemm import dgemm
 from repro.isa.instructions import Str
 from repro.isa.registers import VReg, XReg
 from repro.memory.cache import CODE_LOAD, CODE_STORE
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import validate_report
 from repro.workloads import (
     ConvSpec,
@@ -135,10 +137,18 @@ class TestStencilMachineFaces:
         assert batched == scalar
         assert batched.l1_loads == batched.trace_records * 5 // 6
 
+    def test_load_latencies_batched_equal_scalar(self):
+        wl = self._workload()
+        batched = simulate_workload_cache(wl, XGENE, engine="batched", seed=0)
+        scalar = simulate_workload_cache(wl, XGENE, engine="scalar", seed=0)
+        assert batched.load_latencies.size == batched.l1_loads
+        assert np.array_equal(batched.load_latencies, scalar.load_latencies)
+
     def test_timed_compiled_equals_interpreted(self):
         wl = self._workload()
-        compiled = timed_workload(wl, XGENE, engine="compiled", seed=0)
-        interp = timed_workload(wl, XGENE, engine="interpreted", seed=0)
+        cache = simulate_workload_cache(wl, XGENE, seed=0)
+        compiled = timed_workload(wl, XGENE, cache, engine="compiled")
+        interp = timed_workload(wl, XGENE, cache, engine="interpreted")
         assert compiled.cycles == interp.cycles
         assert compiled.pipeline == interp.pipeline
         assert compiled.engine == "compiled"
@@ -151,7 +161,8 @@ class TestStencilMachineFaces:
         with pytest.raises(SimulationError):
             simulate_workload_cache(wl, XGENE, engine="nope")
         with pytest.raises(SimulationError):
-            timed_workload(wl, XGENE, engine="nope")
+            timed_workload(wl, XGENE, simulate_workload_cache(wl, XGENE),
+                           engine="nope")
 
     def test_misaligned_kernel_segments_raise(self):
         class Broken(StencilWorkload):
@@ -160,7 +171,7 @@ class TestStencilMachineFaces:
 
         wl = Broken(8, 12, spec=StencilSpec(radius=1))
         with pytest.raises(SimulationError, match="misaligned"):
-            timed_workload(wl, XGENE)
+            timed_workload(wl, XGENE, simulate_workload_cache(wl, XGENE))
 
 
 class TestConvNumerics:
@@ -245,10 +256,19 @@ class TestConvMachineFaces:
         assert batched == scalar
 
     @pytest.mark.parametrize("lowering", ["im2col", "direct"])
+    def test_load_latencies_batched_equal_scalar(self, lowering):
+        wl = self._workload(lowering)
+        batched = simulate_workload_cache(wl, XGENE, engine="batched", seed=0)
+        scalar = simulate_workload_cache(wl, XGENE, engine="scalar", seed=0)
+        assert batched.load_latencies.size > 0
+        assert np.array_equal(batched.load_latencies, scalar.load_latencies)
+
+    @pytest.mark.parametrize("lowering", ["im2col", "direct"])
     def test_timed_compiled_equals_interpreted(self, lowering):
         wl = self._workload(lowering)
-        compiled = timed_workload(wl, XGENE, engine="compiled", seed=0)
-        interp = timed_workload(wl, XGENE, engine="interpreted", seed=0)
+        cache = simulate_workload_cache(wl, XGENE, seed=0)
+        compiled = timed_workload(wl, XGENE, cache, engine="compiled")
+        interp = timed_workload(wl, XGENE, cache, engine="interpreted")
         assert compiled.cycles == interp.cycles
         assert compiled.pipeline == interp.pipeline
 
@@ -294,6 +314,28 @@ class TestExhibits:
         assert doc["dram_ratio"] > 1.0
         assert doc["speedup"] > 1.0
         json.dumps(doc)
+
+    def test_stencil_exhibit_replays_each_variant_once(self, monkeypatch):
+        """Per variant: one ``traces()`` call and two hierarchy replays,
+        ``run_batch`` for the warm stream and ``run_batch_levels`` for
+        the main one. The timed face prices the cache walk's replay
+        instead of replaying the stream again."""
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(StencilWorkload, "traces")
+        counted(MemoryHierarchy, "run_batch")
+        counted(MemoryHierarchy, "run_batch_levels")
+        stencil_exhibit(XGENE, smoke=True)
+        assert calls == {"traces": 2, "run_batch": 2, "run_batch_levels": 2}
 
     def test_stencil_exhibit_overrides(self):
         doc = stencil_exhibit(get_preset("xgene"), height=10, width=64,
