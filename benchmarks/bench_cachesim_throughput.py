@@ -20,19 +20,15 @@ is the intended usage, and it keeps the comparison about replay cost.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from conftest import save_json, save_report
+from _harness import PairBench, PairRow, selected, time_each
 
-from repro.analysis import format_table
 from repro.arch import XGENE
 from repro.blocking import solve_cache_blocking
 from repro.kernels.kernel_spec import PAPER_KERNELS
 from repro.memory import MemoryHierarchy
-from repro.obs import RunReport
 from repro.sim import gebp_traces, simulate_gebp_cache
 
 FULL_POINTS = (
@@ -44,183 +40,66 @@ SMOKE_NC_SLICE = 12
 MIN_SPEEDUP_FULL = 10.0
 MIN_SPEEDUP_SMOKE = 3.0
 
-
-@dataclasses.dataclass(frozen=True)
-class ThroughputRow:
-    """One replay point, both engines."""
-
-    kernel: str
-    threads: int
-    accesses: int
-    scalar_s: float
-    batched_s: float
-    identical: bool
-    l1_fallback: int
-
-    @property
-    def speedup(self) -> float:
-        return self.scalar_s / self.batched_s
-
-    @property
-    def batched_rate(self) -> float:
-        return self.accesses / self.batched_s
+ENGINES = ("scalar", "batched")
 
 
-def _spec(name: str):
-    return next(s for s in PAPER_KERNELS if s.name == name)
-
-
-def run_throughput(
-    points: Sequence[Tuple[str, int]] = FULL_POINTS,
-    nc_slice: Optional[int] = None,
-) -> List[ThroughputRow]:
+def replay_rows(
+    points: Sequence[Tuple[str, int]], nc_slice: Optional[int] = None,
+):
     """Time both engines over ``points``; each point on fresh hierarchies."""
     line = XGENE.l1d.line_bytes
     rows = []
     for name, threads in points:
-        spec = _spec(name)
+        spec = next(s for s in PAPER_KERNELS if s.name == name)
         blk = solve_cache_blocking(XGENE, spec.mr, spec.nr, threads=threads)
         warm, main_trace, _ = gebp_traces(
             spec, blk, chip=XGENE, nc_slice=nc_slice
         )
         accesses = warm.line_count(line) + main_trace.line_count(line)
-        results, timings, fallback = {}, {}, {}
-        for engine in ("scalar", "batched"):
-            h = MemoryHierarchy(XGENE, seed=0)
-            t0 = time.perf_counter()
-            results[engine] = simulate_gebp_cache(
-                spec, blk, chip=XGENE, hierarchy=h,
-                nc_slice=nc_slice, engine=engine,
-            )
-            timings[engine] = time.perf_counter() - t0
-            fallback[engine] = h.l1[0].batched_fallback_accesses
-        rows.append(ThroughputRow(
-            kernel=name,
-            threads=threads,
-            accesses=accesses,
-            scalar_s=timings["scalar"],
-            batched_s=timings["batched"],
-            identical=dataclasses.astuple(results["scalar"])
-            == dataclasses.astuple(results["batched"]),
-            l1_fallback=fallback["batched"],
+        hs = {e: MemoryHierarchy(XGENE, seed=0) for e in ENGINES}
+        (scalar, batched), (scalar_s, batched_s) = time_each(
+            ENGINES, lambda e: simulate_gebp_cache(
+                spec, blk, chip=XGENE, hierarchy=hs[e],
+                nc_slice=nc_slice, engine=e,
+            ),
+        )
+        fallback = hs["batched"].l1[0].batched_fallback_accesses
+        rows.append(PairRow(
+            key=f"{name}@{threads}", cells=(name, threads, accesses),
+            old_s=scalar_s, new_s=batched_s,
+            identical=dataclasses.astuple(scalar)
+            == dataclasses.astuple(batched),
+            doc={"accesses": accesses, "l1_fallback": fallback},
+            fallback=fallback, count=accesses,
         ))
     return rows
 
 
-def aggregate_speedup(rows: Sequence[ThroughputRow]) -> float:
-    return sum(r.scalar_s for r in rows) / sum(r.batched_s for r in rows)
+class CachesimBench(PairBench):
+    command = "bench_cachesim_throughput"
+    text_name = json_name = "cachesim_throughput"
+    labels = ("Table VII points", "smoke")
+    engines = selected(scalar="scalar", batched="batched")
+    pair = ENGINES
+    floors = (MIN_SPEEDUP_FULL, MIN_SPEEDUP_SMOKE)
+    title = "Batched vs scalar cache-sim replay"
+    lead = ("kernel", "T", "line accesses")
+    rate = "batched acc/s"
+    unit = "accesses"
+    claim = "all counters bit-identical"
+
+    def run(self, smoke: bool):
+        if smoke:
+            return replay_rows(SMOKE_POINTS, SMOKE_NC_SLICE)
+        return replay_rows(FULL_POINTS)
 
 
-def check_rows(rows: Sequence[ThroughputRow], min_speedup: float) -> None:
-    for r in rows:
-        assert r.identical, (
-            f"{r.kernel} t={r.threads}: engines disagree on counters"
-        )
-        assert r.l1_fallback == 0, (
-            f"{r.kernel} t={r.threads}: batched engine fell back to the "
-            f"scalar path on {r.l1_fallback} L1 accesses"
-        )
-    agg = aggregate_speedup(rows)
-    assert agg >= min_speedup, (
-        f"aggregate speedup {agg:.1f}x below the {min_speedup:.0f}x floor"
-    )
+BENCH = CachesimBench()
 
 
-def format_report(rows: Sequence[ThroughputRow], label: str) -> str:
-    text = format_table(
-        ["kernel", "T", "line accesses", "scalar s", "batched s",
-         "speedup", "batched acc/s"],
-        [[r.kernel, r.threads, r.accesses, r.scalar_s, r.batched_s,
-          r.speedup, r.batched_rate] for r in rows],
-        title=f"Batched vs scalar cache-sim replay ({label})",
-    )
-    total = sum(r.accesses for r in rows)
-    return (
-        f"{text}\naggregate: {total} accesses, "
-        f"{aggregate_speedup(rows):.1f}x speedup, all counters "
-        f"bit-identical"
-    )
-
-
-def build_report(rows: Sequence[ThroughputRow], label: str) -> RunReport:
-    """The machine-readable counterpart of :func:`format_report`.
-
-    Wall-clock fields use ``_seconds`` names so the baseline comparator
-    skips them; access counts, fallback counts and the bit-identical
-    flag are the deterministic regression surface.
-    """
-    import time
-
-    return RunReport(
-        command="bench_cachesim_throughput",
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"label": label},
-        engines={
-            e: {"requested": e, "selected": e, "fallback_reason": None}
-            for e in ("scalar", "batched")
-        },
-        stats={
-            "rows": {
-                f"{r.kernel}@{r.threads}": {
-                    "accesses": r.accesses,
-                    "identical": r.identical,
-                    "l1_fallback": r.l1_fallback,
-                    "scalar_seconds": r.scalar_s,
-                    "batched_seconds": r.batched_s,
-                }
-                for r in rows
-            },
-            "aggregate": {"speedup_seconds": aggregate_speedup(rows)},
-        },
-    )
-
-
-def test_cachesim_throughput(benchmark, report_dir):
-    rows = benchmark.pedantic(run_throughput, rounds=1, iterations=1)
-    text = format_report(rows, "Table VII points")
-    save_report(report_dir, "cachesim_throughput", text)
-    save_json(report_dir, "cachesim_throughput",
-              build_report(rows, "Table VII points"))
-    check_rows(rows, MIN_SPEEDUP_FULL)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="short slice, relaxed speedup floor, no results file "
-             "(the CI gate)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write a structured RunReport document to PATH",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        rows = run_throughput(SMOKE_POINTS, nc_slice=SMOKE_NC_SLICE)
-        print(format_report(rows, "smoke"))
-        if args.json:
-            build_report(rows, "smoke").write(args.json)
-            print(f"wrote {args.json}")
-        check_rows(rows, MIN_SPEEDUP_SMOKE)
-    else:
-        rows = run_throughput()
-        text = format_report(rows, "Table VII points")
-        import pathlib
-
-        out = pathlib.Path(__file__).parent / "results"
-        out.mkdir(exist_ok=True)
-        save_report(out, "cachesim_throughput", text)
-        report = build_report(rows, "Table VII points")
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-        else:
-            save_json(out, "cachesim_throughput", report)
-        check_rows(rows, MIN_SPEEDUP_FULL)
-    print("ok")
-    return 0
+def test_cachesim_throughput(benchmark):
+    BENCH.test(benchmark)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

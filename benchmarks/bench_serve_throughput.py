@@ -24,19 +24,11 @@ as wall clock).
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import json
 import pathlib
-import shutil
-import tempfile
-import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from conftest import save_json, save_report
-
-from repro.analysis import format_table
-from repro.obs import RunReport
+from _harness import Bench, selected, two_pass
 
 BATCH_FILE = pathlib.Path(__file__).parent / "data" / "serve_batch.jsonl"
 
@@ -45,36 +37,6 @@ SMOKE_COUNT = 8
 
 MIN_SPEEDUP_FULL = 10.0
 MIN_SPEEDUP_SMOKE = 3.0
-
-
-@dataclasses.dataclass(frozen=True)
-class PassResult:
-    """One pass over the batch: wall clock plus the serving counters."""
-
-    label: str
-    seconds: float
-    queries: int
-    hits: int
-    computed: int
-    deduped: int
-    errors: int
-
-    @property
-    def rate(self) -> float:
-        return self.queries / self.seconds if self.seconds > 0 else 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class TwoPassResult:
-    """Cold and warm passes over the same batch and cache directory."""
-
-    cold: PassResult
-    warm: PassResult
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.cold.seconds / max(self.warm.seconds, 1e-9)
 
 
 def load_batch(limit: Optional[int] = None) -> List[dict]:
@@ -87,156 +49,53 @@ def load_batch(limit: Optional[int] = None) -> List[dict]:
     return docs[:limit] if limit is not None else docs
 
 
-def run_two_pass(
-    docs: Sequence[dict], threads: int = 4,
-    cache_dir: Optional[str] = None,
-) -> TwoPassResult:
-    """Serve ``docs`` twice against one (initially empty) cache dir."""
-    from repro.gemm.pool import WorkerPool
-    from repro.serve import QueryEngine
+class ServeBench(Bench):
+    command = "bench_serve_throughput"
+    text_name, json_name = "serve_throughput", "baseline_serve"
+    labels = ("committed batch", "smoke")
+    engines = selected(serve="pool")
 
-    tmp = cache_dir or tempfile.mkdtemp(prefix="bench-serve-")
-    pool = WorkerPool(threads) if threads > 1 else None
-    try:
-        passes = []
-        lines = []
-        for label in ("cold", "warm"):
-            engine = QueryEngine(tmp, pool=pool)
-            t0 = time.perf_counter()
-            answers = engine.run_batch(list(docs))
-            elapsed = time.perf_counter() - t0
-            s = engine.stats
-            passes.append(PassResult(
-                label=label, seconds=elapsed, queries=s.queries,
-                hits=s.hits, computed=s.computed, deduped=s.deduped,
-                errors=s.errors,
-            ))
-            lines.append([a.to_json_line() for a in answers])
-        return TwoPassResult(
-            cold=passes[0], warm=passes[1],
-            identical=lines[0] == lines[1],
+    def run(self, smoke: bool):
+        """Serve the batch twice against one (initially empty) store."""
+        from repro.serve import QueryEngine
+
+        docs = load_batch(SMOKE_COUNT if smoke else None)
+
+        def serve(store, pool):
+            engine = QueryEngine(store, pool=pool)
+            return engine, engine.run_batch(list(docs))
+
+        return two_pass(
+            "queries", 4, serve,
+            lambda out: (out[0].stats.as_dict(),
+                         [a.to_json_line() for a in out[1]]),
         )
-    finally:
-        if pool is not None:
-            pool.close()
-        if cache_dir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    def params(self, result, label: str):
+        return {"label": label, "batch": BATCH_FILE.name}
+
+    def stats(self, result):
+        return result.stats()
+
+    def check(self, result, smoke: bool) -> None:
+        errors = [result.counts[p]["errors"] for p in result.counts]
+        assert not any(errors), f"query errors (cold, warm): {errors}"
+        result.check(MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP_FULL)
+
+    def format(self, result, label: str) -> str:
+        title = f"Memoized query serving, cold vs warm ({label})"
+        return (
+            f"{result.table(title)}\nwarm pass: {result.speedup:.1f}x "
+            f"speedup, answers byte-identical: {result.identical}"
+        )
 
 
-def check_result(result: TwoPassResult, min_speedup: float) -> None:
-    warm = result.warm
-    assert warm.errors == 0 and result.cold.errors == 0, (
-        f"{result.cold.errors} cold / {warm.errors} warm query errors"
-    )
-    assert warm.hits == warm.queries, (
-        f"warm pass not fully cached: {warm.hits} hits of "
-        f"{warm.queries} queries ({warm.computed} computed)"
-    )
-    assert result.identical, (
-        "warm-pass answers are not byte-identical to the cold pass"
-    )
-    assert result.speedup >= min_speedup, (
-        f"warm-pass speedup {result.speedup:.1f}x below the "
-        f"{min_speedup:.0f}x floor"
-    )
+BENCH = ServeBench()
 
 
-def format_report(result: TwoPassResult, label: str) -> str:
-    text = format_table(
-        ["pass", "queries", "hits", "computed", "deduped", "errors",
-         "seconds", "queries/s"],
-        [[p.label, p.queries, p.hits, p.computed, p.deduped, p.errors,
-          p.seconds, p.rate] for p in (result.cold, result.warm)],
-        title=f"Memoized query serving, cold vs warm ({label})",
-    )
-    return (
-        f"{text}\nwarm pass: {result.speedup:.1f}x speedup, answers "
-        f"byte-identical: {result.identical}"
-    )
-
-
-def build_report(result: TwoPassResult, label: str) -> RunReport:
-    """The machine-readable counterpart of :func:`format_report`.
-
-    Serving counters and the byte-identical flag are the deterministic
-    regression surface; wall-clock rates live under ``stats.timing``,
-    which the baseline comparator skips.
-    """
-    return RunReport(
-        command="bench_serve_throughput",
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"label": label, "batch": BATCH_FILE.name},
-        engines={"serve": {"requested": "pool", "selected": "pool",
-                           "fallback_reason": None}},
-        stats={
-            "passes": {
-                p.label: {
-                    "queries": p.queries,
-                    "hits": p.hits,
-                    "computed": p.computed,
-                    "deduped": p.deduped,
-                    "errors": p.errors,
-                }
-                for p in (result.cold, result.warm)
-            },
-            "identical": result.identical,
-            "timing": {
-                "cold_seconds": result.cold.seconds,
-                "warm_seconds": result.warm.seconds,
-                "speedup": result.speedup,
-                "cold_queries_per_s": result.cold.rate,
-                "warm_queries_per_s": result.warm.rate,
-            },
-        },
-    )
-
-
-def test_serve_throughput(benchmark, report_dir):
-    docs = load_batch()
-    result = benchmark.pedantic(run_two_pass, args=(docs,), rounds=1,
-                                iterations=1)
-    text = format_report(result, "committed batch")
-    save_report(report_dir, "serve_throughput", text)
-    save_json(report_dir, "baseline_serve",
-              build_report(result, "committed batch"))
-    check_result(result, MIN_SPEEDUP_FULL)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="first half of the batch, relaxed speedup floor, no "
-             "results file (the CI gate)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write a structured RunReport document to PATH",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_two_pass(load_batch(SMOKE_COUNT))
-        print(format_report(result, "smoke"))
-        if args.json:
-            build_report(result, "smoke").write(args.json)
-            print(f"wrote {args.json}")
-        check_result(result, MIN_SPEEDUP_SMOKE)
-    else:
-        result = run_two_pass(load_batch())
-        text = format_report(result, "committed batch")
-        out = pathlib.Path(__file__).parent / "results"
-        out.mkdir(exist_ok=True)
-        save_report(out, "serve_throughput", text)
-        report = build_report(result, "committed batch")
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-        else:
-            save_json(out, "baseline_serve", report)
-        check_result(result, MIN_SPEEDUP_FULL)
-    print("ok")
-    return 0
+def test_serve_throughput(benchmark):
+    BENCH.test(benchmark)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

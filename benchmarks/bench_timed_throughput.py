@@ -18,19 +18,14 @@ smoke gate) or under pytest-benchmark with the rest of the harness.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from conftest import save_json, save_report
+from _harness import PairBench, PairRow, selected, time_each
 
-from repro.analysis import format_table
 from repro.arch import XGENE
 from repro.blocking import solve_cache_blocking
 from repro.kernels import get_variant
-from repro.obs import RunReport
 from repro.sim import run_timed_gebp, run_timed_micro_tile
 
 FULL_POINTS = (
@@ -44,25 +39,7 @@ SMOKE_POINTS = (("OpenBLAS-8x6", 2, 2, 128),)
 MIN_SPEEDUP_FULL = 10.0
 MIN_SPEEDUP_SMOKE = 3.0
 
-
-@dataclasses.dataclass(frozen=True)
-class ThroughputRow:
-    """One sweep point, both engines."""
-
-    kernel: str
-    tiles: int
-    k_iters: int
-    interpreted_s: float
-    compiled_s: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.interpreted_s / self.compiled_s
-
-    @property
-    def compiled_rate(self) -> float:
-        return self.k_iters / self.compiled_s
+ENGINES = ("interpreted", "compiled")
 
 
 def _point_inputs(name: str, na: int, nb: int, kc: Optional[int]):
@@ -79,27 +56,23 @@ def _point_inputs(name: str, na: int, nb: int, kc: Optional[int]):
     return kernel, packed_a, packed_b, c0, kc
 
 
-def run_throughput(
-    points: Sequence[Tuple[str, int, int, Optional[int]]] = FULL_POINTS,
-) -> List[ThroughputRow]:
+def timed_rows(points: Sequence[Tuple[str, int, int, Optional[int]]]):
     """Time both engines over ``points``; each run on a fresh hierarchy."""
     rows = []
     for name, na, nb, kc_arg in points:
         kernel, packed_a, packed_b, c0, kc = _point_inputs(
             name, na, nb, kc_arg
         )
-        gebp, tile, timings = {}, {}, {}
-        for engine in ("interpreted", "compiled"):
-            t0 = time.perf_counter()
-            gebp[engine] = run_timed_gebp(
-                kernel, packed_a, packed_b, c0.copy(), engine=engine
-            )
-            tile[engine] = run_timed_micro_tile(
-                kernel, packed_a[0], packed_b[0], engine=engine
-            )
-            timings[engine] = time.perf_counter() - t0
-        gi, gc = gebp["interpreted"], gebp["compiled"]
-        ti, tc = tile["interpreted"], tile["compiled"]
+        ((gi, ti), (gc, tc)), (interpreted_s, compiled_s) = time_each(
+            ENGINES, lambda e: (
+                run_timed_gebp(
+                    kernel, packed_a, packed_b, c0.copy(), engine=e
+                ),
+                run_timed_micro_tile(
+                    kernel, packed_a[0], packed_b[0], engine=e
+                ),
+            ),
+        )
         identical = (
             np.array_equal(gi.c_panel, gc.c_panel)
             and gi.cycles == gc.cycles
@@ -108,130 +81,38 @@ def run_throughput(
             and ti.load_latencies == tc.load_latencies
             and np.array_equal(ti.c_tile, tc.c_tile)
         )
-        rows.append(ThroughputRow(
-            kernel=name,
-            tiles=na * nb,
-            k_iters=(na * nb + 1) * kc,
-            interpreted_s=timings["interpreted"],
-            compiled_s=timings["compiled"],
-            identical=identical,
+        k_iters = (na * nb + 1) * kc
+        rows.append(PairRow(
+            key=name, cells=(name, na * nb, k_iters),
+            old_s=interpreted_s, new_s=compiled_s, identical=identical,
+            doc={"tiles": na * nb, "k_iters": k_iters}, count=k_iters,
         ))
     return rows
 
 
-def aggregate_speedup(rows: Sequence[ThroughputRow]) -> float:
-    return sum(r.interpreted_s for r in rows) / sum(
-        r.compiled_s for r in rows
-    )
+class TimedBench(PairBench):
+    command = "bench_timed_throughput"
+    text_name = json_name = "timed_throughput"
+    labels = ("Table V cross-validation kernels", "smoke")
+    engines = selected(interpreted="interpreted", compiled="compiled")
+    pair = ENGINES
+    floors = (MIN_SPEEDUP_FULL, MIN_SPEEDUP_SMOKE)
+    title = "Compiled vs interpreted timed execution"
+    lead = ("kernel", "tiles", "k-iters")
+    rate = "compiled iters/s"
+    unit = "timed k-iterations"
+    claim = "all observables bit-identical"
+
+    def run(self, smoke: bool):
+        return timed_rows(SMOKE_POINTS if smoke else FULL_POINTS)
 
 
-def check_rows(rows: Sequence[ThroughputRow], min_speedup: float) -> None:
-    for r in rows:
-        assert r.identical, (
-            f"{r.kernel}: engines disagree on cycles, stalls, latency "
-            f"histograms or C values"
-        )
-    agg = aggregate_speedup(rows)
-    assert agg >= min_speedup, (
-        f"aggregate speedup {agg:.1f}x below the {min_speedup:.0f}x floor"
-    )
+BENCH = TimedBench()
 
 
-def format_report(rows: Sequence[ThroughputRow], label: str) -> str:
-    text = format_table(
-        ["kernel", "tiles", "k-iters", "interpreted s", "compiled s",
-         "speedup", "compiled iters/s"],
-        [[r.kernel, r.tiles, r.k_iters, r.interpreted_s, r.compiled_s,
-          r.speedup, r.compiled_rate] for r in rows],
-        title=f"Compiled vs interpreted timed execution ({label})",
-    )
-    total = sum(r.k_iters for r in rows)
-    return (
-        f"{text}\naggregate: {total} timed k-iterations, "
-        f"{aggregate_speedup(rows):.1f}x speedup, all observables "
-        f"bit-identical"
-    )
-
-
-def build_report(rows: Sequence[ThroughputRow], label: str) -> RunReport:
-    """The machine-readable counterpart of :func:`format_report`.
-
-    Wall-clock fields use ``_seconds`` names so the baseline comparator
-    skips them; the deterministic counters (tiles, k-iterations, the
-    bit-identical flag) are what regressions are judged on.
-    """
-    import time
-
-    return RunReport(
-        command="bench_timed_throughput",
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"label": label},
-        engines={
-            e: {"requested": e, "selected": e, "fallback_reason": None}
-            for e in ("interpreted", "compiled")
-        },
-        stats={
-            "rows": {
-                r.kernel: {
-                    "tiles": r.tiles,
-                    "k_iters": r.k_iters,
-                    "identical": r.identical,
-                    "interpreted_seconds": r.interpreted_s,
-                    "compiled_seconds": r.compiled_s,
-                }
-                for r in rows
-            },
-            "aggregate": {"speedup_seconds": aggregate_speedup(rows)},
-        },
-    )
-
-
-def test_timed_throughput(benchmark, report_dir):
-    rows = benchmark.pedantic(run_throughput, rounds=1, iterations=1)
-    text = format_report(rows, "Table V cross-validation kernels")
-    save_report(report_dir, "timed_throughput", text)
-    save_json(report_dir, "timed_throughput",
-              build_report(rows, "Table V cross-validation kernels"))
-    check_rows(rows, MIN_SPEEDUP_FULL)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="short slice, relaxed speedup floor, no results file "
-             "(the CI gate)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write a structured RunReport document to PATH",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        rows = run_throughput(SMOKE_POINTS)
-        print(format_report(rows, "smoke"))
-        if args.json:
-            build_report(rows, "smoke").write(args.json)
-            print(f"wrote {args.json}")
-        check_rows(rows, MIN_SPEEDUP_SMOKE)
-    else:
-        rows = run_throughput()
-        text = format_report(rows, "Table V cross-validation kernels")
-        import pathlib
-
-        out = pathlib.Path(__file__).parent / "results"
-        out.mkdir(exist_ok=True)
-        save_report(out, "timed_throughput", text)
-        report = build_report(rows, "Table V cross-validation kernels")
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-        else:
-            save_json(out, "timed_throughput", report)
-        check_rows(rows, MIN_SPEEDUP_FULL)
-    print("ok")
-    return 0
+def test_timed_throughput(benchmark):
+    BENCH.test(benchmark)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

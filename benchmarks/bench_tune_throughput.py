@@ -26,19 +26,10 @@ wall clock).
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import json
-import pathlib
-import shutil
-import tempfile
-import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
-from conftest import save_json, save_report
-
-from repro.analysis import format_table
-from repro.obs import RunReport
+from _harness import Bench, two_pass
 
 MIN_SPEEDUP = 10.0
 MIN_PRUNE_RATIO = 5.0
@@ -52,218 +43,87 @@ FULL_PARAMS: Dict[str, Any] = dict(
 SMOKE_PARAMS: Dict[str, Any] = dict(FULL_PARAMS, max_tiles=3)
 
 
-@dataclasses.dataclass(frozen=True)
-class PassResult:
-    """One search pass: wall clock plus the memo counters."""
-
-    label: str
-    seconds: float
-    evals: int
-    hits: int
-    computed: int
-
-    @property
-    def rate(self) -> float:
-        return self.evals / self.seconds if self.seconds > 0 else 0.0
+def _summarize(result: Dict[str, Any]):
+    """A pass's memo counters, and its document with them stripped."""
+    memo = result["memo"]
+    hits = memo["analytic"]["hits"] + memo["timed"]["hits"]
+    computed = memo["analytic"]["misses"] + memo["timed"]["misses"]
+    doc = {k: v for k, v in result.items() if k != "memo"}
+    return ({"evals": hits + computed, "hits": hits, "computed": computed},
+            json.dumps(doc, sort_keys=True))
 
 
-@dataclasses.dataclass(frozen=True)
-class TwoPassResult:
-    """Cold and warm searches over the same store, plus the result doc."""
+class TuneBench(Bench):
+    command = "bench_tune_throughput"
+    text_name, json_name = "tune_throughput", "baseline_tune"
+    labels = ("full search", "smoke")
+    engines = {
+        "analytic": {"selected": "gemm-sim", "fallback_reason": None},
+        "timed": {"selected": "compiled", "fallback_reason": None},
+    }
 
-    cold: PassResult
-    warm: PassResult
-    identical: bool
-    result: Dict[str, Any]
+    def run(self, smoke: bool):
+        """Search twice against one (initially empty) result store."""
+        from repro.tune import tune_search
 
-    @property
-    def speedup(self) -> float:
-        return self.cold.seconds / max(self.warm.seconds, 1e-9)
-
-
-def _strip_memo(result: Dict[str, Any]) -> str:
-    doc = dict(result)
-    doc.pop("memo")
-    return json.dumps(doc, sort_keys=True)
-
-
-def run_two_pass(
-    params: Dict[str, Any], threads: int = 2,
-    cache_dir: Optional[str] = None,
-) -> TwoPassResult:
-    """Search twice against one (initially empty) result store."""
-    from repro.gemm.pool import WorkerPool
-    from repro.serve.store import ResultStore
-    from repro.tune import tune_search
-
-    tmp = cache_dir or tempfile.mkdtemp(prefix="bench-tune-")
-    pool = WorkerPool(threads) if threads > 1 else None
-    try:
-        store = ResultStore(tmp)
-        passes = []
-        docs = []
-        for label in ("cold", "warm"):
-            t0 = time.perf_counter()
-            result = tune_search(store=store, pool=pool, **params)
-            elapsed = time.perf_counter() - t0
-            memo = result["memo"]
-            hits = memo["analytic"]["hits"] + memo["timed"]["hits"]
-            computed = (memo["analytic"]["misses"]
-                        + memo["timed"]["misses"])
-            passes.append(PassResult(
-                label=label, seconds=elapsed, evals=hits + computed,
-                hits=hits, computed=computed,
-            ))
-            docs.append(result)
-        return TwoPassResult(
-            cold=passes[0], warm=passes[1],
-            identical=_strip_memo(docs[0]) == _strip_memo(docs[1]),
-            result=docs[1],
+        params = SMOKE_PARAMS if smoke else FULL_PARAMS
+        return two_pass(
+            "evals", 2,
+            lambda store, pool: tune_search(store=store, pool=pool, **params),
+            _summarize,
         )
-    finally:
-        if pool is not None:
-            pool.close()
-        if cache_dir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    def params(self, two, label: str):
+        return {"label": label,
+                **{k: v for k, v in two.result["params"].items()
+                   if not isinstance(v, list)}}
+
+    def stats(self, two):
+        r = two.result
+        return {"space": r["space"], "prune_ratio": r["stats"]["prune_ratio"],
+                "winner": r["winner"], **two.stats()}
+
+    def check(self, two, smoke: bool) -> None:
+        winner = two.result["winner"]["candidate"]
+        assert (winner["mr"], winner["nr"]) == (8, 6), (
+            f"search lost the paper's kernel: winner {winner}"
+        )
+        assert winner["kc"] == 512, (
+            f"winner blocking drifted off kc=512: {winner}"
+        )
+        assert (winner["rotation"], winner["schedule"]) == (
+            "solved", "earliest",
+        ), f"winner code shape drifted: {winner}"
+        prune = two.result["stats"]["prune_ratio"]
+        assert prune >= MIN_PRUNE_RATIO, (
+            f"analytic pruning ratio {prune:.1f}x below the "
+            f"{MIN_PRUNE_RATIO:.0f}x floor"
+        )
+        two.check(MIN_SPEEDUP)
+
+    def format(self, two, label: str) -> str:
+        r = two.result
+        winner, space = r["winner"]["candidate"], r["space"]
+        title = f"Memoized kernel autotuning, cold vs warm ({label})"
+        return (
+            f"{two.table(title)}\n"
+            f"winner: {winner['mr']}x{winner['nr']} "
+            f"({winner['rotation']}/{winner['schedule']}) at "
+            f"{winner['kc']}x{winner['mc']}x{winner['nc']}\n"
+            f"space: {space['enumerated']} candidates -> "
+            f"{space['timed_variants']} timed "
+            f"(prune {r['stats']['prune_ratio']:.1f}x)\n"
+            f"warm pass: {two.speedup:.1f}x speedup, result "
+            f"bit-identical: {two.identical}"
+        )
 
 
-def check_result(result: TwoPassResult, min_speedup: float = MIN_SPEEDUP) -> None:
-    winner = result.result["winner"]["candidate"]
-    assert (winner["mr"], winner["nr"]) == (8, 6), (
-        f"search lost the paper's kernel: winner {winner}"
-    )
-    assert winner["kc"] == 512, (
-        f"winner blocking drifted off kc=512: {winner}"
-    )
-    assert (winner["rotation"], winner["schedule"]) == (
-        "solved", "earliest",
-    ), f"winner code shape drifted: {winner}"
-    prune = result.result["stats"]["prune_ratio"]
-    assert prune >= MIN_PRUNE_RATIO, (
-        f"analytic pruning ratio {prune:.1f}x below the "
-        f"{MIN_PRUNE_RATIO:.0f}x floor"
-    )
-    assert result.warm.computed == 0, (
-        f"warm pass recomputed {result.warm.computed} evaluations"
-    )
-    assert result.warm.hits == result.warm.evals, (
-        f"warm pass not fully memoized: {result.warm.hits} hits of "
-        f"{result.warm.evals} evaluations"
-    )
-    assert result.identical, (
-        "warm-pass result document is not bit-identical to the cold "
-        "pass (memo counters aside)"
-    )
-    assert result.speedup >= min_speedup, (
-        f"warm-pass speedup {result.speedup:.1f}x below the "
-        f"{min_speedup:.0f}x floor"
-    )
+BENCH = TuneBench()
 
 
-def format_report(result: TwoPassResult, label: str) -> str:
-    text = format_table(
-        ["pass", "evals", "hits", "computed", "seconds", "evals/s"],
-        [[p.label, p.evals, p.hits, p.computed, p.seconds, p.rate]
-         for p in (result.cold, result.warm)],
-        title=f"Memoized kernel autotuning, cold vs warm ({label})",
-    )
-    winner = result.result["winner"]["candidate"]
-    space = result.result["space"]
-    return (
-        f"{text}\n"
-        f"winner: {winner['mr']}x{winner['nr']} "
-        f"({winner['rotation']}/{winner['schedule']}) at "
-        f"{winner['kc']}x{winner['mc']}x{winner['nc']}\n"
-        f"space: {space['enumerated']} candidates -> "
-        f"{space['timed_variants']} timed "
-        f"(prune {result.result['stats']['prune_ratio']:.1f}x)\n"
-        f"warm pass: {result.speedup:.1f}x speedup, result "
-        f"bit-identical: {result.identical}"
-    )
-
-
-def build_report(result: TwoPassResult, label: str) -> RunReport:
-    """The machine-readable counterpart of :func:`format_report`.
-
-    The search space, prune ratio, winner and memo counters are the
-    deterministic regression surface; wall-clock rates live under
-    ``stats.timing``, which the baseline comparator skips.
-    """
-    return RunReport(
-        command="bench_tune_throughput",
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"label": label,
-                **{k: v for k, v in result.result["params"].items()
-                   if not isinstance(v, list)}},
-        engines={
-            "analytic": {"selected": "gemm-sim", "fallback_reason": None},
-            "timed": {"selected": "compiled", "fallback_reason": None},
-        },
-        stats={
-            "space": result.result["space"],
-            "prune_ratio": result.result["stats"]["prune_ratio"],
-            "winner": result.result["winner"],
-            "passes": {
-                p.label: {"evals": p.evals, "hits": p.hits,
-                          "computed": p.computed}
-                for p in (result.cold, result.warm)
-            },
-            "identical": result.identical,
-            "timing": {
-                "cold_seconds": result.cold.seconds,
-                "warm_seconds": result.warm.seconds,
-                "speedup": result.speedup,
-                "cold_evals_per_s": result.cold.rate,
-                "warm_evals_per_s": result.warm.rate,
-            },
-        },
-    )
-
-
-def test_tune_throughput(benchmark, report_dir):
-    result = benchmark.pedantic(run_two_pass, args=(FULL_PARAMS,),
-                                rounds=1, iterations=1)
-    text = format_report(result, "full search")
-    save_report(report_dir, "tune_throughput", text)
-    save_json(report_dir, "baseline_tune",
-              build_report(result, "full search"))
-    check_result(result)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="smaller tile pool, no results file (the CI gate)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write a structured RunReport document to PATH",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        result = run_two_pass(SMOKE_PARAMS)
-        print(format_report(result, "smoke"))
-        if args.json:
-            build_report(result, "smoke").write(args.json)
-            print(f"wrote {args.json}")
-        check_result(result)
-    else:
-        result = run_two_pass(FULL_PARAMS)
-        text = format_report(result, "full search")
-        out = pathlib.Path(__file__).parent / "results"
-        out.mkdir(exist_ok=True)
-        save_report(out, "tune_throughput", text)
-        report = build_report(result, "full search")
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-        else:
-            save_json(out, "baseline_tune", report)
-        check_result(result)
-    print("ok")
-    return 0
+def test_tune_throughput(benchmark):
+    BENCH.test(benchmark)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

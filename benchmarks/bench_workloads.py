@@ -20,17 +20,16 @@ leaves, the docs are modeled counters and cycles only).
 
 from __future__ import annotations
 
-import argparse
-import pathlib
-import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
-from conftest import save_json, save_report
+from _harness import Bench
 
 from repro.analysis import format_table
 from repro.arch.presets import get_preset
-from repro.obs import RunReport
 from repro.workloads import conv_exhibit, stencil_exhibit
+
+#: The machine preset both exhibits model.
+MACHINE = "xgene"
 
 #: Miss-rate ratio the blocked stencil must clear (measured 2.47 both
 #: at the committed shape and in smoke mode; the floor leaves headroom).
@@ -39,29 +38,6 @@ MIN_MISS_RATE_RATIO = 1.5
 #: DRAM ratio the im2col lowering must pay (measured 2.50 full, 1.87
 #: smoke).
 MIN_DRAM_RATIO = 1.3
-
-
-def run_exhibits(machine: str, smoke: bool) -> Dict[str, Any]:
-    chip = get_preset(machine)
-    return {
-        "stencil": stencil_exhibit(chip, smoke=smoke),
-        "conv": conv_exhibit(chip, smoke=smoke),
-    }
-
-
-def check_exhibits(docs: Dict[str, Any]) -> None:
-    s, c = docs["stencil"], docs["conv"]
-    assert s["bit_identical"], "stencil blocked != unblocked bits"
-    assert c["bit_identical"], "conv im2col != direct bits"
-    assert c["bit_identical_unblocked"], "conv blocked != unblocked bits"
-    assert s["miss_rate_ratio"] >= MIN_MISS_RATE_RATIO, (
-        f"blocked stencil lost its L1 win: miss-rate ratio "
-        f"{s['miss_rate_ratio']:.3f} below {MIN_MISS_RATE_RATIO}"
-    )
-    assert c["dram_ratio"] >= MIN_DRAM_RATIO, (
-        f"direct conv lost its DRAM win: im2col/direct ratio "
-        f"{c['dram_ratio']:.3f} below {MIN_DRAM_RATIO}"
-    )
 
 
 def _variant_rows(variants: Dict[str, Any]):
@@ -73,83 +49,68 @@ def _variant_rows(variants: Dict[str, Any]):
     ]
 
 
-def format_report(docs: Dict[str, Any], label: str) -> str:
-    s, c = docs["stencil"], docs["conv"]
-    head = ["variant", "L1 loads", "L1 misses", "miss rate", "DRAM",
-            "cycles", "Gflops"]
-    stencil = format_table(
-        head, _variant_rows(s["variants"]),
-        title=(f"stencil {s['params']['height']}x{s['params']['width']} "
-               f"tile {s['block']['bi']}x{s['block']['bj']} ({label})"),
-    )
-    conv = format_table(
-        head, _variant_rows(c["variants"]),
-        title=(f"conv GEMM {c['gemm_shape']['m']}x{c['gemm_shape']['k']}"
-               f"x{c['gemm_shape']['n']} ({label})"),
-    )
-    return (
-        f"{stencil}\n  miss-rate ratio {s['miss_rate_ratio']:.3f}x, "
-        f"bit-identical {s['bit_identical']}\n"
-        f"{conv}\n  DRAM ratio {c['dram_ratio']:.3f}x, bit-identical "
-        f"{c['bit_identical']} (vs unblocked "
-        f"{c['bit_identical_unblocked']})"
-    )
+class WorkloadsBench(Bench):
+    command = "bench_workloads"
+    text_name, json_name = "workloads", "baseline_workloads"
+
+    def run(self, smoke: bool) -> Dict[str, Any]:
+        chip = get_preset(MACHINE)
+        return {
+            "stencil": stencil_exhibit(chip, smoke=smoke),
+            "conv": conv_exhibit(chip, smoke=smoke),
+        }
+
+    def params(self, docs, label: str):
+        return {"machine": MACHINE, "smoke": label == "smoke"}
+
+    def stats(self, docs):
+        return docs
+
+    def check(self, docs, smoke: bool) -> None:
+        s, c = docs["stencil"], docs["conv"]
+        assert s["bit_identical"], "stencil blocked != unblocked bits"
+        assert c["bit_identical"], "conv im2col != direct bits"
+        assert c["bit_identical_unblocked"], "conv blocked != unblocked bits"
+        assert s["miss_rate_ratio"] >= MIN_MISS_RATE_RATIO, (
+            f"blocked stencil lost its L1 win: miss-rate ratio "
+            f"{s['miss_rate_ratio']:.3f} below {MIN_MISS_RATE_RATIO}"
+        )
+        assert c["dram_ratio"] >= MIN_DRAM_RATIO, (
+            f"direct conv lost its DRAM win: im2col/direct ratio "
+            f"{c['dram_ratio']:.3f} below {MIN_DRAM_RATIO}"
+        )
+
+    def format(self, docs, label: str) -> str:
+        s, c = docs["stencil"], docs["conv"]
+        head = ["variant", "L1 loads", "L1 misses", "miss rate", "DRAM",
+                "cycles", "Gflops"]
+        stencil = format_table(
+            head, _variant_rows(s["variants"]),
+            title=(f"stencil {s['params']['height']}x"
+                   f"{s['params']['width']} tile {s['block']['bi']}x"
+                   f"{s['block']['bj']} ({label})"),
+        )
+        conv = format_table(
+            head, _variant_rows(c["variants"]),
+            title=(f"conv GEMM {c['gemm_shape']['m']}x"
+                   f"{c['gemm_shape']['k']}x{c['gemm_shape']['n']} "
+                   f"({label})"),
+        )
+        return (
+            f"{stencil}\n  miss-rate ratio {s['miss_rate_ratio']:.3f}x, "
+            f"bit-identical {s['bit_identical']}\n"
+            f"{conv}\n  DRAM ratio {c['dram_ratio']:.3f}x, bit-identical "
+            f"{c['bit_identical']} (vs unblocked "
+            f"{c['bit_identical_unblocked']})"
+        )
 
 
-def build_report(docs: Dict[str, Any], machine: str,
-                 smoke: bool) -> RunReport:
-    return RunReport(
-        command="bench_workloads",
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"machine": machine, "smoke": smoke},
-        stats=docs,
-    )
+BENCH = WorkloadsBench()
 
 
-def test_workload_exhibits(benchmark, report_dir):
-    docs = benchmark.pedantic(run_exhibits, args=("xgene", False),
-                              rounds=1, iterations=1)
-    save_report(report_dir, "workloads", format_report(docs, "full"))
-    save_json(report_dir, "baseline_workloads",
-              build_report(docs, "xgene", False))
-    check_exhibits(docs)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--machine", default="xgene",
-                        help="machine preset to model")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="narrow grid / small image, no results file (the CI gate)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write a structured RunReport document to PATH",
-    )
-    args = parser.parse_args(argv)
-    docs = run_exhibits(args.machine, args.smoke)
-    label = "smoke" if args.smoke else "full"
-    text = format_report(docs, label)
-    report = build_report(docs, args.machine, args.smoke)
-    if args.smoke:
-        print(text)
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-    else:
-        out = pathlib.Path(__file__).parent / "results"
-        out.mkdir(exist_ok=True)
-        save_report(out, "workloads", text)
-        if args.json:
-            report.write(args.json)
-            print(f"wrote {args.json}")
-        else:
-            save_json(out, "baseline_workloads", report)
-    check_exhibits(docs)
-    print("ok")
-    return 0
+def test_workload_exhibits(benchmark):
+    BENCH.test(benchmark)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

@@ -1,8 +1,13 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures and writers for the benchmarks.
 
 Each bench regenerates one of the paper's tables/figures and writes the
 formatted exhibit to ``benchmarks/results/``; pytest-benchmark records the
-runtime of the regeneration itself.
+runtime of the regeneration itself. The figure, table and ablation
+benches use the ``report_dir`` fixture and :func:`save_report` directly.
+The engine-throughput, serving and workload benches run on
+``_harness.py``, whose one results writer calls :func:`save_report` and
+:func:`save_json` for both their standalone full run and their pytest
+entry.
 """
 
 import pathlib

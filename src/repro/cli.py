@@ -310,11 +310,6 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
     print(f"L1: {r.l1_loads} loads, {r.l1_load_misses} misses "
           f"({r.l1_load_miss_rate:.2%}); L2: {r.l2_loads} loads, "
           f"{r.l2_load_misses} misses; DRAM: {r.dram_accesses} lines")
-    fallback = hierarchies["batched"].batched_fallback_accesses()
-    if fallback:
-        print(f"warning: {fallback} line accesses took the batched "
-              f"engine's per-access scalar fallback (non-LRU replacement "
-              f"levels)")
     from repro.obs import snapshot_gebp_cache_result, snapshot_hierarchy
 
     _emit_report(
@@ -402,11 +397,6 @@ def _cmd_timed(args: argparse.Namespace) -> int:
               f"bit-identical: {identical}")
     else:
         print(f"engine: {r.engine} (requested {args.engine})")
-    for engine, run in runs.items():
-        if run.batched_fallback_accesses:
-            print(f"warning: {run.batched_fallback_accesses} cache "
-                  f"accesses took the per-access scalar fallback inside "
-                  f"the {engine} engine's batched hierarchy replay")
     from repro.obs import snapshot_timed_run
 
     _emit_report(

@@ -315,7 +315,7 @@ class CompiledKernel:
         self.epilogue_template = ScoreboardTemplate(list(kernel.epilogue))
         self._events = _compile_events(kernel)
         self._trace_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray, tuple]] = {}
-        self._memos: Dict[tuple, dict] = {}
+        self._memos: Dict[CoreParams, dict] = {}
 
     # -- functional layer ---------------------------------------------------
 
@@ -497,20 +497,17 @@ class CompiledKernel:
             (self.epilogue_template, 1),
         ]
 
-    def memo_for(
-        self,
-        core: CoreParams,
-        enforce_war: bool = False,
-        load_latency: Optional[int] = None,
-    ) -> dict:
+    def memo_for(self, core: CoreParams) -> dict:
         """The scoreboard memo for one core configuration.
 
         Memo entries are only valid for identical core parameters, so the
         cache is keyed on them; callers running many tiles on the same
         chip share one memo and hit it for every steady-state iteration.
+        The only caller, ``sim.timed_executor._run_compiled_micro_tile``,
+        runs a default ``ScoreboardCore(chip.core)`` (no WAR modelling,
+        the core's own load latency), so the core alone is the key.
         """
-        key = (core, enforce_war, load_latency)
-        return self._memos.setdefault(key, {})
+        return self._memos.setdefault(core, {})
 
 
 def _compile_events(kernel):

@@ -79,10 +79,6 @@ class TimedRun:
             (cycles -> count).
         engine: The engine that actually ran (``"compiled"`` or
             ``"interpreted"`` — never ``"auto"``).
-        batched_fallback_accesses: Cache accesses the compiled engine's
-            batched hierarchy replay had to serve through the per-access
-            scalar path (non-LRU replacement policies); 0 on the
-            interpreted engine and on fully batched replays.
     """
 
     c_tile: "np.ndarray"
@@ -92,7 +88,6 @@ class TimedRun:
     pipeline: PipelineResult
     load_latencies: Dict[int, int]
     engine: str = "interpreted"
-    batched_fallback_accesses: int = 0
 
 
 def run_timed_micro_tile(
@@ -174,7 +169,6 @@ def _engine_name(engine: str) -> str:
 def _timed_run(
     kernel, kc: int, chip: ChipParams, result: PipelineResult,
     c_tile: "np.ndarray", histogram: Dict[int, int], engine: str,
-    batched_fallback_accesses: int = 0,
 ) -> TimedRun:
     flops = kc * kernel.spec.flops_per_iter
     return TimedRun(
@@ -185,7 +179,6 @@ def _timed_run(
         pipeline=result,
         load_latencies=histogram,
         engine=engine,
-        batched_fallback_accesses=batched_fallback_accesses,
     )
 
 
@@ -373,9 +366,7 @@ def _run_compiled_micro_tile(
         hw_late,
         chip.l1d.line_bytes,
     )
-    fallback0 = h.batched_fallback_accesses()
     _levels, lat_arr = h.run_batch_levels(core_id, trace)
-    fallback = h.batched_fallback_accesses() - fallback0
     latencies = [int(x) for x in lat_arr]
     values, counts = np.unique(lat_arr, return_counts=True)
     histogram = {int(v): int(n) for v, n in zip(values, counts)}
@@ -388,7 +379,7 @@ def _run_compiled_micro_tile(
     return _timed_run(
         kernel, kc, chip, result,
         compiled.compute_tile(a_sliver, b_sliver, c_tile),
-        histogram, "compiled", fallback,
+        histogram, "compiled",
     )
 
 
