@@ -4,23 +4,11 @@ Shape requirements: 8x6 dominates across the sweep (it beats ATLAS at
 every size, as the paper states), and every curve ramps up to a plateau.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import fig11_serial_sweep, format_series
+from conftest import bench_exhibit
 
 
 def test_fig11_serial_sweep(benchmark, report_dir):
-    data = benchmark(lambda: fig11_serial_sweep(sizes=BENCH_SIZES))
-    series = [
-        (name, [r.gflops for r in results]) for name, results in data.items()
-    ]
-    text = format_series(
-        list(BENCH_SIZES),
-        series,
-        x_label="size",
-        title="Fig. 11: DGEMM Gflops vs size (1 thread)",
-    )
-    save_report(report_dir, "fig11_serial_sweep", text)
+    data = bench_exhibit(benchmark, report_dir, "fig11_serial_sweep")
 
     ours = data["OpenBLAS-8x6"]
     atlas = data["ATLAS-5x5"]

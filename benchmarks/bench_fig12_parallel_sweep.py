@@ -4,23 +4,11 @@ Shape requirements: 8x6 is the best performer across the sweep and beats
 ATLAS at every size; absolute Gflops approach the paper's ~32.7 plateau.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import fig12_parallel_sweep, format_series
+from conftest import bench_exhibit
 
 
 def test_fig12_parallel_sweep(benchmark, report_dir):
-    data = benchmark(lambda: fig12_parallel_sweep(sizes=BENCH_SIZES))
-    series = [
-        (name, [r.gflops for r in results]) for name, results in data.items()
-    ]
-    text = format_series(
-        list(BENCH_SIZES),
-        series,
-        x_label="size",
-        title="Fig. 12: DGEMM Gflops vs size (8 threads)",
-    )
-    save_report(report_dir, "fig12_parallel_sweep", text)
+    data = bench_exhibit(benchmark, report_dir, "fig12_parallel_sweep")
 
     ours = data["OpenBLAS-8x6"]
     for name, results in data.items():

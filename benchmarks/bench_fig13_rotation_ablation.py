@@ -4,28 +4,11 @@ Shape requirements: the rotated 8x6 beats the unrotated one at every size
 in both serial and parallel settings, by a few percent.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import fig13_rotation_ablation, format_series
+from conftest import bench_exhibit
 
 
 def test_fig13_rotation_ablation(benchmark, report_dir):
-    data = benchmark(lambda: fig13_rotation_ablation(sizes=BENCH_SIZES))
-    blocks = []
-    for setting, curves in data.items():
-        series = [
-            (name, [r.gflops for r in results])
-            for name, results in curves.items()
-        ]
-        blocks.append(
-            format_series(
-                list(BENCH_SIZES),
-                series,
-                x_label="size",
-                title=f"Fig. 13 ({setting}): 8x6 with vs without rotation",
-            )
-        )
-    save_report(report_dir, "fig13_rotation_ablation", "\n\n".join(blocks))
+    data = bench_exhibit(benchmark, report_dir, "fig13_rotation_ablation")
 
     for setting, curves in data.items():
         rot = curves["OpenBLAS-8x6"]

@@ -5,26 +5,11 @@ for 2 and 4 threads (threads own whole modules); the 8-thread curve ramps
 with size like the paper's.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import fig14_scaling, format_series
-from repro.blocking import solve_cache_blocking
-from repro.arch import XGENE
+from conftest import bench_exhibit
 
 
 def test_fig14_scaling(benchmark, report_dir):
-    data = benchmark(lambda: fig14_scaling(sizes=BENCH_SIZES))
-    series = []
-    for t, results in sorted(data.items()):
-        blk = solve_cache_blocking(XGENE, 8, 6, threads=t)
-        series.append((f"{t} threads {blk}", [r.gflops for r in results]))
-    text = format_series(
-        list(BENCH_SIZES),
-        series,
-        x_label="size",
-        title="Fig. 14: OpenBLAS-8x6 under four thread counts",
-    )
-    save_report(report_dir, "fig14_scaling", text)
+    data = bench_exhibit(benchmark, report_dir, "fig14_scaling")
 
     big = {t: max(r.gflops for r in results) for t, results in data.items()}
     assert big[1] < big[2] < big[4] < big[8]

@@ -6,23 +6,11 @@ grow cubically; the magnitude at the top of the sweep is ~10^10, as in
 the paper's y-axis.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import fig15_l1_loads, format_series
+from conftest import bench_exhibit
 
 
 def test_fig15_l1_loads(benchmark, report_dir):
-    data = benchmark(lambda: fig15_l1_loads(sizes=BENCH_SIZES))
-    series = [
-        (name, [v / 1e10 for v in vals]) for name, vals in data.items()
-    ]
-    text = format_series(
-        list(BENCH_SIZES),
-        series,
-        x_label="size",
-        title="Fig. 15: L1-dcache-loads (x 10^10)",
-    )
-    save_report(report_dir, "fig15_l1_loads", text)
+    data = bench_exhibit(benchmark, report_dir, "fig15_l1_loads")
 
     for threads in (1, 8):
         l86 = data[f"OpenBLAS-8x6 ({threads}T)"]

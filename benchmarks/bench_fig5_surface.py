@@ -5,28 +5,12 @@ mr = 8, nrf = 6.
 """
 
 import pytest
-from conftest import save_report
-
-from repro.analysis import fig5_surface, format_table
+from conftest import bench_exhibit
 
 
 def test_fig5_surface(benchmark, report_dir):
-    points = benchmark(fig5_surface)
-    by_mr = {}
-    nrfs = sorted({nrf for _, nrf, _ in points})
-    for mr, nrf, g in points:
-        by_mr.setdefault(mr, {})[nrf] = g
-    rows = [
-        [f"mr={mr}"] + [by_mr[mr].get(nrf, 0.0) for nrf in nrfs]
-        for mr in sorted(by_mr)
-    ]
-    text = format_table(
-        ["gamma"] + [f"nrf={n}" for n in nrfs],
-        rows,
-        title="Fig. 5: register-kernel gamma surface (peak 6.857 at "
-        "mr=8, nrf=6)",
-    )
-    save_report(report_dir, "fig5_surface", text)
-    peak = max(g for _, _, g in points)
+    points = bench_exhibit(benchmark, report_dir, "fig5_surface")
+    gamma = {(mr, nrf): g for mr, nrf, g in points}
+    peak = max(gamma.values())
     assert peak == pytest.approx(6.857, abs=1e-3)
-    assert by_mr[8][6] == pytest.approx(peak)
+    assert gamma[(8, 6)] == pytest.approx(peak)

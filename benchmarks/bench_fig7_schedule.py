@@ -4,25 +4,11 @@ The paper reports optimal distance 7 for rotation (eq. (12)) and 9 for the
 load schedule (eq. (13)); the exhaustive solver improves both.
 """
 
-from conftest import save_report
-
-from repro.analysis import fig7_schedule, format_table
+from conftest import bench_exhibit
 
 
 def test_fig7_schedule(benchmark, report_dir):
-    rep = benchmark(fig7_schedule)
-    text = format_table(
-        ["scheme", "rotation distance (eq. 12)", "load-use distance (eq. 13)"],
-        [
-            ["paper Table I cycle", rep.rotation_distance_paper,
-             rep.schedule_distance_paper],
-            ["exhaustive optimum", rep.rotation_distance_solved,
-             rep.schedule_distance_solved],
-        ],
-        title="Figs. 6/7: allocation & scheduling distances "
-        "(paper: 7 and 9)",
-    )
-    save_report(report_dir, "fig7_schedule", text)
+    rep = bench_exhibit(benchmark, report_dir, "fig7_schedule")
     assert rep.rotation_distance_paper == 7
     assert rep.schedule_distance_paper >= 9
     assert rep.rotation_distance_solved >= rep.rotation_distance_paper

@@ -4,22 +4,14 @@ Regenerates the unrolled kernel body and checks it has the paper's
 instruction mix (7:24 LDR:FMLA, PREFA/PREFB prefetches).
 """
 
-from conftest import save_report
+from conftest import bench_exhibit
 
-from repro.analysis import fig8_codegen
 from repro.isa import parse_program
 from repro.kernels import get_variant
 
 
 def test_fig8_codegen(benchmark, report_dir):
-    text = benchmark(fig8_codegen)
-    head = "\n".join(text.splitlines()[:40])
-    save_report(
-        report_dir,
-        "fig8_codegen",
-        "Fig. 8: 8x6 register kernel (first 40 of "
-        f"{len(text.splitlines())} instructions)\n{head}",
-    )
+    text = bench_exhibit(benchmark, report_dir, "fig8_codegen")
     kernel = get_variant("OpenBLAS-8x6")
     assert kernel.body.ldr_fmla_ratio == (7, 24)
     assert parse_program(text) == kernel.body.instructions

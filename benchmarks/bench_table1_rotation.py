@@ -5,22 +5,9 @@ published digits, then reports both the paper's cycle (distance 7) and the
 exhaustive optimum (distance 11).
 """
 
-from conftest import save_report
-
-from repro.analysis import format_table, table1_rotation
-from repro.kernels import KERNEL_8X6, paper_plan, solve_rotation
+from conftest import bench_exhibit
 
 
 def test_table1_rotation(benchmark, report_dir):
-    table = benchmark(table1_rotation)
-    solved = solve_rotation(KERNEL_8X6)
-    rows = [[slot] + regs for slot, regs in table.items()]
-    text = format_table(
-        ["slot"] + [f"#{i}" for i in range(8)],
-        rows,
-        title="Table I: register rotation (paper cycle, distance "
-        f"{paper_plan().min_distance}; exhaustive optimum distance "
-        f"{solved.min_distance})",
-    )
-    save_report(report_dir, "table1_rotation", text)
+    table = bench_exhibit(benchmark, report_dir, "table1_rotation")
     assert table["A0"] == [0, 2, 4, 7, 6, 1, 3, 5]

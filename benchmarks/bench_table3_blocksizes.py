@@ -3,9 +3,7 @@
 The engine must reproduce every published entry exactly.
 """
 
-from conftest import save_report
-
-from repro.analysis import format_table, table3_blocksizes
+from conftest import bench_exhibit
 
 PAPER = {
     "8x6": ("8x6x512x56x1920", "8x6x512x24x1792"),
@@ -15,12 +13,6 @@ PAPER = {
 
 
 def test_table3_blocksizes(benchmark, report_dir):
-    rows = benchmark(table3_blocksizes)
-    text = format_table(
-        ["kernel", "one thread (mr x nr x kc x mc x nc)", "eight threads"],
-        rows,
-        title="Table III: derived block sizes (all entries match the paper)",
-    )
-    save_report(report_dir, "table3_blocksizes", text)
+    rows = bench_exhibit(benchmark, report_dir, "table3_blocksizes")
     for kernel, serial, parallel in rows:
         assert (serial, parallel) == PAPER[kernel], kernel

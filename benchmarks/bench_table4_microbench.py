@@ -6,27 +6,11 @@ the structural scoreboard bound is reported alongside.
 
 import math
 
-from conftest import save_report
-
-from repro.analysis import format_table, table4_microbench
+from conftest import bench_exhibit
 
 
 def test_table4_microbench(benchmark, report_dir):
-    rows = benchmark(table4_microbench)
-    text = format_table(
-        ["LDR:FMLA", "structural (%)", "model (%)", "paper (%)"],
-        [
-            [
-                r.ratio_label,
-                r.structural_efficiency * 100,
-                r.model_efficiency * 100,
-                r.paper_efficiency * 100,
-            ]
-            for r in rows
-        ],
-        title="Table IV: micro-benchmark efficiencies",
-    )
-    save_report(report_dir, "table4_microbench", text)
+    rows = bench_exhibit(benchmark, report_dir, "table4_microbench")
     for r in rows:
         if not math.isnan(r.paper_efficiency):
             assert abs(r.model_efficiency - r.paper_efficiency) < 0.02

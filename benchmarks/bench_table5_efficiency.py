@@ -5,29 +5,11 @@ within ~2 points of the paper; the paper's serial ordering
 8x6 > 8x4 > ATLAS-5x5 > 4x4 holds.
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import format_table, table5_efficiency
+from conftest import bench_exhibit
 
 
 def test_table5_efficiency(benchmark, report_dir):
-    rows = benchmark(lambda: table5_efficiency(sizes=BENCH_SIZES))
-    text = format_table(
-        ["impl", "threads", "peak %", "paper peak %", "avg %", "paper avg %"],
-        [
-            [
-                r.kernel,
-                r.threads,
-                r.peak * 100,
-                r.paper_peak * 100,
-                r.average * 100,
-                r.paper_average * 100,
-            ]
-            for r in rows
-        ],
-        title="Table V: DGEMM efficiencies (model vs paper)",
-    )
-    save_report(report_dir, "table5_efficiency", text)
+    rows = bench_exhibit(benchmark, report_dir, "table5_efficiency")
 
     by = {(r.kernel, r.threads): r for r in rows}
     for threads in (1, 8):

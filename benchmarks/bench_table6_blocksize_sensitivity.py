@@ -5,21 +5,11 @@ and reusing the serial mc = 56 with 8 threads costs several points (the
 two threads sharing an L2 overflow it).
 """
 
-from conftest import BENCH_SIZES, save_report
-
-from repro.analysis import format_table, table6_blocksize_sensitivity
+from conftest import bench_exhibit
 
 
 def test_table6_blocksize_sensitivity(benchmark, report_dir):
-    rows = benchmark(lambda: table6_blocksize_sensitivity(sizes=BENCH_SIZES))
-    text = format_table(
-        ["setting", "kc x mc x nc", "peak %", "avg %"],
-        [[s, cfg, p * 100, a * 100] for s, cfg, p, a in rows],
-        title="Table VI: 8x6 efficiency under different block sizes "
-        "(derived sizes in the paper: 512x56x1920 serial, "
-        "512x24x1792 parallel)",
-    )
-    save_report(report_dir, "table6_blocksize_sensitivity", text)
+    rows = bench_exhibit(benchmark, report_dir, "table6_blocksize_sensitivity")
 
     by = {(s, cfg): p for s, cfg, p, _ in rows}
     # Serial: our choice beats the Goto half-cache-style 320x96x1536.

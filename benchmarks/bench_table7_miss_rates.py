@@ -6,19 +6,11 @@ miss rate (8x4 does) yet is the best performer because it issues the
 fewest loads.
 """
 
-from conftest import save_report
-
-from repro.analysis import format_table, table7_miss_rates
+from conftest import bench_exhibit
 
 
 def test_table7_miss_rates(benchmark, report_dir):
-    rows = benchmark(table7_miss_rates)
-    text = format_table(
-        ["kernel", "threads", "miss rate %", "paper %"],
-        [[k, t, mr * 100, pr * 100] for k, t, mr, pr in rows],
-        title="Table VII: L1-dcache load miss rates (cache simulation)",
-    )
-    save_report(report_dir, "table7_miss_rates", text)
+    rows = bench_exhibit(benchmark, report_dir, "table7_miss_rates")
 
     rates = {(k, t): mr for k, t, mr, _ in rows}
     for (k, t), r in rates.items():

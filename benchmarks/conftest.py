@@ -2,7 +2,11 @@
 
 Each bench regenerates one of the paper's tables/figures and writes the
 formatted exhibit to ``benchmarks/results/``; pytest-benchmark records the
-runtime of the regeneration itself. The figure, table and ablation
+runtime of the regeneration itself. The figure and table benches time
+their exhibit's data function and write its text with
+:func:`bench_exhibit`, which renders through the exhibit's one renderer in
+:data:`repro.analysis.EXHIBITS` (the one ``repro experiments`` uses), so
+a bench run reproduces the committed files byte for byte. The ablation
 benches use the ``report_dir`` fixture and :func:`save_report` directly.
 The engine-throughput, serving and workload benches run on
 ``_harness.py``, whose one results writer calls :func:`save_report` and
@@ -13,6 +17,8 @@ entry.
 import pathlib
 
 import pytest
+
+from repro.analysis import EXHIBITS
 
 #: The sweep used by bench targets: the paper's 256..6400 range at a
 #: coarser step so the whole harness runs in minutes. Pass the full grid
@@ -30,6 +36,15 @@ def report_dir() -> pathlib.Path:
 def save_report(report_dir: pathlib.Path, name: str, text: str) -> None:
     (report_dir / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n[saved to benchmarks/results/{name}.txt]")
+
+
+def bench_exhibit(benchmark, report_dir: pathlib.Path, name: str):
+    """Time one exhibit's data function at :data:`BENCH_SIZES`, save its
+    rendered text and return the data for the bench's shape checks."""
+    exhibit = EXHIBITS[name]
+    data = benchmark(exhibit.run, BENCH_SIZES)
+    save_report(report_dir, name, exhibit.render(data, BENCH_SIZES))
+    return data
 
 
 def save_json(report_dir: pathlib.Path, name: str, report) -> None:

@@ -1,18 +1,26 @@
 """Experiment runners — one per table/figure of the paper's evaluation.
 
-Each function regenerates the data behind one exhibit and returns it as a
-plain structure; ``benchmarks/`` wraps these in pytest-benchmark targets
-and EXPERIMENTS.md records the outcomes against the published values.
+Each exhibit has one data function, which regenerates the data behind it
+as a plain structure, and one renderer, which turns that data plus the
+sweep sizes into the exhibit's text. :data:`EXHIBITS` pairs them under
+the exhibit's file name. ``repro experiments`` and the
+``benchmarks/bench_fig*``/``bench_table*`` targets both write
+``EXHIBITS[name].render(...)``, so at the committed sweep (256..6400
+step 512) either one reproduces ``benchmarks/results/<name>.txt`` byte
+for byte. EXPERIMENTS.md records
+the outcomes against the published values.
 
-The paper sweeps square matrices from 256 to 6400 in steps of 128; the
-default sweep here uses steps of 256 to keep bench runtimes short without
+The paper sweeps square matrices from 256 to 6400 in steps of 128. The
+data functions default to steps of 256 (:data:`DEFAULT_SIZES`); the
+committed exhibits use steps of 512 to keep bench runtimes short without
 changing any conclusion (pass ``step=128`` for the full grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
@@ -22,10 +30,11 @@ from repro.blocking.cache_blocking import (
     solve_cache_blocking,
 )
 from repro.blocking.register_blocking import RegisterBlockingProblem
-from repro.kernels.kernel_spec import PAPER_KERNELS
+from repro.analysis.report import format_series, format_table
+from repro.kernels.kernel_spec import KERNEL_8X6, PAPER_KERNELS
 from repro.kernels.rotation import paper_plan, solve_rotation
 from repro.kernels.scheduling import schedule_body
-from repro.kernels.variants import PAPER_COMPARISON, VARIANTS, get_variant
+from repro.kernels.variants import PAPER_COMPARISON, get_variant
 from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.sim.gemm_sim import GemmPerformance, GemmSimulator
 from repro.sim.microbench import MicrobenchRow, run_microbench
@@ -50,9 +59,31 @@ def table1_rotation() -> Dict[str, List[int]]:
     return {slot: regs for slot, regs in paper_plan().table()}
 
 
+def _render_table1(table: Dict[str, List[int]], sizes) -> str:
+    return format_table(
+        ["slot"] + [f"#{i}" for i in range(8)],
+        [[slot] + regs for slot, regs in table.items()],
+        title="Table I: register rotation (paper cycle, distance "
+        f"{paper_plan().min_distance}; exhaustive optimum distance "
+        f"{solve_rotation(KERNEL_8X6).min_distance})",
+    )
+
+
 def fig5_surface() -> List[Tuple[int, int, float]]:
     """Fig. 5: gamma over (mr, nrf) with the optimal nr at each point."""
     return RegisterBlockingProblem().surface()
+
+
+def _render_fig5(points: List[Tuple[int, int, float]], sizes) -> str:
+    nrfs = sorted({nrf for _, nrf, _ in points})
+    gamma = {(mr, nrf): g for mr, nrf, g in points}
+    return format_table(
+        ["gamma"] + [f"nrf={n}" for n in nrfs],
+        [[f"mr={mr}"] + [gamma.get((mr, nrf), 0.0) for nrf in nrfs]
+         for mr in sorted({mr for mr, _, _ in points})],
+        title="Fig. 5: register-kernel gamma surface (peak 6.857 at "
+        "mr=8, nrf=6)",
+    )
 
 
 @dataclass(frozen=True)
@@ -67,8 +98,6 @@ class ScheduleReport:
 
 def fig7_schedule() -> ScheduleReport:
     """Figs. 6/7: rotation and load-scheduling distances for 8x6."""
-    from repro.kernels.kernel_spec import KERNEL_8X6
-
     pp = paper_plan()
     sp = solve_rotation(KERNEL_8X6)
     return ScheduleReport(
@@ -83,9 +112,27 @@ def fig7_schedule() -> ScheduleReport:
     )
 
 
+def _render_fig7(rep: ScheduleReport, sizes) -> str:
+    return format_table(
+        ["scheme", "rotation distance (eq. 12)", "load-use distance (eq. 13)"],
+        [["paper Table I cycle", rep.rotation_distance_paper,
+          rep.schedule_distance_paper],
+         ["exhaustive optimum", rep.rotation_distance_solved,
+          rep.schedule_distance_solved]],
+        title="Figs. 6/7: allocation & scheduling distances "
+        "(paper: 7 and 9)",
+    )
+
+
 def fig8_codegen(kernel: str = "OpenBLAS-8x6") -> str:
     """Fig. 8: the generated register-kernel assembly listing."""
     return get_variant(kernel).body.to_text()
+
+
+def _render_fig8(listing: str, sizes) -> str:
+    lines = listing.splitlines()
+    return (f"Fig. 8: 8x6 register kernel (first 40 of {len(lines)} "
+            "instructions)\n" + "\n".join(lines[:40]))
 
 
 def table3_blocksizes(chip: ChipParams = XGENE) -> List[Tuple[str, str, str]]:
@@ -98,9 +145,26 @@ def table3_blocksizes(chip: ChipParams = XGENE) -> List[Tuple[str, str, str]]:
     return rows
 
 
+def _render_table3(rows: List[Tuple[str, str, str]], sizes) -> str:
+    return format_table(
+        ["kernel", "one thread (mr x nr x kc x mc x nc)", "eight threads"],
+        rows,
+        title="Table III: derived block sizes (all entries match the paper)",
+    )
+
+
 def table4_microbench() -> List[MicrobenchRow]:
     """Table IV: efficiencies under varying LDR:FMLA ratios."""
     return run_microbench()
+
+
+def _render_table4(rows: List[MicrobenchRow], sizes) -> str:
+    return format_table(
+        ["LDR:FMLA", "structural (%)", "model (%)", "paper (%)"],
+        [[r.ratio_label, r.structural_efficiency * 100,
+          r.model_efficiency * 100, r.paper_efficiency * 100] for r in rows],
+        title="Table IV: micro-benchmark efficiencies",
+    )
 
 
 @dataclass
@@ -155,6 +219,23 @@ def table5_efficiency(
     return out
 
 
+def _render_table5(rows: List[EfficiencySummary], sizes) -> str:
+    return format_table(
+        ["impl", "threads", "peak %", "paper peak %", "avg %", "paper avg %"],
+        [[r.kernel, r.threads, r.peak * 100, r.paper_peak * 100,
+          r.average * 100, r.paper_average * 100] for r in rows],
+        title="Table V: DGEMM efficiencies (model vs paper)",
+    )
+
+
+def _gflops_series(
+    runs: Dict[str, List[GemmPerformance]], sizes, title: str
+) -> str:
+    """Render named Gflops sweeps against their matrix sizes."""
+    series = [(name, [r.gflops for r in rs]) for name, rs in runs.items()]
+    return format_series(list(sizes), series, x_label="size", title=title)
+
+
 def fig11_serial_sweep(
     sizes: Sequence[int] = DEFAULT_SIZES,
 ) -> Dict[str, List[GemmPerformance]]:
@@ -188,6 +269,16 @@ def fig13_rotation_ablation(
     }
 
 
+def _render_fig13(
+    settings: Dict[str, Dict[str, List[GemmPerformance]]], sizes
+) -> str:
+    return "\n\n".join(
+        _gflops_series(curves, sizes, f"Fig. 13 ({setting}): 8x6 with vs "
+                       "without rotation")
+        for setting, curves in settings.items()
+    )
+
+
 def fig14_scaling(
     sizes: Sequence[int] = DEFAULT_SIZES,
     thread_counts: Sequence[int] = (1, 2, 4, 8),
@@ -195,6 +286,16 @@ def fig14_scaling(
     """Fig. 14: 8x6 performance under 1/2/4/8 threads."""
     sim = GemmSimulator()
     return {t: sweep("OpenBLAS-8x6", t, sizes, sim) for t in thread_counts}
+
+
+def _render_fig14(runs: Dict[int, List[GemmPerformance]], sizes) -> str:
+    labelled = {
+        f"{t} threads {solve_cache_blocking(XGENE, 8, 6, threads=t)}": rs
+        for t, rs in sorted(runs.items())
+    }
+    return _gflops_series(
+        labelled, sizes, "Fig. 14: OpenBLAS-8x6 under four thread counts"
+    )
 
 
 #: Table VI's explicit block-size configurations (kc, mc, nc).
@@ -233,6 +334,16 @@ def table6_blocksize_sensitivity(
     return rows
 
 
+def _render_table6(rows: List[Tuple[str, str, float, float]], sizes) -> str:
+    return format_table(
+        ["setting", "kc x mc x nc", "peak %", "avg %"],
+        [[s, cfg, p * 100, a * 100] for s, cfg, p, a in rows],
+        title="Table VI: 8x6 efficiency under different block sizes "
+        "(derived sizes in the paper: 512x56x1920 serial, "
+        "512x24x1792 parallel)",
+    )
+
+
 def fig15_l1_loads(
     sizes: Sequence[int] = DEFAULT_SIZES,
 ) -> Dict[str, List[float]]:
@@ -247,6 +358,15 @@ def fig15_l1_loads(
                 for s in sizes
             ]
     return out
+
+
+def _render_fig15(loads: Dict[str, List[float]], sizes) -> str:
+    return format_series(
+        list(sizes),
+        [(name, [v / 1e10 for v in vals]) for name, vals in loads.items()],
+        x_label="size",
+        title="Fig. 15: L1-dcache-loads (x 10^10)",
+    )
 
 
 #: Table VII's published miss rates for reference.
@@ -293,3 +413,58 @@ def table7_miss_rates(
                 )
             )
     return rows
+
+
+def _render_table7(rows: List[Tuple[str, int, float, float]], sizes) -> str:
+    return format_table(
+        ["kernel", "threads", "miss rate %", "paper %"],
+        [[k, t, mr * 100, pr * 100] for k, t, mr, pr in rows],
+        title="Table VII: L1-dcache load miss rates (cache simulation)",
+    )
+
+
+@dataclass(frozen=True)
+class Exhibit:
+    """One paper exhibit: its data function and the renderer of its text.
+
+    ``render(data, sizes)`` returns the exhibit's text without the
+    trailing newline; ``sizes`` is the x axis of the swept exhibits and is
+    ignored by the others. ``swept`` says whether ``data`` takes the
+    sweep's ``sizes``.
+    """
+
+    data: Callable[..., Any]
+    render: Callable[[Any, Sequence[int]], str]
+    swept: bool = False
+
+    def run(self, sizes: Sequence[int]) -> Any:
+        """Regenerate the exhibit's data (over ``sizes`` if swept)."""
+        return self.data(sizes=sizes) if self.swept else self.data()
+
+
+#: Every paper exhibit under its ``benchmarks/results/<name>.txt`` name,
+#: in paper order.
+EXHIBITS: Dict[str, Exhibit] = {
+    "table1_rotation": Exhibit(table1_rotation, _render_table1),
+    "fig5_surface": Exhibit(fig5_surface, _render_fig5),
+    "fig7_schedule": Exhibit(fig7_schedule, _render_fig7),
+    "fig8_codegen": Exhibit(fig8_codegen, _render_fig8),
+    "table3_blocksizes": Exhibit(table3_blocksizes, _render_table3),
+    "table4_microbench": Exhibit(table4_microbench, _render_table4),
+    "table5_efficiency": Exhibit(table5_efficiency, _render_table5, True),
+    "fig11_serial_sweep": Exhibit(fig11_serial_sweep, partial(
+        _gflops_series, title="Fig. 11: DGEMM Gflops vs size (1 thread)"
+    ), True),
+    "fig12_parallel_sweep": Exhibit(fig12_parallel_sweep, partial(
+        _gflops_series, title="Fig. 12: DGEMM Gflops vs size (8 threads)"
+    ), True),
+    "fig13_rotation_ablation": Exhibit(
+        fig13_rotation_ablation, _render_fig13, True
+    ),
+    "fig14_scaling": Exhibit(fig14_scaling, _render_fig14, True),
+    "table6_blocksize_sensitivity": Exhibit(
+        table6_blocksize_sensitivity, _render_table6, True
+    ),
+    "fig15_l1_loads": Exhibit(fig15_l1_loads, _render_fig15, True),
+    "table7_miss_rates": Exhibit(table7_miss_rates, _render_table7),
+}

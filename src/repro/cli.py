@@ -35,6 +35,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
+from repro.analysis.experiments import EXHIBITS, table4_microbench
 from repro.analysis.report import format_series, format_table
 from repro.arch.presets import XGENE, get_preset, preset_names
 from repro.blocking.cache_blocking import solve_cache_blocking
@@ -43,7 +44,6 @@ from repro.errors import ReproError
 from repro.kernels.variants import VARIANTS, get_variant
 from repro.obs import MetricsRegistry, RunReport
 from repro.sim.gemm_sim import GemmSimulator
-from repro.sim.microbench import run_microbench
 
 
 def _wants_report(args: argparse.Namespace) -> bool:
@@ -158,13 +158,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_microbench(args: argparse.Namespace) -> int:
-    rows = run_microbench()
-    print(format_table(
-        ["LDR:FMLA", "model %", "paper %"],
-        [[r.ratio_label, r.model_efficiency * 100, r.paper_efficiency * 100]
-         for r in rows],
-        title="Table IV ladder",
-    ))
+    rows = table4_microbench()
+    print(EXHIBITS["table4_microbench"].render(rows, ()))
     _emit_report(
         args, "microbench",
         params={},
@@ -451,96 +446,19 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     """Regenerate every paper exhibit into a results directory."""
     import pathlib
 
-    from repro.analysis import (
-        fig7_schedule,
-        fig8_codegen,
-        fig13_rotation_ablation,
-        fig14_scaling,
-        fig15_l1_loads,
-        format_series,
-        format_table,
-        table1_rotation,
-        table3_blocksizes,
-        table4_microbench,
-        table5_efficiency,
-        table6_blocksize_sensitivity,
-        table7_miss_rates,
-        fig11_serial_sweep,
-        fig12_parallel_sweep,
-    )
-
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sizes = tuple(range(args.start, args.stop + 1, args.step))
-
-    def save(name: str, text: str) -> None:
-        (out / f"{name}.txt").write_text(text + "\n")
-        print(f"wrote {out / (name + '.txt')}")
-
-    save("table1_rotation", format_table(
-        ["slot"] + [f"#{i}" for i in range(8)],
-        [[slot] + regs for slot, regs in table1_rotation().items()],
-        title="Table I"))
-    rep = fig7_schedule()
-    save("fig7_schedule", format_table(
-        ["scheme", "rotation", "schedule"],
-        [["paper", rep.rotation_distance_paper, rep.schedule_distance_paper],
-         ["solved", rep.rotation_distance_solved,
-          rep.schedule_distance_solved]], title="Figs. 6/7"))
-    save("fig8_codegen", fig8_codegen())
-    save("table3_blocksizes", format_table(
-        ["kernel", "1 thread", "8 threads"], table3_blocksizes(),
-        title="Table III"))
-    save("table4_microbench", format_table(
-        ["ratio", "model %", "paper %"],
-        [[r.ratio_label, r.model_efficiency * 100, r.paper_efficiency * 100]
-         for r in table4_microbench()], title="Table IV"))
-    save("table5_efficiency", format_table(
-        ["impl", "T", "peak %", "paper %", "avg %", "paper avg %"],
-        [[r.kernel, r.threads, r.peak * 100, r.paper_peak * 100,
-          r.average * 100, r.paper_average * 100]
-         for r in table5_efficiency(sizes=sizes)], title="Table V"))
-    for name, data in (("fig11_serial_sweep", fig11_serial_sweep(sizes)),
-                       ("fig12_parallel_sweep", fig12_parallel_sweep(sizes))):
-        save(name, format_series(
-            list(sizes),
-            [(k, [r.gflops for r in v]) for k, v in data.items()],
-            x_label="size", title=name))
-    abl = fig13_rotation_ablation(sizes)
-    blocks = []
-    for setting, curves in abl.items():
-        blocks.append(format_series(
-            list(sizes),
-            [(k, [r.gflops for r in v]) for k, v in curves.items()],
-            x_label="size", title=f"Fig. 13 ({setting})"))
-    save("fig13_rotation_ablation", "\n\n".join(blocks))
-    scal = fig14_scaling(sizes)
-    save("fig14_scaling", format_series(
-        list(sizes),
-        [(f"{t}T", [r.gflops for r in v]) for t, v in sorted(scal.items())],
-        x_label="size", title="Fig. 14"))
-    save("table6_blocksize_sensitivity", format_table(
-        ["setting", "config", "peak %", "avg %"],
-        [[s_, c, p * 100, a * 100]
-         for s_, c, p, a in table6_blocksize_sensitivity(sizes=sizes)],
-        title="Table VI"))
-    loads = fig15_l1_loads(sizes)
-    save("fig15_l1_loads", format_series(
-        list(sizes),
-        [(k, [x / 1e10 for x in v]) for k, v in loads.items()],
-        x_label="size", title="Fig. 15 (x 10^10 loads)"))
-    save("table7_miss_rates", format_table(
-        ["kernel", "T", "model %", "paper %"],
-        [[k, t, mr * 100, pr * 100] for k, t, mr, pr in table7_miss_rates()],
-        title="Table VII"))
+    for name, exhibit in EXHIBITS.items():
+        path = out / f"{name}.txt"
+        path.write_text(exhibit.render(exhibit.run(sizes), sizes) + "\n")
+        print(f"wrote {path}")
     print(f"all exhibits written to {out}/")
     _emit_report(
         args, "experiments",
         params={"out": str(out), "start": args.start, "stop": args.stop,
                 "step": args.step},
-        stats={"exhibits": {
-            p.stem: True for p in sorted(out.glob("*.txt"))
-        }},
+        stats={"exhibits": {name: True for name in sorted(EXHIBITS)}},
     )
     return 0
 

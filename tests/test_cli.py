@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -110,9 +112,7 @@ class TestTuneCommand:
 class TestExperimentsCommand:
     def test_writes_all_exhibits(self, tmp_path, capsys):
         out = tmp_path / "results"
-        assert main([
-            "experiments", "--out", str(out), "--step", "3072",
-        ]) == 0
+        assert main(["experiments", "--out", str(out)]) == 0
         names = {p.name for p in out.iterdir()}
         expected = {
             "table1_rotation.txt", "fig7_schedule.txt", "fig8_codegen.txt",
@@ -125,3 +125,9 @@ class TestExperimentsCommand:
         assert expected <= names
         # The Table III exhibit carries the exact paper values.
         assert "512x56x1920" in (out / "table3_blocksizes.txt").read_text()
+        # At its default sizes the command writes the committed exhibits.
+        committed = pathlib.Path(__file__).parents[1] / "benchmarks/results"
+        for path in sorted(out.iterdir()):
+            assert path.read_bytes() == (committed / path.name).read_bytes(), (
+                path.name
+            )
