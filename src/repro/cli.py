@@ -6,8 +6,8 @@ Exposes the library's main entry points without writing Python::
     repro kernel --variant OpenBLAS-8x6        # Fig. 8 assembly
     repro simulate --kernel OpenBLAS-8x6 --size 4096 --threads 8
     repro microbench                           # Table IV ladder
-    repro cachesim --kernel OpenBLAS-8x6       # cache replay, both engines
-    repro timed --kernel OpenBLAS-8x6          # timed run, both engines
+    repro cachesim --kernel OpenBLAS-8x6       # cache replay, engines agree
+    repro timed --kernel OpenBLAS-8x6          # timed run, engines agree
     repro pool --threads 4                     # worker-pool engine timing
     repro sweep --threads 8 --start 256 --stop 6400 --step 512
     repro verify --suite all --seed 0          # differential fuzz sweep
@@ -43,6 +43,8 @@ from repro.blocking.register_blocking import RegisterBlockingProblem
 from repro.errors import ReproError
 from repro.kernels.variants import VARIANTS, get_variant
 from repro.obs import MetricsRegistry, RunReport
+from repro.serve.engine import execute
+from repro.serve.query import canonical_query
 from repro.sim.gemm_sim import GemmSimulator
 
 
@@ -121,39 +123,34 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _execute(kind: str, metrics=None, hierarchy=None, **fields):
+    """Run a command's flags as one canonical serve query of ``kind``.
+
+    Returns ``execute``'s ``(engines, stats)``; a flag the query
+    validator rejects raises :class:`~repro.serve.query.QueryError`.
+    """
+    query = canonical_query(dict(fields, kind=kind))
+    return execute(query, metrics=metrics, hierarchy=hierarchy)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry() if _wants_report(args) else None
-    sim = GemmSimulator(XGENE, metrics=metrics)
-    m = args.m or args.size
-    n = args.n or args.size
-    k = args.k or args.size
-    perf = sim.simulate(args.kernel, m, n, k, threads=args.threads)
-    print(f"{args.kernel} on {m}x{n}x{k}, {args.threads} thread(s): "
-          f"{perf.gflops:.2f} Gflops ({perf.efficiency:.1%} of "
+    params = {"kernel": args.kernel, "m": args.m or args.size,
+              "n": args.n or args.size, "k": args.k or args.size,
+              "threads": args.threads}
+    engines, stats = _execute("simulate", metrics, **params)
+    perf = stats["performance"]
+    print(f"{args.kernel} on {params['m']}x{params['n']}x{params['k']}, "
+          f"{args.threads} thread(s): "
+          f"{perf['gflops']:.2f} Gflops ({perf['efficiency']:.1%} of "
           f"{XGENE.peak_flops_for(args.threads) / 1e9:.1f} Gflops peak)")
-    print(f"blocking: {perf.blocking}")
-    total = sum(v for k_, v in perf.breakdown.items()
-                if k_ != "bandwidth_floor")
-    for name, cycles in perf.breakdown.items():
-        if name == "bandwidth_floor":
-            continue
+    print("blocking: " + "x".join(map(str, stats["blocking"].values())))
+    shares = {name: cycles for name, cycles in perf["breakdown"].items()
+              if name != "bandwidth_floor"}
+    total = sum(shares.values())
+    for name, cycles in shares.items():
         print(f"  {name:10s} {cycles / max(total, 1):6.1%} of modeled cycles")
-    _emit_report(
-        args, "simulate",
-        params={"kernel": args.kernel, "m": m, "n": n, "k": k,
-                "threads": args.threads},
-        engines={"model": {"requested": "analytic", "selected": "analytic",
-                           "fallback_reason": None}},
-        metrics=metrics,
-        stats={"performance": {
-            "cycles": perf.cycles,
-            "flops": perf.flops,
-            "gflops": perf.gflops,
-            "efficiency": perf.efficiency,
-            "l1_loads": perf.l1_loads,
-            "breakdown": dict(perf.breakdown),
-        }},
-    )
+    _emit_report(args, "simulate", params, engines, metrics, stats)
     return 0
 
 
@@ -182,8 +179,6 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     pool, then prints the pool's per-thread pack/GEBP counters — the
     engine's observability hook.
     """
-    import time
-
     import numpy as np
 
     from repro.blocking.cache_blocking import CacheBlocking
@@ -255,73 +250,37 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _cmd_cachesim(args: argparse.Namespace) -> int:
-    """Replay a GEBP slice through the cache sim, timing both engines.
+    """Replay a GEBP slice through the cache sim on both engines.
 
-    Runs the scalar oracle and the vectorized batched engine on fresh
-    identical hierarchies, checks their counters are bit-identical and
-    prints throughput plus the Table VII miss-rate view.
+    Runs the scalar oracle and the vectorized batched engine as two
+    cachesim queries on fresh identical hierarchies, checks their
+    counters are bit-identical and prints the Table VII miss-rate view.
     """
-    import dataclasses
-    import time
-
     from repro.memory.hierarchy import MemoryHierarchy
-    from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
-
-    sim = GemmSimulator(XGENE)
-    spec = VARIANTS[args.kernel]
-    blk = sim.default_blocking(args.kernel, args.threads)
-    warm, main_trace, _ = gebp_traces(
-        spec, blk, chip=XGENE, nc_slice=args.nc_slice
-    )
-    line = XGENE.l1d.line_bytes
-    accesses = warm.line_count(line) + main_trace.line_count(line)
+    from repro.obs import snapshot_hierarchy
 
     metrics = MetricsRegistry() if _wants_report(args) else None
-    results = {}
-    timings = {}
-    hierarchies = {}
+    params = {"kernel": args.kernel, "threads": args.threads,
+              "nc_slice": args.nc_slice, "seed": args.seed}
+    engines, results = {}, {}
     for engine in ("scalar", "batched"):
-        h = MemoryHierarchy(XGENE, seed=args.seed)
-        hierarchies[engine] = h
-        t0 = time.perf_counter()
-        results[engine] = simulate_gebp_cache(
-            spec, blk, chip=XGENE, hierarchy=h,
-            nc_slice=args.nc_slice, engine=engine, metrics=metrics,
-        )
-        timings[engine] = time.perf_counter() - t0
-
-    identical = dataclasses.astuple(results["scalar"]) == dataclasses.astuple(
-        results["batched"]
-    )
+        hierarchy = MemoryHierarchy(XGENE, seed=args.seed)
+        slots, stats = _execute("cachesim", metrics, hierarchy,
+                                engine=engine, **params)
+        engines[engine] = slots["cachesim"]
+        results[engine] = stats["result"]
+    identical = results["scalar"] == results["batched"]
+    blk = GemmSimulator(XGENE).default_blocking(args.kernel, args.threads)
     print(f"{args.kernel}, {args.threads} thread(s), blocking {blk}")
-    print(format_table(
-        ["engine", "seconds", "accesses/s"],
-        [[e, timings[e], accesses / timings[e]] for e in results],
-        title=f"replay of {accesses} line accesses",
-    ))
-    print(f"speedup: {timings['scalar'] / timings['batched']:.1f}x, "
-          f"counters bit-identical: {identical}")
+    print(f"counters bit-identical: {identical}")
     r = results["batched"]
-    print(f"L1: {r.l1_loads} loads, {r.l1_load_misses} misses "
-          f"({r.l1_load_miss_rate:.2%}); L2: {r.l2_loads} loads, "
-          f"{r.l2_load_misses} misses; DRAM: {r.dram_accesses} lines")
-    from repro.obs import snapshot_gebp_cache_result, snapshot_hierarchy
-
-    _emit_report(
-        args, "cachesim",
-        params={"kernel": args.kernel, "threads": args.threads,
-                "nc_slice": args.nc_slice, "seed": args.seed},
-        engines={
-            e: {"requested": e, "selected": e, "fallback_reason": None}
-            for e in results
-        },
-        metrics=metrics,
-        stats={
-            "result": snapshot_gebp_cache_result(r),
-            "hierarchy": snapshot_hierarchy(hierarchies["batched"]),
-            "identical": identical,
-        },
-    )
+    print(f"L1: {r['l1_loads']} loads, {r['l1_load_misses']} misses "
+          f"({r['l1_load_miss_rate']:.2%}); L2: {r['l2_loads']} loads, "
+          f"{r['l2_load_misses']} misses; DRAM: {r['dram_accesses']} lines")
+    _emit_report(args, "cachesim", params, engines, metrics, stats={
+        "result": r, "hierarchy": snapshot_hierarchy(hierarchy),
+        "identical": identical,
+    })
     if not identical:
         print("error: engines disagree", file=sys.stderr)
         return 1
@@ -329,86 +288,54 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
 
 
 def _cmd_timed(args: argparse.Namespace) -> int:
-    """Timing-functional kernel run, comparing execution engines.
+    """Timing-functional kernel run, cross-checking execution engines.
 
-    With ``--engine both`` (the default) runs one micro-tile of the
-    chosen variant through the interpreted oracle and the compiled
-    template engine, checks every observable (cycles, stall breakdown,
-    load-latency histogram, C values) is bit-identical, and prints the
-    timing detail plus engine throughput. With a single engine runs only
-    that one; ``auto`` and ``compiled`` both run the compiled engine,
-    which errors with the compilability reason on a kernel it cannot
-    lower.
+    With ``--engine both`` (the default) runs one micro-tile through the
+    interpreted oracle and the compiled engine as two timed queries and
+    checks their runs (cycles, stalls, load latencies, C-tile hash)
+    bit-identical. A single engine runs only that one; ``auto`` and
+    ``compiled`` both run the compiled engine, which errors with the
+    compilability reason on a kernel it cannot lower.
     """
-    import time
-
-    import numpy as np
-
     metrics = MetricsRegistry() if _wants_report(args) else None
-    sim = GemmSimulator(XGENE, metrics=metrics)
-    engine_list = (
-        ["interpreted", "compiled"]
-        if args.engine == "both"
-        else [args.engine]
-    )
-    runs = {}
-    timings = {}
+    both = args.engine == "both"
+    engine_list = ["interpreted", "compiled"] if both else [args.engine]
+    engines, runs = {}, {}
     for engine in engine_list:
-        t0 = time.perf_counter()
-        runs[engine] = sim.timed_kernel(
-            args.kernel, kc=args.kc, engine=engine, hw_late=args.hw_late,
-            seed=args.seed,
+        slots, stats = _execute(
+            "timed", metrics, engine=engine, kernel=args.kernel, kc=args.kc,
+            hw_late=args.hw_late, seed=args.seed,
         )
-        timings[engine] = time.perf_counter() - t0
-    identical = True
-    if args.engine == "both":
-        ri, rc = runs["interpreted"], runs["compiled"]
-        identical = (
-            ri.pipeline == rc.pipeline
-            and ri.load_latencies == rc.load_latencies
-            and np.array_equal(ri.c_tile, rc.c_tile)
-        )
+        engines[engine] = dict(slots["timed"], requested=args.engine)
+        runs[engine] = stats["run"]
     r = runs[engine_list[-1]]
-    kc = args.kc or round(r.cycles / r.cycles_per_iteration)
-    print(f"{args.kernel}, kc={kc}: {r.cycles} cycles "
-          f"({r.cycles_per_iteration:.3f}/iter), "
-          f"efficiency {r.efficiency:.1%}")
-    p = r.pipeline
-    print(f"stalls: raw {p.raw_stall_cycles}, structural "
-          f"{p.structural_stall_cycles}, war {p.war_stall_cycles}; "
-          f"ipc {p.ipc:.2f}")
+    identical = all(
+        dict(run, engine=None) == dict(r, engine=None)
+        for run in runs.values()
+    )
+    kc = args.kc or round(r["cycles"] / r["cycles_per_iteration"])
+    print(f"{args.kernel}, kc={kc}: {r['cycles']} cycles "
+          f"({r['cycles_per_iteration']:.3f}/iter), "
+          f"efficiency {r['efficiency']:.1%}")
+    p = r["pipeline"]
+    print(f"stalls: raw {p['raw_stall_cycles']}, structural "
+          f"{p['structural_stall_cycles']}, war {p['war_stall_cycles']}; "
+          f"ipc {p['ipc']:.2f}")
     hist = ", ".join(
-        f"{lat}cy x{cnt}" for lat, cnt in sorted(r.load_latencies.items())
+        f"{lat}cy x{cnt}" for lat, cnt in r["load_latencies"].items()
     )
     print(f"load latencies: {hist}")
-    print(format_table(
-        ["engine", "seconds", "k-iters/s"],
-        [[e, timings[e], kc / timings[e]] for e in runs],
-        title="engine timing",
-    ))
-    if args.engine == "both":
-        print(f"speedup: "
-              f"{timings['interpreted'] / timings['compiled']:.1f}x, "
-              f"bit-identical: {identical}")
+    if both:
+        print(f"bit-identical: {identical}")
     else:
-        print(f"engine: {r.engine} (requested {args.engine})")
-    from repro.obs import snapshot_timed_run
-
+        print(f"engine: {r['engine']} (requested {args.engine})")
     _emit_report(
         args, "timed",
         params={"kernel": args.kernel, "kc": kc, "hw_late": args.hw_late,
                 "engine": args.engine, "seed": args.seed},
-        engines={
-            # fallback_reason stays null for report-schema compatibility.
-            e: {"requested": args.engine, "selected": run.engine,
-                "fallback_reason": None}
-            for e, run in runs.items()
-        },
+        engines=engines,
         metrics=metrics,
-        stats={
-            "run": snapshot_timed_run(r),
-            "identical": identical,
-        },
+        stats={"run": r, "identical": identical},
     )
     if not identical:
         print("error: engines disagree", file=sys.stderr)
@@ -798,87 +725,58 @@ def _cmd_asym(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_variant_rows(variants: Dict[str, Any]) -> List[List[Any]]:
-    return [
-        [name, v["l1_loads"], v["l1_load_misses"],
-         f"{v['l1_load_miss_rate']:.4f}", v["dram_accesses"],
-         v["cycles"], f"{v['gflops']:.3f}"]
-        for name, v in variants.items()
-    ]
-
-
-def _cmd_stencil(args: argparse.Namespace) -> int:
-    """The stencil exhibit: cache-blocked vs unblocked Jacobi sweeps.
-
-    Proves the variants bit-identical, then prints the Table VII-style
-    counter comparison — the blocked tile keeps its halo rows resident
-    where the unblocked row-major sweep loses the up-arm reuse.
-    """
-    from repro.workloads.exhibit import stencil_exhibit
-
-    chip = get_preset(args.machine)
-    doc = stencil_exhibit(
-        chip, height=args.height, width=args.width, radius=args.radius,
-        iterations=args.iterations, seed=args.seed, smoke=args.smoke,
-    )
+def _cmd_exhibit(args: argparse.Namespace) -> int:
+    """The workload exhibits: ``stencil`` (cache-blocked vs unblocked
+    Jacobi sweeps) and ``conv`` (direct vs im2col lowering of one GEBP
+    stream). Proves the bit-equality contracts, then prints the Table
+    VII-style counter comparison."""
+    # The exhibit's flags are exactly its query's fields.
+    fields = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "json")}
+    engines, stats = _execute(args.command, **fields)
+    doc = stats["exhibit"]
     p = doc["params"]
-    print(f"{doc['chip']}: {p['height']}x{p['width']} grid, radius "
-          f"{p['radius']}, {p['iterations']} sweep(s), solved tile "
-          f"{doc['block']['bi']}x{doc['block']['bj']}")
+    if args.command == "stencil":
+        print(f"{doc['chip']}: {p['height']}x{p['width']} grid, radius "
+              f"{p['radius']}, {p['iterations']} sweep(s), solved tile "
+              f"{doc['block']['bi']}x{doc['block']['bj']}")
+        title = "stencil: blocked vs unblocked"
+        ok = doc["bit_identical"]
+        tail = [
+            f"bit-identical outputs: {doc['bit_identical']}",
+            f"unblocked/blocked miss-rate ratio: "
+            f"{doc['miss_rate_ratio']:.3f}x",
+            f"blocked speedup: {doc['speedup']:.3f}x",
+        ]
+    else:
+        g, blk = doc["gemm_shape"], doc["blocking"]
+        print(f"{doc['chip']}: {p['cin']}x{p['height']}x{p['width']} "
+              f"image, {p['filters']} {p['kh']}x{p['kw']} filters -> GEMM "
+              f"{g['m']}x{g['k']}x{g['n']} at "
+              f"mc={blk['mc']} kc={blk['kc']} nc={blk['nc']}")
+        title = "conv: im2col vs direct"
+        ok = doc["bit_identical"] and doc["bit_identical_unblocked"]
+        tail = [
+            f"bit-identical lowerings: {doc['bit_identical']}; "
+            f"vs unblocked: {doc['bit_identical_unblocked']}",
+            f"im2col/direct DRAM ratio: {doc['dram_ratio']:.3f}x",
+            f"direct speedup: {doc['speedup']:.3f}x",
+        ]
     print(format_table(
         ["variant", "L1 loads", "L1 misses", "miss rate", "DRAM",
          "cycles", "Gflops"],
-        _workload_variant_rows(doc["variants"]),
-        title="stencil: blocked vs unblocked",
+        [[name, v["l1_loads"], v["l1_load_misses"],
+          f"{v['l1_load_miss_rate']:.4f}", v["dram_accesses"],
+          v["cycles"], f"{v['gflops']:.3f}"]
+         for name, v in doc["variants"].items()],
+        title=title,
     ))
-    print(f"  bit-identical outputs: {doc['bit_identical']}")
-    print(f"  unblocked/blocked miss-rate ratio: "
-          f"{doc['miss_rate_ratio']:.3f}x")
-    print(f"  blocked speedup: {doc['speedup']:.3f}x")
+    for line in tail:
+        print(f"  {line}")
     _emit_report(
-        args, "stencil",
+        args, args.command,
         params={"machine": args.machine, **p},
-        stats=doc,
-    )
-    return 0 if doc["bit_identical"] else 1
-
-
-def _cmd_conv(args: argparse.Namespace) -> int:
-    """The convolution exhibit: direct vs im2col lowering.
-
-    Both lowerings drive the identical GEBP stream; im2col pays the
-    patches-matrix round trip through DRAM. Proves both bit-equality
-    contracts (lowering-vs-lowering, blocked-vs-unblocked) first.
-    """
-    from repro.workloads.exhibit import conv_exhibit
-
-    chip = get_preset(args.machine)
-    doc = conv_exhibit(
-        chip, cin=args.cin, height=args.height, width=args.width,
-        kh=args.kh, kw=args.kw, filters=args.filters, seed=args.seed,
-        smoke=args.smoke,
-    )
-    p = doc["params"]
-    g = doc["gemm_shape"]
-    blk = doc["blocking"]
-    print(f"{doc['chip']}: {p['cin']}x{p['height']}x{p['width']} image, "
-          f"{p['filters']} {p['kh']}x{p['kw']} filters -> GEMM "
-          f"{g['m']}x{g['k']}x{g['n']} at "
-          f"mc={blk['mc']} kc={blk['kc']} nc={blk['nc']}")
-    print(format_table(
-        ["variant", "L1 loads", "L1 misses", "miss rate", "DRAM",
-         "cycles", "Gflops"],
-        _workload_variant_rows(doc["variants"]),
-        title="conv: im2col vs direct",
-    ))
-    ok = doc["bit_identical"] and doc["bit_identical_unblocked"]
-    print(f"  bit-identical lowerings: {doc['bit_identical']}; "
-          f"vs unblocked: {doc['bit_identical_unblocked']}")
-    print(f"  im2col/direct DRAM ratio: {doc['dram_ratio']:.3f}x")
-    print(f"  direct speedup: {doc['speedup']:.3f}x")
-    _emit_report(
-        args, "conv",
-        params={"machine": args.machine, **p},
+        engines=engines,
         stats=doc,
     )
     return 0 if ok else 1
@@ -1044,8 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cachesim",
-        help="event-accurate GEBP cache replay; times scalar vs batched "
-             "engines and checks them bit-identical",
+        help="event-accurate GEBP cache replay; checks the scalar and "
+             "batched engines bit-identical",
     )
     p.add_argument("--kernel", default="OpenBLAS-8x6",
                    choices=sorted(VARIANTS))
@@ -1058,8 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "timed",
-        help="timing-functional kernel run; times interpreted vs "
-             "compiled engines and checks them bit-identical",
+        help="timing-functional kernel run; checks the interpreted and "
+             "compiled engines bit-identical",
     )
     p.add_argument("--kernel", default="OpenBLAS-8x6",
                    choices=sorted(VARIANTS))
@@ -1215,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="narrow-grid CI budget")
     add_json(p)
-    p.set_defaults(func=_cmd_stencil)
+    p.set_defaults(func=_cmd_exhibit)
 
     p = sub.add_parser(
         "conv",
@@ -1239,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="small-image CI budget")
     add_json(p)
-    p.set_defaults(func=_cmd_conv)
+    p.set_defaults(func=_cmd_exhibit)
 
     p = sub.add_parser(
         "report",

@@ -35,7 +35,6 @@ from repro.obs.run_report import (
     atomic_write_text,
     flatten,
     snapshot_cache_stats,
-    snapshot_gebp_cache_result,
     snapshot_hierarchy,
     snapshot_pipeline,
     snapshot_pool_stats,
@@ -56,7 +55,6 @@ __all__ = [
     "validate_report",
     "flatten",
     "snapshot_cache_stats",
-    "snapshot_gebp_cache_result",
     "snapshot_hierarchy",
     "snapshot_pipeline",
     "snapshot_pool_stats",

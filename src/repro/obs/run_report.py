@@ -34,7 +34,6 @@ __all__ = [
     "atomic_write_text",
     "flatten",
     "snapshot_cache_stats",
-    "snapshot_gebp_cache_result",
     "snapshot_hierarchy",
     "snapshot_pipeline",
     "snapshot_pool_stats",
@@ -399,17 +398,3 @@ def snapshot_timed_run(run: Any) -> Dict[str, Any]:
             str(lat): cnt for lat, cnt in sorted(run.load_latencies.items())
         },
     }
-
-
-def snapshot_gebp_cache_result(result: Any) -> Dict[str, Any]:
-    """Serialize a :class:`~repro.sim.gebp_cachesim.GebpCacheResult`."""
-    return {
-        "l1_loads": result.l1_loads,
-        "l1_load_misses": result.l1_load_misses,
-        "l1_load_miss_rate": result.l1_load_miss_rate,
-        "l2_loads": result.l2_loads,
-        "l2_load_misses": result.l2_load_misses,
-        "dram_accesses": result.dram_accesses,
-        "kernel_loads": result.kernel_loads,
-    }
-

@@ -10,7 +10,13 @@ freshly computed ones — the ``serve.cache`` oracle in
 :mod:`repro.verify.oracles` enforces exactly that.
 """
 
-from repro.serve.engine import Answer, QueryEngine, ServeStats, compute_answer
+from repro.serve.engine import (
+    Answer,
+    QueryEngine,
+    ServeStats,
+    compute_answer,
+    execute,
+)
 from repro.serve.presets import WARM_PRESETS, warm_queries
 from repro.serve.query import (
     KINDS,
@@ -28,6 +34,7 @@ __all__ = [
     "QueryEngine",
     "ServeStats",
     "compute_answer",
+    "execute",
     "WARM_PRESETS",
     "warm_queries",
     "KINDS",

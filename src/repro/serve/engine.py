@@ -39,7 +39,7 @@ from repro.obs.run_report import RunReport
 from repro.serve.query import QueryError, query_key, resolve_machine
 from repro.serve.store import ResultStore
 
-__all__ = ["Answer", "QueryEngine", "ServeStats", "compute_answer"]
+__all__ = ["Answer", "QueryEngine", "ServeStats", "compute_answer", "execute"]
 
 
 @dataclass
@@ -96,11 +96,10 @@ class Answer:
 # -- per-kind executors -------------------------------------------------------
 
 
-def _simulate_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
+def _simulate_answer(query, chip, metrics, hierarchy) -> Tuple[Dict, Dict]:
     from repro.sim.gemm_sim import GemmSimulator
 
-    _, chip = resolve_machine(query["machine"])
-    sim = GemmSimulator(chip)
+    sim = GemmSimulator(chip, metrics=metrics)
     perf = sim.simulate(
         query["kernel"], query["m"], query["n"], query["k"],
         threads=query["threads"], parallel_axis=query["parallel_axis"],
@@ -128,29 +127,29 @@ def _simulate_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
     return engines, stats
 
 
-def _cachesim_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
-    from repro.obs.run_report import snapshot_gebp_cache_result
+def _cachesim_answer(query, chip, metrics, hierarchy) -> Tuple[Dict, Dict]:
+    import dataclasses
+
     from repro.sim.gemm_sim import GemmSimulator
 
-    _, chip = resolve_machine(query["machine"])
-    sim = GemmSimulator(chip)
+    sim = GemmSimulator(chip, metrics=metrics)
     requested = query["engine"]
     selected = "scalar" if requested == "scalar" else "batched"
     result = sim.cache_sim(
         query["kernel"], threads=query["threads"],
         nc_slice=query["nc_slice"], engine=requested, seed=query["seed"],
+        hierarchy=hierarchy,
     )
     engines = {"cachesim": {"requested": requested, "selected": selected,
                             "fallback_reason": None}}
-    return engines, {"result": snapshot_gebp_cache_result(result)}
+    return engines, {"result": dataclasses.asdict(result)}
 
 
-def _timed_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
+def _timed_answer(query, chip, metrics, hierarchy) -> Tuple[Dict, Dict]:
     from repro.obs.run_report import snapshot_timed_run
     from repro.sim.gemm_sim import GemmSimulator
 
-    _, chip = resolve_machine(query["machine"])
-    sim = GemmSimulator(chip)
+    sim = GemmSimulator(chip, metrics=metrics)
     run = sim.timed_kernel(
         query["kernel"], kc=query["kc"], engine=query["engine"],
         hw_late=query["hw_late"], seed=query["seed"],
@@ -162,35 +161,14 @@ def _timed_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
     return engines, {"run": snapshot_timed_run(run)}
 
 
-def _stencil_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
-    from repro.workloads.exhibit import stencil_exhibit
+def _exhibit_answer(query, chip, metrics, hierarchy) -> Tuple[Dict, Dict]:
+    from repro.workloads.exhibit import conv_exhibit, stencil_exhibit
 
-    _, chip = resolve_machine(query["machine"])
-    doc = stencil_exhibit(
-        chip,
-        height=query["height"], width=query["width"],
-        radius=query["radius"], iterations=query["iterations"],
-        seed=query["seed"], smoke=query["smoke"],
-    )
-    engines = {
-        "cache": {"requested": "auto", "selected": "batched",
-                  "fallback_reason": None},
-        "timed": {"requested": "auto", "selected": "compiled",
-                  "fallback_reason": None},
-    }
-    return engines, {"exhibit": doc}
-
-
-def _conv_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
-    from repro.workloads.exhibit import conv_exhibit
-
-    _, chip = resolve_machine(query["machine"])
-    doc = conv_exhibit(
-        chip,
-        cin=query["cin"], height=query["height"], width=query["width"],
-        kh=query["kh"], kw=query["kw"], filters=query["filters"],
-        seed=query["seed"], smoke=query["smoke"],
-    )
+    exhibit = {"stencil": stencil_exhibit, "conv": conv_exhibit}
+    # A workload query's fields past kind/machine are its exhibit's
+    # keyword arguments.
+    fields = {k: v for k, v in query.items() if k not in ("kind", "machine")}
+    doc = exhibit[query["kind"]](chip, **fields)
     engines = {
         "cache": {"requested": "auto", "selected": "batched",
                   "fallback_reason": None},
@@ -204,9 +182,26 @@ _EXECUTORS = {
     "simulate": _simulate_answer,
     "cachesim": _cachesim_answer,
     "timed": _timed_answer,
-    "stencil": _stencil_answer,
-    "conv": _conv_answer,
+    "stencil": _exhibit_answer,
+    "conv": _exhibit_answer,
 }
+
+
+def execute(
+    query: Dict[str, Any],
+    metrics: Optional[MetricsRegistry] = None,
+    hierarchy: Any = None,
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Run one canonical query; returns its ``(engines, stats)`` blocks.
+
+    ``metrics`` receives the engine's counters and spans. ``hierarchy``
+    is the :class:`~repro.memory.hierarchy.MemoryHierarchy` a cachesim
+    query replays into (a fresh one per call when omitted); the other
+    kinds ignore it. The serve path passes neither, so an answer's bytes
+    depend on the query alone.
+    """
+    _, chip = resolve_machine(query["machine"])
+    return _EXECUTORS[query["kind"]](query, chip, metrics, hierarchy)
 
 
 def compute_answer(query: Dict[str, Any], key: str) -> Dict[str, Any]:
@@ -215,7 +210,7 @@ def compute_answer(query: Dict[str, Any], key: str) -> Dict[str, Any]:
     The answer is a validated RunReport dict with ``created=None`` so
     that recomputing the same query always yields the same bytes.
     """
-    engines, stats = _EXECUTORS[query["kind"]](query)
+    engines, stats = execute(query)
     return RunReport(
         command="query",
         created=None,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import pathlib
 
 import pytest
@@ -49,8 +50,27 @@ class TestCli:
         assert main(["cachesim", "--nc-slice", "6"]) == 0
         out = capsys.readouterr().out
         assert "bit-identical: True" in out
-        assert "speedup" in out
         assert "L1:" in out
+
+    def test_timed_checks_engines_agree(self, capsys):
+        assert main(["timed", "--kc", "64"]) == 0
+        assert "bit-identical: True" in capsys.readouterr().out
+
+    def test_timed_single_engine(self, capsys):
+        assert main(["timed", "--engine", "compiled", "--kc", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "kc=64" in out
+        assert "engine: compiled (requested compiled)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["cachesim", "--nc-slice", "0"],
+        ["cachesim", "--seed", "-1"],
+        ["timed", "--kc", "0"],
+        ["timed", "--kc", "-4"],
+    ])
+    def test_bad_query_flag_is_clean_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error: query field" in capsys.readouterr().err
 
     def test_sweep(self, capsys):
         assert main(["sweep", "--stop", "768", "--step", "512"]) == 0
@@ -83,6 +103,63 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def _json_report(tmp_path, argv):
+    path = tmp_path / "run.json"
+    assert main(argv + ["--json", str(path)]) == 0
+    return path
+
+
+# (argv, query, report stats block, answer stats block); None = all.
+_SERVED_CASES = {
+    "simulate": (["simulate", "--size", "256"],
+                 {"kind": "simulate", "m": 256, "n": 256, "k": 256},
+                 None, None),
+    "cachesim": (["cachesim", "--nc-slice", "6"],
+                 {"kind": "cachesim", "nc_slice": 6}, "result", "result"),
+    "timed": (["timed", "--kc", "64", "--engine", "auto"],
+              {"kind": "timed", "kc": 64}, "run", "run"),
+    "stencil": (["stencil", "--height", "12", "--width", "64",
+                 "--iterations", "1"],
+                {"kind": "stencil", "height": 12, "width": 64,
+                 "iterations": 1}, None, "exhibit"),
+    "conv": (["conv", "--cin", "1", "--height", "10", "--width", "10",
+              "--filters", "4"],
+             {"kind": "conv", "cin": 1, "height": 10, "width": 10,
+              "filters": 4}, None, "exhibit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERVED_CASES))
+def test_report_stats_are_the_served_answer(name, tmp_path, capsys):
+    """A command's ``--json`` stats cannot drift from the serve answer."""
+    from repro.serve import compute_answer, query_key
+
+    argv, query, report_block, answer_block = _SERVED_CASES[name]
+    stats = json.loads(_json_report(tmp_path, argv).read_text())["stats"]
+    canonical, key = query_key(query)
+    answer = compute_answer(canonical, key)["stats"]
+    assert (stats[report_block] if report_block else stats) == (
+        answer[answer_block] if answer_block else answer
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--size", "512", "--threads", "2"],
+    ["cachesim"],
+    ["timed", "--kc", "64"],
+])
+def test_report_holds_against_committed_baseline(argv, tmp_path, capsys):
+    from repro.obs import compare_files
+
+    committed = pathlib.Path(__file__).parents[1] / "benchmarks/results"
+    current = _json_report(tmp_path, argv)
+    comp = compare_files(
+        str(committed / f"baseline_{argv[0]}.json"), str(current)
+    )
+    bad = [f for f in comp.findings if f.kind in ("regression", "mismatch")]
+    assert bad == []
 
 
 class TestTuneCommand:
