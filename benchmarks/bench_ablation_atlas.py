@@ -16,7 +16,8 @@ from conftest import save_report
 
 from repro.analysis import format_table
 from repro.arch import XGENE
-from repro.kernels import build_atlas_kernel, execute_atlas_micro_tile
+from repro.kernels import build_atlas_kernel, build_kvec_variant
+from repro.kernels.execute import execute_micro_tile
 from repro.pipeline import LoadInterferenceModel, ScoreboardCore
 
 RNG = np.random.default_rng(11)
@@ -34,7 +35,7 @@ def run_atlas_study():
     a = RNG.standard_normal((64, 5))
     b = RNG.standard_normal((64, 5))
     err = float(
-        np.abs(execute_atlas_micro_tile(a, b) - a.T @ b).max()
+        np.abs(execute_micro_tile(build_kvec_variant(), a, b) - a.T @ b).max()
     )
     return per_group, structural, model, err
 

@@ -8,30 +8,24 @@ derivation, empirically confirming the theory-guided choice of
 from conftest import save_report
 
 from repro.analysis import format_table
-from repro.blocking import autotune, solve_cache_blocking
 from repro.arch import XGENE
+from repro.blocking import solve_cache_blocking
+from repro.tune import autotune_ablation
 
 
 def test_ablation_autotune(benchmark, report_dir):
-    results = benchmark(
-        lambda: autotune(threads=1, problem_size=2048, max_tiles=3)
-    )
-    top = results[:8]
+    results = benchmark(autotune_ablation)
     text = format_table(
         ["rank", "tile", "kc x mc x nc", "efficiency %"],
         [
-            [i + 1, r.kernel, str(r.blocking), r.efficiency * 100]
-            for i, r in enumerate(top)
+            [i + 1, f"{c.mr}x{c.nr}", str(c.blocking()), eff * 100]
+            for i, (c, eff) in enumerate(results[:8])
         ],
         title="Auto-tuning ablation: simulator-scored block-size search",
     )
     save_report(report_dir, "ablation_autotune", text)
 
     analytic = solve_cache_blocking(XGENE, 8, 6, threads=1)
-    best = results[0]
-    assert best.kernel == "8x6"
-    assert (best.blocking.kc, best.blocking.mc, best.blocking.nc) == (
-        analytic.kc,
-        analytic.mc,
-        analytic.nc,
-    )
+    best, _ = results[0]
+    assert (best.mr, best.nr) == (8, 6)
+    assert best.blocking() == analytic

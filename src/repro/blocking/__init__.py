@@ -1,6 +1,4 @@
-"""Analytic block-size engine (paper Sec. IV) and empirical auto-tuning."""
-
-from repro.blocking.autotune import TuneResult, autotune
+"""Analytic block-size engine (paper Sec. IV)."""
 
 from repro.blocking.cache_blocking import (
     CacheBlocking,
@@ -22,8 +20,6 @@ from repro.blocking.register_blocking import (
 )
 
 __all__ = [
-    "autotune",
-    "TuneResult",
     "RegisterBlocking",
     "RegisterBlockingProblem",
     "CacheBlocking",

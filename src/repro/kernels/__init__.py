@@ -3,9 +3,7 @@
 from repro.kernels.atlas import (
     AtlasKernel,
     build_atlas_kernel,
-    execute_atlas_micro_tile,
-    pack_a_kvec,
-    pack_b_kvec,
+    build_kvec_variant,
 )
 from repro.kernels.codegen import (
     A_POINTER,
@@ -47,9 +45,7 @@ from repro.kernels.variants import PAPER_COMPARISON, VARIANTS, get_variant
 __all__ = [
     "AtlasKernel",
     "build_atlas_kernel",
-    "execute_atlas_micro_tile",
-    "pack_a_kvec",
-    "pack_b_kvec",
+    "build_kvec_variant",
     "KernelSpec",
     "KernelStyle",
     "KERNEL_8X6",

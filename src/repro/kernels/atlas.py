@@ -21,22 +21,20 @@ penalty the cost model charges ATLAS for
 (``KernelSpec.preload_window_limited``), derived here from an actual
 instruction sequence.
 
-The kernel is fully functional: :func:`execute_atlas_micro_tile` runs it
-through the ISA executor and must reproduce ``C += A^T @ B`` exactly.
+The kernel is fully functional: :func:`build_kvec_variant` packages it
+for :func:`repro.kernels.execute.execute_micro_tile`, whose k-vectorized
+driver runs it through the ISA executor and must reproduce
+``C += A^T @ B`` exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.errors import SimulationError
-from repro.isa.executor import Executor, MachineState, Memory
 from repro.isa.instructions import Faddp, FmlaVec, Ldr, Str
 from repro.isa.program import Program
-from repro.isa.registers import DOUBLE_BYTES, VReg, XReg
+from repro.isa.registers import VReg, XReg
 
 MR = 5
 NR = 5
@@ -225,91 +223,3 @@ def build_kvec_variant() -> KVecKernel:
 
 
 _KVEC_VARIANT: Optional[KVecKernel] = None
-
-
-def pack_a_kvec(a_sliver: "np.ndarray") -> np.ndarray:
-    """Pack a ``(kc, 5)`` A sliver k-vectorized: ``out[g, i, :]`` holds
-    ``A[2g:2g+2, i]`` — one q-load per (group, row)."""
-    kc, mr = a_sliver.shape
-    if mr != MR or kc % K_GROUP:
-        raise SimulationError("A sliver must be (even kc, 5)")
-    out = np.empty((kc // K_GROUP, MR, K_GROUP))
-    for g in range(kc // K_GROUP):
-        out[g] = a_sliver[2 * g : 2 * g + 2, :].T
-    return out
-
-
-def pack_b_kvec(b_sliver: "np.ndarray") -> np.ndarray:
-    """Pack a ``(kc, 5)`` B sliver k-vectorized: ``out[g, j, :]`` holds
-    ``B[2g:2g+2, j]``."""
-    kc, nr = b_sliver.shape
-    if nr != NR or kc % K_GROUP:
-        raise SimulationError("B sliver must be (even kc, 5)")
-    out = np.empty((kc // K_GROUP, NR, K_GROUP))
-    for g in range(kc // K_GROUP):
-        out[g] = b_sliver[2 * g : 2 * g + 2, :].T
-    return out
-
-
-A_BASE = 0x100000
-B_BASE = 0x200000
-C_BASE = 0x300000
-
-
-def execute_atlas_micro_tile(
-    a_sliver: "np.ndarray",
-    b_sliver: "np.ndarray",
-    c_tile: Optional["np.ndarray"] = None,
-) -> "np.ndarray":
-    """Functionally execute the ATLAS kernel over one 5x5 micro-tile.
-
-    Args:
-        a_sliver: ``(kc, 5)`` packed-order A sliver (kc even).
-        b_sliver: ``(kc, 5)`` B sliver.
-        c_tile: Initial 5x5 C tile.
-
-    Returns:
-        The updated 5x5 C tile (exactly ``C + A^T @ B``).
-    """
-    kc = a_sliver.shape[0]
-    kernel = build_atlas_kernel()
-    packed_a = pack_a_kvec(np.asarray(a_sliver, float))
-    packed_b = pack_b_kvec(np.asarray(b_sliver, float))
-
-    memory = Memory()
-    # One padding group of zeros: the last body pass preloads past the end.
-    memory.map_region(
-        A_BASE, np.vstack([packed_a.reshape(-1, 2), np.zeros((MR, 2))])
-    )
-    memory.map_region(
-        B_BASE, np.vstack([packed_b.reshape(-1, 2), np.zeros((NR, 2))])
-    )
-    # C tile buffer padded to 6 rows per column (the row-4 store writes a
-    # 16-byte pair whose second lane is the faddp zero).
-    c0 = np.zeros((MR, NR)) if c_tile is None else np.asarray(c_tile, float)
-    if c0.shape != (MR, NR):
-        raise SimulationError("C tile must be 5x5")
-    padded = np.zeros((6, NR))
-    memory.map_region(C_BASE, padded.T.copy())
-
-    state = MachineState()
-    ex = Executor(state, memory)
-
-    # Preamble: load group 0's A values and first B column.
-    state.set_pointer(A_POINTER, A_BASE)
-    state.set_pointer(B_POINTER, B_BASE)
-    for i in range(MR):
-        ex.execute(Ldr(dst=A_REGS[i], base=A_POINTER, tag="A"))
-    ex.execute(Ldr(dst=B_REGS[0], base=B_POINTER, tag="B"))
-
-    groups = kc // K_GROUP
-    for _g in range(groups):
-        ex.run(kernel.body)
-
-    # The A scratch register must be zero for the row-4 faddp pairing.
-    state.vregs[0][:] = 0.0
-    state.set_pointer(C_POINTER, C_BASE)
-    ex.run(kernel.epilogue)
-
-    stored = memory.region_at(C_BASE).reshape(NR, 6).T
-    return c0 + stored[:MR, :]

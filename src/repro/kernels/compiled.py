@@ -289,6 +289,12 @@ def _stream_layout(kernel: GeneratedKernel) -> Dict[str, int]:
     return start
 
 
+#: Tile traces kept per compiled kernel. A GEBP loop needs one per base
+#: residue class (a handful); the bound stops distinct ``hw_late`` or
+#: ``n_bodies`` queries from growing a memoized kernel without limit.
+TRACE_CACHE_LIMIT = 16
+
+
 class CompiledKernel:
     """A generated kernel lowered for batched replay.
 
@@ -314,7 +320,9 @@ class CompiledKernel:
         self.body_template = ScoreboardTemplate(list(kernel.body))
         self.epilogue_template = ScoreboardTemplate(list(kernel.epilogue))
         self._events = _compile_events(kernel)
-        self._trace_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray, tuple]] = {}
+        self._trace_cache: BoundedMemo[
+            Tuple[np.ndarray, np.ndarray, tuple]
+        ] = BoundedMemo(TRACE_CACHE_LIMIT)
         self._memos: Dict[CoreParams, dict] = {}
 
     # -- functional layer ---------------------------------------------------
@@ -423,8 +431,8 @@ class CompiledKernel:
             records, streams = self._build_rows(
                 n_bodies, a_base, b_base, c_base, hw_late, line_bytes
             )
-            self._trace_cache[key] = (
-                records, streams, (a_base, b_base, c_base),
+            self._trace_cache.put(
+                key, (records, streams, (a_base, b_base, c_base))
             )
             return BatchTrace(records)
         records, streams, bases0 = entry

@@ -20,7 +20,7 @@ This is the most detailed level of the simulator stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from repro.kernels.execute import (
     A_BASE,
     B_BASE,
     C_BASE,
-    drive_by_element,
-    padded_stream_widths,
+    drive_micro_tile,
+    largest_kc,
+    stream_widths,
 )
-from repro.kernels.kernel_spec import KernelStyle
 from repro.memo import BoundedMemo
 from repro.memory.batch import warm_region
 from repro.memory.hierarchy import MemoryHierarchy
@@ -52,16 +52,6 @@ from repro.memory.prefetcher import SequentialPrefetcher
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
 from repro.workloads.base import TIMED_ENGINES
-
-
-def _stream_widths(kernel) -> Tuple[int, int]:
-    """Doubles per k-iteration of the packed A/B streams in the timed
-    address space: dense for k-vectorized packing, lane-padded for the
-    by-element layout (see :func:`padded_stream_widths`)."""
-    spec = kernel.spec
-    if spec.style is KernelStyle.K_VECTORIZED:
-        return spec.mr, spec.nr
-    return padded_stream_widths(spec)
 
 
 @dataclass
@@ -133,6 +123,13 @@ def run_timed_micro_tile(
     unroll = kernel.plan.unroll
     if kc % unroll:
         raise SimulationError(f"kc={kc} must be a multiple of {unroll}")
+    largest = largest_kc(kernel)
+    if kc > largest:
+        raise SimulationError(
+            f"kc={kc} exceeds the {kernel.spec.name} kernel's largest "
+            f"valid kc={largest} (its packed operand streams would "
+            "overlap)"
+        )
     if engine not in TIMED_ENGINES:
         raise SimulationError(
             f"unknown engine {engine!r}; choose from {TIMED_ENGINES}"
@@ -144,7 +141,7 @@ def run_timed_micro_tile(
 
     h = hierarchy or MemoryHierarchy(chip)
     if warm_l2:
-        wa, wb = _stream_widths(kernel)
+        wa, wb = stream_widths(kernel)
         _warm_micro_tile_l2(
             h, core_id, chip, kc, unroll, wa, wb, chip.l1d.line_bytes,
             memoizable=hierarchy is None,
@@ -234,7 +231,10 @@ def _run_interpreted(
     A/B loads also train the hardware prefetcher), then times the
     recorded stream on the scoreboard. The operand layout and the
     prologue/body/epilogue driving are the kernel style's
-    (:func:`repro.kernels.execute.drive_by_element`, :func:`_drive_kvec`).
+    (:func:`repro.kernels.execute.drive_micro_tile`): for the
+    k-vectorized style the preamble's A/B loads are timed and observed
+    by the prefetcher like body loads, and the epilogue's
+    ``faddp``/``str`` pairs go through the scoreboard.
     """
     line = chip.l1d.line_bytes
     memory = Memory()
@@ -276,62 +276,15 @@ def _run_interpreted(
             stream.append(instr)
             latencies.append(lat)
 
-    drive = (
-        _drive_kvec
-        if kernel.spec.style is KernelStyle.K_VECTORIZED
-        else drive_by_element
+    c = drive_micro_tile(
+        kernel, a_sliver, b_sliver, c_tile, memory, state, run
     )
-    c = drive(kernel, a_sliver, b_sliver, c_tile, memory, state, run)
     result = ScoreboardCore(chip.core).run(
         stream, latency_fn=lambda _instr, i: latencies[i]
     )
     return _timed_run(
         kernel, a_sliver.shape[0], chip, result, c, histogram, "interpreted"
     )
-
-
-def _drive_kvec(
-    kernel, a_sliver, b_sliver, c_tile, memory: Memory,
-    state: MachineState, run: Callable[..., None],
-) -> "np.ndarray":
-    """Lay out and drive a k-vectorized kernel.
-
-    Mirrors :func:`repro.kernels.atlas.execute_atlas_micro_tile` but in
-    the timed address space: the preamble's A/B loads are timed and
-    observed by the hardware prefetcher exactly like body loads, the
-    epilogue's ``faddp``/``str`` pairs go through the scoreboard, and C
-    is a store-only stream (the tile starts at zero in registers and the
-    initial C is added after readback — ATLAS's beta handling).
-    """
-    spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
-    kc = a_sliver.shape[0]
-    unroll = kernel.plan.unroll
-    groups = kc // unroll
-    c_rows = 2 * spec.a_regs_per_copy
-
-    ga = a_sliver.reshape(groups, unroll, mr).transpose(0, 2, 1)
-    gb = b_sliver.reshape(groups, unroll, nr).transpose(0, 2, 1)
-    # One padding group of zeros: the last body pass preloads past the end.
-    memory.map_region(
-        A_BASE, np.vstack([ga.reshape(-1, 2), np.zeros((mr, 2))])
-    )
-    memory.map_region(
-        B_BASE, np.vstack([gb.reshape(-1, 2), np.zeros((nr, 2))])
-    )
-    c0 = np.zeros((mr, nr)) if c_tile is None else np.asarray(c_tile, float)
-    memory.map_region(C_BASE, np.zeros((c_rows, nr)).T.copy())
-
-    state.set_pointer(A_POINTER, A_BASE)
-    state.set_pointer(B_POINTER, B_BASE)
-    run(kernel.prologue)
-    run(kernel.body, times=groups)
-    # The scratch register must be zero for the last row-pair's faddp.
-    state.vregs[0][:] = 0.0
-    state.set_pointer(C_POINTER, C_BASE)
-    run(kernel.epilogue)
-    stored = memory.region_at(C_BASE).reshape(nr, c_rows).T
-    return c0 + stored[:mr, :]
 
 
 def _run_compiled_micro_tile(
@@ -406,6 +359,30 @@ class GebpTimedRun:
     engine: str = "interpreted"
 
 
+def _line_disjoint_bases(
+    regions: Sequence[Tuple[int, int]], line: int
+) -> List[int]:
+    """Bases for ``(base, nbytes)`` regions such that no two share a line.
+
+    Regions are placed in order. Each keeps its requested base unless it
+    shares a line with one placed before it; it then moves up to the
+    first line past that region, and on until it is clear. A layout that
+    is already disjoint keeps every address.
+    """
+    placed: List[Tuple[int, int]] = []  # [first line, end line)
+    bases: List[int] = []
+    for base, nbytes in regions:
+        while True:
+            lo, hi = base // line, -(-(base + nbytes) // line)
+            clash = [h for l, h in placed if lo < h and l < hi]
+            if not clash:
+                break
+            base = clash[0] * line
+        placed.append((lo, hi))
+        bases.append(base)
+    return bases
+
+
 def _run_gebp_cores(
     kernel: GeneratedKernel,
     cores: Sequence[int],
@@ -427,17 +404,27 @@ def _run_gebp_cores(
     module L2 at ``a_bases[core]``, the shared packed B panel in the L3),
     then runs every core's micro-tiles interleaved tile by tile on ``h``,
     each sliver and C tile at its true offset in the timed address space
-    (C panels column-major at ``c_bases[core]``). ``panels`` are updated
-    in place. Returns one :class:`GebpTimedRun` per entry of ``cores``.
+    (C panels column-major at ``c_bases[core]``). The B panel sits at
+    ``B_BASE``; an A block or C panel that would share a line with a
+    region placed before it moves up past it (:func:`_line_disjoint_bases`).
+    ``panels`` are updated in place. Returns one :class:`GebpTimedRun`
+    per entry of ``cores``.
     """
     mr, nr = kernel.spec.mr, kernel.spec.nr
     na, kc, _ = packed_a[cores[0]].shape
     nb = packed_b.shape[0]
     mc, nc = na * mr, nb * nr
     line = chip.l1d.line_bytes
-    wa, wb = _stream_widths(kernel)
+    wa, wb = stream_widths(kernel)
     a_sliver_bytes = kc * wa * DOUBLE_BYTES
     b_sliver_bytes = kc * wb * DOUBLE_BYTES
+    regions = [(B_BASE, nb * b_sliver_bytes)]
+    for cid in cores:
+        regions += [(a_bases[cid], na * a_sliver_bytes),
+                    (c_bases[cid], mc * nc * DOUBLE_BYTES)]
+    _b_base, *placed = _line_disjoint_bases(regions, line)
+    a_bases = dict(zip(cores, placed[0::2]))
+    c_bases = dict(zip(cores, placed[1::2]))
     # GEBP's precondition: packing placed A in the L2 and B in the L3.
     for cid in cores:
         warm_region(

@@ -1,13 +1,13 @@
-"""Parallel, memoized kernel autotuning over the codegen search space.
+"""The autotuner: parallel, memoized kernel search over the codegen space.
 
-Grows the block-size grid search of :mod:`repro.blocking.autotune` into
-full kernel synthesis: :mod:`~repro.tune.space` enumerates register
-tiles, rotation schemes, issue schedules and blocking neighborhoods;
+:mod:`~repro.tune.space` owns the search space — register tiles,
+rotation schemes, issue schedules and blocking neighborhoods;
 :mod:`~repro.tune.evaluate` prices candidates analytically and times the
 survivors through the compiled engine; :mod:`~repro.tune.memo` keys every
 evaluation by content hash into a persistent result store; and
 :mod:`~repro.tune.search` composes them into the two-stage search behind
-``repro tune``.
+``repro tune``, and scores the ``ablation_autotune`` exhibit's
+block-size grid (:func:`autotune_ablation`) on the same space.
 """
 
 from repro.tune.evaluate import (
@@ -23,7 +23,7 @@ from repro.tune.memo import (
     make_answer,
     stats_of,
 )
-from repro.tune.search import tune_search
+from repro.tune.search import autotune_ablation, tune_search
 from repro.tune.space import (
     ROTATIONS,
     SCHEDULES,
@@ -38,6 +38,7 @@ __all__ = [
     "Candidate",
     "TuneMemo",
     "analytic_eval",
+    "autotune_ablation",
     "build_kernel",
     "enumerate_candidates",
     "eval_key",

@@ -16,19 +16,20 @@ generator and the blocking need to build one GEBP configuration:
   solution, with the solver's ways-reservation ``(k1, k2, k3)``.
 
 Enumeration is exhaustive over the gated cross product, deduplicated,
-and deterministic: candidates are generated in a canonical order and
-then shuffled by the fixed ``seed``, so the same seed always yields the
-same sequence (exercised by ``tests/test_tune.py``).
+and in one canonical order (best tile first, each neighborhood centre
+first), so a stable sort of scored candidates breaks ties toward the
+analytic solution. :func:`~repro.tune.search.tune_search` shuffles its
+copy by the search ``seed``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.blocking.autotune import candidate_tiles, neighborhood
+from repro.arch.params import ChipParams
 from repro.blocking.cache_blocking import CacheBlocking, solve_cache_blocking
+from repro.blocking.register_blocking import RegisterBlockingProblem
 from repro.errors import BlockingError
 from repro.kernels.kernel_spec import KernelSpec
 from repro.serve.query import resolve_machine
@@ -45,6 +46,58 @@ ROTATIONS = ("solved", "paper", "ring", "static")
 
 #: Issue-schedule strategies of :func:`repro.kernels.scheduling.schedule_body`.
 SCHEDULES = ("earliest", "latest")
+
+
+def candidate_tiles(
+    chip: ChipParams, max_candidates: Optional[int] = None
+) -> List[Tuple[int, int]]:
+    """Distinct realizable (mr, nr) register tiles, best first.
+
+    Tiles come from the eq. (8)-(11) feasibility enumeration, ordered by
+    the analytic solver's tie-breakers (gamma descending, then
+    cache-line-aligned mr, then larger mr), each pair once however many
+    nrf choices admit it. Tiles the code generator cannot realize are
+    dropped: eq. (9) alone admits tiles like 12x4 whose C block leaves
+    no room for the rotation pool in the register file.
+    """
+    problem = RegisterBlockingProblem.from_core(chip.core)
+    nf = chip.core.fp_registers
+    line_doubles = chip.l1d.line_bytes // 8
+
+    def sort_key(t):
+        return (t.gamma, t.mr % line_doubles == 0, t.mr)
+
+    seen: Set[Tuple[int, int]] = set()
+    out: List[Tuple[int, int]] = []
+    for t in sorted(problem.feasible_tiles(), key=sort_key, reverse=True):
+        pair = (t.mr, t.nr)
+        if pair in seen or not KernelSpec(*pair).fits_register_file(nf):
+            continue
+        seen.add(pair)
+        out.append(pair)
+        if max_candidates is not None and len(out) >= max_candidates:
+            break
+    return out
+
+
+def neighborhood(
+    value: int, step: int, multiple: int, radius: int = 1
+) -> List[int]:
+    """The analytic value plus ``radius`` steps either side, floored to a
+    multiple and deduplicated (center first, then outward)."""
+    if radius < 0:
+        raise BlockingError("neighborhood radius must be >= 0")
+    seen: Set[int] = set()
+    out: List[int] = []
+    offsets = [0]
+    for r in range(1, radius + 1):
+        offsets.extend((-r, r))
+    for off in offsets:
+        v = max(multiple, ((value + off * step) // multiple) * multiple)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,7 +184,6 @@ def enumerate_candidates(
     rotations: Sequence[str] = ROTATIONS,
     schedules: Sequence[str] = SCHEDULES,
     radius: int = 1,
-    seed: int = 0,
 ) -> List[Candidate]:
     """Enumerate the gated search space for ``machine``.
 
@@ -146,10 +198,11 @@ def enumerate_candidates(
         schedules: Issue-schedule strategies (subset of
             :data:`SCHEDULES`).
         radius: Blocking-neighborhood radius in solver steps per axis.
-        seed: Shuffle seed; the same seed always yields the same order.
 
     Returns:
-        Deduplicated candidate list, deterministically ordered.
+        Deduplicated candidate list in canonical order: tiles best
+        first, then each blocking neighborhood centre first, then the
+        rotation and schedule gates in the order given.
     """
     for schedule in schedules:
         if schedule not in SCHEDULES:
@@ -160,7 +213,7 @@ def enumerate_candidates(
     _, chip = resolve_machine(machine)
     seen: Set[Candidate] = set()
     out: List[Candidate] = []
-    for mr, nr in candidate_tiles(chip, max_tiles, require_codegen=True):
+    for mr, nr in candidate_tiles(chip, max_tiles):
         try:
             base = solve_cache_blocking(chip, mr, nr, threads=threads)
         except BlockingError:
@@ -180,6 +233,4 @@ def enumerate_candidates(
                             if cand not in seen:
                                 seen.add(cand)
                                 out.append(cand)
-    rng = random.Random(seed)
-    rng.shuffle(out)
     return out

@@ -67,10 +67,15 @@ class TestCli:
         ["cachesim", "--seed", "-1"],
         ["timed", "--kc", "0"],
         ["timed", "--kc", "-4"],
+        ["timed", "--kc", "4096"],
     ])
     def test_bad_query_flag_is_clean_error(self, argv, capsys):
         assert main(argv) == 1
-        assert "error: query field" in capsys.readouterr().err
+        # A kc past the micro-tile layout passes the query schema and is
+        # rejected by the timed engine, naming the largest valid kc.
+        expected = ("error: kc=4096" if argv[-1] == "4096"
+                    else "error: query field")
+        assert expected in capsys.readouterr().err
 
     def test_sweep(self, capsys):
         assert main(["sweep", "--stop", "768", "--step", "512"]) == 0

@@ -438,6 +438,30 @@ class TestHypothesisDifferential:
         assert np.array_equal(rc.c_panel, ri.c_panel)
 
 
+class TestTraceCacheBound:
+    """Tile traces are memoized per compiled kernel under a fixed bound:
+    timed runs differing only in ``hw_late`` each build a trace, and the
+    memoized kernel keeps at most ``TRACE_CACHE_LIMIT`` of them."""
+
+    def test_distinct_hw_late_stops_growing_at_the_bound(self):
+        kernel = get_variant("OpenBLAS-8x6")
+        compiled = compile_kernel(kernel)
+        compiled._trace_cache.clear()
+        limit = 16
+        a, b, c = micro_operands(kernel, bodies=2)
+        runs = [
+            run_timed_micro_tile(kernel, a, b, c, hw_late=i / 64,
+                                 engine="compiled")
+            for i in range(limit + 8)
+        ]
+        assert len(compiled._trace_cache) == limit
+        assert compiled_module.TRACE_CACHE_LIMIT == limit
+        # An evicted trace rebuilds to the same run.
+        again = run_timed_micro_tile(kernel, a, b, c, hw_late=0.0,
+                                     engine="compiled")
+        assert_tile_identical(runs[0], again)
+
+
 class TestModuleTypeHints:
     """Regression for the missing ``Tuple`` import: every public callable
     in the timed executor must resolve its annotations."""

@@ -6,17 +6,18 @@ import pytest
 from repro.arch import XGENE
 from repro.errors import SimulationError
 from repro.isa import parse_program
+from repro.isa.executor import MachineState, Memory
 from repro.kernels import (
     KERNEL_5X5_ATLAS,
     build_atlas_kernel,
-    execute_atlas_micro_tile,
+    build_kvec_variant,
     get_variant,
-    pack_a_kvec,
-    pack_b_kvec,
 )
+from repro.kernels.execute import A_BASE, drive_kvec, execute_micro_tile
 from repro.pipeline import LoadInterferenceModel, ScoreboardCore
 
 RNG = np.random.default_rng(55)
+KVEC = build_kvec_variant()
 
 
 class TestAtlasStructure:
@@ -59,30 +60,42 @@ class TestAtlasSemantics:
         a = RNG.standard_normal((kc, 5))
         b = RNG.standard_normal((kc, 5))
         c0 = RNG.standard_normal((5, 5))
-        got = execute_atlas_micro_tile(a, b, c0)
+        got = execute_micro_tile(KVEC, a, b, c0)
         assert np.allclose(got, c0 + a.T @ b, atol=1e-12)
 
     def test_zero_c_default(self):
         a = RNG.standard_normal((16, 5))
         b = RNG.standard_normal((16, 5))
         assert np.allclose(
-            execute_atlas_micro_tile(a, b), a.T @ b, atol=1e-13
+            execute_micro_tile(KVEC, a, b), a.T @ b, atol=1e-13
         )
 
     def test_packing_layout(self):
+        # The k-vectorized driver lays A out one q-load per (group, row),
+        # two k-iterations per load, plus one zero group of lookahead.
         a = RNG.standard_normal((4, 5))
-        packed = pack_a_kvec(a)
-        assert packed.shape == (2, 5, 2)
+        memory = Memory()
+        drive_kvec(KVEC, a, RNG.standard_normal((4, 5)),
+                   None, memory, MachineState(), lambda *_a, **_k: None)
+        packed = memory.region_at(A_BASE).reshape(-1, 5, 2)
+        assert packed.shape == (3, 5, 2)
         assert packed[1, 3, 0] == a[2, 3]
         assert packed[1, 3, 1] == a[3, 3]
+        assert not packed[2].any()
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
-            pack_a_kvec(RNG.standard_normal((3, 5)))  # odd kc
-        with pytest.raises(SimulationError):
-            pack_b_kvec(RNG.standard_normal((4, 6)))  # wrong width
-        with pytest.raises(SimulationError):
-            execute_atlas_micro_tile(
+        # The shared k-vectorized driver rejects malformed operands.
+        with pytest.raises(SimulationError, match="multiple of unroll"):
+            execute_micro_tile(  # odd kc
+                KVEC, RNG.standard_normal((3, 5)), RNG.standard_normal((3, 5))
+            )
+        with pytest.raises(SimulationError, match="do not match"):
+            execute_micro_tile(  # wrong width
+                KVEC, RNG.standard_normal((4, 5)), RNG.standard_normal((4, 6))
+            )
+        with pytest.raises(SimulationError, match="C tile must be 5x5"):
+            execute_micro_tile(
+                KVEC,
                 RNG.standard_normal((4, 5)),
                 RNG.standard_normal((4, 5)),
                 c_tile=np.zeros((4, 4)),

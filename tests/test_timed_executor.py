@@ -38,6 +38,30 @@ class TestCorrectness:
             )
 
 
+class TestKcBound:
+    """kc past the fixed micro-tile layout is rejected before either
+    engine runs (the packed A stream would run into the B stream)."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_largest_valid_kc_runs_and_one_unroll_past_raises(self, engine):
+        from repro.kernels.execute import largest_kc
+
+        kernel = get_variant("OpenBLAS-8x6")
+        largest = largest_kc(kernel)
+        assert largest == 3064
+        a = RNG.standard_normal((largest, 8))
+        b = RNG.standard_normal((largest, 6))
+        run = run_timed_micro_tile(kernel, a, b, engine=engine)
+        assert np.allclose(run.c_tile, a.T @ b, atol=1e-10)
+        past = largest + kernel.plan.unroll
+        with pytest.raises(SimulationError,
+                           match=f"kc={past} .* valid kc={largest}"):
+            run_timed_micro_tile(
+                kernel, np.zeros((past, 8)), np.zeros((past, 6)),
+                engine=engine,
+            )
+
+
 class TestTiming:
     def test_8x6_close_to_fma_bound(self):
         """With prefetching and warmed L2, the 8x6 kernel runs within a
@@ -207,3 +231,89 @@ class TestDualCoreSharedL2:
             run_timed_gebp_dual(
                 kernel, a, pack_a(RNG.standard_normal((24, 8)), 8), b
             )
+
+
+class TestGebpLayout:
+    """Every A block, the B panel and every C panel of a timed GEBP run
+    occupy their own cache lines, however large the blocks are."""
+
+    @staticmethod
+    def _stream_lines(monkeypatch, run, mc):
+        """Run ``run()`` and collect the lines each (core, stream) of its
+        micro-tiles touches (B is shared, so its key has no core; C
+        panels are column-major with ``mc`` rows)."""
+        import repro.sim.timed_executor as te
+        from repro.kernels.codegen import A_POINTER, B_POINTER, C_POINTER
+
+        line = XGENE.l1d.line_bytes
+        real = te.run_timed_micro_tile
+        lines = {}
+
+        def span(key, start, nbytes):
+            lines.setdefault(key, set()).update(
+                range(start // line, -(-(start + nbytes) // line))
+            )
+
+        def spy(kernel, a, b, c, **kw):
+            bases, cid = kw["timing_bases"], kw["core_id"]
+            kc, mr = a.shape
+            nr = b.shape[1]
+            span(("A", cid), bases[A_POINTER.index], kc * mr * 8)
+            span(("B",), bases[B_POINTER.index], kc * nr * 8)
+            for col in range(nr):
+                span(("C", cid), bases[C_POINTER.index] + col * mc * 8,
+                     mr * 8)
+            return real(kernel, a, b, c, **kw)
+
+        monkeypatch.setattr(te, "run_timed_micro_tile", spy)
+        run()
+        return lines
+
+    @staticmethod
+    def _assert_disjoint(lines):
+        keys = sorted(lines)
+        for i, k1 in enumerate(keys):
+            for k2 in keys[i + 1:]:
+                shared = lines[k1] & lines[k2]
+                assert not shared, f"{k1} and {k2} share {len(shared)} lines"
+
+    def test_a_block_larger_than_the_gap_below_b(self, monkeypatch):
+        # 7 slivers x kc=512 x 8 doubles = 224 KiB of A starting 192 KiB
+        # below the B panel.
+        from repro.gemm import pack_a, pack_b
+        from repro.sim import run_timed_gebp
+
+        kernel = get_variant("OpenBLAS-8x6")
+        a = RNG.standard_normal((56, 512))
+        b = RNG.standard_normal((512, 6))
+        out = {}
+
+        def run():
+            out["run"] = run_timed_gebp(kernel, pack_a(a, 8), pack_b(b, 6))
+
+        self._assert_disjoint(self._stream_lines(monkeypatch, run, 56))
+        assert np.allclose(out["run"].c_panel, a @ b, atol=1e-11)
+
+    def test_c_panel_larger_than_the_gap_below_the_second_a_block(
+        self, monkeypatch
+    ):
+        # A 16 x 540 C panel is 67.5 KiB; core 1's A block is requested
+        # 64 KiB above core 0's C panel.
+        from repro.gemm import pack_a, pack_b
+        from repro.sim import run_timed_gebp_dual
+
+        kernel = get_variant("OpenBLAS-8x6")
+        a0 = RNG.standard_normal((16, 8))
+        a1 = RNG.standard_normal((16, 8))
+        b = RNG.standard_normal((8, 540))
+        out = {}
+
+        def run():
+            out["runs"] = run_timed_gebp_dual(
+                kernel, pack_a(a0, 8), pack_a(a1, 8), pack_b(b, 6)
+            )
+
+        self._assert_disjoint(self._stream_lines(monkeypatch, run, 16))
+        r0, r1 = out["runs"]
+        assert np.allclose(r0.c_panel, a0 @ b, atol=1e-11)
+        assert np.allclose(r1.c_panel, a1 @ b, atol=1e-11)
