@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.blocking.cache_blocking import CacheBlocking
 from repro.errors import GemmError
-from repro.gemm.driver import dgemm
 from repro.gemm.parallel import parallel_dgemm
 from repro.gemm.pool import PoolStats, WorkerPool
 from repro.gemm.trace import GemmTrace
@@ -62,13 +61,16 @@ def gemm(
             transposes (``op(A)`` is M x K, ``op(B)`` is K x N, C is
             M x N).
         blocking: Optional block sizes.
-        threads: Worker count (> 1 uses the layer-3 parallel driver).
+        threads: Worker count for the layer-3 parallel driver.
         trace: Optional structural trace.
         use_os_threads: Run partitions on real OS threads via the
             persistent worker pool (wall-clock mode; identical numerics).
         pool: Worker-pool selection, forwarded to
             :func:`~repro.gemm.parallel.parallel_dgemm`.
-        workspace: Packed-buffer cache, forwarded to the drivers.
+        workspace: Packed-buffer cache, forwarded to the driver. A
+            one-thread call without one uses a private workspace, never
+            the process-shared one, so concurrent single-thread callers
+            stay safe.
         stats: Optional per-thread timing counters
             (:class:`~repro.gemm.pool.PoolStats`).
 
@@ -77,11 +79,8 @@ def gemm(
     """
     a_eff = _op(transa, np.asarray(a, dtype=np.float64))
     b_eff = _op(transb, np.asarray(b, dtype=np.float64))
-    if threads == 1:
-        return dgemm(
-            a_eff, b_eff, c, alpha=alpha, beta=beta, blocking=blocking,
-            trace=trace, workspace=workspace,
-        )
+    if threads == 1 and workspace is None:
+        workspace = GemmWorkspace()
     return parallel_dgemm(
         a_eff, b_eff, c, threads=threads, alpha=alpha, beta=beta,
         blocking=blocking, trace=trace, use_os_threads=use_os_threads,

@@ -7,13 +7,16 @@ lives). The M dimension is therefore divided round-robin in mc-sized chunks
 across threads. The ``axis="n"`` ablation parallelizes the first loop
 instead: each thread owns whole column panels and packs its own private B.
 
-Both axes run on one partitioning/execution core:
+Neither axis has a loop nest of its own: both are built from the
+:mod:`repro.gemm.driver` steps, and one barrier loop runs them:
 
 - work is split into **barrier-delimited steps** — for ``axis="m"`` one
-  step per ``(jj, kk)`` panel iteration (the shared B panel is packed
-  before the step, every thread then walks its A blocks); for
-  ``axis="n"`` a single step in which each thread processes its private
-  column panels end to end;
+  step per ``(jj, kk)`` panel iteration (the shared B panel is packed by
+  :func:`~repro.gemm.driver.panel_step` before the step, every thread
+  then runs :func:`~repro.gemm.driver.block_step` over its A blocks); for
+  ``axis="n"`` a single step in which each thread runs
+  :func:`~repro.gemm.driver.goto_nest` over its column panels with a
+  private B panel;
 - each step's per-thread closures execute either **inline** (the default:
   simulated workers — sequential, deterministic, the mode the performance
   simulator traces) or on **real OS threads** via the persistent
@@ -34,8 +37,9 @@ Both axes run on one partitioning/execution core:
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,18 +47,27 @@ from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
 from repro.blocking.cache_blocking import CacheBlocking, solve_cache_blocking
 from repro.errors import GemmError
-from repro.gemm.driver import _validate_operands
-from repro.gemm.gebp import gebp
-from repro.gemm.packing import pack_a, pack_b
-from repro.gemm.pool import PoolStats, WorkerPool, get_shared_pool
+from repro.gemm.driver import (
+    Packer,
+    a_packer,
+    block_step,
+    goto_nest,
+    panel_step,
+    prepare_operands,
+)
+from repro.gemm.pool import PoolStats, ThreadCounters, WorkerPool, get_shared_pool
 from repro.gemm.trace import GemmTrace
 from repro.gemm.workspace import GemmWorkspace, get_shared_workspace
 from repro.obs.metrics import MetricsRegistry
 
-_clock = time.perf_counter
-
 #: Executor: runs one step's per-thread task closures to completion.
 _Executor = Callable[[Sequence[Callable[[], None]]], None]
+
+#: One barrier step, run by each active thread as
+#: ``step(thread, trace_or_None, counters_or_None)``.
+_Step = Callable[
+    [int, Optional[GemmTrace], Optional[ThreadCounters]], None
+]
 
 
 def apportion_blocks(count: int, weights: Sequence[float]) -> List[int]:
@@ -257,25 +270,12 @@ def parallel_dgemm(
         )
     if not 1 <= threads <= chip.cores:
         raise GemmError(f"threads {threads} out of range 1..{chip.cores}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c_arr = np.asarray(c)
-    if c_arr.dtype != np.float64 or not c_arr.flags.writeable:
-        c_arr = np.array(c_arr, dtype=np.float64)
-    _validate_operands(a, b, c_arr)
+    a, b, c_arr, done = prepare_operands(a, b, c, alpha, beta, trace, threads)
+    if done:
+        return c_arr
     blk = blocking or solve_cache_blocking(chip, 8, 6, threads=threads)
     m, k = a.shape
-    _, n = b.shape
-    if trace is not None:
-        trace.m, trace.n, trace.k, trace.threads = m, n, k, threads
-
-    if alpha == 0.0 or k == 0:
-        if beta == 0.0:
-            c_arr[:] = 0.0
-        else:
-            c_arr *= beta
-        return c_arr
-
+    n = b.shape[1]
     ws = workspace if workspace is not None else get_shared_workspace()
     executor = _resolve_executor(use_os_threads, threads, pool)
     if stats is not None:
@@ -296,222 +296,89 @@ def parallel_dgemm(
         if weighted:
             weights = [clusters[ci].core.peak_flops for ci in placement]
 
-    run = _run_axis_m if axis == "m" else _run_axis_n
+    pack = a_packer(a, blk.mr)
+    if axis == "m":
+        assignments = _thread_row_blocks(m, blk.mc, threads, weights)
+        steps: Iterable[_Step] = _layer3_steps(
+            pack, b, c_arr, alpha, beta, blk, assignments, ws, trace, stats
+        )
+    else:
+        # Layer-1 split (the Fig. 9 ablation): column panels go
+        # round-robin, each thread runs the whole nest over its panels
+        # with a private B panel — one step, since no state is shared.
+        # ``weights`` are ignored: the ablation keeps the naive schedule.
+        panels = list(range(0, n, blk.nc))
+        assignments = [panels[t::threads] for t in range(threads)]
+        steps = [
+            lambda t, lt, counters: goto_nest(
+                pack, b, c_arr, alpha, beta, blk, assignments[t], ws, t,
+                private_b=True, trace=lt, counters=counters,
+            )
+        ]
+    # Surplus workers (empty assignment) are never dispatched.
+    active = [t for t in range(threads) if assignments[t]]
+    span = nullcontext()
     if metrics is not None:
         metrics.inc("parallel.calls")
         metrics.inc(f"parallel.axis.{axis}")
         metrics.set_gauge("parallel.threads", threads)
         metrics.observe("parallel.flops", 2.0 * m * n * k)
-        with metrics.span("parallel.dgemm"):
-            run(
-                a, b, c_arr, threads, alpha, beta, blk, trace, ws,
-                stats, executor, weights,
+        span = metrics.span("parallel.dgemm")
+    with span:
+        for step in steps:
+            local = (
+                {t: GemmTrace() for t in active} if trace is not None else {}
             )
-    else:
-        run(
-            a, b, c_arr, threads, alpha, beta, blk, trace, ws, stats,
-            executor, weights,
-        )
+            executor([
+                partial(step, t, local.get(t),
+                        stats.thread(t) if stats is not None else None)
+                for t in active
+            ])
+            if stats is not None:
+                stats.steps += 1
+            for lt in local.values():
+                trace.absorb(lt)
     return c_arr
 
 
-def _run_axis_m(
-    a: "np.ndarray",
+def _layer3_steps(
+    pack: Packer,
     b: "np.ndarray",
     c_arr: "np.ndarray",
-    threads: int,
     alpha: float,
     beta: float,
     blk: CacheBlocking,
-    trace: Optional[GemmTrace],
+    assignments: Sequence[Sequence[int]],
     ws: GemmWorkspace,
+    trace: Optional[GemmTrace],
     stats: Optional[PoolStats],
-    executor: _Executor,
-    weights: Optional[Sequence[float]] = None,
-) -> None:
-    """Layer-3 split: one barrier step per (jj, kk) panel iteration."""
-    m, k = a.shape
-    _, n = b.shape
-    assignments = _thread_row_blocks(m, blk.mc, threads, weights)
-    active = [t for t in range(threads) if assignments[t]]
+) -> Iterator[_Step]:
+    """Layer-3 split: one barrier step per (jj, kk) panel iteration.
 
+    The shared B panel is packed before the step (the paper packs it
+    cooperatively; trace/stats attribute it to thread 0); in the step
+    every thread packs and multiplies its own A blocks.
+    """
+    k, n = b.shape
     for jj in range(0, n, blk.nc):
         ncur = min(blk.nc, n - jj)
-        first_k = True
         for kk in range(0, k, blk.kc):
             kcur = min(blk.kc, k - kk)
-            if first_k and beta != 1.0:
-                if beta == 0.0:
-                    c_arr[:, jj : jj + ncur] = 0.0
-                else:
-                    c_arr[:, jj : jj + ncur] *= beta
-            # The shared B panel, packed before the step (the paper packs
-            # it cooperatively; trace/stats attribute it to thread 0).
-            t0 = _clock() if stats is not None else 0.0
-            packed_b = pack_b(
-                b[kk : kk + kcur, jj : jj + ncur],
-                blk.nr,
-                out=ws.b_buffer(kcur, ncur, blk.nr),
-            )
-            if alpha != 1.0:
-                packed_b *= alpha
-            if stats is not None:
-                counters = stats.thread(0)
-                counters.pack_b_seconds += _clock() - t0
-                counters.pack_b_calls += 1
-            if trace is not None:
-                trace.record_pack("B", kcur, ncur, thread=0)
-
-            local: Optional[Dict[int, GemmTrace]] = (
-                {t: GemmTrace() for t in active}
-                if trace is not None
-                else None
+            packed_b = panel_step(
+                b, c_arr, jj, ncur, kk, kcur, alpha, beta, blk,
+                ws.b_buffer(kcur, ncur, blk.nr), 0, trace,
+                stats.thread(0) if stats is not None else None,
             )
 
-            def make_task(t: int) -> Callable[[], None]:
-                lt = local[t] if local is not None else None
-                counters = stats.thread(t) if stats is not None else None
-                blocks = assignments[t]
-
-                def task() -> None:
-                    for ii in blocks:
-                        mcur = min(blk.mc, m - ii)
-                        if counters is not None:
-                            t0 = _clock()
-                        packed_a = pack_a(
-                            a[ii : ii + mcur, kk : kk + kcur],
-                            blk.mr,
-                            out=ws.a_buffer(t, mcur, kcur, blk.mr),
-                        )
-                        if counters is not None:
-                            counters.pack_a_seconds += _clock() - t0
-                            counters.pack_a_calls += 1
-                        if lt is not None:
-                            lt.record_pack("A", mcur, kcur, thread=t)
-                            lt.record_gebp(
-                                mcur, kcur, ncur, thread=t, beta_pass=first_k
-                            )
-                        if counters is not None:
-                            t0 = _clock()
-                        gebp(
-                            packed_a,
-                            packed_b,
-                            c_arr[ii : ii + mcur, jj : jj + ncur],
-                            blk.mr,
-                            blk.nr,
-                        )
-                        if counters is not None:
-                            counters.gebp_seconds += _clock() - t0
-                            counters.gebp_calls += 1
-
-                return task
-
-            # Surplus workers (empty assignment) are never dispatched.
-            executor([make_task(t) for t in active])
-            if stats is not None:
-                stats.steps += 1
-            if local is not None:
-                for t in active:
-                    trace.absorb(local[t])
-            first_k = False
-
-
-def _run_axis_n(
-    a: "np.ndarray",
-    b: "np.ndarray",
-    c_arr: "np.ndarray",
-    threads: int,
-    alpha: float,
-    beta: float,
-    blk: CacheBlocking,
-    trace: Optional[GemmTrace],
-    ws: GemmWorkspace,
-    stats: Optional[PoolStats],
-    executor: _Executor,
-    weights: Optional[Sequence[float]] = None,
-) -> None:
-    """Layer-1 split (the Fig. 9 ablation): column panels are distributed
-    round-robin across threads, each thread packing its own private B
-    panel and walking all of A — one barrier step for the whole call,
-    since no state is shared between threads. ``weights`` is accepted
-    for signature parity with the layer-3 split but ignored: the
-    ablation deliberately keeps the naive symmetric schedule."""
-    m, k = a.shape
-    _, n = b.shape
-    col_blocks = list(range(0, n, blk.nc))
-    assignments = [col_blocks[t::threads] for t in range(threads)]
-    active = [t for t in range(threads) if assignments[t]]
-    local: Optional[Dict[int, GemmTrace]] = (
-        {t: GemmTrace() for t in active} if trace is not None else None
-    )
-
-    def make_task(t: int) -> Callable[[], None]:
-        lt = local[t] if local is not None else None
-        counters = stats.thread(t) if stats is not None else None
-        panels = assignments[t]
-
-        def task() -> None:
-            for jj in panels:
-                ncur = min(blk.nc, n - jj)
-                first_k = True
-                for kk in range(0, k, blk.kc):
-                    kcur = min(blk.kc, k - kk)
-                    if first_k and beta != 1.0:
-                        # This thread owns all of columns jj:jj+ncur.
-                        if beta == 0.0:
-                            c_arr[:, jj : jj + ncur] = 0.0
-                        else:
-                            c_arr[:, jj : jj + ncur] *= beta
-                    if counters is not None:
-                        t0 = _clock()
-                    packed_b = pack_b(
-                        b[kk : kk + kcur, jj : jj + ncur],
-                        blk.nr,
-                        out=ws.b_buffer(kcur, ncur, blk.nr, thread=t),
+            def step(
+                t: int,
+                lt: Optional[GemmTrace],
+                counters: Optional[ThreadCounters],
+            ) -> None:
+                for ii in assignments[t]:
+                    block_step(
+                        pack, packed_b, c_arr, jj, ncur, kk, kcur, ii,
+                        blk, ws, t, lt, counters,
                     )
-                    if alpha != 1.0:
-                        packed_b *= alpha
-                    if counters is not None:
-                        counters.pack_b_seconds += _clock() - t0
-                        counters.pack_b_calls += 1
-                    if lt is not None:
-                        lt.record_pack("B", kcur, ncur, thread=t)
-                    for ii in range(0, m, blk.mc):
-                        mcur = min(blk.mc, m - ii)
-                        if counters is not None:
-                            t0 = _clock()
-                        packed_a = pack_a(
-                            a[ii : ii + mcur, kk : kk + kcur],
-                            blk.mr,
-                            out=ws.a_buffer(t, mcur, kcur, blk.mr),
-                        )
-                        if counters is not None:
-                            counters.pack_a_seconds += _clock() - t0
-                            counters.pack_a_calls += 1
-                        if lt is not None:
-                            lt.record_pack("A", mcur, kcur, thread=t)
-                            lt.record_gebp(
-                                mcur, kcur, ncur, thread=t, beta_pass=first_k
-                            )
-                        if counters is not None:
-                            t0 = _clock()
-                        gebp(
-                            packed_a,
-                            packed_b,
-                            c_arr[ii : ii + mcur, jj : jj + ncur],
-                            blk.mr,
-                            blk.nr,
-                        )
-                        if counters is not None:
-                            counters.gebp_seconds += _clock() - t0
-                            counters.gebp_calls += 1
-                    first_k = False
 
-        return task
-
-    executor([make_task(t) for t in active])
-    if stats is not None:
-        stats.steps += 1
-    if local is not None:
-        for t in active:
-            trace.absorb(local[t])
+            yield step

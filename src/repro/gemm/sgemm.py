@@ -12,7 +12,7 @@ lanes, so
   ``element_size=4``;
 - the cache constraints (15)/(17)/(18) yield proportionally deeper kc.
 
-``sgemm`` runs the same packed Goto loop nest in float32;
+``sgemm`` runs the driver's Goto loop nest in float32;
 ``sgemm_blocking`` derives the single-precision block sizes.
 """
 
@@ -29,9 +29,7 @@ from repro.blocking.register_blocking import (
     RegisterBlocking,
     RegisterBlockingProblem,
 )
-from repro.errors import GemmError
-from repro.gemm.gebp import gebp
-from repro.gemm.packing import pack_a, pack_b
+from repro.gemm.driver import a_packer, goto_nest, prepare_operands
 from repro.gemm.trace import GemmTrace
 
 FLOAT32_BYTES = 4
@@ -67,61 +65,13 @@ def sgemm(
     trace: Optional[GemmTrace] = None,
 ) -> "np.ndarray":
     """Blocked, packed SGEMM: ``C := alpha*A@B + beta*C`` in float32."""
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    c_arr = np.asarray(c)
-    if c_arr.dtype != np.float32 or not c_arr.flags.writeable:
-        c_arr = np.array(c_arr, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2 or c_arr.ndim != 2:
-        raise GemmError("A, B and C must be 2-D")
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2 or c_arr.shape != (m, n):
-        raise GemmError("nonconformant SGEMM operands")
-    blk = blocking or sgemm_blocking()
-    if trace is not None:
-        trace.m, trace.n, trace.k, trace.threads = m, n, k, 1
-
-    if alpha == 0.0 or k == 0:
-        if beta == 0.0:
-            c_arr[:] = np.float32(0.0)
-        else:
-            c_arr *= np.float32(beta)
-        return c_arr
-
-    for jj in range(0, n, blk.nc):
-        ncur = min(blk.nc, n - jj)
-        first_k = True
-        for kk in range(0, k, blk.kc):
-            kcur = min(blk.kc, k - kk)
-            if first_k and beta != 1.0:
-                if beta == 0.0:
-                    c_arr[:, jj : jj + ncur] = np.float32(0.0)
-                else:
-                    c_arr[:, jj : jj + ncur] *= np.float32(beta)
-            b_panel = b[kk : kk + kcur, jj : jj + ncur]
-            packed_b = pack_b(
-                b_panel if alpha == 1.0 else np.float32(alpha) * b_panel,
-                blk.nr,
-                dtype=np.float32,
-            )
-            if trace is not None:
-                trace.record_pack("B", kcur, ncur)
-            for ii in range(0, m, blk.mc):
-                mcur = min(blk.mc, m - ii)
-                packed_a = pack_a(
-                    a[ii : ii + mcur, kk : kk + kcur], blk.mr,
-                    dtype=np.float32,
-                )
-                if trace is not None:
-                    trace.record_pack("A", mcur, kcur)
-                    trace.record_gebp(mcur, kcur, ncur, beta_pass=first_k)
-                gebp(
-                    packed_a,
-                    packed_b,
-                    c_arr[ii : ii + mcur, jj : jj + ncur],
-                    blk.mr,
-                    blk.nr,
-                )
-            first_k = False
+    a, b, c_arr, done = prepare_operands(
+        a, b, c, alpha, beta, trace, dtype=np.float32
+    )
+    if not done:
+        blk = blocking or sgemm_blocking()
+        goto_nest(
+            a_packer(a, blk.mr), b, c_arr, alpha, beta, blk,
+            range(0, b.shape[1], blk.nc), trace=trace,
+        )
     return c_arr

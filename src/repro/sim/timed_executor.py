@@ -51,7 +51,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import SequentialPrefetcher
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
-from repro.workloads.base import TIMED_ENGINES
+from repro.workloads.base import TIMED_ENGINES, select_timed_engine
 
 
 @dataclass
@@ -130,14 +130,11 @@ def run_timed_micro_tile(
             f"valid kc={largest} (its packed operand streams would "
             "overlap)"
         )
-    if engine not in TIMED_ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {TIMED_ENGINES}"
-        )
-    compiled = None if engine == "interpreted" else compile_kernel(kernel)
+    selected = select_timed_engine(engine)
+    compiled = None if selected == "interpreted" else compile_kernel(kernel)
     if metrics is not None:
         metrics.inc("timed.micro_tiles")
-        metrics.inc(f"timed.engine.{_engine_name(engine)}")
+        metrics.inc(f"timed.engine.{selected}")
 
     h = hierarchy or MemoryHierarchy(chip)
     if warm_l2:
@@ -156,11 +153,6 @@ def run_timed_micro_tile(
         metrics.inc("timed.cycles", run.cycles)
         metrics.inc("timed.demand_loads", sum(run.load_latencies.values()))
     return run
-
-
-def _engine_name(engine: str) -> str:
-    """The engine a validated ``engine`` request runs."""
-    return "interpreted" if engine == "interpreted" else "compiled"
 
 
 def _timed_run(
@@ -475,7 +467,7 @@ def _run_gebp_cores(
                 cycles_per_iteration=total / iters,
                 efficiency=(flops / total) / chip.core.flops_per_cycle,
                 tile_cycles=tile_cycles[cid],
-                engine=_engine_name(engine),
+                engine=select_timed_engine(engine),
             )
         )
     return out

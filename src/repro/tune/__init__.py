@@ -21,7 +21,6 @@ from repro.tune.memo import (
     TuneMemo,
     eval_key,
     make_answer,
-    stats_of,
 )
 from repro.tune.search import autotune_ablation, tune_search
 from repro.tune.space import (
@@ -44,7 +43,6 @@ __all__ = [
     "eval_key",
     "make_answer",
     "resolve_plan",
-    "stats_of",
     "timed_eval",
     "tune_search",
 ]

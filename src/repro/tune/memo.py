@@ -35,7 +35,6 @@ __all__ = [
     "TUNE_SCHEMA_VERSION",
     "eval_key",
     "make_answer",
-    "stats_of",
     "TuneMemo",
 ]
 
@@ -84,11 +83,6 @@ def make_answer(
         metrics={},
         stats=dict(stats),
     ).to_dict()
-
-
-def stats_of(answer: Dict[str, Any]) -> Dict[str, Any]:
-    """The evaluation stats carried inside a stored answer."""
-    return answer.get("stats", {})
 
 
 class TuneMemo:

@@ -39,10 +39,7 @@ import numpy as np
 from repro.arch.params import ChipParams
 from repro.blocking.cache_blocking import CacheBlocking, solve_cache_blocking
 from repro.errors import SimulationError
-from repro.gemm.driver import dgemm
-from repro.gemm.gebp import gebp
-from repro.gemm.packing import pack_b
-from repro.gemm.trace import GemmTrace
+from repro.gemm.driver import DEFAULT_BLOCKING, dgemm, goto_nest
 from repro.isa.instructions import Fmla, Instruction, Ldr, Str
 from repro.isa.registers import VReg, XReg
 from repro.memory.batch import ACCESS_DTYPE, BatchTrace
@@ -232,13 +229,12 @@ def conv_direct(
     """Directly-blocked convolution: the Goto nest without the scratch
     matrix.
 
-    Mirrors :func:`~repro.gemm.driver.dgemm`'s jj/kk/ii structure (with
-    ``alpha = 1``, ``beta = 0``) exactly, but every packed A block is
-    gathered from the image by :func:`_gather_packed_a`. Bit-equal to
-    :func:`conv_im2col` under the same blocking.
+    Runs :func:`~repro.gemm.driver.goto_nest` (with ``alpha = 1``,
+    ``beta = 0``), the nest :func:`~repro.gemm.driver.dgemm` runs, with
+    :func:`_gather_packed_a` as its A packer: every packed A block is
+    gathered from the image. Bit-equal to :func:`conv_im2col` under the
+    same blocking.
     """
-    from repro.gemm.driver import DEFAULT_BLOCKING
-
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     f, cin, kh, kw = w.shape
@@ -249,32 +245,13 @@ def conv_direct(
     spec = ConvSpec(cin=cin, height=x.shape[1], width=x.shape[2],
                     kh=kh, kw=kw, filters=f)
     blk = blocking or DEFAULT_BLOCKING
-    m, kdim, n = spec.p, spec.k, f
-    wmat = filter_matrix(w)
-    out = np.zeros((m, n), order="F")
-
-    # The dgemm loop nest, alpha=1/beta=0 specialization.
-    for jj in range(0, n, blk.nc):
-        ncur = min(blk.nc, n - jj)
-        first_k = True
-        for kk in range(0, kdim, blk.kc):
-            kcur = min(blk.kc, kdim - kk)
-            if first_k:
-                out[:, jj : jj + ncur] = 0.0
-            packed_b = pack_b(wmat[kk : kk + kcur, jj : jj + ncur], blk.nr)
-            for ii in range(0, m, blk.mc):
-                mcur = min(blk.mc, m - ii)
-                packed_a = _gather_packed_a(
-                    x, spec, ii, mcur, kk, kcur, blk.mr
-                )
-                gebp(
-                    packed_a,
-                    packed_b,
-                    out[ii : ii + mcur, jj : jj + ncur],
-                    blk.mr,
-                    blk.nr,
-                )
-            first_k = False
+    out = np.zeros((spec.p, f), order="F")
+    goto_nest(
+        lambda ii, mcur, kk, kcur, _: _gather_packed_a(
+            x, spec, ii, mcur, kk, kcur, blk.mr
+        ),
+        filter_matrix(w), out, 1.0, 0.0, blk, range(0, f, blk.nc),
+    )
     return np.ascontiguousarray(out.T).reshape(f, spec.out_height,
                                                spec.out_width)
 

@@ -5,6 +5,14 @@ import pytest
 
 from repro.blocking import CacheBlocking
 from repro.errors import GemmError
+from repro.gemm import (
+    GemmTrace,
+    GemmWorkspace,
+    PoolStats,
+    dgemm,
+    get_shared_workspace,
+    parallel_dgemm,
+)
 from repro.gemm.blas import gemm, syrk
 
 RNG = np.random.default_rng(7)
@@ -49,6 +57,49 @@ class TestGemmTranspose:
         a, b, c = rand(4, 5), rand(4, 5), rand(4, 5)
         with pytest.raises(GemmError):
             gemm("N", "N", 1.0, a, b, 1.0, c)
+
+
+class TestGemmOneThread:
+    """``threads=1`` honours the same arguments as the parallel driver."""
+
+    def test_stats_recorded(self):
+        a, b, c = rand(20, 16), rand(16, 12), rand(20, 12)
+        stats, ref = PoolStats(), PoolStats()
+        gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"), blocking=BLK,
+             stats=stats)
+        parallel_dgemm(a, b, c.copy(order="F"), threads=1, blocking=BLK,
+                       workspace=GemmWorkspace(), stats=ref)
+        assert (stats.calls, stats.steps) == (ref.calls, ref.steps) == (1, 1)
+        assert list(stats.counters) == [0]
+        assert stats.thread(0).gebp_calls == ref.thread(0).gebp_calls == 1
+
+    def test_bogus_pool_rejected(self):
+        a, b, c = rand(8, 8), rand(8, 8), rand(8, 8)
+        with pytest.raises(GemmError, match="pool must be"):
+            gemm("N", "N", 1.0, a, b, 1.0, c, pool="bogus")
+        with pytest.raises(GemmError, match="pool must be"):
+            parallel_dgemm(a, b, c, threads=1, pool="bogus")
+
+    def test_bit_identical_to_dgemm(self):
+        a, b, c = rand(40, 30), rand(30, 35), rand(40, 35)
+        got_trace, want_trace = GemmTrace(), GemmTrace()
+        got = gemm("N", "N", 0.5, a, b, -2.0, c.copy(order="F"),
+                   blocking=BLK, trace=got_trace)
+        want = dgemm(a, b, c.copy(order="F"), alpha=0.5, beta=-2.0,
+                     blocking=BLK, trace=want_trace)
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
+
+    def test_stays_off_the_shared_workspace(self):
+        shared = get_shared_workspace()
+        before = (shared.hits, shared.misses, shared.num_buffers)
+        a, b, c = rand(30, 20), rand(20, 25), rand(30, 25)
+        gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"), blocking=BLK)
+        assert (shared.hits, shared.misses, shared.num_buffers) == before
+        ws = GemmWorkspace()
+        gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"), blocking=BLK,
+             workspace=ws)
+        assert ws.misses > 0
 
 
 class TestSyrk:

@@ -6,7 +6,13 @@ import pytest
 from repro.arch import XGENE
 from repro.blocking import CacheBlocking, RegisterBlockingProblem
 from repro.errors import GemmError
-from repro.gemm import sgemm, sgemm_blocking, sgemm_register_blocking
+from repro.gemm import (
+    GemmTrace,
+    sgemm,
+    sgemm_blocking,
+    sgemm_register_blocking,
+)
+from repro.sim import synthesize_trace
 
 RNG = np.random.default_rng(32)
 SMALL_BLK = CacheBlocking(mr=12, nr=8, kc=32, mc=24, nc=32, k1=1, k2=1, k3=1)
@@ -79,9 +85,32 @@ class TestSgemmCorrectness:
             sgemm(np.zeros(3, dtype=np.float32), rand32(3, 3), rand32(1, 3))
 
     def test_trace_recorded(self):
-        from repro.gemm import GemmTrace
-
         trace = GemmTrace()
         a, b, c = rand32(40, 40), rand32(40, 40), rand32(40, 40)
         sgemm(a, b, c.copy(), blocking=SMALL_BLK, trace=trace)
         assert trace.flops == 2 * 40 * 40 * 40
+
+    @pytest.mark.parametrize("shape", [(40, 40, 40), (25, 17, 70), (1, 9, 3)])
+    def test_trace_matches_synthesized(self, shape):
+        """The float32 nest records the serial driver's event structure,
+        event for event."""
+        m, n, k = shape
+        trace = GemmTrace()
+        sgemm(rand32(m, k), rand32(k, n), rand32(m, n), alpha=0.5,
+              beta=0.0, blocking=SMALL_BLK, trace=trace)
+        want = synthesize_trace(m, n, k, SMALL_BLK)
+        assert (trace.m, trace.n, trace.k, trace.threads) == (m, n, k, 1)
+        assert trace.packs == want.packs
+        assert trace.gebps == want.gebps
+
+    def test_float64_and_float32_scalars_agree(self):
+        """Scalars are converted to float32 before they touch a float32
+        operand: a float64 ``alpha``/``beta`` must not promote the
+        products (that would change ~20% of the elements)."""
+        a, b, c = rand32(30, 20), rand32(20, 25), rand32(30, 25)
+        got = {
+            kind: sgemm(a, b, c.copy(), alpha=kind(0.1), beta=kind(0.1),
+                        blocking=SMALL_BLK).tobytes()
+            for kind in (float, np.float64, np.float32)
+        }
+        assert got[np.float64] == got[np.float32] == got[float]
