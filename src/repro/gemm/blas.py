@@ -67,10 +67,9 @@ def gemm(
             persistent worker pool (wall-clock mode; identical numerics).
         pool: Worker-pool selection, forwarded to
             :func:`~repro.gemm.parallel.parallel_dgemm`.
-        workspace: Packed-buffer cache, forwarded to the driver. A
-            one-thread call without one uses a private workspace, never
-            the process-shared one, so concurrent single-thread callers
-            stay safe.
+        workspace: Packed-buffer cache, forwarded to the driver
+            (default: the calling thread's, see
+            :func:`~repro.gemm.workspace.get_shared_workspace`).
         stats: Optional per-thread timing counters
             (:class:`~repro.gemm.pool.PoolStats`).
 
@@ -79,8 +78,6 @@ def gemm(
     """
     a_eff = _op(transa, np.asarray(a, dtype=np.float64))
     b_eff = _op(transb, np.asarray(b, dtype=np.float64))
-    if threads == 1 and workspace is None:
-        workspace = GemmWorkspace()
     return parallel_dgemm(
         a_eff, b_eff, c, threads=threads, alpha=alpha, beta=beta,
         blocking=blocking, trace=trace, use_os_threads=use_os_threads,

@@ -241,9 +241,11 @@ def parallel_dgemm(
             explicit pool instance is used as given; ``"spawn"`` spawns
             threads per step (the legacy baseline). Ignored without
             ``use_os_threads``.
-        workspace: Packed-buffer cache; defaults to the process-wide
-            :class:`~repro.gemm.workspace.GemmWorkspace`, so steady-state
-            panel iterations (and repeated calls) allocate nothing.
+        workspace: Packed-buffer cache; defaults to the calling
+            thread's :class:`~repro.gemm.workspace.GemmWorkspace`
+            (:func:`~repro.gemm.workspace.get_shared_workspace`), so
+            steady-state panel iterations (and repeated calls) allocate
+            nothing and concurrent callers never share buffers.
         stats: Optional :class:`~repro.gemm.pool.PoolStats` receiving
             per-thread pack/GEBP wall-clock counters and step counts.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`

@@ -19,12 +19,12 @@ lifetime.
 
 Beyond barrier steps, the pool is a general job executor: :meth:`submit`
 hands an arbitrary callable to whichever worker frees up first and
-returns a :class:`Job` handle; :meth:`run_jobs` is the submit-all /
-collect-in-order convenience. The query-serving layer
-(:mod:`repro.serve`) dispatches cache misses this way, so simulate,
-cachesim and timed queries run concurrently on the same threads that
-serve GEBP barrier steps. Barrier steps keep priority: a worker always
-prefers its pending step task over the shared job queue.
+returns a :class:`Job` handle. The memoized-answer step that serving
+and tuning share (:func:`repro.serve.engine.memoized`) dispatches cache
+misses this way, so queries and tuner evaluations run concurrently on
+the same threads that serve GEBP barrier steps. Barrier steps keep
+priority: a worker always prefers its pending step task over the shared
+job queue.
 
 The shared pool grows **in place** (:meth:`grow`): existing holders keep
 a valid reference while new workers are added, so a thread mid-``run()``
@@ -376,26 +376,6 @@ class WorkerPool:
             self.jobs_dispatched += 1
             self._cond.notify_all()
         return handle
-
-    def run_jobs(self, fns: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Submit every callable and collect results in submission order.
-
-        The first job exception (in submission order) is re-raised after
-        every job finished — mirroring :meth:`run`'s barrier contract.
-        """
-        handles = [self.submit(fn) for fn in fns]
-        results: List[Any] = []
-        first_exc: Optional[BaseException] = None
-        for handle in handles:
-            try:
-                results.append(handle.result())
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-                results.append(None)
-        if first_exc is not None:
-            raise first_exc
-        return results
 
     def grow(self, threads: int) -> None:
         """Add workers so the pool serves at least ``threads`` (in place).

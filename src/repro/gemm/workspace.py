@@ -25,8 +25,10 @@ get distinct cache slots; memory held is bounded by the blocking sizes
 and is visible through :attr:`GemmWorkspace.bytes_held`.
 
 A workspace may be shared by the worker threads of one DGEMM call (slot
-keys are disjoint per thread), but not by two *concurrent* DGEMM calls —
-give each concurrent caller its own instance.
+keys are disjoint per thread), but not by two *concurrent* DGEMM calls.
+The default one (:func:`get_shared_workspace`) is therefore kept per
+calling thread: concurrent callers never share buffers, while a call's
+pool workers pack into their caller's workspace.
 """
 
 from __future__ import annotations
@@ -97,14 +99,17 @@ class GemmWorkspace:
         )
 
 
-_shared_workspace: Optional[GemmWorkspace] = None
-_shared_workspace_lock = threading.Lock()
+_local = threading.local()
 
 
 def get_shared_workspace() -> GemmWorkspace:
-    """The process-wide workspace used by the library entry points."""
-    global _shared_workspace
-    with _shared_workspace_lock:
-        if _shared_workspace is None:
-            _shared_workspace = GemmWorkspace()
-        return _shared_workspace
+    """The calling thread's workspace, used by the library entry points.
+
+    One per thread, created on first use and reused by every later call
+    from that thread, so repeated calls allocate nothing while
+    concurrent callers on other threads get buffers of their own.
+    """
+    workspace = getattr(_local, "workspace", None)
+    if workspace is None:
+        workspace = _local.workspace = GemmWorkspace()
+    return workspace

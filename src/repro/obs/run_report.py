@@ -158,26 +158,6 @@ class RunReport:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    # -- comparison ---------------------------------------------------------
-
-    def diff(self, other: "RunReport") -> Dict[str, Tuple[Any, Any]]:
-        """Leaves that differ between ``self`` and ``other``.
-
-        Returns ``{dotted.path: (self_value, other_value)}``; a leaf
-        present on only one side pairs with ``None`` on the other. The
-        informational ``created`` stamp is excluded.
-        """
-        a = dict(flatten(self.to_dict()))
-        b = dict(flatten(other.to_dict()))
-        out: Dict[str, Tuple[Any, Any]] = {}
-        for key in sorted(set(a) | set(b)):
-            if key == "created":
-                continue
-            va, vb = a.get(key), b.get(key)
-            if va != vb:
-                out[key] = (va, vb)
-        return out
-
 
 def flatten(
     doc: Any, prefix: str = ""

@@ -9,29 +9,33 @@ list of query documents:
 2. duplicate keys within the batch are **deduplicated** — each unique
    key is looked up and computed at most once, however many times it
    appears;
-3. unique keys are looked up in the persistent
-   :class:`~repro.serve.store.ResultStore`; hits are served verbatim
-   from disk;
+3. unique keys go through :func:`memoized`, the memoized-answer step
+   the tuner (:mod:`repro.tune.search`) shares: hits in the persistent
+   :class:`~repro.serve.store.ResultStore` are served verbatim from
+   disk;
 4. misses are dispatched as jobs to a
    :class:`~repro.gemm.pool.WorkerPool` (via :meth:`WorkerPool.submit`)
    so simulate, cachesim and timed computations run concurrently; with
-   no pool they are computed inline;
-5. freshly computed answers are validated, written atomically to the
-   store from the dispatching thread, and served.
+   no pool, or a lone miss, they are computed inline;
+5. once every miss finished, freshly computed answers are written
+   atomically to the store from the dispatching thread, in key order,
+   and served.
 
-Answers are :class:`~repro.obs.run_report.RunReport` documents with
-``created=None`` — deliberately timestamp-free, so a cached answer is
-**byte-identical** to a freshly computed one (the ``serve.cache`` oracle
-holds the layer to that claim). A query that fails to canonicalize or
-compute produces an *error answer* (``stats.error``) that is served but
-never cached: a cache must not remember failures.
+Answers are :class:`~repro.obs.run_report.RunReport` documents built by
+:func:`make_answer` with ``created=None`` — deliberately
+timestamp-free, so a cached answer is **byte-identical** to a freshly
+computed one (the ``serve.cache`` oracle holds the layer to that
+claim). A query that fails to canonicalize or compute produces an
+*error answer* (``stats.error``) that is served but never cached: a
+cache must not remember failures.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gemm.pool import WorkerPool
 from repro.obs.metrics import MetricsRegistry
@@ -39,7 +43,8 @@ from repro.obs.run_report import RunReport
 from repro.serve.query import QueryError, query_key, resolve_machine
 from repro.serve.store import ResultStore
 
-__all__ = ["Answer", "QueryEngine", "ServeStats", "compute_answer", "execute"]
+__all__ = ["Answer", "QueryEngine", "ServeStats", "compute_answer", "execute",
+           "make_answer", "memoized"]
 
 
 @dataclass
@@ -204,34 +209,88 @@ def execute(
     return _EXECUTORS[query["kind"]](query, chip, metrics, hierarchy)
 
 
-def compute_answer(query: Dict[str, Any], key: str) -> Dict[str, Any]:
-    """Execute one canonical query and build its answer document.
+def make_answer(
+    command: str,
+    params: Dict[str, Any],
+    stats: Dict[str, Any],
+    engines: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The RunReport-schema document of one memoized answer.
 
-    The answer is a validated RunReport dict with ``created=None`` so
-    that recomputing the same query always yields the same bytes.
+    ``created`` stays ``None`` so that recomputing the same answer
+    always yields the same bytes: a stored answer is indistinguishable
+    from a fresh one (the ``serve.cache`` and ``tune.memo`` oracles
+    rely on this).
     """
-    engines, stats = execute(query)
     return RunReport(
-        command="query",
+        command=command,
         created=None,
-        params={"key": key, "query": query},
-        engines=engines,
+        params=params,
+        engines=engines or {},
         stats=stats,
     ).to_dict()
+
+
+def compute_answer(query: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """Execute one canonical query and build its answer document."""
+    engines, stats = execute(query)
+    return make_answer("query", {"key": key, "query": query}, stats, engines)
 
 
 def _error_answer(
     query: Dict[str, Any], key: str, exc: BaseException
 ) -> Dict[str, Any]:
-    return RunReport(
-        command="query",
-        created=None,
-        params={"key": key, "query": query},
-        stats={"error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }},
-    ).to_dict()
+    return make_answer(
+        "query", {"key": key, "query": query},
+        {"error": {"type": type(exc).__name__, "message": str(exc)}},
+    )
+
+
+#: One key's work for :func:`memoized`: the content-hash key, the
+#: document stored beside the answer, and the call computing the answer.
+MemoJob = Tuple[str, Dict[str, Any], Callable[[], Dict[str, Any]]]
+
+
+def memoized(
+    store: Optional[ResultStore],
+    jobs: Sequence[MemoJob],
+    pool: Optional[WorkerPool] = None,
+) -> List[Tuple[str, Any]]:
+    """Serve each job's answer from ``store``, computing and persisting
+    the misses.
+
+    Hits are returned verbatim. Misses are computed as
+    :meth:`WorkerPool.submit` jobs when ``pool`` is given and more than
+    one key missed, else inline; once every miss finished, fresh answers
+    are persisted from the calling thread, in job order. Returns one ``(source, value)`` per
+    job, in job order: ``("hit", answer)``, ``("computed", answer)`` or
+    ``("error", exception)``. An exception is never stored, so its key
+    is computed again on the next call. ``store=None`` misses every key
+    and persists nothing.
+    """
+    outcomes: List[Tuple[str, Any]] = [
+        ("hit", store.get(key) if store is not None else None)
+        for key, _, _ in jobs
+    ]
+    misses = [i for i, (_, cached) in enumerate(outcomes) if cached is None]
+    if pool is not None and len(misses) > 1:
+        runs = [pool.submit(jobs[i][2]).result for i in misses]
+    else:
+        runs = [jobs[i][2] for i in misses]
+    for index, run in zip(misses, runs):
+        try:
+            outcomes[index] = ("computed", run())
+        except Exception as exc:
+            outcomes[index] = ("error", exc)
+    # Persist only once every miss finished: a put between two pool
+    # results would contend with the workers for the GIL.
+    if store is not None:
+        for index in misses:
+            source, answer = outcomes[index]
+            if source == "computed":
+                key, doc, _ = jobs[index]
+                store.put(key, doc, answer)
+    return outcomes
 
 
 # -- the engine ---------------------------------------------------------------
@@ -313,53 +372,18 @@ class QueryEngine:
                 first[key] = (canonical, index)
                 order.append(key)
 
-        # 3. Store lookups for unique keys.
+        # 3-5. Look up each unique key, compute the misses (on the pool
+        #      when available) and persist them; errors are served but
+        #      never cached.
+        outcomes = memoized(self.store, [
+            (key, first[key][0], partial(compute_answer, first[key][0], key))
+            for key in order
+        ], self.pool)
         unique: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        misses: List[str] = []
-        for key in order:
-            canonical, _ = first[key]
-            cached = self.store.get(key)
-            if cached is not None:
-                unique[key] = ("hit", cached)
-            else:
-                misses.append(key)
-
-        # 4. Compute misses — concurrently on the pool when available.
-        def job(canonical: Dict[str, Any], key: str):
-            def work() -> Dict[str, Any]:
-                return compute_answer(canonical, key)
-            return work
-
-        computed: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        if self.pool is not None and len(misses) > 1:
-            handles = [
-                (key, self.pool.submit(job(first[key][0], key)))
-                for key in misses
-            ]
-            for key, handle in handles:
-                try:
-                    computed[key] = ("computed", handle.result())
-                except Exception as exc:
-                    computed[key] = (
-                        "error", _error_answer(first[key][0], key, exc)
-                    )
-        else:
-            for key in misses:
-                try:
-                    computed[key] = (
-                        "computed", compute_answer(first[key][0], key)
-                    )
-                except Exception as exc:
-                    computed[key] = (
-                        "error", _error_answer(first[key][0], key, exc)
-                    )
-
-        # 5. Persist fresh answers (single-threaded, atomic per entry);
-        #    errors are served but never cached.
-        for key, (source, answer) in computed.items():
-            if source == "computed":
-                self.store.put(key, first[key][0], answer)
-            unique[key] = (source, answer)
+        for key, (source, value) in zip(order, outcomes):
+            if source == "error":
+                value = _error_answer(first[key][0], key, value)
+            unique[key] = (source, value)
 
         # 6. Assemble per-occurrence answers and counters.
         served: Dict[str, bool] = {}

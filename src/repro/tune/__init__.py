@@ -16,12 +16,7 @@ from repro.tune.evaluate import (
     resolve_plan,
     timed_eval,
 )
-from repro.tune.memo import (
-    TUNE_SCHEMA_VERSION,
-    TuneMemo,
-    eval_key,
-    make_answer,
-)
+from repro.tune.memo import TUNE_SCHEMA_VERSION, eval_key
 from repro.tune.search import autotune_ablation, tune_search
 from repro.tune.space import (
     ROTATIONS,
@@ -35,13 +30,11 @@ __all__ = [
     "SCHEDULES",
     "TUNE_SCHEMA_VERSION",
     "Candidate",
-    "TuneMemo",
     "analytic_eval",
     "autotune_ablation",
     "build_kernel",
     "enumerate_candidates",
     "eval_key",
-    "make_answer",
     "resolve_plan",
     "timed_eval",
     "tune_search",

@@ -1,11 +1,13 @@
-"""Content-hash memoization for tuner evaluations.
+"""Content-hash keys for tuner evaluations.
 
 Every evaluation the tuner performs — analytic cost-model scoring of a
 (tile, blocking) class, or a compiled timed run of a (tile, rotation,
 schedule) variant — is described by a plain-JSON *evaluation document*.
 The document is SHA-256-hashed into a cache key with the same key-material
 idiom as :func:`repro.serve.query.query_key`, and the result is persisted
-as a RunReport-shaped answer in a :class:`repro.serve.store.ResultStore`.
+as a RunReport-shaped answer in a :class:`repro.serve.store.ResultStore`
+by the serving layer's memoized-answer step
+(:func:`repro.serve.engine.memoized`).
 
 Three schema versions are folded into the key material:
 
@@ -25,18 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.obs.run_report import SCHEMA_VERSION, RunReport
+from repro.obs.run_report import SCHEMA_VERSION
 from repro.serve.query import QUERY_SCHEMA_VERSION
-from repro.serve.store import ResultStore
 
-__all__ = [
-    "TUNE_SCHEMA_VERSION",
-    "eval_key",
-    "make_answer",
-    "TuneMemo",
-]
+__all__ = ["TUNE_SCHEMA_VERSION", "eval_key"]
 
 #: Version of the tuner's evaluation-document and stats shapes. Bump
 #: whenever an evaluation field is added/renamed or a stats field changes
@@ -61,58 +57,3 @@ def eval_key(doc: Dict[str, Any]) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-def make_answer(
-    command: str,
-    doc: Dict[str, Any],
-    stats: Dict[str, Any],
-    engines: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """A RunReport-shaped answer document for one evaluation.
-
-    ``created`` stays ``None`` so cold and memoized replays of the same
-    evaluation are byte-identical (the ``tune.memo`` oracle and the warm
-    bench pass both rely on this).
-    """
-    return RunReport(
-        command=command,
-        created=None,
-        params=dict(doc),
-        engines=dict(engines or {}),
-        metrics={},
-        stats=dict(stats),
-    ).to_dict()
-
-
-class TuneMemo:
-    """Counting facade over an optional :class:`ResultStore`.
-
-    With ``store=None`` every lookup misses and nothing persists — the
-    cold path used by the ``tune.memo`` oracle's reference engine.
-    """
-
-    def __init__(self, store: Optional[ResultStore] = None) -> None:
-        self.store = store
-        self.hits = 0
-        self.misses = 0
-        self.stored = 0
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The memoized answer for ``key``, counting the hit or miss."""
-        answer = self.store.get(key) if self.store is not None else None
-        if answer is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return answer
-
-    def put(self, key: str, doc: Dict[str, Any], answer: Dict[str, Any]) -> None:
-        """Persist ``answer`` (no-op without a backing store)."""
-        if self.store is not None:
-            self.store.put(key, doc, answer)
-            self.stored += 1
-
-    def counts(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stored": self.stored}

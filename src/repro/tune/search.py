@@ -10,12 +10,14 @@ efficiency, with the analytic score deciding between blockings the timed
 stage cannot separate (it runs fixed-depth panels), and a canonical-JSON
 tie-break making the whole search deterministic.
 
-Both stages dispatch their cache-missing evaluations as jobs on a
-:class:`~repro.gemm.pool.WorkerPool` when one is supplied, and memoize
-every result by content hash in a :class:`~repro.serve.store.ResultStore`
-(see :mod:`repro.tune.memo`), so re-runs and overlapping searches are
-near-free: the warm pass recomputes nothing and reproduces the cold
-result bit-identically (the ``tune.memo`` oracle and
+Both stages run their evaluations through the serving layer's
+memoized-answer step (:func:`repro.serve.engine.memoized`): every result
+is memoized by content hash (:func:`repro.tune.memo.eval_key`) in a
+:class:`~repro.serve.store.ResultStore`, and cache-missing evaluations
+run as jobs on a :class:`~repro.gemm.pool.WorkerPool` when one is
+supplied. Re-runs and overlapping searches are therefore near-free: the
+warm pass recomputes nothing and reproduces the cold result
+bit-identically (the ``tune.memo`` oracle and
 ``benchmarks/bench_tune_throughput.py`` both enforce this).
 """
 
@@ -23,17 +25,19 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.presets import XGENE
 from repro.errors import BlockingError
 from repro.gemm.pool import WorkerPool
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.engine import make_answer, memoized
 from repro.serve.query import resolve_machine
 from repro.serve.store import ResultStore
 from repro.sim.gemm_sim import GemmSimulator
 from repro.tune.evaluate import analytic_eval, timed_eval
-from repro.tune.memo import TUNE_SCHEMA_VERSION, TuneMemo, eval_key, make_answer
+from repro.tune.memo import TUNE_SCHEMA_VERSION, eval_key
 from repro.tune.space import ROTATIONS, SCHEDULES, Candidate, enumerate_candidates
 
 __all__ = ["autotune_ablation", "tune_search"]
@@ -51,41 +55,33 @@ def _evaluate_stage(
     compute: Callable[[Dict[str, Any]], Dict[str, Any]],
     command: str,
     engines: Dict[str, Any],
-    memo: TuneMemo,
+    store: Optional[ResultStore],
     pool: Optional[WorkerPool],
     metrics: Optional[MetricsRegistry],
     counter: str,
-) -> Dict[Tuple[Any, ...], Dict[str, Any]]:
+) -> Tuple[Dict[Tuple[Any, ...], Dict[str, Any]], Dict[str, int]]:
     """Memoized, optionally pool-parallel evaluation of one stage.
 
     ``docs`` maps a stage-specific class tuple to its canonical
-    evaluation document. Returns class tuple -> stats.
+    evaluation document. Returns class tuple -> stats, and the stage's
+    memo counts. The first failing evaluation's exception is re-raised.
     """
-    stats: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-    missing: List[Tuple[Tuple[Any, ...], str, Dict[str, Any]]] = []
-    for cls, doc in docs.items():
-        key = eval_key(doc)
-        answer = memo.get(key)
-        if answer is not None:
-            stats[cls] = answer["stats"]
-        else:
-            missing.append((cls, key, doc))
+    def answer(doc: Dict[str, Any]) -> Dict[str, Any]:
+        return make_answer(command, doc, compute(doc), engines)
 
-    def job(doc: Dict[str, Any]) -> Dict[str, Any]:
-        return compute(doc)
-
-    if missing:
-        if metrics is not None:
-            metrics.inc(counter, len(missing))
-        fns = [lambda d=doc: job(d) for _, _, doc in missing]
-        if pool is not None:
-            results = pool.run_jobs(fns)
-        else:
-            results = [fn() for fn in fns]
-        for (cls, key, doc), result in zip(missing, results):
-            memo.put(key, doc, make_answer(command, doc, result, engines))
-            stats[cls] = result
-    return stats
+    outcomes = memoized(store, [
+        (eval_key(doc), doc, partial(answer, doc)) for doc in docs.values()
+    ], pool)
+    misses = sum(1 for source, _ in outcomes if source != "hit")
+    if metrics is not None and misses:
+        metrics.inc(counter, misses)
+    for source, value in outcomes:
+        if source == "error":
+            raise value
+    counts = {"hits": len(outcomes) - misses, "misses": misses,
+              "stored": misses if store is not None else 0}
+    stats = {cls: value["stats"] for cls, (_, value) in zip(docs, outcomes)}
+    return stats, counts
 
 
 def tune_search(
@@ -161,17 +157,14 @@ def tune_search(
                 "problem_size": problem_size,
                 "threads": threads,
             }
-    memo = TuneMemo(store)
-    analytic_memo_before = memo.counts()
-    analytic_stats = _evaluate_stage(
+    analytic_stats, analytic_memo = _evaluate_stage(
         analytic_docs,
         lambda doc: analytic_eval(chip, doc),
         command="tune-eval-analytic",
         engines={"analytic": {"selected": "gemm-sim", "fallback_reason": None}},
-        memo=memo, pool=pool, metrics=metrics,
+        store=store, pool=pool, metrics=metrics,
         counter="tune.analytic_evals",
     )
-    analytic_memo = memo.counts()
 
     ranked_classes = sorted(
         analytic_docs,
@@ -194,20 +187,14 @@ def tune_search(
                 "bodies": bodies, "na": na, "nb": nb,
                 "hw_late": hw_late, "seed": seed,
             }
-    timed_stats = _evaluate_stage(
+    timed_stats, timed_memo = _evaluate_stage(
         timed_docs,
         lambda doc: timed_eval(chip, doc),
         command="tune-eval-timed",
         engines={"timed": {"selected": "compiled", "fallback_reason": None}},
-        memo=memo, pool=pool, metrics=metrics,
+        store=store, pool=pool, metrics=metrics,
         counter="tune.timed_evals",
     )
-    timed_memo = {
-        k: memo.counts()[k] - analytic_memo[k] for k in analytic_memo
-    }
-    analytic_memo = {
-        k: analytic_memo[k] - analytic_memo_before[k] for k in analytic_memo
-    }
 
     # -- final ranking ------------------------------------------------------
     def final_key(cand: Candidate) -> Tuple[Any, ...]:

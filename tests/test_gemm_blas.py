@@ -1,5 +1,8 @@
 """Tests for the BLAS-convention interface (transposes, syrk)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -90,16 +93,56 @@ class TestGemmOneThread:
         assert np.array_equal(got, want)
         assert got_trace == want_trace
 
-    def test_stays_off_the_shared_workspace(self):
-        shared = get_shared_workspace()
-        before = (shared.hits, shared.misses, shared.num_buffers)
-        a, b, c = rand(30, 20), rand(20, 25), rand(30, 25)
-        gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"), blocking=BLK)
-        assert (shared.hits, shared.misses, shared.num_buffers) == before
-        ws = GemmWorkspace()
-        gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"), blocking=BLK,
-             workspace=ws)
-        assert ws.misses > 0
+
+class TestConcurrentCallers:
+    def test_default_workspace_is_per_calling_thread(self):
+        # Concurrent callers without workspace= must not overwrite each
+        # other's packed buffers, while a call's pool workers pack into
+        # their caller's workspace.
+        blk = CacheBlocking(mr=8, nr=6, kc=64, mc=24, nc=48, k1=1, k2=2,
+                            k3=1)
+        rng = np.random.default_rng(11)
+        cases = [
+            tuple(np.asfortranarray(rng.standard_normal(shape))
+                  for shape in ((48, 36), (36, 40), (48, 40)))
+            for _ in range(4)
+        ]
+        wants = [dgemm(a, b, c.copy(order="F"), blocking=blk)
+                 for a, b, c in cases]
+        wrong = [0] * len(cases)
+        used = [None] * len(cases)
+
+        def hammer(t):
+            a, b, c = cases[t]
+            for i in range(30):
+                if i % 3 == 2:
+                    got = gemm("N", "N", 1.0, a, b, 1.0, c.copy(order="F"),
+                               blocking=blk)
+                else:
+                    got = parallel_dgemm(a, b, c.copy(order="F"), threads=2,
+                                         blocking=blk,
+                                         use_os_threads=i % 3 == 1)
+                wrong[t] += not np.array_equal(got, wants[t])
+            used[t] = get_shared_workspace()
+
+        main_ws = get_shared_workspace()
+        before = (main_ws.hits, main_ws.misses)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,))
+                       for t in range(len(cases))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * len(cases)
+        assert len({id(ws) for ws in used}) == len(cases)
+        assert all(ws.misses > 0 for ws in used)
+        assert (main_ws.hits, main_ws.misses) == before
 
 
 class TestSyrk:

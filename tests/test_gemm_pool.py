@@ -242,11 +242,6 @@ class TestJobAPI:
             assert job.result(timeout=5.0) == 42
             assert job.done()
 
-    def test_run_jobs_preserves_order(self):
-        with WorkerPool(3) as pool:
-            got = pool.run_jobs([lambda i=i: i * i for i in range(10)])
-        assert got == [i * i for i in range(10)]
-
     def test_job_exception_reraised_on_result(self):
         def boom():
             raise ValueError("job fault")
@@ -335,7 +330,8 @@ class TestJobAPI:
 
     def test_jobs_dispatched_counter(self):
         with WorkerPool(2) as pool:
-            pool.run_jobs([lambda: None] * 5)
+            for job in [pool.submit(lambda: None) for _ in range(5)]:
+                job.result(timeout=5.0)
             assert pool.jobs_dispatched == 5
             assert "jobs=5" in repr(pool)
 

@@ -117,11 +117,13 @@ class TestRunReport:
         }
 
     def test_diff_ignores_created(self):
-        a = _report()
+        # `repro report --diff` compares through compare_reports.
         b = _report(created="2026-02-02T00:00:00",
                     stats={"result": {"loads": 11, "gflops": 4.0}})
-        d = a.diff(b)
-        assert d == {"stats.result.loads": (10, 11)}
+        comp = compare_reports(_report(), b)
+        assert [(f.path, f.baseline, f.current) for f in comp.findings] == [
+            ("stats.result.loads", 10, 11),
+        ]
 
     def test_validate_rejects_garbage(self):
         assert validate_report([]) != []

@@ -28,6 +28,7 @@ from repro.serve import (
     resolve_machine,
     warm_queries,
 )
+from repro.serve.engine import memoized
 
 #: Cheap queries used throughout (small shapes, short replays).
 SIM_Q = {"kind": "simulate", "m": 64, "n": 64, "k": 64}
@@ -302,6 +303,69 @@ class TestQueryEngine:
         assert counters["serve.queries"] == 2
         assert counters["serve.computed"] == 1
         assert counters["serve.deduped"] == 1
+
+
+def _query_jobs(*docs):
+    """memoized() jobs answering each query document."""
+    jobs = []
+    for doc in docs:
+        canonical, key = query_key(doc)
+        jobs.append((key, canonical,
+                     lambda c=canonical, k=key: compute_answer(c, k)))
+    return jobs
+
+
+class TestMemoized:
+    """The lookup -> compute -> persist step serving and tuning share."""
+
+    def test_no_store_computes_every_key(self):
+        calls = []
+        jobs = [(k, {}, lambda k=k: calls.append(k) or {"k": k})
+                for k in ("a", "b")]
+        for _ in range(2):
+            assert memoized(None, jobs) == [
+                ("computed", {"k": "a"}), ("computed", {"k": "b"}),
+            ]
+        assert calls == ["a", "b", "a", "b"]
+
+    def test_exception_returned_not_stored_and_retried(self, tmp_path):
+        store = ResultStore(tmp_path)
+        calls = []
+
+        def bad():
+            calls.append("bad")
+            raise ValueError("no answer")
+
+        jobs = _query_jobs(SIM_Q) + [("f" * 64, {}, bad)]
+        (source, answer), (err_source, exc) = memoized(store, jobs)
+        assert (source, err_source) == ("computed", "error")
+        assert isinstance(exc, ValueError)
+        assert list(store.keys()) == [jobs[0][0]]
+        again = memoized(store, jobs)
+        assert again[0] == ("hit", answer)
+        assert again[1][0] == "error"
+        assert calls == ["bad", "bad"]
+
+    def test_pooled_matches_inline_byte_for_byte(self, tmp_path):
+        jobs = _query_jobs(SIM_Q, CACHE_Q, TIMED_Q)
+        inline = ResultStore(tmp_path / "inline")
+        pooled = ResultStore(tmp_path / "pooled")
+        with WorkerPool(2) as pool:
+            got = memoized(pooled, jobs, pool)
+            assert pool.jobs_dispatched == 3
+        assert got == memoized(inline, jobs)
+        for key, _, _ in jobs:
+            assert (pooled.path_for(key).read_bytes()
+                    == inline.path_for(key).read_bytes())
+
+    def test_lone_miss_runs_inline(self, tmp_path):
+        store = ResultStore(tmp_path)
+        jobs = _query_jobs(SIM_Q, TIMED_Q)
+        memoized(store, jobs[:1])
+        with WorkerPool(2) as pool:
+            got = memoized(store, jobs, pool)
+            assert pool.jobs_dispatched == 0
+        assert [source for source, _ in got] == ["hit", "computed"]
 
 
 class TestWarmQueries:

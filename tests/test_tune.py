@@ -213,6 +213,14 @@ class TestTuneSearch:
             pool.close()
         assert _strip_memo(inline) == _strip_memo(pooled)
 
+    def test_failing_evaluation_propagates(self, tmp_path, monkeypatch):
+        def boom(chip, doc):
+            raise ValueError("analytic model failed")
+
+        monkeypatch.setattr("repro.tune.search.analytic_eval", boom)
+        with pytest.raises(ValueError, match="analytic model failed"):
+            tune_search(store=ResultStore(tmp_path / "memo"), **SMOKE)
+
     def test_memoized_entries_are_valid_reports(self, tmp_path):
         from repro.obs import validate_report
 
