@@ -3,8 +3,8 @@
 The layer-3 parallel loop dispatches one slice of work per core at every
 ``(jj, kk)`` panel iteration. The seed implementation spawned fresh OS
 threads for each iteration; the persistent :class:`repro.gemm.WorkerPool`
-keeps one team of workers alive for the process and replaces spawn/join
-with a condition-variable barrier.
+keeps one caller-owned team of workers alive and replaces spawn/join
+with worker-pinned tasks on its queue, joined at a barrier.
 
 This bench isolates the *engine overhead*: the same small-matrix
 ``parallel_dgemm`` loop is timed inline (no OS threads — the pure
@@ -52,13 +52,12 @@ def _operands(size=SIZE):
     )
 
 
-def _time_loop(a, b, c, use_os_threads, pool):
+def _time_loop(a, b, c, pool):
     """Best-of-3 wall-clock of a REPS-call parallel_dgemm loop."""
     def once():
         for _ in range(REPS):
             parallel_dgemm(a, b, c.copy(order="F"), threads=THREADS,
-                           blocking=BLK, use_os_threads=use_os_threads,
-                           pool=pool)
+                           blocking=BLK, pool=pool)
     once()  # warm up (pool threads, workspace buffers, numpy caches)
     best = float("inf")
     for _ in range(3):
@@ -71,17 +70,15 @@ def _time_loop(a, b, c, use_os_threads, pool):
 def run_overhead_comparison():
     a, b, c = _operands()
     with WorkerPool(THREADS) as pool:
-        inline_s = _time_loop(a, b, c, use_os_threads=False, pool=None)
-        spawn_s = _time_loop(a, b, c, use_os_threads=True, pool="spawn")
-        pool_s = _time_loop(a, b, c, use_os_threads=True, pool=pool)
+        inline_s = _time_loop(a, b, c, pool=None)
+        spawn_s = _time_loop(a, b, c, pool="spawn")
+        pool_s = _time_loop(a, b, c, pool=pool)
 
         serial = dgemm(a, b, c.copy(order="F"), blocking=BLK)
         spawn_res = parallel_dgemm(a, b, c.copy(order="F"), threads=THREADS,
-                                   blocking=BLK, use_os_threads=True,
-                                   pool="spawn")
+                                   blocking=BLK, pool="spawn")
         pool_res = parallel_dgemm(a, b, c.copy(order="F"), threads=THREADS,
-                                  blocking=BLK, use_os_threads=True,
-                                  pool=pool)
+                                  blocking=BLK, pool=pool)
     return {
         "inline_s": inline_s,
         "spawn_s": spawn_s,
@@ -146,8 +143,9 @@ def test_bench_surplus_workers_not_active(benchmark):
 
     def run():
         trace, stats = GemmTrace(), PoolStats()
-        parallel_dgemm(a, b, c.copy(order="F"), threads=8, blocking=BLK,
-                       use_os_threads=True, trace=trace, stats=stats)
+        with WorkerPool(8) as pool:
+            parallel_dgemm(a, b, c.copy(order="F"), threads=8, blocking=BLK,
+                           pool=pool, trace=trace, stats=stats)
         return trace, stats
 
     trace, stats = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -199,11 +199,11 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
     def run_loop(pool) -> float:
         parallel_dgemm(a, b, c.copy(order="F"), threads=args.threads,
-                       blocking=blk, use_os_threads=True, pool=pool)
+                       blocking=blk, pool=pool)
         t0 = time.perf_counter()
         for _ in range(args.reps):
             parallel_dgemm(a, b, c.copy(order="F"), threads=args.threads,
-                           blocking=blk, use_os_threads=True, pool=pool)
+                           blocking=blk, pool=pool)
         return time.perf_counter() - t0
 
     spawn_s = run_loop("spawn")
@@ -211,8 +211,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
         pool_s = run_loop(pool)
         stats = PoolStats()
         parallel_dgemm(a, b, c.copy(order="F"), threads=args.threads,
-                       blocking=blk, use_os_threads=True, pool=pool,
-                       stats=stats)
+                       blocking=blk, pool=pool, stats=stats)
     print(format_table(
         ["engine", "total s", "ms/call"],
         [["spawn-per-iteration", spawn_s, spawn_s / args.reps * 1e3],

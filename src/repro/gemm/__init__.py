@@ -17,8 +17,6 @@ from repro.gemm.pool import (
     PoolStats,
     ThreadCounters,
     WorkerPool,
-    close_shared_pool,
-    get_shared_pool,
 )
 from repro.gemm.workspace import GemmWorkspace, get_shared_workspace
 from repro.gemm.blas import gemm, syrk
@@ -35,8 +33,6 @@ __all__ = [
     "Job",
     "PoolStats",
     "ThreadCounters",
-    "get_shared_pool",
-    "close_shared_pool",
     "GemmWorkspace",
     "get_shared_workspace",
     "DEFAULT_BLOCKING",

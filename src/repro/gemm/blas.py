@@ -47,7 +47,6 @@ def gemm(
     blocking: Optional[CacheBlocking] = None,
     threads: int = 1,
     trace: Optional[GemmTrace] = None,
-    use_os_threads: bool = False,
     pool: Union[None, str, WorkerPool] = None,
     workspace: Optional[GemmWorkspace] = None,
     stats: Optional[PoolStats] = None,
@@ -63,10 +62,11 @@ def gemm(
         blocking: Optional block sizes.
         threads: Worker count for the layer-3 parallel driver.
         trace: Optional structural trace.
-        use_os_threads: Run partitions on real OS threads via the
-            persistent worker pool (wall-clock mode; identical numerics).
-        pool: Worker-pool selection, forwarded to
-            :func:`~repro.gemm.parallel.parallel_dgemm`.
+        pool: Step executor, forwarded to
+            :func:`~repro.gemm.parallel.parallel_dgemm`: ``None`` runs
+            inline, a caller-owned :class:`~repro.gemm.pool.WorkerPool`
+            runs the partitions on its OS threads (wall-clock mode;
+            identical numerics), ``"spawn"`` is the per-step baseline.
         workspace: Packed-buffer cache, forwarded to the driver
             (default: the calling thread's, see
             :func:`~repro.gemm.workspace.get_shared_workspace`).
@@ -80,8 +80,8 @@ def gemm(
     b_eff = _op(transb, np.asarray(b, dtype=np.float64))
     return parallel_dgemm(
         a_eff, b_eff, c, threads=threads, alpha=alpha, beta=beta,
-        blocking=blocking, trace=trace, use_os_threads=use_os_threads,
-        pool=pool, workspace=workspace, stats=stats,
+        blocking=blocking, trace=trace, pool=pool, workspace=workspace,
+        stats=stats,
     )
 
 

@@ -19,10 +19,10 @@ Neither axis has a loop nest of its own: both are built from the
   private B panel;
 - each step's per-thread closures execute either **inline** (the default:
   simulated workers — sequential, deterministic, the mode the performance
-  simulator traces) or on **real OS threads** via the persistent
-  :class:`~repro.gemm.pool.WorkerPool` (numpy releases the GIL inside the
-  micro-kernel products, and thread creation is paid once per process
-  instead of once per panel iteration);
+  simulator traces) or on **real OS threads** of a caller-owned
+  persistent :class:`~repro.gemm.pool.WorkerPool` passed as ``pool``
+  (numpy releases the GIL inside the micro-kernel products, and thread
+  creation is paid once per pool instead of once per panel iteration);
 - packed buffers come from a :class:`~repro.gemm.workspace.GemmWorkspace`
   (shared B panel, per-thread A slivers), so steady-state iterations
   allocate nothing;
@@ -55,7 +55,7 @@ from repro.gemm.driver import (
     panel_step,
     prepare_operands,
 )
-from repro.gemm.pool import PoolStats, ThreadCounters, WorkerPool, get_shared_pool
+from repro.gemm.pool import PoolStats, ThreadCounters, WorkerPool
 from repro.gemm.trace import GemmTrace
 from repro.gemm.workspace import GemmWorkspace, get_shared_workspace
 from repro.obs.metrics import MetricsRegistry
@@ -161,36 +161,28 @@ def _spawn_execute(tasks: Sequence[Callable[[], None]]) -> None:
 
 
 def _resolve_executor(
-    use_os_threads: bool,
     threads: int,
     pool: Union[None, str, WorkerPool],
 ) -> _Executor:
     """Pick the step executor for this call.
 
-    Inline unless OS threads are requested; with OS threads the shared
-    persistent pool is used by default, an explicit :class:`WorkerPool`
-    when given, or per-step spawning for ``pool="spawn"`` (the overhead
-    baseline).
+    Inline for ``pool=None`` and for one-thread calls; otherwise the
+    given :class:`WorkerPool`, or per-step spawning for
+    ``pool="spawn"`` (the overhead baseline).
 
     The ``pool`` argument is validated before the inline shortcut: a
-    typo'd string or wrong type is an error even when ``threads == 1``
-    or OS threads are off, instead of being silently accepted.
+    typo'd string or wrong type is an error even when ``threads == 1``,
+    instead of being silently accepted.
     """
-    if pool is not None and not isinstance(pool, (str, WorkerPool)):
-        raise GemmError(
-            "pool must be None, 'spawn', or a WorkerPool, "
-            f"got {pool!r}"
-        )
-    if isinstance(pool, str) and pool != "spawn":
+    if not (pool is None or isinstance(pool, WorkerPool)
+            or (isinstance(pool, str) and pool == "spawn")):
         raise GemmError(
             f"pool must be None, 'spawn', or a WorkerPool, got {pool!r}"
         )
-    if not use_os_threads or threads == 1:
+    if pool is None or threads == 1:
         return _inline_execute
     if pool == "spawn":
         return _spawn_execute
-    if pool is None:
-        pool = get_shared_pool(threads)
     if pool.threads < threads:
         raise GemmError(
             f"pool has {pool.threads} workers, call needs {threads}"
@@ -208,7 +200,6 @@ def parallel_dgemm(
     blocking: Optional[CacheBlocking] = None,
     chip: ChipParams = XGENE,
     trace: Optional[GemmTrace] = None,
-    use_os_threads: bool = False,
     axis: str = "m",
     pool: Union[None, str, WorkerPool] = None,
     workspace: Optional[GemmWorkspace] = None,
@@ -228,19 +219,18 @@ def parallel_dgemm(
         chip: Architecture used for blocking derivation and trace metadata.
         trace: Optional structural trace collector (thread-safe: events
             are buffered per thread and merged deterministically).
-        use_os_threads: Execute partitions on real OS threads (identical
-            numerics; useful only for wall-clock timing). Honoured by
-            both axes.
         axis: ``"m"`` parallelizes the third loop over A blocks (the
             paper's Fig. 9 choice — one shared B panel in the L3);
             ``"n"`` parallelizes the first loop over column panels (the
             ablation: every thread owns a private B panel, overflowing
             the shared L3).
-        pool: OS-thread engine selection: ``None`` uses the persistent
-            process-wide :class:`~repro.gemm.pool.WorkerPool`; an
-            explicit pool instance is used as given; ``"spawn"`` spawns
-            threads per step (the legacy baseline). Ignored without
-            ``use_os_threads``.
+        pool: Step executor: ``None`` (the default) runs every step's
+            tasks inline; a caller-owned
+            :class:`~repro.gemm.pool.WorkerPool` with at least
+            ``threads`` workers runs them on its OS threads (identical
+            numerics; useful for wall-clock timing), for both axes;
+            ``"spawn"`` spawns threads per step (the legacy overhead
+            baseline). A one-thread call always runs inline.
         workspace: Packed-buffer cache; defaults to the calling
             thread's :class:`~repro.gemm.workspace.GemmWorkspace`
             (:func:`~repro.gemm.workspace.get_shared_workspace`), so
@@ -279,7 +269,7 @@ def parallel_dgemm(
     m, k = a.shape
     n = b.shape[1]
     ws = workspace if workspace is not None else get_shared_workspace()
-    executor = _resolve_executor(use_os_threads, threads, pool)
+    executor = _resolve_executor(threads, pool)
     if stats is not None:
         stats.record_call()
 

@@ -9,26 +9,19 @@ drowns the very scaling the paper measures.
 
 :class:`WorkerPool` reproduces the real runtime structure: ``threads``
 daemon workers are created once and reused across every panel iteration
-and across ``parallel_dgemm`` calls. Each :meth:`WorkerPool.run` call is
-one barrier-delimited step — task ``i`` executes on worker ``i``, the
-caller blocks until every task finished, and worker exceptions are
-re-raised in the caller. A process-wide shared pool is available through
-:func:`get_shared_pool` so library entry points (``parallel_dgemm``,
-``blas.gemm``, the CLI) amortize the thread creation over the process
-lifetime.
+and across ``parallel_dgemm`` calls. The pool is caller-owned: whoever
+wants OS threads creates one (``with WorkerPool(4) as pool: ...``) and
+passes it down; there is no process-wide pool.
 
-Beyond barrier steps, the pool is a general job executor: :meth:`submit`
-hands an arbitrary callable to whichever worker frees up first and
-returns a :class:`Job` handle. The memoized-answer step that serving
-and tuning share (:func:`repro.serve.engine.memoized`) dispatches cache
-misses this way, so queries and tuner evaluations run concurrently on
-the same threads that serve GEBP barrier steps. Barrier steps keep
-priority: a worker always prefers its pending step task over the shared
-job queue.
-
-The shared pool grows **in place** (:meth:`grow`): existing holders keep
-a valid reference while new workers are added, so a thread mid-``run()``
-can never observe its pool being closed underneath it.
+The workers serve one queue. :meth:`WorkerPool.submit` appends a job
+for whichever worker frees up first and returns a :class:`Job` handle —
+the dispatch mode of the memoized-answer step that serving and tuning
+share (:func:`repro.serve.engine.memoized`). :meth:`WorkerPool.run` is
+one barrier-delimited step: task ``i`` is queued pinned to worker ``i``
+ahead of every unpinned job, the caller waits on the tasks' handles, and
+the first failure in task order is re-raised in the caller. Closing the
+pool fails every queued entry, so a waiter on either path raises
+instead of hanging.
 
 :class:`PoolStats` is the engine's observability hook: per-logical-thread
 pack/GEBP wall-clock counters plus the number of barrier steps, so a user
@@ -58,10 +51,6 @@ class ThreadCounters:
     pack_a_calls: int = 0
     pack_b_calls: int = 0
     gebp_calls: int = 0
-
-    @property
-    def busy_seconds(self) -> float:
-        return self.pack_a_seconds + self.pack_b_seconds + self.gebp_seconds
 
     def reset(self) -> None:
         """Zero every counter in place (object identity is preserved)."""
@@ -179,17 +168,22 @@ class PoolStats:
 
 
 class Job:
-    """Handle to one callable submitted via :meth:`WorkerPool.submit`.
+    """Handle to one callable on a :class:`WorkerPool`'s queue.
 
-    A minimal future: :meth:`result` blocks until a worker finished the
-    job and returns its value (or re-raises its exception in the
-    caller). Handles are single-assignment — a job runs exactly once.
+    Returned by :meth:`WorkerPool.submit`; :meth:`WorkerPool.run` waits
+    on one per step task. A minimal future: :meth:`result` blocks until
+    a worker finished the job and returns its value (or re-raises its
+    exception in the caller). Handles are single-assignment — a job
+    runs at most once, and one failed by :meth:`WorkerPool.close`
+    never runs.
     """
 
-    __slots__ = ("_cond", "_done", "_result", "_exc")
+    __slots__ = ("_latch", "_done", "_result", "_exc")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        # Held until the job finished; each waiter passes it on.
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._done = False
         self._result: Any = None
         self._exc: Optional[BaseException] = None
@@ -197,15 +191,22 @@ class Job:
     def _finish(
         self, result: Any, exc: Optional[BaseException]
     ) -> None:
-        with self._cond:
-            self._result = result
-            self._exc = exc
-            self._done = True
-            self._cond.notify_all()
+        self._result = result
+        self._exc = exc
+        self._done = True
+        self._latch.release()
 
     def done(self) -> bool:
-        with self._cond:
-            return self._done
+        return self._done
+
+    def _wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the job finished; ``False`` on timeout."""
+        if not self._done:
+            wait = -1 if timeout is None else max(timeout, 0.0)
+            if not self._latch.acquire(timeout=wait):
+                return False
+            self._latch.release()
+        return True
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The job's return value; blocks until it finished.
@@ -213,158 +214,113 @@ class Job:
         Re-raises the job's exception if it failed; raises
         :class:`GemmError` on timeout.
         """
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._done, timeout):
-                raise GemmError(
-                    f"timed out after {timeout}s waiting for job"
-                )
-            if self._exc is not None:
-                raise self._exc
-            return self._result
+        if not self._wait(timeout):
+            raise GemmError(f"timed out after {timeout}s waiting for job")
+        if self._exc is not None:
+            raise self._exc
+        return self._result
+
+
+#: One queued entry: the handle, the callable and the worker it is
+#: pinned to (``None``: any worker).
+_Entry = Tuple[Job, Callable[[], Any], Optional[int]]
 
 
 class WorkerPool:
-    """A team of daemon worker threads: barrier steps and general jobs.
+    """A team of daemon worker threads serving one queue.
 
-    One :meth:`run` call is one step: ``fns[i]`` executes on worker ``i``
-    (``None`` entries leave that worker idle), and the call returns only
-    after every submitted task completed — the per-``(jj, kk)`` barrier
-    of the parallel loop nest. :meth:`submit` instead enqueues one
-    callable for whichever worker frees up first and returns a
-    :class:`Job` handle — the dispatch mode of the query-serving layer.
-    The pool is reused across steps, jobs and DGEMM calls; :meth:`grow`
-    adds workers in place, and :meth:`close` (or context-manager exit)
-    shuts it down.
+    :meth:`submit` enqueues a callable for whichever worker frees up
+    first. :meth:`run` is one barrier step: ``fns[i]`` is enqueued
+    pinned to worker ``i`` (``None`` entries leave that worker idle),
+    ahead of every queued unpinned job, and the call returns only after
+    every task finished — the per-``(jj, kk)`` barrier of the parallel
+    loop nest. A worker takes the first entry that is unpinned or
+    pinned to itself. The pool is reused across steps, jobs and DGEMM
+    calls; :meth:`close` (or context-manager exit) shuts it down.
     """
 
     def __init__(self, threads: int, name: str = "gemm-worker"):
         if threads < 1:
             raise GemmError(f"pool needs at least 1 worker, got {threads}")
         self.threads = threads
-        self._name = name
         self._cond = threading.Condition()
-        self._dispatch_lock = threading.Lock()
-        self._generation = 0
-        self._tasks: List[Optional[Task]] = [None] * threads
-        self._pending = 0
-        self._errors: List[BaseException] = []
-        self._jobs: Deque[Tuple[Job, Callable[[], Any]]] = deque()
+        self._queue: Deque[_Entry] = deque()
         self._closed = False
         self.steps_dispatched = 0
         self.jobs_dispatched = 0
-        self._workers: List[threading.Thread] = []
-        with self._cond:
-            self._spawn_workers(0, threads, start_generation=0)
-
-    def _spawn_workers(
-        self, start: int, stop: int, start_generation: int
-    ) -> None:
-        """Start workers ``start..stop``; caller holds ``_cond``."""
-        for t in range(start, stop):
-            w = threading.Thread(
-                target=self._worker_loop, args=(t, start_generation),
-                name=f"{self._name}-{t}", daemon=True,
-            )
+        self._workers = [
+            threading.Thread(target=self._worker_loop, args=(t,),
+                             name=f"{name}-{t}", daemon=True)
+            for t in range(threads)
+        ]
+        for w in self._workers:
             w.start()
-            self._workers.append(w)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def _worker_loop(self, t: int, seen: int) -> None:
-        """Worker ``t``'s service loop.
+    def _take(self, t: int) -> Optional[_Entry]:
+        """Pop worker ``t``'s next entry; caller holds ``_cond``."""
+        for i, entry in enumerate(self._queue):
+            if entry[2] is None or entry[2] == t:
+                del self._queue[i]
+                return entry
+        return None
 
-        ``seen`` starts at the generation current when the worker was
-        created, so workers added by :meth:`grow` never pick up the task
-        slot of a step dispatched before they existed.
-        """
+    def _worker_loop(self, t: int) -> None:
+        """Worker ``t``'s service loop: run entries until closed."""
         while True:
-            job: Optional[Tuple[Job, Callable[[], Any]]] = None
-            fn: Optional[Task] = None
             with self._cond:
-                while (
-                    not self._closed
-                    and self._generation == seen
-                    and not self._jobs
-                ):
+                entry = self._take(t)
+                while entry is None and not self._closed:
                     self._cond.wait()
-                if self._closed:
-                    return
-                if self._generation != seen:
-                    # Barrier steps outrank queued jobs: the DGEMM inner
-                    # loop's latency budget is tighter than any query's.
-                    seen = self._generation
-                    fn = self._tasks[t]
-                else:
-                    job = self._jobs.popleft()
-            if job is not None:
-                handle, work = job
-                try:
-                    value = work()
-                except BaseException as exc:
-                    handle._finish(None, exc)
-                else:
-                    handle._finish(value, None)
-                continue
-            if fn is None:
-                continue
+                    entry = self._take(t)
+            if entry is None:
+                return
+            handle, fn, _ = entry
             try:
-                fn()
-            except BaseException as exc:  # propagate to the dispatcher
-                with self._cond:
-                    self._errors.append(exc)
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._cond.notify_all()
+                value = fn()
+            except BaseException as exc:  # re-raised by the waiter
+                handle._finish(None, exc)
             else:
-                with self._cond:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._cond.notify_all()
+                handle._finish(value, None)
 
     def run(self, fns: Sequence[Optional[Task]]) -> None:
         """Execute one barrier step: ``fns[i]`` on worker ``i``.
 
-        Blocks until every non-``None`` task finished. The first worker
-        exception (if any) is re-raised here after the barrier.
+        Blocks until every non-``None`` task finished, then re-raises
+        the first failure in task order. A task still queued when the
+        pool closes fails with :class:`GemmError`.
         """
-        if self._closed:
-            raise GemmError("worker pool is closed")
         if len(fns) > self.threads:
             raise GemmError(
                 f"{len(fns)} tasks submitted to a {self.threads}-worker pool"
             )
-        submitted: List[Optional[Task]] = list(fns)
-        n_active = sum(1 for fn in submitted if fn is not None)
-        if n_active == 0:
-            return
-        with self._dispatch_lock:
-            with self._cond:
-                if self._closed:
-                    raise GemmError("worker pool is closed")
-                # Pad under the lock: self.threads can only have grown
-                # since the length check above.
-                tasks = submitted + [None] * (self.threads - len(submitted))
-                self._tasks = tasks
-                self._errors = []
-                self._pending = n_active
-                self._generation += 1
-                self.steps_dispatched += 1
-                self._cond.notify_all()
-                while self._pending > 0:
-                    self._cond.wait()
-                errors = list(self._errors)
-        if errors:
-            raise errors[0]
-
-    # -- general job dispatch (the serving layer's entry point) --------------
+        step = [(Job(), fn, t) for t, fn in enumerate(fns) if fn is not None]
+        with self._cond:
+            if self._closed:
+                raise GemmError("worker pool is closed")
+            if not step:
+                return
+            # Barrier steps outrank queued jobs: the DGEMM inner loop's
+            # latency budget is tighter than any query's. Steps keep
+            # their arrival order among themselves.
+            at = next((i for i, e in enumerate(self._queue) if e[2] is None),
+                      len(self._queue))
+            for i, entry in enumerate(step):
+                self._queue.insert(at + i, entry)
+            self.steps_dispatched += 1
+            self._cond.notify_all()
+        for handle, _fn, _t in step:
+            handle._wait()
+        for handle, _fn, _t in step:
+            handle.result()  # raises the first failure in task order
 
     def submit(self, fn: Callable[[], Any]) -> Job:
         """Enqueue ``fn`` for the first free worker; returns its handle.
 
-        Jobs interleave with barrier steps on the same workers; a worker
-        between steps drains the job queue in FIFO order.
+        Jobs run behind every queued barrier-step task, in FIFO order.
         """
         if fn is None:
             raise GemmError("cannot submit None as a job")
@@ -372,52 +328,29 @@ class WorkerPool:
         with self._cond:
             if self._closed:
                 raise GemmError("worker pool is closed")
-            self._jobs.append((handle, fn))
+            self._queue.append((handle, fn, None))
             self.jobs_dispatched += 1
             self._cond.notify_all()
         return handle
 
-    def grow(self, threads: int) -> None:
-        """Add workers so the pool serves at least ``threads`` (in place).
-
-        Safe for concurrent holders: growth quiesces behind the dispatch
-        lock (waiting out any in-flight barrier step) and never closes or
-        replaces anything, so a reference obtained earlier stays valid
-        and simply sees more workers. Shrinking is not supported; a
-        smaller ``threads`` is a no-op.
-        """
-        if threads <= self.threads:
-            return
-        with self._dispatch_lock:
-            with self._cond:
-                if self._closed:
-                    raise GemmError("cannot grow a closed worker pool")
-                if threads <= self.threads:
-                    return
-                old = self.threads
-                self._tasks = self._tasks + [None] * (threads - old)
-                self._spawn_workers(
-                    old, threads, start_generation=self._generation
-                )
-                self.threads = threads
-
     def close(self, timeout: float = 1.0) -> None:
         """Shut the workers down (idempotent).
 
-        Jobs still queued (never started) fail their handles with
-        :class:`GemmError`. A worker that does not join within
-        ``timeout`` seconds — e.g. wedged inside a task — is detected
-        and reported by name in a raised :class:`GemmError`; the pool is
-        left closed (unusable) on that path too.
+        Entries still queued (never started) — jobs and barrier-step
+        tasks alike — fail their handles with :class:`GemmError`, so no
+        waiter hangs. A worker that does not join within ``timeout``
+        seconds — e.g. wedged inside a task — is detected and reported
+        by name in a raised :class:`GemmError`; the pool is left closed
+        (unusable) on that path too.
         """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            orphaned = list(self._jobs)
-            self._jobs.clear()
+            orphaned = list(self._queue)
+            self._queue.clear()
             self._cond.notify_all()
-        for handle, _fn in orphaned:
+        for handle, _fn, _t in orphaned:
             handle._finish(
                 None, GemmError("worker pool closed before job ran")
             )
@@ -444,35 +377,3 @@ class WorkerPool:
             f"WorkerPool(threads={self.threads}, {state}, "
             f"steps={self.steps_dispatched}, jobs={self.jobs_dispatched})"
         )
-
-
-_shared_pool: Optional[WorkerPool] = None
-_shared_pool_lock = threading.Lock()
-
-
-def get_shared_pool(threads: int) -> WorkerPool:
-    """The process-wide pool, grown (never shrunk) to ``threads`` workers.
-
-    Created on first use and reused by every subsequent caller, so the
-    thread-creation cost is paid once per process rather than once per
-    panel iteration. Growth happens **in place** via
-    :meth:`WorkerPool.grow`: the pool object identity is stable across
-    grows, so a holder that obtained the pool earlier — possibly mid-
-    ``run()`` on another thread — is never handed a closed pool.
-    """
-    global _shared_pool
-    with _shared_pool_lock:
-        if _shared_pool is None or _shared_pool.closed:
-            _shared_pool = WorkerPool(threads)
-        elif _shared_pool.threads < threads:
-            _shared_pool.grow(threads)
-        return _shared_pool
-
-
-def close_shared_pool() -> None:
-    """Tear down the process-wide pool (tests / interpreter shutdown)."""
-    global _shared_pool
-    with _shared_pool_lock:
-        if _shared_pool is not None:
-            _shared_pool.close()
-            _shared_pool = None

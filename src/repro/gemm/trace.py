@@ -10,7 +10,7 @@ ragged boundary tiles that shape the small-size ramp of Figs. 11/12/14.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -148,14 +148,6 @@ class GemmTrace:
         return totals
 
     @property
-    def packed_a_elements(self) -> int:
-        return sum(p.rows * p.cols for p in self.packs if p.operand == "A")
-
-    @property
-    def packed_b_elements(self) -> int:
-        return sum(p.rows * p.cols for p in self.packs if p.operand == "B")
-
-    @property
     def active_threads(self) -> List[int]:
         """Thread ids that performed any GEBP work, in id order.
 
@@ -164,9 +156,3 @@ class GemmTrace:
         active cores when deriving per-core efficiency from a trace.
         """
         return sorted({g.thread for g in self.gebps})
-
-    def events_for_thread(self, thread: int) -> Tuple[List[PackEvent], List[GebpEvent]]:
-        return (
-            [p for p in self.packs if p.thread == thread],
-            [g for g in self.gebps if g.thread == thread],
-        )

@@ -101,11 +101,12 @@ class MetricsRegistry:
     """A run's named counters, gauges, histograms and span timers.
 
     Names are free-form dotted strings (``"timed.engine.compiled"``);
-    instruments are created on first use. The registry is intentionally
-    permissive about threads: counter increments from worker threads are
-    single bytecode-level dict updates, and the engines only mutate
-    metrics from the dispatching thread, so no lock is taken on the hot
-    path.
+    instruments are created on first use. No lock is taken: the registry
+    has one writer, the thread that dispatches the work. Serve and tune
+    compute their misses on :class:`~repro.gemm.pool.WorkerPool` threads
+    with ``metrics=None`` and update the registry from the caller once
+    the jobs finished. ``test_pooled_serve_and_tune_write_from_the_caller_only``
+    in ``tests/test_obs.py`` pins that.
     """
 
     def __init__(self) -> None:

@@ -130,7 +130,7 @@ def _gemm_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
     }
 
 
-def _gemm_run(params: Dict[str, Any], use_os_threads: bool) -> Dict[str, Any]:
+def _gemm_run(params: Dict[str, Any], threaded: bool) -> Dict[str, Any]:
     from repro.gemm.parallel import parallel_dgemm
     from repro.gemm.pool import PoolStats, WorkerPool
     from repro.gemm.trace import GemmTrace
@@ -155,11 +155,10 @@ def _gemm_run(params: Dict[str, Any], use_os_threads: bool) -> Dict[str, Any]:
             a, b, c.copy(order="F"), threads=threads,
             alpha=params["alpha"], beta=params["beta"],
             blocking=blocking, trace=trace, axis=params["axis"],
-            use_os_threads=use_os_threads, pool=pool,
-            workspace=GemmWorkspace(), stats=stats,
+            pool=pool, workspace=GemmWorkspace(), stats=stats,
         )
 
-    if use_os_threads:
+    if threaded:
         with WorkerPool(threads) as pool:
             out = call(pool)
     else:
@@ -216,8 +215,8 @@ register(Oracle(
         "inline sequential executor (C values, trace events, counters)"
     ),
     generate=_gemm_generate,
-    reference=lambda p: _gemm_run(p, use_os_threads=False),
-    fast=lambda p: _gemm_run(p, use_os_threads=True),
+    reference=lambda p: _gemm_run(p, threaded=False),
+    fast=lambda p: _gemm_run(p, threaded=True),
     shrink=_gemm_shrink,
 ))
 

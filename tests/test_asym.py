@@ -231,11 +231,11 @@ class TestBugfixSweep:
             with pytest.raises(GemmError):
                 parallel_dgemm(a, b, c.copy(order="F"), threads=threads,
                                blocking=SMALL_BLOCKING,
-                               use_os_threads=True, pool=123)
+                               pool=123)
             with pytest.raises(GemmError):
                 parallel_dgemm(a, b, c.copy(order="F"), threads=threads,
                                blocking=SMALL_BLOCKING,
-                               use_os_threads=True, pool="fork")
+                               pool="fork")
 
     @pytest.mark.parametrize("name", preset_names())
     def test_single_core_preserves_every_cache_field(self, name):

@@ -9,6 +9,8 @@ from repro.errors import GemmError
 from repro.gemm import (
     DEFAULT_BLOCKING,
     GemmTrace,
+    PackEvent,
+    WorkerPool,
     dgemm,
     gebp,
     gess,
@@ -224,8 +226,9 @@ class TestParallelDgemm:
         a, b, c = fmat(m, k), fmat(k, n), fmat(m, n)
         seq = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
                              blocking=SMALL_BLOCKING)
-        par = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
-                             blocking=SMALL_BLOCKING, use_os_threads=True)
+        with WorkerPool(4) as pool:
+            par = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
+                                 blocking=SMALL_BLOCKING, pool=pool)
         assert np.array_equal(seq, par)
 
     def test_alpha_beta(self):
@@ -272,16 +275,8 @@ class TestTraceAccounting:
         t = GemmTrace()
         t.record_pack("A", 56, 512, thread=1)
         t.record_pack("B", 512, 1920)
-        assert t.packed_a_elements == 56 * 512
-        assert t.packed_b_elements == 512 * 1920
-
-    def test_events_for_thread(self):
-        t = GemmTrace()
-        t.record_pack("A", 8, 8, thread=2)
-        t.record_gebp(8, 8, 8, thread=2)
-        t.record_gebp(8, 8, 8, thread=0)
-        packs, gebps = t.events_for_thread(2)
-        assert len(packs) == 1 and len(gebps) == 1
+        assert t.packs == [PackEvent("A", 56, 512, 1),
+                           PackEvent("B", 512, 1920, 0)]
 
 
 class TestBetaZeroSemantics:

@@ -12,6 +12,7 @@ from repro.gemm import (
     GemmTrace,
     GemmWorkspace,
     PoolStats,
+    WorkerPool,
     dgemm,
     get_shared_workspace,
     parallel_dgemm,
@@ -98,7 +99,7 @@ class TestConcurrentCallers:
     def test_default_workspace_is_per_calling_thread(self):
         # Concurrent callers without workspace= must not overwrite each
         # other's packed buffers, while a call's pool workers pack into
-        # their caller's workspace.
+        # their caller's workspace. All four callers share one pool.
         blk = CacheBlocking(mr=8, nr=6, kc=64, mc=24, nc=48, k1=1, k2=2,
                             k3=1)
         rng = np.random.default_rng(11)
@@ -121,7 +122,7 @@ class TestConcurrentCallers:
                 else:
                     got = parallel_dgemm(a, b, c.copy(order="F"), threads=2,
                                          blocking=blk,
-                                         use_os_threads=i % 3 == 1)
+                                         pool=pool if i % 3 == 1 else None)
                 wrong[t] += not np.array_equal(got, wants[t])
             used[t] = get_shared_workspace()
 
@@ -129,6 +130,7 @@ class TestConcurrentCallers:
         before = (main_ws.hits, main_ws.misses)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        pool = WorkerPool(2)
         try:
             threads = [threading.Thread(target=hammer, args=(t,))
                        for t in range(len(cases))]
@@ -139,6 +141,7 @@ class TestConcurrentCallers:
                 assert not th.is_alive()
         finally:
             sys.setswitchinterval(interval)
+            pool.close()
         assert wrong == [0] * len(cases)
         assert len({id(ws) for ws in used}) == len(cases)
         assert all(ws.misses > 0 for ws in used)

@@ -1,7 +1,9 @@
 """Tests for the persistent parallel engine: worker pool, packed-buffer
 workspace, thread-safe tracing, and the threaded DGEMM bugfixes."""
 
+import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +15,7 @@ from repro.gemm import (
     GemmWorkspace,
     PoolStats,
     WorkerPool,
-    close_shared_pool,
     dgemm,
-    get_shared_pool,
     get_shared_workspace,
     numpy_dgemm,
     pack_a,
@@ -91,6 +91,127 @@ class TestWorkerPool:
             pool.run([lambda: done.append(1), lambda: done.append(1)])
             assert done == [1, 1]
 
+    def test_first_failure_in_task_order_after_barrier(self):
+        """run() waits for every task, then re-raises task 0's failure even
+        when task 1 failed first."""
+        task1_failed = threading.Event()
+        finished = []
+
+        def slow_boom():
+            assert task1_failed.wait(timeout=5.0)
+            finished.append(0)
+            raise ValueError("task 0")
+
+        def fast_boom():
+            finished.append(1)
+            task1_failed.set()
+            raise KeyError("task 1")
+
+        with WorkerPool(3) as pool:
+            with pytest.raises(ValueError, match="task 0"):
+                pool.run([slow_boom, fast_boom, lambda: finished.append(2)])
+        assert sorted(finished) == [0, 1, 2]
+
+    def test_steps_run_ahead_of_queued_jobs(self):
+        release = threading.Event()
+        started = threading.Event()
+        order = []
+        with WorkerPool(1) as pool:
+            pool.submit(lambda: (started.set(), release.wait(5.0)))
+            assert started.wait(timeout=5.0)
+            job = pool.submit(lambda: order.append("job"))
+            client = threading.Thread(
+                target=pool.run, args=([lambda: order.append("step")],)
+            )
+            client.start()
+            while pool.steps_dispatched == 0:
+                time.sleep(0.001)
+            release.set()
+            client.join(timeout=5.0)
+            job.result(timeout=5.0)
+        assert order == ["step", "job"]
+
+    def test_step_racing_close_raises_instead_of_hanging(self):
+        """Regression: a step task still waiting for a busy worker when
+        close() landed was never run, and run() blocked forever."""
+        release = threading.Event()
+        started = threading.Event()
+        pool = WorkerPool(2, name="racetest")
+        pool.submit(lambda: (started.set(), release.wait(10.0)))
+        assert started.wait(timeout=5.0)  # one of the two workers is wedged
+        ran, outcome = [], []
+
+        def client():
+            try:
+                pool.run([lambda: ran.append(0), lambda: ran.append(1)])
+            except GemmError as exc:
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
+        deadline = time.monotonic() + 5.0
+        while not ran and time.monotonic() < deadline:
+            time.sleep(0.001)  # the free worker has run its task
+        assert len(ran) == 1
+        try:
+            with pytest.raises(GemmError, match="racetest"):
+                pool.close(timeout=0.2)
+        finally:
+            release.set()
+        caller.join(timeout=5.0)
+        assert not caller.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], GemmError)
+        assert len(ran) == 1  # the wedged worker's task never ran
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_close_races_submit_and_run(self, seed):
+        """Hammer: clients mix submit().result() and run() on one pool
+        while it closes at a seeded random point. Every call returns or
+        raises GemmError, and every handle is done afterwards."""
+        pool = WorkerPool(3)
+        handles, outcomes, unexpected = [], [], []
+
+        def client(c):
+            rng = random.Random(seed * 97 + c)
+            for i in range(400):
+                try:
+                    if rng.random() < 0.5:
+                        job = pool.submit(lambda i=i: i)
+                        handles.append(job)
+                        if job.result(timeout=5.0) != i:
+                            unexpected.append(("job value", i))
+                    else:
+                        hits = []
+                        fns = [rng.choice([None, lambda: hits.append(1)])
+                               for _ in range(rng.randint(1, 3))]
+                        pool.run(fns)
+                        if len(hits) != sum(fn is not None for fn in fns):
+                            unexpected.append(("step hits", i))
+                except GemmError as exc:
+                    if "closed" not in str(exc):
+                        unexpected.append(exc)
+                    outcomes.append("closed")
+                    return
+                except BaseException as exc:
+                    unexpected.append(exc)
+                    return
+            outcomes.append("finished")
+
+        clients = [threading.Thread(target=client, args=(c,), daemon=True)
+                   for c in range(4)]
+        for caller in clients:
+            caller.start()
+        time.sleep(random.Random(seed).uniform(0.0, 0.03))
+        pool.close(timeout=5.0)
+        for caller in clients:
+            caller.join(timeout=5.0)
+            assert not caller.is_alive()
+        assert unexpected == []
+        assert len(outcomes) == len(clients)
+        assert all(job.done() for job in handles)
+
     def test_too_many_tasks_rejected(self):
         with WorkerPool(2) as pool:
             with pytest.raises(GemmError):
@@ -107,64 +228,6 @@ class TestWorkerPool:
     def test_needs_at_least_one_worker(self):
         with pytest.raises(GemmError):
             WorkerPool(0)
-
-    def test_shared_pool_is_reused_and_grows_in_place(self):
-        """Growing must NOT close the old pool object: another thread may
-        be holding it mid-run(). The pool grows in place instead."""
-        close_shared_pool()
-        try:
-            p2 = get_shared_pool(2)
-            assert get_shared_pool(2) is p2
-            assert get_shared_pool(1) is p2  # big enough already
-            p4 = get_shared_pool(4)
-            assert p4 is p2 and p4.threads == 4
-            assert not p2.closed
-            # The grown pool really runs 4-wide barrier steps.
-            hits = []
-            p4.run([lambda i=i: hits.append(i) for i in range(4)])
-            assert sorted(hits) == [0, 1, 2, 3]
-        finally:
-            close_shared_pool()
-
-    def test_shared_pool_grow_while_busy(self):
-        """Regression: get_shared_pool(bigger) used to close the old pool
-        under a thread that was mid-run(), raising 'pool is closed'."""
-        close_shared_pool()
-        try:
-            errors = []
-            stop = threading.Event()
-
-            def hammer():
-                pool = get_shared_pool(2)
-                while not stop.is_set():
-                    try:
-                        pool.run([lambda: None, lambda: None])
-                    except GemmError as exc:
-                        errors.append(exc)
-                        return
-
-            workers = [threading.Thread(target=hammer) for _ in range(3)]
-            for w in workers:
-                w.start()
-            try:
-                for threads in (3, 4, 5, 6):
-                    get_shared_pool(threads)
-            finally:
-                stop.set()
-                for w in workers:
-                    w.join()
-            assert errors == []
-            assert get_shared_pool(2).threads == 6
-        finally:
-            close_shared_pool()
-
-    def test_grow_rejects_closed_pool_and_shrink_is_noop(self):
-        pool = WorkerPool(3)
-        pool.grow(2)  # shrink request: no-op
-        assert pool.threads == 3
-        pool.close()
-        with pytest.raises(GemmError):
-            pool.grow(5)
 
     def test_close_reports_stuck_worker(self):
         """close() must not silently leak a wedged worker thread."""
@@ -187,50 +250,38 @@ class TestWorkerPool:
         finally:
             release.set()  # let the wedged worker exit
 
-    def test_pool_stats_consistent_after_grow_while_busy(self):
-        """Counters from a run during/after grow still cover every event."""
-        close_shared_pool()
-        try:
-            pool = get_shared_pool(2)
-            a = np.asfortranarray(RNG.standard_normal((96, 128)))
-            b = np.asfortranarray(RNG.standard_normal((128, 96)))
-            c = np.asfortranarray(RNG.standard_normal((96, 96)))
-            grown = threading.Thread(target=get_shared_pool, args=(4,))
-            done = []
+    def test_pool_stats_consistent_with_concurrent_callers(self):
+        """Two callers sharing one pool: each call's counters still cover
+        every event of its own trace."""
+        a = np.asfortranarray(RNG.standard_normal((96, 128)))
+        b = np.asfortranarray(RNG.standard_normal((128, 96)))
+        c = np.asfortranarray(RNG.standard_normal((96, 96)))
+        done = []
 
-            def run_small():
-                s = PoolStats()
-                t = GemmTrace()
-                parallel_dgemm(a, b, c.copy(order="F"), threads=2,
-                               blocking=SMALL_BLOCKING, trace=t, stats=s,
-                               use_os_threads=True, pool=pool)
-                done.append((s, t))
+        def run(threads):
+            s, t = PoolStats(), GemmTrace()
+            parallel_dgemm(a, b, c.copy(order="F"), threads=threads,
+                           blocking=SMALL_BLOCKING, trace=t, stats=s,
+                           pool=pool)
+            done.append((s, t))
 
-            runner = threading.Thread(target=run_small)
-            runner.start()
-            grown.start()
-            runner.join()
-            grown.join()
-            assert pool.threads == 4
-            # A post-grow 4-thread run on the same pool object.
-            s4, t4 = PoolStats(), GemmTrace()
-            parallel_dgemm(a, b, c.copy(order="F"), threads=4,
-                           blocking=SMALL_BLOCKING, trace=t4, stats=s4,
-                           use_os_threads=True, pool=pool)
-            for s, t in done + [(s4, t4)]:
-                n_a = sum(ct.pack_a_calls for ct in s.counters.values())
-                n_b = sum(ct.pack_b_calls for ct in s.counters.values())
-                n_g = sum(ct.gebp_calls for ct in s.counters.values())
-                assert n_a == len(
-                    [p for p in t.packs if p.operand == "A"]
-                )
-                assert n_b == len(
-                    [p for p in t.packs if p.operand == "B"]
-                )
-                assert n_g == len(t.gebps)
-                assert s.calls == 1
-        finally:
-            close_shared_pool()
+        with WorkerPool(4) as pool:
+            callers = [threading.Thread(target=run, args=(threads,))
+                       for threads in (2, 4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30.0)
+                assert not caller.is_alive()
+        assert len(done) == 2
+        for s, t in done:
+            n_a = sum(ct.pack_a_calls for ct in s.counters.values())
+            n_b = sum(ct.pack_b_calls for ct in s.counters.values())
+            n_g = sum(ct.gebp_calls for ct in s.counters.values())
+            assert n_a == len([p for p in t.packs if p.operand == "A"])
+            assert n_b == len([p for p in t.packs if p.operand == "B"])
+            assert n_g == len(t.gebps)
+            assert s.calls == 1
 
 
 class TestJobAPI:
@@ -392,7 +443,8 @@ class TestPackingOut:
 
 
 class TestUseOsThreadsForwarding:
-    """use_os_threads used to be silently dropped for axis='n'."""
+    """OS threads used to be silently dropped for axis='n'; a given pool
+    now runs both axes."""
 
     @pytest.mark.parametrize("axis", ["m", "n"])
     def test_both_axes_honour_os_threads(self, axis):
@@ -400,9 +452,11 @@ class TestUseOsThreadsForwarding:
         a, b, c = fmat(m, k), fmat(k, n), fmat(m, n)
         seq = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
                              blocking=SMALL_BLOCKING, axis=axis)
-        par = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
-                             blocking=SMALL_BLOCKING, axis=axis,
-                             use_os_threads=True)
+        with WorkerPool(4) as pool:
+            par = parallel_dgemm(a, b, c.copy(order="F"), threads=4,
+                                 blocking=SMALL_BLOCKING, axis=axis,
+                                 pool=pool)
+            assert pool.steps_dispatched > 0
         assert np.array_equal(seq, par)
 
     @pytest.mark.parametrize("axis", ["m", "n"])
@@ -425,21 +479,20 @@ class TestUseOsThreadsForwarding:
         a, b, c = fmat(m, k), fmat(k, n), fmat(m, n)
         with SpyPool(4) as pool:
             parallel_dgemm(a, b, c, threads=4, blocking=SMALL_BLOCKING,
-                           axis=axis, use_os_threads=True, pool=pool)
+                           axis=axis, pool=pool)
         assert seen and orig() not in seen
 
     def test_bad_pool_argument_raises(self):
         a, b, c = fmat(8, 8), fmat(8, 8), fmat(8, 8)
         with pytest.raises(GemmError):
-            parallel_dgemm(a, b, c, threads=2, use_os_threads=True,
-                           pool="fork")
+            parallel_dgemm(a, b, c, threads=2, pool="fork")
 
     def test_undersized_pool_rejected(self):
         a, b, c = fmat(64, 64), fmat(64, 64), fmat(64, 64)
         with WorkerPool(2) as pool:
             with pytest.raises(GemmError):
-                parallel_dgemm(a, b, c, threads=4, use_os_threads=True,
-                               pool=pool, blocking=SMALL_BLOCKING)
+                parallel_dgemm(a, b, c, threads=4, pool=pool,
+                               blocking=SMALL_BLOCKING)
 
 
 class TestTraceThreadSafety:
@@ -454,16 +507,16 @@ class TestTraceThreadSafety:
         seq_trace = GemmTrace()
         parallel_dgemm(a, b, c.copy(order="F"), threads=4,
                        blocking=SMALL_BLOCKING, axis=axis, trace=seq_trace)
-        for _ in range(3):  # racy code passes sometimes; repeat
-            par_trace = GemmTrace()
-            parallel_dgemm(
-                a, b, c.copy(order="F"), threads=4,
-                blocking=SMALL_BLOCKING, axis=axis, trace=par_trace,
-                use_os_threads=True,
-                pool="spawn" if engine == "spawn" else None,
-            )
-            assert par_trace.packs == seq_trace.packs
-            assert par_trace.gebps == seq_trace.gebps
+        with WorkerPool(4) as pool:
+            for _ in range(3):  # racy code passes sometimes; repeat
+                par_trace = GemmTrace()
+                parallel_dgemm(
+                    a, b, c.copy(order="F"), threads=4,
+                    blocking=SMALL_BLOCKING, axis=axis, trace=par_trace,
+                    pool="spawn" if engine == "spawn" else pool,
+                )
+                assert par_trace.packs == seq_trace.packs
+                assert par_trace.gebps == seq_trace.gebps
 
 
 class TestEmptyWorkers:
@@ -473,8 +526,9 @@ class TestEmptyWorkers:
         m = 2 * SMALL_BLOCKING.mc  # exactly two row blocks
         a, b, c = fmat(m, 64), fmat(64, 48), fmat(m, 48)
         trace, stats = GemmTrace(), PoolStats()
-        parallel_dgemm(a, b, c, threads=8, blocking=SMALL_BLOCKING,
-                       trace=trace, stats=stats, use_os_threads=True)
+        with WorkerPool(8) as pool:
+            parallel_dgemm(a, b, c, threads=8, blocking=SMALL_BLOCKING,
+                           trace=trace, stats=stats, pool=pool)
         assert trace.threads == 8
         assert trace.active_threads == [0, 1]
         assert stats.active_threads == [0, 1]
@@ -492,15 +546,16 @@ class TestEmptyWorkers:
         a, b, c = fmat(m, 64), fmat(64, 48), fmat(m, 48)
         with CountingPool(8) as pool:
             parallel_dgemm(a, b, c, threads=8, blocking=SMALL_BLOCKING,
-                           use_os_threads=True, pool=pool)
+                           pool=pool)
         assert calls and all(n == 3 for n in calls)
 
     def test_axis_n_surplus_threads(self):
         n = SMALL_BLOCKING.nc  # a single column panel for many threads
         a, b, c = fmat(30, 40), fmat(40, n), fmat(30, n)
         trace = GemmTrace()
-        parallel_dgemm(a, b, c, threads=6, blocking=SMALL_BLOCKING,
-                       axis="n", trace=trace, use_os_threads=True)
+        with WorkerPool(6) as pool:
+            parallel_dgemm(a, b, c, threads=6, blocking=SMALL_BLOCKING,
+                           axis="n", trace=trace, pool=pool)
         assert trace.active_threads == [0]
 
 
@@ -520,7 +575,6 @@ class TestPoolStats:
         assert stats.calls == 1
         assert stats.steps == -(-n // SMALL_BLOCKING.nc) * \
             -(-k // SMALL_BLOCKING.kc)
-        assert all(ct.busy_seconds >= 0.0 for ct in stats.counters.values())
 
     def test_reset(self):
         stats = PoolStats()
@@ -613,9 +667,9 @@ class TestThreadedParity:
 
     @pytest.mark.parametrize("shape", EDGE_SHAPES)
     @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5])
-    @pytest.mark.parametrize("use_os_threads", [False, True])
+    @pytest.mark.parametrize("threaded", [False, True])
     @pytest.mark.parametrize("axis", ["m", "n"])
-    def test_parity(self, shape, beta, use_os_threads, axis):
+    def test_parity(self, shape, beta, threaded, axis):
         m, n, k = shape
         a, b = fmat(m, k), fmat(k, n)
         if beta == 0.0:
@@ -626,9 +680,10 @@ class TestThreadedParity:
             ref = numpy_dgemm(a, b, c, beta=beta)
         serial = dgemm(a, b, c.copy(order="F"), beta=beta,
                        blocking=SMALL_BLOCKING)
-        got = parallel_dgemm(a, b, c.copy(order="F"), threads=3, beta=beta,
-                             blocking=SMALL_BLOCKING, axis=axis,
-                             use_os_threads=use_os_threads)
+        with WorkerPool(3) as pool:
+            got = parallel_dgemm(a, b, c.copy(order="F"), threads=3,
+                                 beta=beta, blocking=SMALL_BLOCKING,
+                                 axis=axis, pool=pool if threaded else None)
         assert np.array_equal(got, serial)  # bit-for-bit vs serial driver
         assert np.allclose(got, ref, atol=1e-10)
         assert not np.isnan(got).any()

@@ -2,6 +2,7 @@
 baseline comparison, and the CLI surface (``--json`` / ``repro report``)."""
 
 import json
+import threading
 
 import pytest
 
@@ -61,6 +62,49 @@ class TestMetricsRegistry:
         assert m.as_dict() == {
             "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
         }
+
+    def test_pooled_serve_and_tune_write_from_the_caller_only(self, tmp_path):
+        """Single-writer proof behind the lock-free registry: serve and
+        tune compute misses on pool workers, but every registry call
+        comes from the thread that owns the registry."""
+        from repro.gemm import WorkerPool
+        from repro.serve.engine import QueryEngine
+        from repro.tune import tune_search
+
+        writers = []
+
+        class Recording(MetricsRegistry):
+            def inc(self, name, amount=1):
+                writers.append(threading.get_ident())
+                super().inc(name, amount)
+
+            def set_gauge(self, name, value):
+                writers.append(threading.get_ident())
+                super().set_gauge(name, value)
+
+            def observe(self, name, value):
+                writers.append(threading.get_ident())
+                super().observe(name, value)
+
+            def span(self, name):
+                writers.append(threading.get_ident())
+                return super().span(name)
+
+        reg = Recording()
+        with WorkerPool(2) as pool:
+            QueryEngine(tmp_path, pool=pool, metrics=reg).run_batch([
+                {"kind": "simulate", "m": 64, "n": 64, "k": 64},
+                {"kind": "cachesim", "kernel": "OpenBLAS-4x4",
+                 "nc_slice": 6},
+                {"kind": "timed", "kc": 8},
+            ])
+            assert pool.jobs_dispatched == 3
+            tune_search(machine="xgene", max_tiles=1, top_k=2, radius=1,
+                        bodies=2, store=None, pool=pool, metrics=reg)
+            assert pool.jobs_dispatched > 3
+        assert reg.counters["serve.computed"] == 3
+        assert reg.counters["tune.searches"] == 1
+        assert set(writers) == {threading.get_ident()}
 
     def test_null_registry_is_inert(self):
         n = NullRegistry()

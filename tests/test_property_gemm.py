@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from repro.blocking import CacheBlocking
 from repro.gemm import (
+    WorkerPool,
     dgemm,
     pack_a,
     pack_b,
@@ -115,7 +116,7 @@ class TestThreadedEngineProperties:
            st.integers(0, 2**16))
     @settings(max_examples=25)
     def test_threaded_bitwise_equals_serial(
-        self, m, n, k, threads, axis, use_os_threads, beta, seed
+        self, m, n, k, threads, axis, threaded, beta, seed
     ):
         blk = CacheBlocking(mr=8, nr=6, kc=16, mc=16, nc=12, k1=1, k2=1,
                             k3=1)
@@ -126,9 +127,10 @@ class TestThreadedEngineProperties:
         else:
             c = rand(m, n, seed + 2)
         serial = dgemm(a, b, c.copy(order="F"), beta=beta, blocking=blk)
-        got = parallel_dgemm(a, b, c.copy(order="F"), threads=threads,
-                             beta=beta, blocking=blk, axis=axis,
-                             use_os_threads=use_os_threads)
+        with WorkerPool(threads) as pool:
+            got = parallel_dgemm(a, b, c.copy(order="F"), threads=threads,
+                                 beta=beta, blocking=blk, axis=axis,
+                                 pool=pool if threaded else None)
         assert np.array_equal(got, serial)
         assert not np.isnan(got).any()
         assert np.allclose(got, a @ b + (0.0 if beta == 0.0 else beta * c),
