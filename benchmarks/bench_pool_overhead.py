@@ -10,9 +10,11 @@ This bench isolates the *engine overhead*: the same small-matrix
 ``parallel_dgemm`` loop is timed inline (no OS threads — the pure
 pack/GEBP work), under the legacy spawn-per-iteration engine
 (``pool="spawn"``), and under the persistent pool. Overhead is the
-threaded wall-clock minus the inline wall-clock; the pool must cut it at
-least 2x (measured here at roughly 5-7x: ~180 us per spawned step vs
-~25 us per pool barrier). Numerics are asserted bit-identical to the
+threaded wall-clock minus the inline wall-clock, from each engine's
+fastest loop; the pool must cut it at least 2x. On a shared 2-vCPU VM
+twelve runs measured 1.9-3.1x (median 2.6x): 4.2-5.6 ms of spawn
+overhead per call against 1.4-2.5 ms for the pool, and one of the twelve
+missed the floor. Numerics are asserted bit-identical to the
 serial driver in every mode, and surplus workers
 (``threads > ceil(m/mc)``) are asserted absent from the active-core
 accounting.
@@ -38,6 +40,8 @@ from repro.gemm import (
 RNG = np.random.default_rng(4242)
 THREADS = 4
 REPS = 12
+#: Timed loops per engine; each engine reports its fastest.
+ROUNDS = 30
 #: Small blocks on a small matrix: many barrier steps, little arithmetic
 #: per step — the regime where engine overhead dominates.
 BLK = CacheBlocking(mr=8, nr=6, kc=32, mc=8, nc=16, k1=1, k2=1, k3=1)
@@ -52,27 +56,34 @@ def _operands(size=SIZE):
     )
 
 
-def _time_loop(a, b, c, pool):
-    """Best-of-3 wall-clock of a REPS-call parallel_dgemm loop."""
-    def once():
+def _time_engines(a, b, c, engines):
+    """Each engine's best wall-clock of a REPS-call parallel_dgemm loop
+    over ROUNDS rounds. The engines take turns within every round, in a
+    rotating order, so drift in host load reaches all of them alike."""
+    def once(pool):
         for _ in range(REPS):
             parallel_dgemm(a, b, c.copy(order="F"), threads=THREADS,
                            blocking=BLK, pool=pool)
-    once()  # warm up (pool threads, workspace buffers, numpy caches)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        once()
-        best = min(best, time.perf_counter() - t0)
+    names = list(engines)
+    for name in names:
+        once(engines[name])  # warm up (threads, workspaces, numpy caches)
+    best = dict.fromkeys(names, float("inf"))
+    for r in range(ROUNDS):
+        turn = r % len(names)
+        for name in names[turn:] + names[:turn]:
+            t0 = time.perf_counter()
+            once(engines[name])
+            best[name] = min(best[name], time.perf_counter() - t0)
     return best
 
 
 def run_overhead_comparison():
     a, b, c = _operands()
     with WorkerPool(THREADS) as pool:
-        inline_s = _time_loop(a, b, c, pool=None)
-        spawn_s = _time_loop(a, b, c, pool="spawn")
-        pool_s = _time_loop(a, b, c, pool=pool)
+        best = _time_engines(
+            a, b, c, {"inline": None, "spawn": "spawn", "pool": pool}
+        )
+        inline_s, spawn_s, pool_s = best["inline"], best["spawn"], best["pool"]
 
         serial = dgemm(a, b, c.copy(order="F"), blocking=BLK)
         spawn_res = parallel_dgemm(a, b, c.copy(order="F"), threads=THREADS,
@@ -103,13 +114,14 @@ def test_bench_pool_overhead(benchmark, report_dir):
              res["pool_overhead_s"] * per_call],
         ],
         title=f"parallel engine overhead ({SIZE}^3, {THREADS} threads, "
-              f"{REPS}-call loop, best of 3)",
+              f"{REPS}-call loop, best of {ROUNDS} alternating)",
     )
     save_report(report_dir, "pool_overhead", text)
     save_json(report_dir, "pool_overhead", RunReport(
         command="bench_pool_overhead",
         created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params={"threads": THREADS, "reps": REPS, "size": SIZE},
+        params={"threads": THREADS, "reps": REPS, "rounds": ROUNDS,
+                "size": SIZE},
         engines={"pool": {"requested": "persistent",
                           "selected": "persistent",
                           "fallback_reason": None}},

@@ -17,15 +17,23 @@ policy-state array with a row per set:
   every set the sequence of ``random.Random(0)``, each set advancing its
   own counter.
 
+Resident lines always fill a prefix of a set's ways: empty ways fill in
+index order, and no way is emptied but by a flush.
+
 Each policy has one per-access transition over a set's rows as Python
 lists. Scalar :meth:`Cache.access_line` runs it on one set. The batched
 :meth:`Cache.access_lines_batched` runs it over the whole batch in
-program order for RANDOM/PLRU, and over the tail of the LRU sweep. That
-sweep resolves a vector of accesses in "rounds": round ``r`` handles the
-``r``-th access of every set in parallel, which is exact because sets
-are independent and the within-set order equals program order. Scalar
-and batched accesses share the state, so they can be freely interleaved
-and give bit-identical results.
+program order for RANDOM/PLRU. For LRU it decides the whole batch at
+once by reuse windows instead, using the stack property of LRU (Mattson
+et al., 1970): an access hits an ``A``-way set iff fewer than ``A``
+distinct lines of that set were touched since its previous use. A set's
+warm contents act as accesses in recency order ahead of the batch, so
+every first touch of a warm line has a window too. Windows shorter than
+``A`` hit, accesses with no previous use miss, and the rest are decided
+by a backward scan over the window that stops at ``A`` distinct lines.
+Evictions, writebacks and the final contents then follow from each
+line's residency epochs. Scalar and batched accesses share the state, so
+they can be freely interleaved and give bit-identical results.
 
 Statistics distinguish demand loads, stores and software prefetches, which
 is what Fig. 15 (L1-dcache-load counts) and Table VII (L1 miss rates) need.
@@ -56,12 +64,6 @@ CODE_PREFETCH = 2
 KIND_TO_CODE = {KIND_LOAD: CODE_LOAD, KIND_STORE: CODE_STORE,
                 KIND_PREFETCH: CODE_PREFETCH}
 CODE_TO_KIND = (KIND_LOAD, KIND_STORE, KIND_PREFETCH)
-
-#: Below this round width the vectorized sweep hands the remaining tail of
-#: the batch to a per-access Python loop: numpy call overhead exceeds the
-#: work once only a handful of sets are still active.
-DEFAULT_TAIL_MIN = 24
-
 
 @dataclass
 class CacheStats:
@@ -286,7 +288,6 @@ class Cache:
         self,
         lines: np.ndarray,
         kinds: np.ndarray,
-        tail_min: int = DEFAULT_TAIL_MIN,
     ) -> np.ndarray:
         """Access a vector of cache lines; returns a boolean hit mask.
 
@@ -294,14 +295,14 @@ class Cache:
             lines: Line indices (non-negative integers), program order.
             kinds: Per-access kind codes (:data:`CODE_LOAD`,
                 :data:`CODE_STORE`, :data:`CODE_PREFETCH`).
-            tail_min: Round width below which the vectorized LRU sweep
-                hands the remaining accesses to the per-access loop.
 
         Counters (loads/stores/prefetches, misses, evictions, writebacks)
-        are updated exactly as if :meth:`access_line` had been called once
-        per element. LRU caches run the vectorized timestamp sweep; RANDOM
-        and PLRU run their per-access step in program order (counted in
-        ``batched_fallback_accesses``).
+        and the per-set recency order are updated exactly as if
+        :meth:`access_line` had been called once per element. LRU caches
+        decide every access from its reuse window in a fixed number of
+        whole-batch array passes (counted in ``batched_accesses``);
+        RANDOM and PLRU run their per-access step in program order
+        (counted in ``batched_fallback_accesses``).
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         kinds = np.ascontiguousarray(kinds, dtype=np.int8)
@@ -319,7 +320,7 @@ class Cache:
         else:
             stores = np.zeros(n, dtype=bool)
         if self._is_lru:
-            hits = self._sweep_lru_batch(lines, stores, tail_min)
+            hits = self._sweep_lru_batch(lines, stores)
             self.batched_accesses += n
         else:
             # Program order, because a seeded RANDOM cache's victims depend
@@ -369,92 +370,108 @@ class Cache:
         return np.array(hits, dtype=bool)
 
     def _sweep_lru_batch(
-        self, lines: np.ndarray, stores: np.ndarray, tail_min: int
+        self, lines: np.ndarray, stores: np.ndarray
     ) -> np.ndarray:
-        """The vectorized timestamp-LRU sweep (returns hits; updates only
-        the eviction and writeback counters)."""
+        """Exact LRU over the batch by reuse windows (returns hits;
+        updates contents, timestamps and the eviction and writeback
+        counters)."""
         n = lines.size
+        ways = self._ways
         sets = lines % self._num_sets
-        # Group accesses by set; within a group order equals program order.
+        if self._num_sets <= 1 << 16:
+            sets = sets.astype(np.uint16)  # the stable sort runs as radix
+        # Group by set; within a set, order equals program order.
         sort_idx = np.argsort(sets, kind="stable")
         ss = sets[sort_idx]
-        ls = lines[sort_idx]
-        # Run compression: consecutive accesses to the same line of a set
-        # collapse into one state transition. Followers are guaranteed
-        # hits, and the run's dirty contribution is "any store in the run".
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        np.logical_or(
-            ss[1:] != ss[:-1], ls[1:] != ls[:-1], out=new_run[1:]
-        )
-        run_id = np.cumsum(new_run) - 1
-        rep_pos = np.flatnonzero(new_run)
-        nruns = rep_pos.size
-        run_sets = ss[rep_pos]
-        run_lines = ls[rep_pos]
-        run_store = np.logical_or.reduceat(stores[sort_idx], rep_pos)
-        # Round r = the r-th run of every set, processed in parallel.
-        run_new_set = np.empty(nruns, dtype=bool)
-        run_new_set[0] = True
-        run_new_set[1:] = run_sets[1:] != run_sets[:-1]
-        starts = np.maximum.accumulate(
-            np.where(run_new_set, np.arange(nruns), 0)
-        )
-        rank = np.arange(nruns) - starts
-        order_sort = np.argsort(rank, kind="stable")
-        counts = np.bincount(rank)
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        rl = run_lines[order_sort]
-        rs = run_sets[order_sort]
-        rsb = run_store[order_sort]
-        run_hit = np.zeros(nruns, dtype=bool)
-
-        tags, ts, dirty = self._tags, self._state, self._dirty
-        clock = self._clock
-        evictions = 0
-        writebacks = 0
-        nrounds = counts.size
-        r = 0
-        while r < nrounds:
-            o0, o1 = int(offs[r]), int(offs[r + 1])
-            if o1 - o0 < tail_min:
-                break
-            ln = rl[o0:o1]
-            st = rs[o0:o1]
-            sb = rsb[o0:o1]
-            trows = tags[st]
-            match = trows == ln[:, None]
-            hit = match.any(axis=1)
-            run_hit[order_sort[o0:o1]] = hit
-            # Touched way: the matching way on a hit, else the LRU victim
-            # (empty ways have negative timestamps, so they fill first).
-            way = np.where(
-                hit, match.argmax(axis=1), ts[st].argmin(axis=1)
+        starts = np.flatnonzero(np.concatenate(([True], ss[1:] != ss[:-1])))
+        touched = ss[starts].astype(np.int64)
+        nt = touched.size
+        # Warm prefix: each touched set's resident lines, LRU first; they
+        # act as accesses in that order into the empty set. Set t's stream
+        # is its prefix, then its accesses.
+        wtags = self._tags[touched]
+        nwarm = np.count_nonzero(wtags >= 0, axis=1)
+        warm_incl = np.cumsum(nwarm)
+        m = n + int(warm_incl[-1])
+        if m == n:
+            at_batch = slice(None)
+            cl, cst = lines[sort_idx], stores[sort_idx]
+        else:
+            by_age = np.argsort(self._state[touched], axis=1)
+            by_age += np.arange(0, nt * ways, ways)[:, None]
+            wtags = wtags.take(by_age)
+            warm = wtags >= 0
+            at_batch = np.arange(n) + np.repeat(
+                warm_incl, np.diff(starts, append=n)
             )
-            col = way[:, None]
-            vtag = np.take_along_axis(trows, col, axis=1)[:, 0]
-            vdirty = np.take_along_axis(dirty[st], col, axis=1)[:, 0]
-            evict = ~hit & (vtag >= 0)
-            evictions += int(evict.sum())
-            writebacks += int((evict & vdirty).sum())
-            tags[st, way] = ln  # on a hit this rewrites the same tag
-            ts[st, way] = clock
-            dirty[st, way] = (hit & vdirty) | sb
-            clock += 1
-            r += 1
-        self._clock = clock
-        if r < nrounds:
-            # Few sets remain: run their runs in order through the step.
-            p0 = int(offs[r])
-            run_hit[order_sort[p0:]] = self._step_in_order(rl[p0:], rsb[p0:])
-        self.stats.evictions += evictions
-        self.stats.writebacks += writebacks
-        # Expand run verdicts back to per-access hits: run heads carry the
-        # sweep's verdict, followers always hit.
-        hits_sorted = run_hit[run_id]
-        hits_sorted[~new_run] = True
+            at_warm = np.arange(m - n) + np.repeat(starts, nwarm)
+            cl = np.empty(m, dtype=np.int64)
+            cl[at_batch] = lines[sort_idx]
+            cl[at_warm] = wtags[warm]
+            cst = np.empty(m, dtype=bool)
+            cst[at_batch] = stores[sort_idx]
+            # A dirty warm line enters as a store.
+            cst[at_warm] = self._dirty[touched].take(by_age)[warm]
+        # Run compression: consecutive touches of one line (hence of one
+        # set) are one touch; followers hit, the run carries any store.
+        follower = np.empty(m, dtype=bool)
+        follower[0] = False
+        np.equal(cl[1:], cl[:-1], out=follower[1:])
+        heads = np.flatnonzero(~follower)
+        nruns = heads.size
+        rl = cl[heads]
+        rdirty = np.logical_or.reduceat(cst, heads)
+        set_first_run = np.searchsorted(heads, starts + warm_incl - nwarm)
+        # Previous and next touch of the same line, in run positions.
+        by_line = np.argsort(rl, kind="stable")
+        same = rl[by_line[1:]] == rl[by_line[:-1]]
+        earlier, later = by_line[:-1][same], by_line[1:][same]
+        prev = np.full(nruns, -1, dtype=np.int64)
+        prev[later] = earlier
+        nxt = np.full(nruns, nruns, dtype=np.int64)
+        nxt[earlier] = later
+        # Stack property: a touch hits iff fewer than ``ways`` distinct
+        # lines were touched since the previous one. A window shorter than
+        # ``ways`` is a certain hit; no previous touch is a certain miss.
+        gap = np.arange(nruns) - prev - 1
+        hit = (prev >= 0) & (gap < ways)
+        scan = np.flatnonzero((prev >= 0) & (gap >= ways))
+        if scan.size:
+            hit[scan] = _window_hits(scan, prev[scan], nxt, ways)
+        # Residency epochs: one opens at each warm entry or miss and spans
+        # the line's touches up to its next miss. All are evicted but the
+        # last epochs of each set's last ``ways`` distinct lines; an
+        # evicted epoch holding a store writes back.
+        opens = ~hit[by_line]
+        epoch_dirty = np.logical_or.reduceat(
+            rdirty[by_line], np.flatnonzero(opens)
+        )
+        last = np.flatnonzero(nxt == nruns)  # in recency order per set
+        row = np.searchsorted(set_first_run, last, side="right") - 1
+        nlast = np.bincount(row, minlength=nt)
+        newer = np.cumsum(nlast)[row] - 1 - np.arange(last.size)
+        stay = newer < ways
+        keep, row, newer = last[stay], row[stay], newer[stay]
+        epoch = np.empty(nruns, dtype=np.int64)
+        epoch[by_line] = np.cumsum(opens) - 1
+        keep_dirty = epoch_dirty[epoch[keep]]
+        self.stats.evictions += epoch_dirty.size - keep.size
+        self.stats.writebacks += int(
+            np.count_nonzero(epoch_dirty) - np.count_nonzero(keep_dirty)
+        )
+        # Survivors fill ways 0.. of their set in recency order, with
+        # their run positions as timestamps; the clock moves past them.
+        # The ways after them were empty already, as resident lines always
+        # fill a prefix of the ways (empty ways fill in index order).
+        at = touched[row] * ways + np.minimum(nlast, ways)[row] - 1 - newer
+        self._tags.put(at, rl[keep])
+        self._dirty.put(at, keep_dirty)
+        self._state.put(at, self._clock + keep)
+        self._clock += nruns
+        # Followers hit; run heads take their run's verdict.
+        follower[heads] = hit
         hits = np.empty(n, dtype=bool)
-        hits[sort_idx] = hits_sorted
+        hits[sort_idx] = follower[at_batch]
         return hits
 
     # -- convenience --------------------------------------------------------
@@ -550,8 +567,8 @@ class Cache:
 
     def reset_stats(self) -> None:
         """Zero every statistic, including the batched-engine coverage
-        counters: line accesses resolved through the vectorized
-        timestamp-LRU sweep (``batched_accesses``) vs the per-access
+        counters: line accesses resolved by the batched LRU's reuse
+        windows (``batched_accesses``) vs the per-access
         RANDOM/PLRU loop (``batched_fallback_accesses``). They are kept
         out of :class:`CacheStats` on purpose, but reset with it so they
         cannot leak across measurement windows."""
@@ -589,3 +606,35 @@ def _plru_path(way: int, leaves: int) -> List[tuple]:
             path.append((node, 0))
             node, lo = 2 * node + 2, mid
     return path
+
+
+def _window_hits(
+    at: np.ndarray, prev: np.ndarray, nxt: np.ndarray, ways: int
+) -> np.ndarray:
+    """LRU verdicts of the touches at run positions ``at`` whose previous
+    touch of the same line, at ``prev``, lies ``ways`` or more runs back.
+
+    Each window ``(prev, at)`` is scanned backwards from ``at``, counting
+    the positions whose next touch lies past ``at``: each is the last
+    touch of one distinct line. A window stops at ``ways`` such lines (a
+    miss) or at ``prev`` (a hit). All windows step together; finished
+    ones drop out after ``ways`` steps, then after doubling stretches.
+    """
+    hits = np.empty(at.size, dtype=bool)
+    todo = np.arange(at.size)
+    seen = np.zeros(at.size, dtype=np.int64)
+    q = at.copy()
+    steps = ways
+    while todo.size:
+        for _ in range(steps):
+            q -= 1
+            seen += (q > prev) & (nxt.take(q, mode="clip") > at)
+        miss = seen >= ways
+        done = miss | (q <= prev + 1)
+        hits[todo[done]] = ~miss[done]
+        left = ~done
+        todo, at, prev, seen, q = (
+            a[left] for a in (todo, at, prev, seen, q)
+        )
+        steps *= 2
+    return hits

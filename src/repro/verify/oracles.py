@@ -749,11 +749,17 @@ def _lru_fast(params: Dict[str, Any], **factories: Any) -> Dict[str, Any]:
 
 
 def _lru_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    # Chip geometries too (16 ways, 128 or 1024 sets), with spans up to
+    # four times the capacity: long reuse windows and 16-way scans.
+    ways = rng.choice((1, 2, 4, 8, 16))
+    sets = rng.choice((1, 2, 4, 16, 128, 1024))
     return {
-        "ways": rng.choice((1, 2, 4, 8)),
-        "sets": rng.choice((1, 2, 4, 16)),
+        "ways": ways,
+        "sets": sets,
         "write_back": rng.random() < 0.8,
-        "span_lines": rng.choice((4, 16, 64, 256)),
+        "span_lines": rng.choice(
+            (4, 16, 64, 256, sets * ways, 4 * sets * ways)
+        ),
         "length": rng.randint(20, 200 if budget == "smoke" else 2000),
         "access_seed": rng.randint(0, 2**31 - 1),
     }
@@ -778,12 +784,13 @@ register(Oracle(
     suite="lru",
     description=(
         "timestamp-array LRU cache (batched sweeps, alone and mixed with "
-        "scalar accesses) matches an independent OrderedDict LRU model "
-        "on hits, counters and full per-set recency state"
+        "scalar accesses, and handed through snapshot() to a fresh cache "
+        "mid-stream) matches an independent OrderedDict LRU model on "
+        "hits, counters and full per-set recency state"
     ),
     generate=_lru_generate,
     reference=_lru_reference,
-    fast=_lru_fast,
+    fast=lambda p: _lru_fast(p, rebuild=_lru_cache),
     shrink=_lru_shrink,
 ))
 

@@ -28,7 +28,12 @@ from repro.memory import (
     strided_matrix_trace,
     warm_region,
 )
-from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
+from repro.memory.cache import (
+    CODE_LOAD,
+    CODE_PREFETCH,
+    CODE_STORE,
+    KIND_TO_CODE,
+)
 from repro.sim import gebp_traces, simulate_gebp_cache
 
 
@@ -126,7 +131,7 @@ class TestBatchTrace:
 
 
 class TestBatchedCache:
-    def run_both(self, lines, kinds, tail_min=None, policy=ReplacementPolicy.LRU):
+    def run_both(self, lines, kinds, policy=ReplacementPolicy.LRU):
         c_scalar = l1_cache(policy, rng=random.Random(7))
         c_batched = l1_cache(policy, rng=random.Random(7))
         kind_names = {CODE_LOAD: "load", CODE_STORE: "store",
@@ -135,11 +140,9 @@ class TestBatchedCache:
             c_scalar.access_line(int(ln), kind_names[int(k)])
             for ln, k in zip(lines, kinds)
         ]
-        kwargs = {} if tail_min is None else {"tail_min": tail_min}
         batched_hits = c_batched.access_lines_batched(
             np.asarray(lines, dtype=np.int64),
             np.asarray(kinds, dtype=np.int8),
-            **kwargs,
         )
         assert list(batched_hits) == scalar_hits
         assert c_scalar.stats == c_batched.stats
@@ -157,16 +160,17 @@ class TestBatchedCache:
 
     def test_vector_path_matches_scalar(self):
         lines, kinds = self.adversarial_stream()
-        c = self.run_both(lines, kinds, tail_min=0)
+        c = self.run_both(lines, kinds)
         assert c.batched_accesses == len(lines)
         assert c.batched_fallback_accesses == 0
 
-    def test_tail_path_matches_scalar(self):
-        # A huge tail_min forces every round through the per-access tail.
+    def test_reuse_scan_matches_scalar(self):
+        # 64 lines over 8 two-way sets: most reuse windows hold two or
+        # more runs, so their verdicts come from the backward scan.
         lines, kinds = self.adversarial_stream(seed=1)
-        self.run_both(lines, kinds, tail_min=10**9)
+        self.run_both(lines, kinds)
 
-    def test_single_set_exercises_runs_and_rounds(self):
+    def test_single_set_exercises_runs_and_windows(self):
         # One set (8 lines * stride num_sets) maximises run compression
         # and in-set ordering effects.
         pattern = [0, 8, 8, 16, 0, 24, 8, 0, 32, 16, 8, 40, 0]
@@ -174,8 +178,7 @@ class TestBatchedCache:
         kinds = np.tile(
             [CODE_LOAD, CODE_STORE, CODE_LOAD], len(lines) // 3 + 1
         )[: len(lines)].astype(np.int8)
-        self.run_both(lines, kinds, tail_min=0)
-        self.run_both(lines, kinds, tail_min=10**9)
+        self.run_both(lines, kinds)
 
     def test_non_lru_policies_fall_back_identically(self):
         for policy in (ReplacementPolicy.RANDOM, ReplacementPolicy.PLRU):
@@ -241,6 +244,122 @@ class TestBatchedCache:
             c.access_lines_batched(
                 np.array([-1], dtype=np.int64), np.zeros(1, dtype=np.int8)
             )
+
+
+class TestLruReuseWindows:
+    """Edge cases of the batched LRU's reuse-window verdicts, residency
+    epochs and state write-back, each checked against a scalar twin."""
+
+    WAYS, SETS = 4, 2
+    SET0 = (0, 2, 4, 6)  # warm lines of set 0, LRU first
+
+    def twins(self, warm=(), write_back=True):
+        """A cache and its scalar twin, both warmed by scalar accesses."""
+        policy = WritePolicy.WRITE_BACK if write_back else (
+            WritePolicy.WRITE_THROUGH
+        )
+        pair = [
+            Cache(CacheParams(
+                name="L", size_bytes=self.WAYS * self.SETS * 64,
+                line_bytes=64, ways=self.WAYS, latency_cycles=1,
+                write_policy=policy,
+            ))
+            for _ in range(2)
+        ]
+        for line, kind in warm:
+            for c in pair:
+                c.access_line(line, kind)
+        return pair
+
+    def check(self, c, twin, batch):
+        """Run ``(line, kind)`` pairs as one batch on ``c`` and one by one
+        on ``twin``; returns the hits and the stats after the batch.
+
+        Beyond hits, stats and recency order, scalar misses on fresh lines
+        then evict every resident line from both caches: equal contents
+        after each miss and equal writebacks show the batch left the
+        clock above its timestamps and the same dirty bits.
+        """
+        lines = np.array([ln for ln, _ in batch], dtype=np.int64)
+        kinds = np.array([KIND_TO_CODE[k] for _, k in batch], dtype=np.int8)
+        hits = c.access_lines_batched(lines, kinds).tolist()
+        assert hits == [twin.access_line(ln, k) for ln, k in batch]
+        assert c.stats == twin.stats
+        after = dataclasses.replace(c.stats)
+        for line in range(1000, 1000 + self.WAYS * self.SETS):
+            assert c.access_line(line) == twin.access_line(line)
+            for s in range(self.SETS):
+                assert c.set_contents(s) == twin.set_contents(s)
+        assert c.stats == twin.stats
+        return hits, after
+
+    @pytest.mark.parametrize("depth,new", [
+        (d, k) for d in range(4) for k in range(5) if d + k in (3, 4)
+    ])
+    def test_warm_line_at_the_hit_miss_boundary(self, depth, new):
+        """A warm line at recency depth ``depth`` first touched after
+        ``new`` new lines of its set hits iff ``depth + new < ways``."""
+        c, twin = self.twins([(ln, "load") for ln in self.SET0])
+        target = self.SET0[self.WAYS - 1 - depth]
+        batch = []
+        for i in range(new):  # new lines of set 0, interleaved with set 1
+            batch += [(8 + 2 * i, "load"), (1 + 2 * i, "store")]
+        hits, _ = self.check(c, twin, batch + [(target, "load")])
+        assert hits[-1] == (depth + new < self.WAYS)
+
+    def test_scan_decided_by_the_oldest_window_position(self):
+        """Line 0's window holds 2, 4, 6, 8, 4: the scan back from 0
+        meets the fourth distinct line only at the window's first
+        position, so it must not stop one short."""
+        c, twin = self.twins([(ln, "load") for ln in self.SET0])
+        hits, _ = self.check(c, twin, [(8, "load"), (4, "load"), (0, "load")])
+        assert hits == [False, True, False]
+
+    def test_dirty_warm_line_evicted_in_batch(self):
+        warm = [(0, "store")] + [(ln, "load") for ln in self.SET0[1:]]
+        c, twin = self.twins(warm)
+        _, after = self.check(c, twin, [(8, "load"), (2, "load")])
+        assert (after.evictions, after.writebacks) == (1, 1)
+
+    def test_write_through_never_writes_back(self):
+        warm = [(ln, "store") for ln in self.SET0]
+        c, twin = self.twins(warm, write_back=False)
+        batch = [(ln, "store") for ln in range(8, 40)]
+        _, after = self.check(c, twin, batch)
+        assert after.evictions > 0
+        assert after.writebacks == 0
+
+    def test_partly_empty_set_misses_without_evictions(self):
+        c, twin = self.twins([(0, "store"), (2, "load")])
+        hits, after = self.check(
+            c, twin, [(4, "load"), (6, "store"), (0, "load")]
+        )
+        assert hits == [False, False, True]
+        assert after.evictions == 0
+
+    def test_one_access_batch(self):
+        c, twin = self.twins([(ln, "load") for ln in self.SET0])
+        hits, _ = self.check(c, twin, [(0, "store")])
+        assert hits == [True]
+
+    def test_one_line_batch(self):
+        c, twin = self.twins([(ln, "load") for ln in self.SET0])
+        batch = [(8, "load"), (8, "store"), (8, "load"), (8, "prefetch")]
+        hits, after = self.check(c, twin, batch)
+        assert hits == [False, True, True, True]
+        assert after.evictions == 1
+
+    def test_scalar_miss_after_batch_evicts_lru(self):
+        c, twin = self.twins([(ln, "load") for ln in self.SET0])
+        c.access_lines_batched(
+            np.array([4, 0, 8], dtype=np.int64), np.zeros(3, dtype=np.int8)
+        )
+        for line in (4, 0, 8):
+            twin.access_line(line)
+        assert c.set_contents(0) == twin.set_contents(0) == [6, 4, 0, 8]
+        for line in (10, 12):  # 12 evicts 4, not the just-filled 10
+            assert c.access_line(line) == twin.access_line(line)
+        assert c.set_contents(0) == twin.set_contents(0) == [0, 8, 10, 12]
 
 
 class TestRunBatch:
