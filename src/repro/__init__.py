@@ -4,7 +4,7 @@ The package implements, in pure Python + numpy:
 
 - the Goto-algorithm DGEMM (blocking, packing, GEBP) of the paper
   (:mod:`repro.gemm`);
-- the analytic performance model of Sec. III and the block-size engine of
+- the layer compute-to-memory ratios and the block-size engine of
   Sec. IV (:mod:`repro.model`, :mod:`repro.blocking`);
 - the register-kernel generator with software register rotation and
   instruction scheduling (:mod:`repro.kernels`);

@@ -10,7 +10,6 @@ from repro.apps.lu import (
     linpack_residual,
     lu_factor,
     lu_solve,
-    reconstruct,
 )
 from repro.workloads.base import traced_dgemm
 
@@ -19,6 +18,5 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "linpack_residual",
-    "reconstruct",
     "traced_dgemm",
 ]

@@ -152,17 +152,3 @@ def linpack_residual(
         * n
     )
     return float(r / denom) if denom else float("inf")
-
-
-def reconstruct(result: LuResult) -> "np.ndarray":
-    """P^{-1} L U from packed factors (for testing)."""
-    lu, piv = result.lu, result.piv
-    n = lu.shape[0]
-    lower = np.tril(lu, -1) + np.eye(n)
-    upper = np.triu(lu)
-    a = lower @ upper
-    for i in range(n - 1, -1, -1):
-        p = piv[i]
-        if p != i:
-            a[[i, p], :] = a[[p, i], :]
-    return a

@@ -19,7 +19,6 @@ from repro.arch.presets import (
     XGENE,
     get_preset,
     preset_names,
-    single_core,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "preset_names",
     "KB",
     "MB",
-    "single_core",
 ]

@@ -11,7 +11,6 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Tuple
 
 from repro.arch.params import (
@@ -225,25 +224,3 @@ def get_preset(name: str) -> ChipParams:
             f"unknown machine preset {name!r}; "
             f"known: {', '.join(PRESETS)}"
         ) from None
-
-
-def single_core(chip: ChipParams = XGENE) -> ChipParams:
-    """A one-core view of ``chip`` with the same per-core cache geometry.
-
-    Useful for serial experiments: the L2 and L3 keep their sizes but are
-    private, matching the paper's serial setting where one thread owns the
-    whole hierarchy. Uses :func:`dataclasses.replace` so every cache field
-    — including ones added after this helper was written — survives the
-    copy; an asymmetric chip collapses to one core of its lead cluster.
-    """
-    return ChipParams(
-        name=f"{chip.name}-1core",
-        cores=1,
-        cores_per_module=1,
-        core=chip.core,
-        l1d=chip.l1d,
-        l2=replace(chip.l2, shared_by=1),
-        l3=None if chip.l3 is None else replace(chip.l3, shared_by=1),
-        dram=chip.dram,
-        tlb=chip.tlb,
-    )

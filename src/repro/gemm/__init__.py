@@ -6,10 +6,6 @@ from repro.gemm.packing import (
     num_slivers,
     pack_a,
     pack_b,
-    packed_a_bytes,
-    packed_b_bytes,
-    unpack_a,
-    unpack_b,
 )
 from repro.gemm.parallel import apportion_blocks, parallel_dgemm
 from repro.gemm.pool import (
@@ -40,11 +36,7 @@ __all__ = [
     "gess",
     "pack_a",
     "pack_b",
-    "unpack_a",
-    "unpack_b",
     "num_slivers",
-    "packed_a_bytes",
-    "packed_b_bytes",
     "naive_dgemm",
     "gemm",
     "syrk",

@@ -128,33 +128,3 @@ def pack_b(
         lo, hi = s * nr, min((s + 1) * nr, nc)
         out[s, :, : hi - lo] = b_panel[:, lo:hi]
     return out
-
-
-def packed_a_bytes(mc: int, kc: int, mr: int, element_size: int = 8) -> int:
-    """Size of the packed A buffer in bytes (padding included)."""
-    return num_slivers(mc, mr) * kc * mr * element_size
-
-
-def packed_b_bytes(kc: int, nc: int, nr: int, element_size: int = 8) -> int:
-    """Size of the packed B buffer in bytes (padding included)."""
-    return num_slivers(nc, nr) * kc * nr * element_size
-
-
-def unpack_a(packed: "np.ndarray", mc: int) -> np.ndarray:
-    """Inverse of :func:`pack_a` (drops padding); for testing."""
-    ns, kc, mr = packed.shape
-    out = np.zeros((mc, kc), dtype=np.float64)
-    for s in range(ns):
-        lo, hi = s * mr, min((s + 1) * mr, mc)
-        out[lo:hi, :] = packed[s, :, : hi - lo].T
-    return out
-
-
-def unpack_b(packed: "np.ndarray", nc: int) -> np.ndarray:
-    """Inverse of :func:`pack_b` (drops padding); for testing."""
-    ns, kc, nr = packed.shape
-    out = np.zeros((kc, nc), dtype=np.float64)
-    for s in range(ns):
-        lo, hi = s * nr, min((s + 1) * nr, nc)
-        out[:, lo:hi] = packed[s, :, : hi - lo]
-    return out

@@ -3,7 +3,6 @@
 from repro.memory.batch import (
     ACCESS_DTYPE,
     BatchTrace,
-    compile_trace,
     warm_region,
 )
 from repro.memory.cache import (
@@ -36,7 +35,6 @@ __all__ = [
     "Cache",
     "CacheStats",
     "BatchTrace",
-    "compile_trace",
     "warm_region",
     "ACCESS_DTYPE",
     "KIND_LOAD",

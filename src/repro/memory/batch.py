@@ -174,11 +174,6 @@ class BatchTrace:
         return self.expand_lines(line_bytes)[0].size
 
 
-def compile_trace(accesses: Iterable[Access]) -> BatchTrace:
-    """Compile a generator-based trace into a :class:`BatchTrace`."""
-    return BatchTrace.from_accesses(accesses)
-
-
 def warm_region(cache, base: int, nbytes: int, line_bytes: int) -> None:
     """Load every line of ``[base, base + nbytes)`` into one cache.
 

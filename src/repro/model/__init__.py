@@ -1,47 +1,20 @@
-"""The paper's Sec. III performance model and layer gamma ratios."""
+"""The paper's closed-form compute-to-memory ratios gamma per GEBP layer
+(eqs. (7)/(8), (14) and (16)).
 
-from repro.model.perf_model import (
-    CostModel,
-    efficiency_bound,
-    execution_time,
-    gamma,
-    overlapped_time_bound,
-    performance_lower_bound,
-    time_upper_bound,
-)
-from repro.model.roofline import (
-    Roofline,
-    RooflinePoint,
-    dram_roofline,
-    gemm_roofline_study,
-    l1_roofline,
-)
+The Sec. III cost model itself is priced by :mod:`repro.sim.gemm_sim` and
+:mod:`repro.pipeline.interference` (see ``docs/paper_map.md``).
+"""
+
 from repro.model.ratios import (
     RatioBreakdown,
     gebp_ratio,
     gess_ratio,
-    register_kernel_flops_per_update,
     register_kernel_ratio,
-    register_kernel_words_per_update,
 )
 
 __all__ = [
-    "Roofline",
-    "RooflinePoint",
-    "dram_roofline",
-    "l1_roofline",
-    "gemm_roofline_study",
-    "CostModel",
-    "execution_time",
-    "time_upper_bound",
-    "gamma",
-    "overlapped_time_bound",
-    "performance_lower_bound",
-    "efficiency_bound",
     "register_kernel_ratio",
     "gess_ratio",
     "gebp_ratio",
     "RatioBreakdown",
-    "register_kernel_words_per_update",
-    "register_kernel_flops_per_update",
 ]

@@ -75,16 +75,3 @@ class RatioBreakdown:
             gess=gess_ratio(mr, nr, kc),
             gebp=gebp_ratio(mr, nr, kc, mc),
         )
-
-
-def register_kernel_words_per_update(mr: int, nr: int) -> int:
-    """Words moved L1->R per rank-1 update: an mr-column of A plus an
-    nr-row of B (eq. (7) denominator)."""
-    _require_positive(mr=mr, nr=nr)
-    return mr + nr
-
-
-def register_kernel_flops_per_update(mr: int, nr: int) -> int:
-    """Flops per rank-1 update: 2*mr*nr (eq. (7) numerator)."""
-    _require_positive(mr=mr, nr=nr)
-    return 2 * mr * nr

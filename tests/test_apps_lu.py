@@ -7,10 +7,10 @@ from repro.apps import (
     linpack_residual,
     lu_factor,
     lu_solve,
-    reconstruct,
 )
 from repro.blocking import CacheBlocking
 from repro.errors import GemmError
+from tests.helpers import reconstruct
 
 RNG = np.random.default_rng(11)
 

@@ -11,9 +11,9 @@ from repro.arch import (
     CoreParams,
     DramParams,
     ReplacementPolicy,
-    single_core,
 )
 from repro.errors import ArchitectureError
+from tests.helpers import single_core
 
 
 class TestCacheParams:

@@ -20,7 +20,6 @@ from repro.arch import (
     CoreClusterParams,
     get_preset,
     preset_names,
-    single_core,
 )
 from repro.blocking import CacheBlocking
 from repro.blocking.cache_blocking import (
@@ -33,6 +32,7 @@ from repro.gemm.parallel import _thread_row_blocks, apportion_blocks
 from repro.sim.asym import asym_exhibit, class_rates, partition_model
 from repro.sim.energy import dgemm_energy
 from repro.sim.gemm_sim import GemmSimulator
+from tests.helpers import single_core
 
 RNG = np.random.default_rng(4242)
 

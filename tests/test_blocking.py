@@ -6,7 +6,7 @@ the derivations in Sec. IV-B/IV-C, and every row of Table III.
 
 import pytest
 
-from repro.arch import XGENE, CoreParams, single_core
+from repro.arch import XGENE, CoreParams
 from repro.blocking import (
     CacheBlocking,
     PrefetchPlan,
@@ -19,6 +19,7 @@ from repro.blocking import (
     solve_nc,
 )
 from repro.errors import BlockingError
+from tests.helpers import single_core
 
 
 class TestRegisterBlocking:

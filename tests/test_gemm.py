@@ -19,12 +19,9 @@ from repro.gemm import (
     numpy_dgemm,
     pack_a,
     pack_b,
-    packed_a_bytes,
-    packed_b_bytes,
     parallel_dgemm,
-    unpack_a,
-    unpack_b,
 )
+from tests.helpers import unpack_a, unpack_b
 
 RNG = np.random.default_rng(12345)
 
@@ -82,11 +79,6 @@ class TestPacking:
         assert num_slivers(0, 8) == 0
         with pytest.raises(GemmError):
             num_slivers(10, 0)
-
-    def test_packed_sizes(self):
-        # 56x512 block of A packed with mr=8: 7 slivers (paper geometry).
-        assert packed_a_bytes(56, 512, 8) == 7 * 512 * 8 * 8
-        assert packed_b_bytes(512, 1920, 6) == 320 * 512 * 6 * 8
 
     def test_pack_rejects_bad_input(self):
         with pytest.raises(GemmError):

@@ -22,7 +22,6 @@ from repro.memory import (
     BatchTrace,
     Cache,
     MemoryHierarchy,
-    compile_trace,
     contiguous_trace,
     run_trace,
     strided_matrix_trace,
@@ -76,7 +75,7 @@ class TestBatchTrace:
 
     def test_compile_trace_of_generators(self):
         gen = list(strided_matrix_trace(0, 8, 4, 16))
-        trace = compile_trace(strided_matrix_trace(0, 8, 4, 16))
+        trace = BatchTrace.from_accesses(strided_matrix_trace(0, 8, 4, 16))
         assert list(trace) == gen
 
     def test_unknown_kind_rejected(self):

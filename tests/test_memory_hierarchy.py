@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.arch import XGENE, TlbParams, single_core
+from repro.arch import XGENE, TlbParams
 from repro.errors import SimulationError
 from repro.memory import KIND_STORE, MemoryHierarchy, Tlb, run_trace_levels
+from tests.helpers import single_core
 
 
 class TestTopology:

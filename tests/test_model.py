@@ -1,22 +1,13 @@
-"""Unit tests for the Sec. III performance model and gamma ratios."""
+"""Unit tests for the layer gamma ratios (eqs. (8), (14), (16))."""
 
 import pytest
 
 from repro.errors import BlockingError
 from repro.model import (
-    CostModel,
     RatioBreakdown,
-    efficiency_bound,
-    execution_time,
-    gamma,
     gebp_ratio,
     gess_ratio,
-    overlapped_time_bound,
-    performance_lower_bound,
-    register_kernel_flops_per_update,
     register_kernel_ratio,
-    register_kernel_words_per_update,
-    time_upper_bound,
 )
 
 
@@ -71,95 +62,3 @@ class TestRatios:
         b = RatioBreakdown.for_blocking(8, 6, 512, 56)
         assert b.register_kernel > b.gess > b.gebp
         assert b.register_kernel == pytest.approx(48 / 7)
-
-    def test_words_and_flops_per_update(self):
-        assert register_kernel_words_per_update(8, 6) == 14
-        assert register_kernel_flops_per_update(8, 6) == 96
-
-
-class TestCostModel:
-    def make(self):
-        return CostModel(
-            mu=1.0,
-            nu={(1, 0): 0.5, (2, 1): 1.0},
-            eta={(1, 0): 2.0},
-            words_per_message=8,
-        )
-
-    def test_pi_and_kappa(self):
-        m = self.make()
-        assert m.pi == pytest.approx(3.5)
-        assert m.kappa == pytest.approx(1 / 8)
-
-    def test_execution_time_eq1(self):
-        m = self.make()
-        # 10 flops, 8 words L1->R (= 1 message), 4 words L2->L1.
-        t = execution_time(m, 10, {(1, 0): 8, (2, 1): 4})
-        # 10*1 + 8*0.5 + 4*1.0 + messages: (1)*2.0 + (0.5)*0
-        assert t == pytest.approx(10 + 4 + 4 + 2.0)
-
-    def test_execution_time_explicit_messages(self):
-        m = self.make()
-        t = execution_time(m, 0, {(1, 0): 8}, messages={(1, 0): 2})
-        assert t == pytest.approx(8 * 0.5 + 2 * 2.0)
-
-    def test_upper_bound_dominates(self):
-        """Eq. (3) is an upper bound on eq. (1) for the same totals."""
-        m = self.make()
-        words = {(1, 0): 8, (2, 1): 4}
-        t = execution_time(m, 10, words)
-        tb = time_upper_bound(m, 10, sum(words.values()))
-        assert tb >= t
-
-    def test_gamma(self):
-        assert gamma(96, 14) == pytest.approx(48 / 7)
-        with pytest.raises(BlockingError):
-            gamma(96, 0)
-
-    def test_negative_inputs_rejected(self):
-        m = self.make()
-        with pytest.raises(BlockingError):
-            execution_time(m, -1, {})
-        with pytest.raises(BlockingError):
-            execution_time(m, 0, {(1, 0): -5})
-        with pytest.raises(BlockingError):
-            time_upper_bound(m, -1, 0)
-        with pytest.raises(BlockingError):
-            CostModel(mu=-1.0)
-
-    def test_overlap_bound_improves_on_no_overlap(self):
-        """Eq. (5) with psi < 1 beats eq. (3)."""
-        m = self.make()
-        psi = lambda g: 0.5
-        t5 = overlapped_time_bound(m, 96, 14, psi)
-        t3 = time_upper_bound(m, 96, 14)
-        assert t5 < t3
-
-    def test_psi_must_be_fraction(self):
-        m = self.make()
-        with pytest.raises(BlockingError):
-            overlapped_time_bound(m, 96, 14, lambda g: 1.5)
-
-    def test_performance_bound_monotone_in_gamma(self):
-        """The paper's key claim: larger gamma -> better bound (eq. (6))."""
-        m = self.make()
-        psi = lambda g: 1.0 / (1.0 + g)
-        flops = 1000.0
-        perf_small_gamma = performance_lower_bound(m, flops, 500.0, psi)
-        perf_large_gamma = performance_lower_bound(m, flops, 100.0, psi)
-        assert perf_large_gamma > perf_small_gamma
-
-    def test_efficiency_bound_monotone(self):
-        m = CostModel(mu=1.0, nu={(1, 0): 1.0})
-        psi = lambda g: 1.0 / (1.0 + g)
-        peak = 1.0
-        effs = [efficiency_bound(m, g, psi, peak) for g in (2, 4, 8, 16)]
-        assert effs == sorted(effs)
-        assert all(0 < e <= 1.0 for e in effs)
-
-    def test_efficiency_bound_validation(self):
-        m = CostModel(mu=1.0)
-        with pytest.raises(BlockingError):
-            efficiency_bound(m, 0, lambda g: 0.5, 1.0)
-        with pytest.raises(BlockingError):
-            efficiency_bound(m, 1, lambda g: 0.5, 0.0)

@@ -11,9 +11,8 @@ from repro.gemm import (
     pack_a,
     pack_b,
     parallel_dgemm,
-    unpack_a,
-    unpack_b,
 )
+from tests.helpers import unpack_a, unpack_b
 
 DIMS = st.integers(min_value=1, max_value=40)
 TILE = st.sampled_from([(8, 6), (8, 4), (4, 4), (2, 2), (5, 3)])
