@@ -23,16 +23,21 @@ Exposes the library's main entry points without writing Python::
 All subcommands print plain text and accept ``--json <path>`` to also
 write a structured, schema-versioned :class:`~repro.obs.RunReport`
 (engine selections, metric counters, stat-object snapshots) — the input
-of ``repro report``. ``main`` returns a process exit code so it can be
+of ``repro report``. Each ``_cmd_*`` returns ``(exit_code, sections)``:
+the report's ``params``/``engines``/``metrics``/``stats``, or ``None``
+when the command writes no RunReport. ``main`` alone turns the sections
+into the report, and returns a process exit code so it can be
 unit-tested directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro._version import __version__
 from repro.analysis.experiments import EXHIBITS, table4_microbench
@@ -48,34 +53,11 @@ from repro.serve.query import canonical_query
 from repro.sim.gemm_sim import GemmSimulator
 
 
-def _wants_report(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "json", None))
+#: A command's exit code and its RunReport sections (``None``: no report).
+Result = Tuple[int, Optional[Dict[str, Any]]]
 
 
-def _emit_report(
-    args: argparse.Namespace,
-    command: str,
-    params: Dict[str, Any],
-    engines: Optional[Dict[str, Dict[str, Any]]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    stats: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a validated RunReport to ``args.json`` when requested."""
-    if not _wants_report(args):
-        return
-    report = RunReport(
-        command=command,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params=params,
-        engines=engines or {},
-        metrics=metrics.as_dict() if metrics is not None else {},
-        stats=stats or {},
-    )
-    report.write(args.json)
-    print(f"wrote {args.json}")
-
-
-def _cmd_blocks(args: argparse.Namespace) -> int:
+def _cmd_blocks(args: argparse.Namespace) -> Result:
     chip = XGENE
     if args.mr is None or args.nr is None:
         best = RegisterBlockingProblem.from_core(chip.core).solve()
@@ -87,18 +69,16 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     blk = solve_cache_blocking(chip, mr, nr, threads=args.threads)
     print(f"cache blocking for {args.threads} thread(s) on {chip.name}: "
           f"{blk}  (k1={blk.k1}, k2={blk.k2}, k3={blk.k3})")
-    _emit_report(
-        args, "blocks",
-        params={"mr": mr, "nr": nr, "threads": args.threads},
-        stats={"blocking": {
+    return 0, {
+        "params": {"mr": mr, "nr": nr, "threads": args.threads},
+        "stats": {"blocking": {
             "mr": blk.mr, "nr": blk.nr, "kc": blk.kc, "mc": blk.mc,
             "nc": blk.nc, "k1": blk.k1, "k2": blk.k2, "k3": blk.k3,
         }},
-    )
-    return 0
+    }
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
+def _cmd_kernel(args: argparse.Namespace) -> Result:
     kernel = get_variant(args.variant, kc=args.kc)
     body = kernel.body
     print(f"// {args.variant}: {len(body)} instructions per body "
@@ -108,10 +88,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     print(f"// rotation distance {kernel.plan.min_distance}, "
           f"schedule distance {kernel.schedule.min_load_use_distance}")
     print(body.to_text())
-    _emit_report(
-        args, "kernel",
-        params={"variant": args.variant, "kc": args.kc},
-        stats={"body": {
+    return 0, {
+        "params": {"variant": args.variant, "kc": args.kc},
+        "stats": {"body": {
             "instructions": len(body),
             "fmla": body.num_fmla,
             "ldr": body.num_loads,
@@ -119,8 +98,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             "rotation_distance": kernel.plan.min_distance,
             "schedule_distance": kernel.schedule.min_load_use_distance,
         }},
-    )
-    return 0
+    }
 
 
 def _execute(kind: str, metrics=None, hierarchy=None, **fields):
@@ -133,12 +111,11 @@ def _execute(kind: str, metrics=None, hierarchy=None, **fields):
     return execute(query, metrics=metrics, hierarchy=hierarchy)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if _wants_report(args) else None
+def _cmd_simulate(args: argparse.Namespace) -> Result:
     params = {"kernel": args.kernel, "m": args.m or args.size,
               "n": args.n or args.size, "k": args.k or args.size,
               "threads": args.threads}
-    engines, stats = _execute("simulate", metrics, **params)
+    engines, stats = _execute("simulate", args.metrics, **params)
     perf = stats["performance"]
     print(f"{args.kernel} on {params['m']}x{params['n']}x{params['k']}, "
           f"{args.threads} thread(s): "
@@ -150,28 +127,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     total = sum(shares.values())
     for name, cycles in shares.items():
         print(f"  {name:10s} {cycles / max(total, 1):6.1%} of modeled cycles")
-    _emit_report(args, "simulate", params, engines, metrics, stats)
-    return 0
+    return 0, {"params": params, "engines": engines,
+               "metrics": args.metrics, "stats": stats}
 
 
-def _cmd_microbench(args: argparse.Namespace) -> int:
+def _cmd_microbench(args: argparse.Namespace) -> Result:
     rows = table4_microbench()
     print(EXHIBITS["table4_microbench"].render(rows, ()))
-    _emit_report(
-        args, "microbench",
-        params={},
-        stats={"ladder": {
-            r.ratio_label: {
-                "model_efficiency": r.model_efficiency,
-                "paper_efficiency": r.paper_efficiency,
-            }
-            for r in rows
-        }},
-    )
-    return 0
+    return 0, {"stats": {"ladder": {
+        r.ratio_label: {
+            "model_efficiency": r.model_efficiency,
+            "paper_efficiency": r.paper_efficiency,
+        }
+        for r in rows
+    }}}
 
 
-def _cmd_pool(args: argparse.Namespace) -> int:
+def _cmd_pool(args: argparse.Namespace) -> Result:
     """Exercise the persistent-pool parallel engine on real OS threads.
 
     Times a loop of small-matrix ``parallel_dgemm`` calls under the
@@ -229,14 +201,13 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     ))
     from repro.obs import snapshot_pool_stats
 
-    _emit_report(
-        args, "pool",
-        params={"threads": args.threads, "size": args.size,
-                "reps": args.reps},
-        engines={"pool": {"requested": "persistent",
-                          "selected": "persistent",
-                          "fallback_reason": None}},
-        stats={
+    return 0, {
+        "params": {"threads": args.threads, "size": args.size,
+                   "reps": args.reps},
+        "engines": {"pool": {"requested": "persistent",
+                             "selected": "persistent",
+                             "fallback_reason": None}},
+        "stats": {
             "pool": snapshot_pool_stats(stats),
             "timing": {
                 "spawn_seconds": spawn_s,
@@ -244,11 +215,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
                 "speedup": spawn_s / pool_s,
             },
         },
-    )
-    return 0
+    }
 
 
-def _cmd_cachesim(args: argparse.Namespace) -> int:
+def _cmd_cachesim(args: argparse.Namespace) -> Result:
     """Replay a GEBP slice through the cache sim on both engines.
 
     Runs the scalar oracle and the vectorized batched engine as two
@@ -258,13 +228,12 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.obs import snapshot_hierarchy
 
-    metrics = MetricsRegistry() if _wants_report(args) else None
     params = {"kernel": args.kernel, "threads": args.threads,
               "nc_slice": args.nc_slice, "seed": args.seed}
     engines, results = {}, {}
     for engine in ("scalar", "batched"):
         hierarchy = MemoryHierarchy(XGENE, seed=args.seed)
-        slots, stats = _execute("cachesim", metrics, hierarchy,
+        slots, stats = _execute("cachesim", args.metrics, hierarchy,
                                 engine=engine, **params)
         engines[engine] = slots["cachesim"]
         results[engine] = stats["result"]
@@ -276,17 +245,16 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
     print(f"L1: {r['l1_loads']} loads, {r['l1_load_misses']} misses "
           f"({r['l1_load_miss_rate']:.2%}); L2: {r['l2_loads']} loads, "
           f"{r['l2_load_misses']} misses; DRAM: {r['dram_accesses']} lines")
-    _emit_report(args, "cachesim", params, engines, metrics, stats={
-        "result": r, "hierarchy": snapshot_hierarchy(hierarchy),
-        "identical": identical,
-    })
     if not identical:
         print("error: engines disagree", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if identical else 1, {
+        "params": params, "engines": engines, "metrics": args.metrics,
+        "stats": {"result": r, "hierarchy": snapshot_hierarchy(hierarchy),
+                  "identical": identical},
+    }
 
 
-def _cmd_timed(args: argparse.Namespace) -> int:
+def _cmd_timed(args: argparse.Namespace) -> Result:
     """Timing-functional kernel run, cross-checking execution engines.
 
     With ``--engine both`` (the default) runs one micro-tile through the
@@ -296,14 +264,13 @@ def _cmd_timed(args: argparse.Namespace) -> int:
     ``compiled`` both run the compiled engine, which errors with the
     compilability reason on a kernel it cannot lower.
     """
-    metrics = MetricsRegistry() if _wants_report(args) else None
     both = args.engine == "both"
     engine_list = ["interpreted", "compiled"] if both else [args.engine]
     engines, runs = {}, {}
     for engine in engine_list:
         slots, stats = _execute(
-            "timed", metrics, engine=engine, kernel=args.kernel, kc=args.kc,
-            hw_late=args.hw_late, seed=args.seed,
+            "timed", args.metrics, engine=engine, kernel=args.kernel,
+            kc=args.kc, hw_late=args.hw_late, seed=args.seed,
         )
         engines[engine] = dict(slots["timed"], requested=args.engine)
         runs[engine] = stats["run"]
@@ -328,23 +295,19 @@ def _cmd_timed(args: argparse.Namespace) -> int:
         print(f"bit-identical: {identical}")
     else:
         print(f"engine: {r['engine']} (requested {args.engine})")
-    _emit_report(
-        args, "timed",
-        params={"kernel": args.kernel, "kc": kc, "hw_late": args.hw_late,
-                "engine": args.engine, "seed": args.seed},
-        engines=engines,
-        metrics=metrics,
-        stats={"run": r, "identical": identical},
-    )
     if not identical:
         print("error: engines disagree", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if identical else 1, {
+        "params": {"kernel": args.kernel, "kc": kc, "hw_late": args.hw_late,
+                   "engine": args.engine, "seed": args.seed},
+        "engines": engines,
+        "metrics": args.metrics,
+        "stats": {"run": r, "identical": identical},
+    }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    sim = GemmSimulator(XGENE, metrics=metrics)
+def _cmd_sweep(args: argparse.Namespace) -> Result:
+    sim = GemmSimulator(XGENE, metrics=args.metrics)
     sizes = list(range(args.start, args.stop + 1, args.step))
     series = []
     for kernel in args.kernels:
@@ -355,20 +318,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series.append((kernel, gfs))
     print(format_series(sizes, series, x_label="size",
                         title=f"Gflops vs size ({args.threads} thread(s))"))
-    _emit_report(
-        args, "sweep",
-        params={"kernels": list(args.kernels), "threads": args.threads,
-                "start": args.start, "stop": args.stop, "step": args.step},
-        metrics=metrics,
-        stats={"gflops": {
+    return 0, {
+        "params": {"kernels": list(args.kernels), "threads": args.threads,
+                   "start": args.start, "stop": args.stop,
+                   "step": args.step},
+        "metrics": args.metrics,
+        "stats": {"gflops": {
             kernel: {str(s): gf for s, gf in zip(sizes, gfs)}
             for kernel, gfs in series
         }},
-    )
-    return 0
+    }
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
+def _cmd_experiments(args: argparse.Namespace) -> Result:
     """Regenerate every paper exhibit into a results directory."""
     import pathlib
 
@@ -380,16 +342,14 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         path.write_text(exhibit.render(exhibit.run(sizes), sizes) + "\n")
         print(f"wrote {path}")
     print(f"all exhibits written to {out}/")
-    _emit_report(
-        args, "experiments",
-        params={"out": str(out), "start": args.start, "stop": args.stop,
-                "step": args.step},
-        stats={"exhibits": {name: True for name in sorted(EXHIBITS)}},
-    )
-    return 0
+    return 0, {
+        "params": {"out": str(out), "start": args.start, "stop": args.stop,
+                   "step": args.step},
+        "stats": {"exhibits": {name: True for name in sorted(EXHIBITS)}},
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     """Differential verification: fuzz sweep, self-test, case replay.
 
     The default mode runs a seeded sweep of every selected oracle plus
@@ -412,7 +372,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             [[o.name, o.suite, o.description] for o in all_oracles()],
             title=f"registered oracles (suites: {', '.join(suites())})",
         ))
-        return 0
+        return 0, None
 
     if args.replay is not None:
         outcome = replay_case(args.replay)
@@ -420,17 +380,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{args.replay}: oracle {outcome.oracle} -> {status}")
         for mismatch in outcome.mismatches[:10]:
             print(f"  {mismatch}")
-        _emit_report(
-            args, "verify",
-            params={"replay": str(args.replay), "oracle": outcome.oracle},
-            stats={"verify": {
+        return 0 if outcome.ok else 1, {
+            "params": {"replay": str(args.replay), "oracle": outcome.oracle},
+            "stats": {"verify": {
                 "replay": str(args.replay),
                 "oracle": outcome.oracle,
                 "passed": outcome.ok,
                 "mismatches": outcome.mismatches[:10],
             }},
-        )
-        return 0 if outcome.ok else 1
+        }
 
     doc = run_suite(
         seed=args.seed,
@@ -466,56 +424,74 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"mutation self-test: "
               f"{'fault caught by every oracle' if caught else 'FAILED'}")
     print(f"verify: {'PASS' if doc['passed'] else 'FAIL'}")
-    _emit_report(
-        args, "verify",
-        params={"suite": args.suite, "seed": args.seed,
-                "budget": args.budget},
-        stats={"verify": doc},
-    )
-    return 0 if doc["passed"] else 1
+    return 0 if doc["passed"] else 1, {
+        "params": {"suite": args.suite, "seed": args.seed,
+                   "budget": args.budget},
+        "stats": {"verify": doc},
+    }
 
 
 def _load_batch(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL batch file (``-`` = stdin); blank/# lines skipped."""
-    import json
-
-    if path == "-":
-        fh = sys.stdin
-    else:
-        try:
-            fh = open(path)
-        except OSError as exc:
-            raise ReproError(f"cannot read batch file {path}: {exc}")
     try:
-        docs = []
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        if path == "-":
+            lines = sys.stdin.readlines()
+        else:
+            with open(path) as fh:
+                lines = fh.readlines()
+    except OSError as exc:
+        raise ReproError(f"cannot read batch file {path}: {exc}")
+    docs = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
             try:
                 docs.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ReproError(
                     f"{path}:{lineno}: not a JSON query document: {exc}"
                 )
-        return docs
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    return docs
 
 
-def _serve_engine(args: argparse.Namespace, metrics):
-    """A QueryEngine (and its pool, or None) per the CLI options."""
+def _cache_dir(path: str) -> str:
+    """``path``, once it is known to be or to be creatable as a directory.
+
+    A file at ``path`` or at one of its ancestors would fail the first
+    store write, after every answer was computed; this rejects it first.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ReproError(f"--cache-dir {path}: {probe} is not a directory")
+    return path
+
+
+def _serve(args: argparse.Namespace, docs: List[Dict[str, Any]]):
+    """Answer ``docs`` through a QueryEngine per the CLI options.
+
+    Owns the worker pool (``--threads`` > 1) for the batch and times it;
+    returns ``(engine, answers, elapsed_seconds)``.
+    """
     from repro.gemm.pool import WorkerPool
     from repro.serve import QueryEngine
 
     if args.threads < 1:
         raise ReproError(f"--threads must be >= 1, got {args.threads}")
+    cache_dir = _cache_dir(args.cache_dir)
     pool = WorkerPool(args.threads) if args.threads > 1 else None
-    return QueryEngine(args.cache_dir, pool=pool, metrics=metrics), pool
+    try:
+        engine = QueryEngine(cache_dir, pool=pool, metrics=args.metrics)
+        t0 = time.perf_counter()
+        answers = engine.run_batch(docs)
+        return engine, answers, time.perf_counter() - t0
+    finally:
+        if pool is not None:
+            pool.close()
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: argparse.Namespace) -> Result:
     """Serve a batch of query documents through the memoized engine.
 
     Reads one JSON query per line from ``--batch``, answers each from
@@ -526,16 +502,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     exits nonzero unless every query was served from the cache — the
     hook CI uses to prove cache persistence across process runs.
     """
-    docs = _load_batch(args.batch)
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    engine, pool = _serve_engine(args, metrics)
-    try:
-        t0 = time.perf_counter()
-        answers = engine.run_batch(docs)
-        elapsed = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.close()
+    engine, answers, elapsed = _serve(args, _load_batch(args.batch))
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for answer in answers:
@@ -552,69 +519,51 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"{args.threads} thread(s)]",
         file=sys.stderr,
     )
-    _emit_report(
-        args, "query",
-        params={"batch": args.batch, "cache_dir": args.cache_dir,
-                "threads": args.threads},
-        metrics=metrics,
-        stats={
+    missed = args.expect_all_hits and s.hits != s.queries
+    if missed:
+        print(
+            f"error: expected all {s.queries} queries to hit the cache, "
+            f"got {s.hits} hits",
+            file=sys.stderr,
+        )
+    return 1 if missed else 0, {
+        "params": {"batch": args.batch, "cache_dir": args.cache_dir,
+                   "threads": args.threads},
+        "metrics": args.metrics,
+        "stats": {
             "serve": s.as_dict(),
             "timing": {
                 "elapsed_seconds": elapsed,
                 "queries_per_second": rate,
             },
         },
-    )
-    if args.expect_all_hits and s.hits != s.queries:
-        print(
-            f"error: expected all {s.queries} queries to hit the cache, "
-            f"got {s.hits} hits",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    }
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> Result:
     """Pre-warm the result cache with a preset's standing query set."""
-    from repro.serve import ResultStore, warm_queries
+    from repro.serve import warm_queries
 
-    docs = warm_queries(args.warm)
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    engine, pool = _serve_engine(args, metrics)
-    try:
-        t0 = time.perf_counter()
-        engine.run_batch(docs)
-        elapsed = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.close()
-    s = engine.stats
-    store = engine.store if isinstance(engine.store, ResultStore) else None
+    engine, _, elapsed = _serve(args, warm_queries(args.warm))
+    s, store = engine.stats, engine.store
     print(f"warmed preset {args.warm!r}: {s.queries} queries in "
           f"{elapsed:.3f}s ({s.computed} computed, {s.hits} already "
           f"cached, {s.errors} errors)")
-    if store is not None:
-        print(f"cache {args.cache_dir}: {len(store)} entries, "
-              f"{store.bytes_held()} bytes")
-    _emit_report(
-        args, "serve",
-        params={"warm": args.warm, "cache_dir": args.cache_dir,
-                "threads": args.threads},
-        metrics=metrics,
-        stats={
+    print(f"cache {args.cache_dir}: {len(store)} entries, "
+          f"{store.bytes_held()} bytes")
+    return 1 if s.errors else 0, {
+        "params": {"warm": args.warm, "cache_dir": args.cache_dir,
+                   "threads": args.threads},
+        "metrics": args.metrics,
+        "stats": {
             "serve": s.as_dict(),
             "timing": {"elapsed_seconds": elapsed},
-            "store": {
-                "entries": len(store) if store is not None else 0,
-                "bytes": store.bytes_held() if store is not None else 0,
-            },
+            "store": {"entries": len(store), "bytes": store.bytes_held()},
         },
-    )
-    return 1 if s.errors else 0
+    }
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _cmd_tune(args: argparse.Namespace) -> Result:
     """Run the two-stage kernel search with persistent memoization."""
     from repro.gemm.pool import WorkerPool
     from repro.serve import ResultStore
@@ -625,8 +574,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         args.max_tiles = min(args.max_tiles, 3)
         args.radius = min(args.radius, 1)
         args.seed = 0
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
+    store = (ResultStore(_cache_dir(args.cache_dir)) if args.cache_dir
+             else None)
     pool = WorkerPool(args.pool) if args.pool > 1 else None
     try:
         t0 = time.perf_counter()
@@ -641,7 +590,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             seed=args.seed,
             store=store,
             pool=pool,
-            metrics=metrics,
+            metrics=args.metrics,
         )
         elapsed = time.perf_counter() - t0
     finally:
@@ -665,16 +614,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"(prune {result['stats']['prune_ratio']:.1f}x)")
     print(f"  memo: {hits} hits, {misses} computed"
           + (f" ({args.cache_dir})" if args.cache_dir else " (no store)"))
-    _emit_report(
-        args, "tune",
-        params=dict(result["params"],
-                    cache_dir=args.cache_dir or None, pool=args.pool),
-        engines={
+    return 0, {
+        "params": dict(result["params"],
+                       cache_dir=args.cache_dir or None, pool=args.pool),
+        "engines": {
             "analytic": {"selected": "gemm-sim", "fallback_reason": None},
             "timed": {"selected": "compiled", "fallback_reason": None},
         },
-        metrics=metrics,
-        stats={
+        "metrics": args.metrics,
+        "stats": {
             "space": space,
             "prune_ratio": result["stats"]["prune_ratio"],
             "winner": win,
@@ -682,11 +630,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             "memo": memo,
             "timing": {"elapsed_seconds": elapsed},
         },
-    )
-    return 0
+    }
 
 
-def _cmd_asym(args: argparse.Namespace) -> int:
+def _cmd_asym(args: argparse.Namespace) -> Result:
     """The asymmetric-chip exhibit: class-aware partition + energy.
 
     Prices every placement of interest (each core class alone, all
@@ -715,23 +662,21 @@ def _cmd_asym(args: argparse.Namespace) -> int:
         ))
         print(f"  weighted speedup over symmetric: "
               f"{entry['weighted_speedup']:.3f}x")
-    _emit_report(
-        args, "asym",
-        params={"machine": args.machine, "kernel": args.kernel,
-                "smoke": args.smoke},
-        stats=doc,
-    )
-    return 0
+    return 0, {
+        "params": {"machine": args.machine, "kernel": args.kernel,
+                   "smoke": args.smoke},
+        "stats": doc,
+    }
 
 
-def _cmd_exhibit(args: argparse.Namespace) -> int:
+def _cmd_exhibit(args: argparse.Namespace) -> Result:
     """The workload exhibits: ``stencil`` (cache-blocked vs unblocked
     Jacobi sweeps) and ``conv`` (direct vs im2col lowering of one GEBP
     stream). Proves the bit-equality contracts, then prints the Table
     VII-style counter comparison."""
     # The exhibit's flags are exactly its query's fields.
     fields = {k: v for k, v in vars(args).items()
-              if k not in ("command", "func", "json")}
+              if k not in ("command", "func", "json", "metrics")}
     engines, stats = _execute(args.command, **fields)
     doc = stats["exhibit"]
     p = doc["params"]
@@ -772,16 +717,14 @@ def _cmd_exhibit(args: argparse.Namespace) -> int:
     ))
     for line in tail:
         print(f"  {line}")
-    _emit_report(
-        args, args.command,
-        params={"machine": args.machine, **p},
-        engines=engines,
-        stats=doc,
-    )
-    return 0 if ok else 1
+    return 0 if ok else 1, {
+        "params": {"machine": args.machine, **p},
+        "engines": engines,
+        "stats": doc,
+    }
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Result:
     """Render, validate, or diff structured run reports.
 
     ``repro report out.json`` renders a report; ``--validate`` checks it
@@ -789,9 +732,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     regression comparator and exits nonzero on regressions (suppress
     with ``--warn-only``).
     """
-    import json
-
     from repro.obs import (
+        atomic_write_json,
         compare_files,
         flatten,
         format_comparison,
@@ -806,7 +748,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
         print(format_comparison(comp, baseline_path, current_path))
         if args.json:
-            doc = {
+            atomic_write_json(args.json, {
                 "baseline": baseline_path,
                 "current": current_path,
                 "tolerance": args.tolerance,
@@ -817,14 +759,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                      "baseline": f.baseline, "current": f.current}
                     for f in comp.findings
                 ],
-            }
-            with open(args.json, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            })
             print(f"wrote {args.json}")
-        if comp.regressions and not args.warn_only:
-            return 1
-        return 0
+        return 1 if comp.regressions and not args.warn_only else 0, None
 
     if args.path is None:
         raise ReproError("report needs a file path or --diff A B")
@@ -833,11 +770,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if problems:
         for problem in problems:
             print(f"invalid: {problem}", file=sys.stderr)
-        return 1
+        return 1, None
     if args.validate:
         print(f"{args.path}: valid (schema version "
               f"{doc['schema_version']})")
-        return 0
+        return 0, None
     print(f"{doc['command']} report (schema {doc['schema_version']}, "
           f"created {doc.get('created') or 'n/a'})")
     if doc.get("params"):
@@ -871,7 +808,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
              for k, s in sorted(spans.items())],
             title="span timers",
         ))
-    return 0
+    return 0, None
+
+
+def _kernel_flag(p: argparse.ArgumentParser, flag: str = "--kernel",
+                 **kwargs: Any) -> None:
+    """A kernel-variant flag, with the registered variants as choices."""
+    kwargs.setdefault("default", "OpenBLAS-8x6")
+    p.add_argument(flag, choices=sorted(VARIANTS), **kwargs)
+
+
+def _machine_flag(p: argparse.ArgumentParser, default: str = "xgene",
+                  help: str = "machine preset to model") -> None:
+    """``--machine``, with the registered presets as choices."""
+    p.add_argument("--machine", default=default,
+                   choices=list(preset_names()), help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -882,84 +833,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--json", metavar="PATH", default=None,
-            help="also write a structured RunReport document to PATH",
-        )
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("blocks", help="derive block sizes analytically")
+    p = command("blocks", _cmd_blocks, "derive block sizes analytically")
     p.add_argument("--mr", type=int, default=None)
     p.add_argument("--nr", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
-    add_json(p)
-    p.set_defaults(func=_cmd_blocks)
 
-    p = sub.add_parser("kernel", help="emit register-kernel assembly")
-    p.add_argument("--variant", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
+    p = command("kernel", _cmd_kernel, "emit register-kernel assembly")
+    _kernel_flag(p, "--variant")
     p.add_argument("--kc", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("simulate", help="predict DGEMM performance")
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
+    p = command("simulate", _cmd_simulate, "predict DGEMM performance")
+    _kernel_flag(p)
     p.add_argument("--size", type=int, default=2048)
     p.add_argument("-m", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
-    add_json(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("microbench", help="the Table IV LDR:FMLA ladder")
-    add_json(p)
-    p.set_defaults(func=_cmd_microbench)
+    command("microbench", _cmd_microbench, "the Table IV LDR:FMLA ladder")
 
-    p = sub.add_parser(
-        "experiments",
-        help="regenerate every paper table/figure into a directory",
-    )
+    p = command("experiments", _cmd_experiments,
+                "regenerate every paper table/figure into a directory")
     p.add_argument("--out", default="results")
     p.add_argument("--start", type=int, default=256)
     p.add_argument("--stop", type=int, default=6400)
     p.add_argument("--step", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_experiments)
 
-    p = sub.add_parser(
-        "pool",
-        help="time the persistent worker pool vs per-iteration spawning "
-             "and show per-thread counters",
-    )
+    p = command("pool", _cmd_pool,
+                "time the persistent worker pool vs per-iteration spawning "
+                "and show per-thread counters")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--size", type=int, default=160)
     p.add_argument("--reps", type=int, default=10)
-    add_json(p)
-    p.set_defaults(func=_cmd_pool)
 
-    p = sub.add_parser(
-        "cachesim",
-        help="event-accurate GEBP cache replay; checks the scalar and "
-             "batched engines bit-identical",
-    )
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
+    p = command("cachesim", _cmd_cachesim,
+                "event-accurate GEBP cache replay; checks the scalar and "
+                "batched engines bit-identical")
+    _kernel_flag(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--nc-slice", type=int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="RANDOM-replacement victim RNG seed")
-    add_json(p)
-    p.set_defaults(func=_cmd_cachesim)
 
-    p = sub.add_parser(
-        "timed",
-        help="timing-functional kernel run; checks the interpreted and "
-             "compiled engines bit-identical",
-    )
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
+    p = command("timed", _cmd_timed,
+                "timing-functional kernel run; checks the interpreted and "
+                "compiled engines bit-identical")
+    _kernel_flag(p)
     p.add_argument("--kc", type=int, default=None)
     p.add_argument("--hw-late", type=float, default=0.25)
     p.add_argument("--engine", default="both",
@@ -968,25 +892,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "a single one ('auto' runs the compiled engine)")
     p.add_argument("--seed", type=int, default=0,
                    help="operand RNG seed")
-    add_json(p)
-    p.set_defaults(func=_cmd_timed)
 
-    p = sub.add_parser("sweep", help="Gflops vs matrix size")
-    p.add_argument("--kernels", nargs="+",
-                   default=["OpenBLAS-8x6", "ATLAS-5x5"],
-                   choices=sorted(VARIANTS))
+    p = command("sweep", _cmd_sweep, "Gflops vs matrix size")
+    _kernel_flag(p, "--kernels", nargs="+",
+                 default=["OpenBLAS-8x6", "ATLAS-5x5"])
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--start", type=int, default=256)
     p.add_argument("--stop", type=int, default=4096)
     p.add_argument("--step", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "verify",
-        help="differential fuzz sweep of every fast/reference engine "
-             "pair, with mutation self-test and case replay",
-    )
+    p = command("verify", _cmd_verify,
+                "differential fuzz sweep of every fast/reference engine "
+                "pair, with mutation self-test and case replay")
     p.add_argument("--suite", default="all",
                    help="oracle suite to run ('all', or one of the "
                         "registered suites; see --list)")
@@ -1006,14 +923,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the comparator mutation self-test")
     p.add_argument("--list", action="store_true",
                    help="print the oracle registry and exit")
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "query",
-        help="serve JSONL query documents from the memoized result "
-             "cache, computing misses concurrently on the worker pool",
-    )
+    p = command("query", _cmd_query,
+                "serve JSONL query documents from the memoized result "
+                "cache, computing misses concurrently on the worker pool")
     p.add_argument("--batch", metavar="FILE", required=True,
                    help="JSONL file with one query document per line "
                         "('-' reads stdin)")
@@ -1027,14 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-all-hits", action="store_true",
                    help="exit nonzero unless every query was served "
                         "from the cache")
-    add_json(p)
-    p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser(
-        "serve",
-        help="pre-warm the result cache with a machine preset's "
-             "standing query set",
-    )
+    p = command("serve", _cmd_serve,
+                "pre-warm the result cache with a machine preset's "
+                "standing query set")
     p.add_argument("--warm", default="all",
                    choices=list(preset_names()) + ["all"],
                    help="which preset's warm query set to compute")
@@ -1042,17 +951,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-store directory (created on demand)")
     p.add_argument("--threads", type=int, default=4,
                    help="worker-pool size for computing cache misses")
-    add_json(p)
-    p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser(
-        "tune",
-        help="search register tiles, rotation schemes, schedules and "
-             "blockings with the two-stage memoized autotuner",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to tune for")
+    p = command("tune", _cmd_tune,
+                "search register tiles, rotation schemes, schedules and "
+                "blockings with the two-stage memoized autotuner")
+    _machine_flag(p, help="machine preset to tune for")
     p.add_argument("--threads", type=int, default=1,
                    help="thread count the blocking solver targets")
     p.add_argument("--problem-size", type=int, default=2048,
@@ -1075,32 +978,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "('' disables persistence)")
     p.add_argument("--smoke", action="store_true",
                    help="tiny fixed-seed budget for CI")
-    add_json(p)
-    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser(
-        "asym",
-        help="asymmetric-chip exhibit: class-aware partition vs the "
-             "symmetric split, with the energy frontier",
-    )
-    p.add_argument("--machine", default="big_little",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
+    p = command("asym", _cmd_asym,
+                "asymmetric-chip exhibit: class-aware partition vs the "
+                "symmetric split, with the energy frontier")
+    _machine_flag(p, default="big_little")
+    _kernel_flag(p)
     p.add_argument("--smoke", action="store_true",
                    help="single-size CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_asym)
 
-    p = sub.add_parser(
-        "stencil",
-        help="stencil exhibit: cache-blocked vs unblocked Jacobi sweeps "
-             "through the cache walk and the timed scoreboard",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
+    p = command("stencil", _cmd_exhibit,
+                "stencil exhibit: cache-blocked vs unblocked Jacobi sweeps "
+                "through the cache walk and the timed scoreboard")
+    _machine_flag(p)
     p.add_argument("--height", type=int, default=None,
                    help="grid rows (default 64, 32 with --smoke)")
     p.add_argument("--width", type=int, default=None,
@@ -1111,17 +1001,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoke", action="store_true",
                    help="narrow-grid CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_exhibit)
 
-    p = sub.add_parser(
-        "conv",
-        help="convolution exhibit: direct gather nest vs im2col + DGEMM "
-             "at the solved blocking",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
+    p = command("conv", _cmd_exhibit,
+                "convolution exhibit: direct gather nest vs im2col + DGEMM "
+                "at the solved blocking")
+    _machine_flag(p)
     p.add_argument("--cin", type=int, default=None,
                    help="input channels (default 3, 1 with --smoke)")
     p.add_argument("--height", type=int, default=None,
@@ -1135,13 +1019,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoke", action="store_true",
                    help="small-image CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_exhibit)
 
-    p = sub.add_parser(
-        "report",
-        help="render, validate, or diff structured run reports",
-    )
+    p = command("report", _cmd_report,
+                "render, validate, or diff structured run reports")
     p.add_argument("path", nargs="?", default=None,
                    help="report file to render")
     p.add_argument("--validate", action="store_true",
@@ -1153,20 +1033,39 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative tolerance for float comparisons")
     p.add_argument("--warn-only", action="store_true",
                    help="report regressions but exit 0")
-    add_json(p)
-    p.set_defaults(func=_cmd_report)
+    # Last, so ``--json`` closes every subcommand's ``--help``.
+    for p in sub.choices.values():
+        p.add_argument(
+            "--json", metavar="PATH", default=None,
+            help="also write a structured RunReport document to PATH",
+        )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    With ``--json`` the command runs with a :class:`MetricsRegistry` in
+    ``args.metrics`` and its returned sections become the run's one
+    RunReport.
+    """
+    args = build_parser().parse_args(argv)
+    args.metrics = MetricsRegistry() if args.json else None
     try:
-        return args.func(args)
+        code, sections = args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json and sections is not None:
+        metrics = sections.pop("metrics", None)
+        RunReport(
+            command=args.command,
+            created=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            metrics=metrics.as_dict() if metrics is not None else {},
+            **sections,
+        ).write(args.json)
+        print(f"wrote {args.json}")
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import threading
+from typing import Dict
 
 from repro.kernels.codegen import GeneratedKernel, generate_kernel
 from repro.kernels.kernel_spec import (
@@ -26,6 +27,7 @@ from repro.kernels.kernel_spec import (
     KERNEL_8X6_NO_ROTATION,
     KernelSpec,
 )
+from repro.memo import BoundedMemo
 
 #: Display names used in the paper's figures, mapped to specs.
 VARIANTS: Dict[str, KernelSpec] = {
@@ -52,7 +54,11 @@ PAPER_COMPARISON = (
 #: listing (see kernel_spec module docstring).
 _ATLAS_DISPLAY = KernelSpec(5, 5, "5x5-atlas-display", rotated=False)
 
-_cache: Dict[Tuple[str, int], object] = {}
+#: Generated kernels by ``(name, kc)``. ``compile_kernel`` memoizes by
+#: kernel identity, so every caller of one key must get the same object:
+#: misses generate under ``_LOCK``.
+_cache: BoundedMemo[object] = BoundedMemo(64)
+_LOCK = threading.Lock()
 
 
 def get_variant(name: str, kc: int = 512):
@@ -67,20 +73,26 @@ def get_variant(name: str, kc: int = 512):
         kc: Blocking depth used for prefetch distances.
     """
     key = (name, kc)
-    if key not in _cache:
-        try:
-            spec = VARIANTS[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown kernel variant {name!r}; "
-                f"choose from {sorted(VARIANTS)}"
-            ) from None
-        if name == "ATLAS-5x5-kvec":
-            from repro.kernels.atlas import build_kvec_variant
+    kernel = _cache.get(key)
+    if kernel is not None:
+        return kernel
+    try:
+        spec = VARIANTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown kernel variant {name!r}; "
+            f"choose from {sorted(VARIANTS)}"
+        ) from None
+    with _LOCK:
+        kernel = _cache.get(key)
+        if kernel is None:
+            if name == "ATLAS-5x5-kvec":
+                from repro.kernels.atlas import build_kvec_variant
 
-            _cache[key] = build_kvec_variant()
-        else:
-            if spec is KERNEL_5X5_ATLAS:
-                spec = _ATLAS_DISPLAY
-            _cache[key] = generate_kernel(spec, kc=kc)
-    return _cache[key]
+                kernel = build_kvec_variant()
+            else:
+                if spec is KERNEL_5X5_ATLAS:
+                    spec = _ATLAS_DISPLAY
+                kernel = generate_kernel(spec, kc=kc)
+            _cache.put(key, kernel)
+    return kernel

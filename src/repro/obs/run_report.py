@@ -138,26 +138,6 @@ class RunReport:
             )
         atomic_write_text(path, self.to_json() + "\n")
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "RunReport":
-        problems = validate_report(doc)
-        if problems:
-            raise ValueError("invalid report: " + "; ".join(problems))
-        return cls(
-            command=doc["command"],
-            schema_version=doc["schema_version"],
-            created=doc.get("created"),
-            params=doc.get("params", {}),
-            engines=doc.get("engines", {}),
-            metrics=doc.get("metrics", {}),
-            stats=doc.get("stats", {}),
-        )
-
-    @classmethod
-    def read(cls, path: str) -> "RunReport":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def flatten(
     doc: Any, prefix: str = ""

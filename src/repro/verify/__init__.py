@@ -19,7 +19,6 @@ from repro.verify.machines import (
     build_chip,
     random_machine,
     simplified_machines,
-    with_replacement,
 )
 from repro.verify.oracle import (
     CaseOutcome,
@@ -71,5 +70,4 @@ __all__ = [
     "shrink_case",
     "simplified_machines",
     "suites",
-    "with_replacement",
 ]

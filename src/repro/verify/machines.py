@@ -31,7 +31,7 @@ from repro.arch.params import (
 
 __all__ = ["build_chip", "chip_doc", "random_asym_machine",
            "random_machine", "simplified_asym_machines",
-           "simplified_machines", "with_replacement"]
+           "simplified_machines"]
 
 _POLICIES = ("lru", "random", "plru")
 
@@ -383,41 +383,3 @@ def simplified_machines(doc: Dict[str, Any]):
             out = dict(doc)
             out[lvl] = dict(level, ways=level["ways"] // 2)
             yield out
-
-
-def _replace_cache(cache: CacheParams, policy: ReplacementPolicy) -> CacheParams:
-    return CacheParams(
-        name=cache.name,
-        size_bytes=cache.size_bytes,
-        line_bytes=cache.line_bytes,
-        ways=cache.ways,
-        latency_cycles=cache.latency_cycles,
-        replacement=policy,
-        write_policy=cache.write_policy,
-        shared_by=cache.shared_by,
-    )
-
-
-def with_replacement(
-    chip: ChipParams, policy: ReplacementPolicy,
-    l3: Optional[ReplacementPolicy] = None,
-) -> ChipParams:
-    """A copy of ``chip`` with every cache level using ``policy``.
-
-    ``l3`` overrides the policy for the L3 alone (e.g. keep the big
-    outer level LRU while stressing RANDOM victim selection inside).
-    """
-    return ChipParams(
-        name=f"{chip.name}-{policy.value}",
-        cores=chip.cores,
-        cores_per_module=chip.cores_per_module,
-        core=chip.core,
-        l1d=_replace_cache(chip.l1d, policy),
-        l2=_replace_cache(chip.l2, policy),
-        l3=(
-            None if chip.l3 is None
-            else _replace_cache(chip.l3, l3 if l3 is not None else policy)
-        ),
-        dram=chip.dram,
-        tlb=chip.tlb,
-    )

@@ -26,7 +26,6 @@ from repro.workloads.conv import (
     ConvWorkload,
     conv_direct,
     conv_im2col,
-    conv_reference,
     filter_matrix,
     im2col,
     solve_conv_blocking,
@@ -56,7 +55,6 @@ __all__ = [
     "conv_direct",
     "conv_exhibit",
     "conv_im2col",
-    "conv_reference",
     "filter_matrix",
     "im2col",
     "simulate_workload_cache",

@@ -51,7 +51,6 @@ __all__ = [
     "ConvWorkload",
     "conv_direct",
     "conv_im2col",
-    "conv_reference",
     "filter_matrix",
     "im2col",
     "solve_conv_blocking",
@@ -152,20 +151,6 @@ def filter_matrix(w: np.ndarray) -> np.ndarray:
         )
     f = w.shape[0]
     return np.ascontiguousarray(w.reshape(f, -1).T)
-
-
-def conv_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Plain einsum convolution — the *numeric* (allclose) reference."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    cin, h, wid = x.shape
-    f, cin2, kh, kw = w.shape
-    if cin != cin2:
-        raise SimulationError(f"channel mismatch: image {cin}, filters {cin2}")
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kh, kw), axis=(1, 2)
-    )  # (cin, OH, OW, kh, kw)
-    return np.einsum("cyxhw,fchw->fyx", windows, w, optimize=True)
 
 
 def conv_im2col(

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import validate_report
 
 
 class TestCli:
@@ -213,3 +215,98 @@ class TestExperimentsCommand:
             assert path.read_bytes() == (committed / path.name).read_bytes(), (
                 path.name
             )
+
+
+REPO = pathlib.Path(__file__).parents[1]
+_CASE = REPO / "tests/cases/lru-array-9f8b35676ba4.json"
+
+# Every report-writing subcommand at cheap flags, with its exit code.
+# Relative paths land in the test's working directory.
+_REPORT_CASES = {
+    "blocks": ([], 0),
+    "kernel": (["--kc", "64"], 0),
+    "simulate": (["--size", "256"], 0),
+    "microbench": ([], 0),
+    "experiments": (["--out", "res", "--start", "256", "--stop", "256"], 0),
+    "pool": (["--threads", "2", "--size", "32", "--reps", "1"], 0),
+    "cachesim": (["--nc-slice", "6"], 0),
+    "timed": (["--kc", "32"], 0),
+    "sweep": (["--kernels", "OpenBLAS-4x4", "--start", "256",
+               "--stop", "256"], 0),
+    "verify": (["--replay", str(_CASE)], 0),
+    # A cold cache misses, so --expect-all-hits fails; the report is
+    # still written.
+    "query": (["--batch", "batch.jsonl", "--cache-dir", "store",
+               "--threads", "1", "--out", "answers.jsonl",
+               "--expect-all-hits"], 1),
+    "serve": (["--warm", "xgene", "--cache-dir", "store",
+               "--threads", "1"], 0),
+    "tune": (["--smoke", "--cache-dir", ""], 0),
+    "asym": (["--smoke"], 0),
+    "stencil": (["--height", "12", "--width", "64", "--iterations", "1"], 0),
+    "conv": (["--cin", "1", "--height", "10", "--width", "10",
+              "--filters", "4"], 0),
+}
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.jsonl").write_text(
+        json.dumps({"kind": "simulate", "m": 64, "n": 64, "k": 64}) + "\n"
+    )
+    return tmp_path
+
+
+def test_report_cases_cover_every_subcommand():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted([*_REPORT_CASES, "report"]) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_CASES))
+def test_every_command_writes_one_report(command, in_tmp, capsys):
+    """``main`` alone writes ``--json``: a valid RunReport named after
+    the subcommand, announced on stdout's last line."""
+    flags, code = _REPORT_CASES[command]
+    path = in_tmp / "run.json"
+    assert main([command, *flags, "--json", str(path)]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+    doc = json.loads(path.read_text())
+    assert validate_report(doc) == []
+    assert doc["command"] == command
+
+
+def test_commands_without_a_run_report(in_tmp, capsys):
+    """``verify --list`` and ``report FILE`` write no RunReport;
+    ``report --diff A B --json`` writes the diff document instead."""
+    path = in_tmp / "out.json"
+    assert main(["verify", "--list", "--json", str(path)]) == 0
+    assert main(["blocks", "--json", "blocks.json"]) == 0
+    assert main(["report", "blocks.json", "--json", str(path)]) == 0
+    assert not path.exists()
+    capsys.readouterr()
+    assert main(["report", "--diff", "blocks.json", "blocks.json",
+                 "--json", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["baseline", "checked", "current", "findings",
+                           "skipped", "tolerance"]
+    assert doc["findings"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--batch", "batch.jsonl", "--threads", "1"],
+    ["serve", "--warm", "xgene", "--threads", "1"],
+    ["tune", "--smoke"],
+], ids=["query", "serve", "tune"])
+def test_cache_dir_that_is_a_file_is_a_clean_error(argv, in_tmp, capsys):
+    """A file at or above ``--cache-dir`` is rejected before any answer
+    is computed, not by a traceback from the first store write."""
+    (in_tmp / "notadir").write_text("")
+    for cache_dir in ("notadir", "notadir/sub"):
+        assert main(argv + ["--cache-dir", cache_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --cache-dir {cache_dir}: ")
+        assert captured.err.rstrip().endswith("is not a directory")

@@ -8,7 +8,8 @@
   ``src/repro`` is named, as a whole word, somewhere other than its own
   definition: elsewhere in its module, in another non-``__init__`` module,
   in ``benchmarks/``, ``perfbench/`` or ``examples/``, or in
-  ``docs/api.md``. A helper only tests call belongs in ``tests/``.
+  ``docs/api.md``. A module's ``__all__`` entry is an export, not a use.
+  A helper only tests call belongs in ``tests/``.
 """
 
 import ast
@@ -59,10 +60,21 @@ def test_doc_symbols_resolve():
     assert not missing, "docs name symbols that do not resolve:\n" + "\n".join(missing)
 
 
+def _without_all(text):
+    """``text`` minus its ``__all__`` assignment: an export is not a use."""
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines[node.lineno - 1 : node.end_lineno] = []
+    return "\n".join(lines)
+
+
 def test_no_test_only_definitions_in_src():
     modules = {
         p: p.read_text() for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"
     }
+    uses = {p: _without_all(t) for p, t in modules.items()}
     outside = [ROOT / "docs" / "api.md"]
     for sub in ("benchmarks", "perfbench", "examples"):
         outside += sorted((ROOT / sub).rglob("*.py"))
@@ -75,9 +87,9 @@ def test_no_test_only_definitions_in_src():
                 continue
             word = re.compile(rf"\b{node.name}\b")
             used = (
-                len(word.findall(text)) > 1
+                len(word.findall(uses[path])) > 1
                 or word.search(outside_text)
-                or any(word.search(t) for p, t in modules.items() if p != path)
+                or any(word.search(t) for p, t in uses.items() if p != path)
             )
             if not used:
                 unused.append(f"{path.relative_to(ROOT).as_posix()}: {node.name}")

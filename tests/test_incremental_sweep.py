@@ -30,8 +30,9 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.trace import run_trace
 from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
-from repro.verify.machines import build_chip, random_machine, with_replacement
+from repro.verify.machines import build_chip, random_machine
 from repro.workloads.base import clear_warm_memo
+from tests.helpers import with_replacement
 
 
 class TestCompiledCoverage:

@@ -1,10 +1,11 @@
 """The bounded memo: one LRU policy behind every process-global memo.
 
-The module memos (compiled kernels, the micro-tile and cache-replay
-warm-state snapshots) share :class:`~repro.memo.BoundedMemo`; the tune
-caches are ``functools.lru_cache``. These tests pin the policy on each
-module's own instance at its own bound, and hammer it from threads the way
-serve's ``WorkerPool`` does.
+The module memos (generated and compiled kernels, the micro-tile and
+cache-replay warm-state snapshots) share
+:class:`~repro.memo.BoundedMemo`; the tune caches are
+``functools.lru_cache``. These tests pin the policy on each module's own
+instance at its own bound, and hammer it from threads the way serve's
+``WorkerPool`` does.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 
 from repro.arch import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
-from repro.kernels import compiled
+from repro.kernels import compiled, variants
 from repro.kernels.variants import VARIANTS
 from repro.memo import BoundedMemo
 from repro.sim import timed_executor
@@ -27,6 +28,7 @@ from repro.workloads import base as workloads_base
 #: Each module memo with the bound it must keep.
 MODULE_MEMOS = {
     "kernels.compiled": (compiled._CACHE, 64),
+    "kernels.variants": (variants._cache, 64),
     "workloads.base": (workloads_base._WARM_MEMO, 32),
     "sim.timed_executor": (timed_executor._WARM_MEMO, 16),
 }
@@ -118,6 +120,21 @@ class TestConcurrency:
 
         _run_threads(worker, 8)
         assert max(sizes) <= memo.limit
+
+    def test_racing_first_get_variant_calls_share_one_kernel(self):
+        """``compile_kernel`` memoizes by kernel identity, so threads
+        racing on the first ``get_variant`` call for one key must all get
+        the same object (else each copy is compiled separately)."""
+        for trial in range(3):
+            variants._cache.clear()
+            got = [None] * 8
+
+            def worker(i):
+                got[i] = variants.get_variant("OpenBLAS-4x4", kc=64)
+
+            _run_threads(worker, 8)
+            assert len({id(kernel) for kernel in got}) == 1, trial
+        variants._cache.clear()
 
     def test_threaded_gebp_sweep_matches_cold_start(self, monkeypatch):
         """Serve's pool threads share the GEBP warm memo. Under eviction

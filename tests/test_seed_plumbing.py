@@ -13,7 +13,8 @@ from repro.arch.presets import XGENE
 from repro.cli import main
 from repro.memory.batch import BatchTrace
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.verify import run_suite, with_replacement
+from repro.verify import run_suite
+from tests.helpers import with_replacement
 
 
 def _random_chip():

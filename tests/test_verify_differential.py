@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.experiments import table7_miss_rates
 from repro.arch.params import ReplacementPolicy
 from repro.arch.presets import XGENE
-from repro.verify import with_replacement
+from tests.helpers import with_replacement
 
 SEEDS = (0, 1, 2)
 NC_SLICE = 6

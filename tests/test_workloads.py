@@ -29,7 +29,6 @@ from repro.workloads import (
     conv_direct,
     conv_exhibit,
     conv_im2col,
-    conv_reference,
     filter_matrix,
     im2col,
     simulate_workload_cache,
@@ -43,6 +42,7 @@ from repro.workloads import (
     traced_dgemm,
     unblocked_conv_blocking,
 )
+from tests.helpers import conv_reference
 
 SMALL_BLOCKING = CacheBlocking(mr=4, nr=4, kc=8, mc=8, nc=8,
                                k1=1, k2=1, k3=1)

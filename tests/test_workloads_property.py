@@ -20,12 +20,12 @@ from repro.workloads import (
     StencilWorkload,
     conv_direct,
     conv_im2col,
-    conv_reference,
     simulate_workload_cache,
     stencil_blocked,
     stencil_reference,
     unblocked_conv_blocking,
 )
+from tests.helpers import conv_reference
 
 TILE = st.sampled_from([(8, 6), (8, 4), (4, 4), (2, 2), (5, 3)])
 SEED = st.integers(0, 2**16)
