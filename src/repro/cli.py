@@ -1053,18 +1053,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.metrics = MetricsRegistry() if args.json else None
     try:
         code, sections = args.func(args)
+        if args.json and sections is not None:
+            metrics = sections.pop("metrics", None)
+            RunReport(
+                command=args.command,
+                created=time.strftime("%Y-%m-%dT%H:%M:%S"),
+                metrics=metrics.as_dict() if metrics is not None else {},
+                **sections,
+            ).write(args.json)
+            print(f"wrote {args.json}")
+        # Flush here, so a reader that closed early is caught below.
+        sys.stdout.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json and sections is not None:
-        metrics = sections.pop("metrics", None)
-        RunReport(
-            command=args.command,
-            created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            metrics=metrics.as_dict() if metrics is not None else {},
-            **sections,
-        ).write(args.json)
-        print(f"wrote {args.json}")
+    except BrokenPipeError:
+        # stdout closed early (``repro report run.json | head -3``). Point
+        # it at devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

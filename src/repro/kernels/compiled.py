@@ -514,6 +514,9 @@ class CompiledKernel:
         The only caller, ``sim.timed_executor._run_compiled_micro_tile``,
         runs a default ``ScoreboardCore(chip.core)`` (no WAR modelling,
         the core's own load latency), so the core alone is the key.
+        ``WorkerPool`` workers share the memo: ``run_compiled`` records
+        its misses under the memo's own lock and stops recording at
+        :data:`~repro.pipeline.scoreboard.MEMO_LIMIT` entries.
         """
         return self._memos.setdefault(core, {})
 

@@ -24,20 +24,28 @@ Two execution paths produce bit-identical results:
 - :meth:`ScoreboardCore.run_compiled` — the template engine behind the
   compiled timed-execution path. A program is compiled once into a
   :class:`ScoreboardTemplate` (register reads/writes as index tuples, pipe
-  classes, static latencies); whole template executions then advance
-  through a memo keyed on the normalized scoreboard state at the template
-  boundary plus the execution's per-load latencies. In steady state —
-  where the register kernel spends nearly all of its iterations — every
-  body is one dictionary hit instead of hundreds of interpreted issue
-  steps; irregular iterations (cold caches, latency transients) fall back
-  to the same scalar stepping the memo entries are recorded from, so the
-  compiled path is exact by construction.
+  classes, static latencies). A call is then an automaton walk. Its
+  states are the normalized scoreboard states at template boundaries,
+  interned to ids; its symbols are latency rows, the per-load latencies
+  of one template execution. NumPy groups the executions into runs of
+  one template under one row, and each execution is one dict lookup on
+  ``(template, state id, row)`` that yields the counter deltas and the
+  next state. In steady state (Sec. V-A), where the register kernel
+  spends nearly all of its iterations, a transition leads back to its
+  own state, and the rest of its run advances in one step. Only a miss
+  (cold caches, latency transients) steps the template concretely, and
+  it records what it stepped, so the compiled path is exact by
+  construction. The memo holding the automaton is bounded by
+  :data:`MEMO_LIMIT` and may be shared between threads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.params import CoreParams
 from repro.errors import SimulationError
@@ -171,7 +179,7 @@ class _CompiledState:
     __slots__ = (
         "cycle", "issued", "load_used", "store_used", "any_issued",
         "ready", "last_read", "fma_free", "raw", "structural", "war",
-        "issue_cycles", "last_completion", "flops",
+        "issue_cycles", "flops",
     )
 
     def __init__(self, fma_pipes: int) -> None:
@@ -187,7 +195,6 @@ class _CompiledState:
         self.structural = 0
         self.war = 0
         self.issue_cycles = 0
-        self.last_completion = 0
         self.flops = 0
 
     def signature(
@@ -238,6 +245,101 @@ class _CompiledState:
         self.fma_free = [c + rel for rel in fma]
         if enforce_war:
             self.last_read = {r: c + rel for r, rel in zip(universe, war)}
+
+
+#: Most states plus transitions one scoreboard memo records. Past the
+#: bound a miss still steps exactly; it is just not remembered, so a full
+#: memo stays correct and never needs a wholesale clear.
+MEMO_LIMIT = 1 << 15
+
+#: The key under which a memo dict carries its :class:`_Automaton`.
+_AUTOMATON = "automaton"
+
+
+class _Automaton:
+    """Interned template-boundary states and the transitions between them.
+
+    A state is named by a token: its id in :attr:`sigs`, or, once the memo
+    is full, its signature tuple itself (never recorded, so it only ever
+    misses). States are interned per register universe, because a
+    signature lists register times positionally over the universe of the
+    run that made it.
+    """
+
+    __slots__ = ("lock", "ids", "sigs", "steps")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.ids: Dict[Tuple, int] = {}  # (universe, signature) -> id
+        self.sigs: List[Tuple] = []  # id -> signature
+        # (template, state, latency row) -> (d_cycle, d_raw, d_structural,
+        # d_war, d_issue_cycles, completion, next state)
+        self.steps: Dict[Tuple, Tuple] = {}
+
+    def has_room(self) -> bool:
+        return len(self.sigs) + len(self.steps) < MEMO_LIMIT
+
+    def intern(self, universe: Tuple[int, ...], sig: Tuple) -> object:
+        """The token of ``sig``; the caller holds :attr:`lock`."""
+        sid = self.ids.get((universe, sig))
+        if sid is not None:
+            return sid
+        if not self.has_room():
+            return sig
+        sid = len(self.sigs)
+        self.sigs.append(sig)
+        self.ids[(universe, sig)] = sid
+        return sid
+
+    def signature(self, state: object) -> Tuple:
+        return state if isinstance(state, tuple) else self.sigs[state]
+
+
+def _latency_runs(
+    segments: Sequence[Tuple[ScoreboardTemplate, int]], lat: "np.ndarray"
+) -> Iterator[Tuple[ScoreboardTemplate, Tuple[int, ...], int]]:
+    """Split the template executions of ``segments`` into runs.
+
+    Iterates ``(template, row, count)``: ``count`` back-to-back executions
+    of ``template`` whose loads all see the latencies ``row``. ``lat``
+    holds exactly the run's dynamic loads. Each execution's row is
+    compared with the previous execution's in the same segment, for the
+    whole stream in one NumPy pass, so only run heads reach Python.
+    """
+    live = [(t, r) for t, r in segments if r > 0]
+    if not live:
+        return iter(())
+    widths = np.array([t.n_loads for t, _ in live], dtype=np.int64)
+    repeats = np.array([r for _, r in live], dtype=np.int64)
+    seg_of = np.repeat(np.arange(len(live)), repeats)  # per execution
+    width = widths[seg_of]
+    ends = np.cumsum(width)
+    starts = ends - width
+    # A load differs from the same load one row back; rows that end up
+    # compared across a segment boundary are heads anyway.
+    back = np.arange(lat.size) - np.repeat(width, width)
+    changed = lat != lat[np.maximum(back, 0)]
+    differs = np.concatenate(([0], np.cumsum(changed)))
+    head = differs[ends] != differs[starts]
+    head[0] = True
+    head[1:] |= seg_of[1:] != seg_of[:-1]
+    heads = np.flatnonzero(head)
+    counts = np.empty_like(heads)
+    counts[:-1] = heads[1:] - heads[:-1]
+    counts[-1] = seg_of.size - heads[-1]
+    # The head rows' latencies, gathered into one flat list.
+    row_ends = np.cumsum(width[heads])
+    row_starts = row_ends - width[heads]
+    gather = np.arange(row_ends[-1]) + np.repeat(
+        starts[heads] - row_starts, width[heads]
+    )
+    flat = lat[gather].tolist()
+    rows = zip(row_starts.tolist(), row_ends.tolist())
+    return zip(
+        [live[s][0] for s in seg_of[heads].tolist()],
+        [tuple(flat[a:b]) for a, b in rows],
+        counts.tolist(),
+    )
 
 
 class ScoreboardCore:
@@ -447,7 +549,7 @@ class ScoreboardCore:
         """Execute one pass over ``template`` — a verbatim transliteration
         of :meth:`run`'s issue loop against the compiled metadata. Returns
         the max completion cycle of the template's own instructions (0 if
-        it is empty); the caller folds it into ``st.last_completion``."""
+        it is empty), relative to the same origin as ``st.cycle``."""
         core = self.core
         issue_width = core.issue_width
         load_ports = core.load_ports
@@ -564,82 +666,122 @@ class ScoreboardCore:
         over the equivalent flat instruction stream with a ``latency_fn``
         feeding the same per-LDR latencies.
 
+        The call is an automaton walk. NumPy first groups the template
+        executions into runs of one template under one latency row (the
+        tuple of its loads' latencies). The scoreboard state at a
+        template boundary is an interned id of its normalized signature,
+        so one template execution is one dict lookup on
+        ``(template, state id, row)`` that yields the counter deltas and
+        the next state id. Only a miss builds a concrete
+        :class:`_CompiledState` and steps it with :meth:`_step_template`.
+        A transition back to its own state is a fixed point: the rest of
+        its run repeats it, so the ``k`` executions left advance in one
+        step by ``k`` times the deltas.
+
         Args:
             segments: ``(template, repeat)`` pairs, executed back to back.
             load_latencies: One entry per dynamic LDR across the whole
-                run, in program order; non-positive entries fall back to
-                the static load latency (matching ``latency_fn``).
-            memo: Optional cross-call memo dictionary. Entries are keyed
-                on (template, normalized state, latency tuple), so a memo
-                must only be shared between cores with identical
-                :class:`~repro.arch.params.CoreParams`, ``enforce_war``
-                and ``load_latency`` settings — e.g. across the micro
-                tiles of one GEBP.
+                run, in program order (a sequence or an integer ndarray);
+                non-positive entries fall back to the static load latency
+                (matching ``latency_fn``).
+            memo: Optional cross-call memo dict; the automaton (interned
+                states and transitions) lives in it. Transitions depend
+                on the core, so a memo must only be shared between cores
+                with identical :class:`~repro.arch.params.CoreParams`,
+                ``enforce_war`` and ``load_latency`` settings, e.g.
+                across the micro tiles of one GEBP. Threads may share a
+                memo: lookups take no lock, a miss steps and records
+                under the memo's lock. A memo holds at most
+                :data:`MEMO_LIMIT` states and transitions; past that,
+                misses still step exactly but are not recorded.
         """
-        if memo is None:
-            memo = {}
+        lat = np.asarray(load_latencies, dtype=np.int64)
+        total_instructions = 0
+        n_loads = 0
+        for template, repeat in segments:
+            if repeat < 0:
+                raise SimulationError("repeat must be >= 0")
+            total_instructions += template.size * repeat
+            n_loads += template.n_loads * repeat
+            if n_loads > lat.size:
+                raise SimulationError(
+                    "load_latencies shorter than the dynamic LDR count"
+                )
+        memo = {} if memo is None else memo
+        auto = memo.get(_AUTOMATON)
+        if auto is None:
+            # setdefault is atomic: racing first calls share one automaton.
+            auto = memo.setdefault(_AUTOMATON, _Automaton())
         universe = tuple(
             sorted(set().union(*(t.regs for t, _ in segments)))
             if segments
             else ()
         )
-        enforce_war = self.enforce_war
-        st = _CompiledState(self.core.fma_pipes)
-        total_instructions = 0
-        cursor = 0
-        for template, repeat in segments:
-            if repeat < 0:
-                raise SimulationError("repeat must be >= 0")
-            total_instructions += template.size * repeat
-            for _rep in range(repeat):
-                lats = tuple(load_latencies[cursor:cursor + template.n_loads])
-                if len(lats) != template.n_loads:
-                    raise SimulationError(
-                        "load_latencies shorter than the dynamic LDR count"
-                    )
-                cursor += template.n_loads
-                sig = st.signature(universe, enforce_war)
-                key = (template, sig, lats)
-                hit = memo.get(key)
-                if hit is not None:
-                    (d_cycle, d_raw, d_struct, d_war, d_issue,
-                     rel_completion, new_sig) = hit
-                    entry = st.cycle
-                    st.cycle = entry + d_cycle
-                    st.raw += d_raw
-                    st.structural += d_struct
-                    st.war += d_war
-                    st.issue_cycles += d_issue
-                    if entry + rel_completion > st.last_completion:
-                        st.last_completion = entry + rel_completion
-                    st.flops += template.total_flops
-                    st.restore(new_sig, universe, enforce_war)
-                    continue
-                entry = (st.cycle, st.raw, st.structural, st.war,
-                         st.issue_cycles)
-                seg_completion = self._step_template(template, lats, st)
-                if seg_completion > st.last_completion:
-                    st.last_completion = seg_completion
-                memo[key] = (
-                    st.cycle - entry[0],
-                    st.raw - entry[1],
-                    st.structural - entry[2],
-                    st.war - entry[3],
-                    st.issue_cycles - entry[4],
-                    max(seg_completion - entry[0], 0),
-                    st.signature(universe, enforce_war),
-                )
-        if st.any_issued:
-            st.issue_cycles += 1
+        start = _CompiledState(self.core.fma_pipes)
+        with auto.lock:
+            state = auto.intern(
+                universe, start.signature(universe, self.enforce_war)
+            )
+        steps = auto.steps
+        cycle = raw = structural = war = issue_cycles = 0
+        last_completion = flops = 0
+        for template, row, count in _latency_runs(segments, lat[:n_loads]):
+            while count:
+                key = (template, state, row)
+                step = steps.get(key) or self._miss(auto, key, universe)
+                (d_cycle, d_raw, d_struct, d_war, d_issue, completion,
+                 nxt) = step
+                # A fixed point repeats itself for the rest of the run.
+                k = count if nxt == state else 1
+                entry = cycle + (k - 1) * d_cycle
+                if entry + completion > last_completion:
+                    last_completion = entry + completion
+                cycle = entry + d_cycle
+                raw += k * d_raw
+                structural += k * d_struct
+                war += k * d_war
+                issue_cycles += k * d_issue
+                flops += k * template.total_flops
+                count -= k
+                state = nxt
+        if auto.signature(state)[3]:  # an instruction issued this cycle
+            issue_cycles += 1
         return PipelineResult(
-            cycles=max(st.last_completion, st.cycle + 1),
-            issue_cycles=st.issue_cycles,
-            raw_stall_cycles=st.raw,
-            structural_stall_cycles=st.structural,
-            war_stall_cycles=st.war,
+            cycles=max(last_completion, cycle + 1),
+            issue_cycles=issue_cycles,
+            raw_stall_cycles=raw,
+            structural_stall_cycles=structural,
+            war_stall_cycles=war,
             instructions=total_instructions,
-            flops=st.flops,
+            flops=flops,
         )
+
+    def _miss(
+        self, auto: "_Automaton", key: Tuple, universe: Tuple[int, ...]
+    ) -> Tuple:
+        """Step one template execution concretely and record it.
+
+        ``key`` is ``(template, state, row)``. The state re-enters at
+        cycle 0, so the step's counters are its deltas and its completion
+        is relative to its entry cycle.
+        """
+        template, state, row = key
+        enforce_war = self.enforce_war
+        with auto.lock:
+            step = auto.steps.get(key)
+            if step is not None:  # another thread recorded it first
+                return step
+            st = _CompiledState(self.core.fma_pipes)
+            st.restore(auto.signature(state), universe, enforce_war)
+            completion = self._step_template(template, row, st)
+            step = (
+                st.cycle, st.raw, st.structural, st.war, st.issue_cycles,
+                completion,
+                auto.intern(universe, st.signature(universe, enforce_war)),
+            )
+            if auto.has_room():
+                auto.steps[key] = step
+        return step
 
     def steady_state_cycles_per_iteration(
         self, instructions: List[Instruction], warmup: int = 4, measure: int = 8

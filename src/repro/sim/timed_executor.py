@@ -312,13 +312,12 @@ def _run_compiled_micro_tile(
         chip.l1d.line_bytes,
     )
     _levels, lat_arr = h.run_batch_levels(core_id, trace)
-    latencies = [int(x) for x in lat_arr]
     values, counts = np.unique(lat_arr, return_counts=True)
     histogram = {int(v): int(n) for v, n in zip(values, counts)}
 
     result = ScoreboardCore(chip.core).run_compiled(
         compiled.segments(n_bodies),
-        latencies,
+        lat_arr,
         memo=compiled.memo_for(chip.core),
     )
     return _timed_run(

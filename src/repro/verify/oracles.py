@@ -17,6 +17,9 @@ Each oracle is declared once and covers one bit-identity claim:
 - ``timed.oddtile`` — the compiled engine on the formerly interpreted
   tail (odd-tile lane padding, k-vectorized ``faddp`` folds) vs the
   interpreter;
+- ``timed.runs`` — :meth:`ScoreboardCore.run_compiled`, the run-length
+  automaton, vs :meth:`ScoreboardCore.run` on long multi-segment runs of
+  kernel and workload bodies, one memo shared across two calls;
 - ``cachesim.writethrough`` — the batched store-propagation walk on
   machines with write-through levels vs the scalar chain;
 - ``sweep.incremental`` — sweeps carrying warm hierarchy state across
@@ -39,6 +42,7 @@ single flipped mantissa bit anywhere fails the comparison.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -466,6 +470,186 @@ register(Oracle(
     reference=lambda p: _timed_run(p, "interpreted"),
     fast=lambda p: _timed_run(p, "compiled"),
     shrink=_oddtile_shrink,
+))
+
+
+# =============================================================================
+# timed.runs — the scoreboard automaton vs the interpreter on long runs
+# =============================================================================
+
+#: Per-load latencies a ``timed.runs`` stream draws from; non-positive
+#: entries select the static load latency on both sides.
+_RUNS_LATENCIES = (4, 4, 5, 12, 40, 180, 1, 0, -3)
+_RUNS_MODES = ("equal", "alternate", "runs", "random")
+
+
+@functools.lru_cache(maxsize=1)
+def _runs_bodies() -> Dict[str, List[Any]]:
+    """Every body ``timed.runs`` draws from, by name: the compilable
+    kernels' prologue/body/epilogue and the distinct stencil and conv
+    segment bodies."""
+    from repro.kernels.variants import get_variant
+    from repro.workloads.conv import ConvSpec, ConvWorkload
+    from repro.workloads.stencil import StencilSpec, StencilWorkload
+
+    bodies: Dict[str, List[Any]] = {}
+    for variant in _COMPILED_VARIANTS:
+        kernel = get_variant(variant)
+        for part in ("prologue", "body", "epilogue"):
+            bodies[f"{variant}.{part}"] = list(getattr(kernel, part))
+    for radius in (1, 2):
+        stencil = StencilWorkload(8, 8, spec=StencilSpec(radius=radius))
+        bodies[f"stencil.r{radius}"] = stencil.kernel_segments(XGENE)[0][0]
+    spec = ConvSpec(cin=2, height=6, width=6, kh=3, kw=3, filters=5)
+    for mr, nr in _TILES:
+        blocking = CacheBlocking(mr=mr, nr=nr, kc=4, mc=8, nc=12,
+                                 k1=1, k2=1, k3=1)
+        conv = ConvWorkload(spec, "im2col", blocking)
+        distinct: Dict[int, List[Any]] = {}
+        for body, _repeat in conv.kernel_segments(XGENE):
+            distinct.setdefault(id(body), body)
+        for j, body in enumerate(distinct.values()):
+            bodies[f"conv{mr}x{nr}.{j}"] = body
+    return bodies
+
+
+def _runs_segments(rng: random.Random, budget: str) -> List[Dict[str, Any]]:
+    names = list(_runs_bodies())
+    most = 40 if budget == "smoke" else 400
+    return [
+        {
+            "body": rng.choice(names),
+            "repeat": rng.choice(
+                (0, 1, 2, rng.randint(3, 30), rng.randint(30, most))
+            ),
+            "lat": rng.choice(_RUNS_MODES),
+            "lat_seed": rng.randint(0, 2**31 - 1),
+        }
+        for _ in range(rng.randint(1, 4 if budget == "smoke" else 6))
+    ]
+
+
+def _runs_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    first = _runs_segments(rng, budget)
+    calls = [first]
+    if rng.random() < 0.6:
+        # A second call on the same memo: a warm rerun, or other bodies
+        # over another register universe.
+        calls.append(first if rng.random() < 0.5
+                     else _runs_segments(rng, budget))
+    return {
+        "chip": rng.choice(("xgene", "mobile")),
+        "enforce_war": rng.random() < 0.5,
+        "load_latency": rng.choice((None, None, 2, 9)),
+        "calls": calls,
+    }
+
+
+def _runs_latencies(segment: Dict[str, Any], n_loads: int) -> List[int]:
+    """The segment's per-load latencies, in program order."""
+    g = random.Random(segment["lat_seed"])
+    repeat = segment["repeat"]
+
+    def row() -> List[int]:
+        return [g.choice(_RUNS_LATENCIES) for _ in range(n_loads)]
+
+    mode = segment["lat"]
+    if mode == "equal":
+        return row() * repeat
+    if mode == "alternate":
+        pair = (row(), row())
+        return [x for i in range(repeat) for x in pair[i % 2]]
+    if mode == "runs":
+        palette = [row() for _ in range(3)]
+        out: List[int] = []
+        while len(out) < n_loads * repeat:
+            out += g.choice(palette) * g.randint(1, 40)
+        return out[:n_loads * repeat]
+    return [x for _ in range(repeat) for x in row()]
+
+
+def _runs_run(params: Dict[str, Any], compiled: bool) -> Dict[str, Any]:
+    from repro.pipeline.scoreboard import ScoreboardCore, ScoreboardTemplate
+
+    bodies = _runs_bodies()
+    core = ScoreboardCore(
+        CHIPS[params["chip"]].core,
+        enforce_war=params["enforce_war"],
+        load_latency=params["load_latency"],
+    )
+    memo: Dict = {}
+    templates: Dict[str, ScoreboardTemplate] = {}
+    results = []
+    for call in params["calls"]:
+        segments = []
+        lats: List[int] = []
+        for seg in call:
+            name = seg["body"]
+            if name not in templates:
+                templates[name] = ScoreboardTemplate(bodies[name])
+            segments.append((templates[name], seg["repeat"]))
+            lats += _runs_latencies(seg, templates[name].n_loads)
+        if compiled:
+            result = core.run_compiled(
+                segments, np.array(lats, dtype=np.int64), memo=memo
+            )
+        else:
+            flat: List[Any] = []
+            for seg in call:
+                flat += bodies[seg["body"]] * seg["repeat"]
+            loads = iter(lats)
+            by_dyn = {
+                i: next(loads) for i, instr in enumerate(flat) if instr.is_load
+            }
+            result = core.run(
+                flat, latency_fn=lambda _instr, i: by_dyn.get(i, 0)
+            )
+        results.append(snapshot_pipeline(result))
+    return {"runs": results}
+
+
+def _runs_shrink(params: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    calls = params["calls"]
+    if len(calls) > 1:
+        yield {**params, "calls": calls[:1]}
+        yield {**params, "calls": calls[1:]}
+    for c, call in enumerate(calls):
+        def with_call(new: List[Dict[str, Any]]) -> Dict[str, Any]:
+            return {**params,
+                    "calls": calls[:c] + [new] + calls[c + 1:]}
+
+        for s, seg in enumerate(call):
+            if len(call) > 1:
+                yield with_call(call[:s] + call[s + 1:])
+            if seg["repeat"] > 0:
+                for repeat in (seg["repeat"] // 2, seg["repeat"] - 1):
+                    yield with_call(
+                        call[:s] + [{**seg, "repeat": repeat}] + call[s + 1:]
+                    )
+            if seg["lat"] != "equal":
+                yield with_call(
+                    call[:s] + [{**seg, "lat": "equal"}] + call[s + 1:]
+                )
+    if params["enforce_war"]:
+        yield {**params, "enforce_war": False}
+    if params["load_latency"] is not None:
+        yield {**params, "load_latency": None}
+    if params["chip"] != "xgene":
+        yield {**params, "chip": "xgene"}
+
+
+register(Oracle(
+    name="timed.runs",
+    suite="timed",
+    description=(
+        "the compiled scoreboard's run-length automaton matches the "
+        "interpreter on long multi-segment runs with one memo shared "
+        "across calls"
+    ),
+    generate=_runs_generate,
+    reference=lambda p: _runs_run(p, compiled=False),
+    fast=lambda p: _runs_run(p, compiled=True),
+    shrink=_runs_shrink,
 ))
 
 

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -310,3 +313,23 @@ def test_cache_dir_that_is_a_file_is_a_clean_error(argv, in_tmp, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: --cache-dir {cache_dir}: ")
         assert captured.err.rstrip().endswith("is not a directory")
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [["kernel"], ["report", "run.json"]])
+def test_closed_stdout_exits_without_traceback(argv, in_tmp, capsys):
+    """A reader that closes stdout early (``repro report run.json |
+    head -3``) ends the command with exit code 1 and no traceback."""
+    assert main(["blocks", "--json", "run.json"]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    proc.stdout.close()  # before the command prints anything
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

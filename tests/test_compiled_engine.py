@@ -11,6 +11,7 @@ plus hypothesis sweeps over random kernels, shapes and operand seeds.
 import dataclasses
 import hashlib
 import sys
+import threading
 import typing
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.kernels import compilability, compile_kernel, get_variant
 from repro.kernels import compiled as compiled_module
 from repro.memory import MemoryHierarchy
 from repro.pipeline import ScoreboardCore, ScoreboardTemplate
+from repro.pipeline import scoreboard as scoreboard_module
 from repro.sim import (
     TIMED_ENGINES,
     run_timed_gebp,
@@ -214,6 +216,78 @@ class TestScoreboardCompiled:
         core = ScoreboardCore(XGENE.core)
         with pytest.raises(SimulationError):
             core.run_compiled([(ScoreboardTemplate(kernel.body), 2)], [4])
+
+
+class TestScoreboardMemo:
+    """The automaton a shared memo carries: thread-safe and bounded."""
+
+    def test_threads_racing_one_kernel_match_serial(self):
+        rng = np.random.default_rng(3)
+        cases = [
+            (micro_operands(get_variant("OpenBLAS-8x6"), bodies, rng), late)
+            for bodies in (2, 5, 9) for late in (0.0, 0.5, 1.0)
+        ]
+
+        def run_all(kernel):
+            return [
+                run_timed_micro_tile(kernel, *ops, hw_late=late)
+                for ops, late in cases
+            ]
+
+        serial = run_all(dataclasses.replace(get_variant("OpenBLAS-8x6")))
+        shared = dataclasses.replace(get_variant("OpenBLAS-8x6"))
+        results = {}
+        errors = []
+
+        def worker(tid):
+            try:
+                results[tid] = run_all(shared)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        for runs in results.values():
+            for got, want in zip(runs, serial):
+                assert_tile_identical(want, got)
+        auto = compile_kernel(shared).memo_for(XGENE.core)["automaton"]
+        # Every state was interned once: ids are dense and unique.
+        assert sorted(auto.ids.values()) == list(range(len(auto.sigs)))
+
+    def test_memo_past_the_limit_stops_growing(self, monkeypatch):
+        monkeypatch.setattr(scoreboard_module, "MEMO_LIMIT", 12)
+        kernel = get_variant("OpenBLAS-8x6")
+        template = ScoreboardTemplate(kernel.body)
+        bodies = 40
+        rng = np.random.default_rng(11)
+        lats = [int(x) for x in rng.choice([4, 12, 40, 180],
+                                           template.n_loads * bodies)]
+        per_dyn = {}
+        loads = iter(lats)
+        stream = list(kernel.body) * bodies
+        for idx, instr in enumerate(stream):
+            if instr.is_load:
+                per_dyn[idx] = next(loads)
+        core = ScoreboardCore(XGENE.core)
+        ref = core.run(stream, latency_fn=lambda _i, d: per_dyn.get(d, 0))
+        memo = {}
+        assert core.run_compiled([(template, bodies)], lats, memo=memo) == ref
+        auto = memo["automaton"]
+        size = len(auto.sigs) + len(auto.steps)
+        assert size == 12
+        assert core.run_compiled([(template, bodies)], lats, memo=memo) == ref
+        assert len(auto.sigs) + len(auto.steps) == size
 
 
 class TestMicroTileDifferential:

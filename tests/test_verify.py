@@ -41,7 +41,8 @@ class TestRegistry:
         names = [o.name for o in all_oracles()]
         assert names == [
             "gemm.pool", "cachesim.batch", "timed.compiled",
-            "timed.oddtile", "cachesim.writethrough", "sweep.incremental",
+            "timed.oddtile", "timed.runs", "cachesim.writethrough",
+            "sweep.incremental",
             "lru.array", "cache.policy", "serve.cache", "tune.memo",
             "tune.analytic", "asym.partition", "stencil.blocked",
             "conv.im2col",
