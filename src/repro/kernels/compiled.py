@@ -59,7 +59,7 @@ from repro.kernels.codegen import (
 from repro.kernels.execute import _body_load_targets, padded_stream_widths
 from repro.kernels.kernel_spec import KernelStyle
 from repro.memo import BoundedMemo
-from repro.memory.batch import ACCESS_DTYPE, BatchTrace
+from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH
 from repro.memory.prefetcher import SequentialPrefetcher
 from repro.pipeline.scoreboard import ScoreboardTemplate
@@ -484,7 +484,7 @@ class CompiledKernel:
                     streams.append(sid)
                     current_stream = sid
                     prefetcher.observe(addr // line_bytes, tag_of[sid])
-        records = np.array(rows, dtype=ACCESS_DTYPE)
+        records = BatchTrace.from_rows(rows).records
         n_demand = int((records["kind"] == CODE_LOAD).sum())
         if n_demand != self.loads_per_tile(n_bodies):
             raise SimulationError(

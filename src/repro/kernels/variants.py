@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
 from repro.kernels.codegen import GeneratedKernel, generate_kernel
@@ -55,10 +54,9 @@ PAPER_COMPARISON = (
 _ATLAS_DISPLAY = KernelSpec(5, 5, "5x5-atlas-display", rotated=False)
 
 #: Generated kernels by ``(name, kc)``. ``compile_kernel`` memoizes by
-#: kernel identity, so every caller of one key must get the same object:
-#: misses generate under ``_LOCK``.
+#: kernel identity, so every caller of one key must get the same object
+#: (:meth:`~repro.memo.BoundedMemo.get_or_make`).
 _cache: BoundedMemo[object] = BoundedMemo(64)
-_LOCK = threading.Lock()
 
 
 def get_variant(name: str, kc: int = 512):
@@ -72,10 +70,6 @@ def get_variant(name: str, kc: int = 512):
         name: One of :data:`VARIANTS`.
         kc: Blocking depth used for prefetch distances.
     """
-    key = (name, kc)
-    kernel = _cache.get(key)
-    if kernel is not None:
-        return kernel
     try:
         spec = VARIANTS[name]
     except KeyError:
@@ -83,16 +77,14 @@ def get_variant(name: str, kc: int = 512):
             f"unknown kernel variant {name!r}; "
             f"choose from {sorted(VARIANTS)}"
         ) from None
-    with _LOCK:
-        kernel = _cache.get(key)
-        if kernel is None:
-            if name == "ATLAS-5x5-kvec":
-                from repro.kernels.atlas import build_kvec_variant
 
-                kernel = build_kvec_variant()
-            else:
-                if spec is KERNEL_5X5_ATLAS:
-                    spec = _ATLAS_DISPLAY
-                kernel = generate_kernel(spec, kc=kc)
-            _cache.put(key, kernel)
-    return kernel
+    def make():
+        if name == "ATLAS-5x5-kvec":
+            from repro.kernels.atlas import build_kvec_variant
+
+            return build_kvec_variant()
+        return generate_kernel(
+            _ATLAS_DISPLAY if spec is KERNEL_5X5_ATLAS else spec, kc=kc
+        )
+
+    return _cache.get_or_make((name, kc), make)

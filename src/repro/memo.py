@@ -1,16 +1,19 @@
 """The one bounded, thread-safe memo type for process-global memos.
 
-Compiled kernels and post-warm-up hierarchy snapshots are memoized
-across calls and reached from serve's worker threads. Their hits are
-conditional (an identity check, a prefix-extension rule), so callers
-judge a found value; this type owns the policy they share: a fixed
+Generated and compiled kernels, rotation plans, compiled GEBP traces
+and post-warm-up hierarchy snapshots are memoized across calls and
+reached from serve's worker threads. Some hits are conditional (an
+identity check, a prefix-extension rule), so those callers judge a
+found value with :meth:`BoundedMemo.get`; the rest take
+:meth:`BoundedMemo.get_or_make`, which makes a missing value once even
+when threads race on it. This type owns the policy they share: a fixed
 bound, least-recently-used eviction, and a lock around each operation.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Generic, Hashable, Optional, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Optional, TypeVar
 
 V = TypeVar("V")
 
@@ -24,6 +27,7 @@ class BoundedMemo(Generic[V]):
         self.limit = limit
         self._entries: Dict[Hashable, V] = {}
         self._lock = threading.Lock()
+        self._make_lock = threading.Lock()
 
     def get(self, key: Hashable) -> Optional[V]:
         """The value under ``key`` (now most recent), or ``None``."""
@@ -43,6 +47,24 @@ class BoundedMemo(Generic[V]):
                 del self._entries[next(iter(self._entries))]
             self._entries[key] = value
             return int(evicted)
+
+    def get_or_make(self, key: Hashable, make: Callable[[], V]) -> V:
+        """The value under ``key``; on a miss, ``make()`` it and store it.
+
+        Misses make under this memo's own make lock, so threads racing
+        on one key all get the one object the first of them made (a
+        value identity the callers rely on, e.g. ``compile_kernel``
+        memoizes by kernel identity). Hits take only the entry lock.
+        ``make`` must not call back into this memo.
+        """
+        value = self.get(key)
+        if value is None:
+            with self._make_lock:
+                value = self.get(key)
+                if value is None:
+                    value = make()
+                    self.put(key, value)
+        return value
 
     def clear(self) -> None:
         """Drop every entry."""

@@ -2,8 +2,13 @@
 
 A :class:`BatchTrace` holds an access stream as a NumPy structured array of
 ``(address, nbytes, kind, level)`` records — the array analogue of the
-generator-based :class:`~repro.memory.trace.Access` streams. Compiling a
-stream once per GEBP shape and replaying it through
+generator-based :class:`~repro.memory.trace.Access` streams. This module
+owns that record format (:data:`ACCESS_DTYPE`): the trace compilers build
+streams through its constructors (:meth:`BatchTrace.of` for address
+arrays, :meth:`BatchTrace.line_stores` for warm-up regions,
+:meth:`BatchTrace.from_rows` for tuples) and never fill records by hand.
+
+Compiling a stream once per GEBP shape and replaying it through
 :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch` removes the
 per-access Python overhead that bounds the Table VII / Fig. 15 block-size
 sweeps; the same object still iterates as ``Access`` records, so the scalar
@@ -77,10 +82,35 @@ class BatchTrace:
         cls, rows: Sequence[Tuple[int, int, int, int]]
     ) -> "BatchTrace":
         """Build from ``(address, nbytes, kind_code, level)`` tuples."""
-        records = np.array(rows, dtype=ACCESS_DTYPE) if rows else np.empty(
-            0, dtype=ACCESS_DTYPE
-        )
+        return cls(np.array(rows, dtype=ACCESS_DTYPE))
+
+    @classmethod
+    def of(cls, address, kind, nbytes: int = 8, where=True) -> "BatchTrace":
+        """Records in C order of the broadcast ``address``/``kind``/``where``.
+
+        ``kind`` is a kind code or an array of them (``(CODE_LOAD,
+        CODE_STORE)`` against a trailing axis of length 2 interleaves a
+        load and a store per element); every record is ``nbytes`` wide
+        with prefetch level 1. Elements where ``where`` is false are
+        dropped (ragged tiles masked out of a rectangular grid).
+        """
+        address, kind, where = np.broadcast_arrays(address, kind, where)
+        records = np.empty(int(np.count_nonzero(where)), dtype=ACCESS_DTYPE)
+        records["address"] = address[where]
+        records["nbytes"] = nbytes
+        records["kind"] = kind[where]
+        records["level"] = 1
         return cls(records)
+
+    @classmethod
+    def line_stores(
+        cls, regions: Iterable[Tuple[int, int]], line_bytes: int
+    ) -> "BatchTrace":
+        """One 1-byte store per line of each ``(base, nbytes)`` region, in
+        order: the warm-up stream that installs freshly written data."""
+        starts = [base + np.arange(0, nbytes, line_bytes, dtype=np.int64)
+                  for base, nbytes in regions]
+        return cls.of(np.concatenate(starts), CODE_STORE, nbytes=1)
 
     @staticmethod
     def concat(traces: Sequence["BatchTrace"]) -> "BatchTrace":

@@ -40,7 +40,6 @@ an ``nc`` sweep the driver's warm-state memo replays only the delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Hashable, List, Optional, Tuple
 
 from repro.arch.params import ChipParams
@@ -51,6 +50,7 @@ from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
+from repro.memo import BoundedMemo
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.base import (
     Workload,
@@ -92,7 +92,10 @@ class GebpCacheResult:
     kernel_loads: int
 
 
-@lru_cache(maxsize=64)
+#: Compiled ``_gebp_trace`` results by its arguments.
+_TRACES: BoundedMemo[Tuple[BatchTrace, BatchTrace, int]] = BoundedMemo(64)
+
+
 def _gebp_trace(
     mr: int,
     nr: int,
@@ -109,8 +112,8 @@ def _gebp_trace(
     packing having written the A block / B panel, and the main-loop stream
     with demand loads, C updates and both prefetch streams interleaved in
     issue order. Addresses start at 0; callers relocate per core via
-    :meth:`BatchTrace.shifted`. Cached per shape — the sweeps replay the
-    same streams at every point.
+    :meth:`BatchTrace.shifted`. :func:`gebp_traces` memoizes it per
+    shape — the sweeps replay the same streams at every point.
     """
     a_base = 0
     b_base = 1 << 28
@@ -120,12 +123,9 @@ def _gebp_trace(
     na = -(-mc // mr)
     nb = -(-nc // nr)
 
-    warm_rows: List[Tuple[int, int, int, int]] = []
-    for off in range(0, na * kc * mr * elem, line):
-        warm_rows.append((a_base + off, 1, CODE_STORE, 1))
-    for off in range(0, nb * kc * nr * elem, line):
-        warm_rows.append((b_base + off, 1, CODE_STORE, 1))
-
+    warm = BatchTrace.line_stores(
+        ((a_base, na * kc * mr * elem), (b_base, nb * kc * nr * elem)), line
+    )
     rows: List[Tuple[int, int, int, int]] = []
     drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
     hw = SequentialPrefetcher(
@@ -182,11 +182,7 @@ def _gebp_trace(
             for off in range(0, kc * nr * elem, line):
                 rows.append((((nxt + off) // line) * line, 1, CODE_PREFETCH, 2))
 
-    return (
-        BatchTrace.from_rows(warm_rows),
-        BatchTrace.from_rows(rows),
-        kernel_loads,
-    )
+    return warm, BatchTrace.from_rows(rows), kernel_loads
 
 
 def gebp_traces(
@@ -204,15 +200,10 @@ def gebp_traces(
     base-0 compilation is shared across cores and sweep points.
     """
     nc = nc_slice if nc_slice is not None else min(blocking.nc, 6 * spec.nr)
-    warm, main, kernel_loads = _gebp_trace(
-        spec.mr,
-        spec.nr,
-        blocking.kc,
-        blocking.mc,
-        nc,
-        chip.l1d.line_bytes,
-        bool(prefetch),
-        float(hw_late),
+    key = (spec.mr, spec.nr, blocking.kc, blocking.mc, nc,
+           chip.l1d.line_bytes, bool(prefetch), float(hw_late))
+    warm, main, kernel_loads = _TRACES.get_or_make(
+        key, lambda: _gebp_trace(*key)
     )
     offset = core * (1 << 30)
     return warm.shifted(offset), main.shifted(offset), kernel_loads

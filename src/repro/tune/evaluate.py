@@ -14,14 +14,15 @@ the ``earliest`` strategy for 8x6). Those evaluate to an *infeasible*
 record — ``{"feasible": false, "reason": ...}`` — which is memoized like
 any other result so re-runs never retry a known-dead variant.
 
-Rotation plans and generated kernels are cached per process: an
-exhaustive ``solve_rotation`` over an 8-slot pool costs ~0.3 s, and the
-same plan is shared by every blocking neighborhood of the tile.
+Rotation plans and generated kernels are cached per process in bounded
+memos: an exhaustive ``solve_rotation`` over an 8-slot pool costs
+~0.3 s, and the same plan is shared by every blocking neighborhood of
+the tile. Threads racing on one key share one plan and one kernel, so
+``compile_kernel`` (keyed by kernel identity) compiles it once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.kernels.rotation import (
     solve_rotation,
     static_plan,
 )
+from repro.memo import BoundedMemo
 from repro.sim.timed_executor import run_timed_gebp
 
 __all__ = [
@@ -47,9 +49,21 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
+#: Rotation plans by ``(mr, nr, rotation)``.
+_PLANS: BoundedMemo[RotationPlan] = BoundedMemo(64)
+
+#: Generated kernels by ``(mr, nr, rotation, schedule, kc)``.
+_KERNELS: BoundedMemo[GeneratedKernel] = BoundedMemo(64)
+
+
 def _plan(mr: int, nr: int, rotation: str) -> RotationPlan:
     """The plan for one (tile, scheme): ``solved`` costs ~0.3 s."""
+    return _PLANS.get_or_make(
+        (mr, nr, rotation), lambda: _make_plan(mr, nr, rotation)
+    )
+
+
+def _make_plan(mr: int, nr: int, rotation: str) -> RotationPlan:
     spec = KernelSpec(mr, nr, rotated=rotation != "static")
     if rotation == "static":
         return static_plan(spec)
@@ -67,7 +81,6 @@ def resolve_plan(spec: KernelSpec, rotation: str) -> RotationPlan:
     return _plan(spec.mr, spec.nr, rotation)
 
 
-@lru_cache(maxsize=64)
 def build_kernel(
     mr: int, nr: int, rotation: str, schedule: str, kc: int
 ) -> GeneratedKernel:
@@ -78,8 +91,12 @@ def build_kernel(
     variant cannot be realized; callers record that as infeasible.
     """
     spec = KernelSpec(mr, nr, rotated=rotation != "static")
-    return generate_kernel(
-        spec, kc=kc, plan=_plan(mr, nr, rotation), schedule_strategy=schedule
+    return _KERNELS.get_or_make(
+        (mr, nr, rotation, schedule, kc),
+        lambda: generate_kernel(
+            spec, kc=kc, plan=_plan(mr, nr, rotation),
+            schedule_strategy=schedule,
+        ),
     )
 
 

@@ -42,7 +42,6 @@ single flipped mantissa bit anywhere fails the comparison.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import math
 import random
@@ -65,6 +64,7 @@ from repro.memory.cache import (
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.trace import run_trace
+from repro.memo import BoundedMemo
 from repro.obs.run_report import snapshot_cache_stats, snapshot_pipeline
 from repro.verify.machines import (
     build_chip,
@@ -483,11 +483,17 @@ _RUNS_LATENCIES = (4, 4, 5, 12, 40, 180, 1, 0, -3)
 _RUNS_MODES = ("equal", "alternate", "runs", "random")
 
 
-@functools.lru_cache(maxsize=1)
+_RUNS_BODIES: BoundedMemo[Dict[str, List[Any]]] = BoundedMemo(1)
+
+
 def _runs_bodies() -> Dict[str, List[Any]]:
     """Every body ``timed.runs`` draws from, by name: the compilable
     kernels' prologue/body/epilogue and the distinct stencil and conv
     segment bodies."""
+    return _RUNS_BODIES.get_or_make("bodies", _make_runs_bodies)
+
+
+def _make_runs_bodies() -> Dict[str, List[Any]]:
     from repro.kernels.variants import get_variant
     from repro.workloads.conv import ConvSpec, ConvWorkload
     from repro.workloads.stencil import StencilSpec, StencilWorkload

@@ -42,7 +42,7 @@ from repro.errors import SimulationError
 from repro.gemm.driver import DEFAULT_BLOCKING, dgemm, goto_nest
 from repro.isa.instructions import Fmla, Instruction, Ldr, Str
 from repro.isa.registers import VReg, XReg
-from repro.memory.batch import ACCESS_DTYPE, BatchTrace
+from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_STORE
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -67,6 +67,14 @@ C_BASE = 1 << 29
 CORE_STRIDE = 1 << 30
 
 _ELEM = 8  # float64
+
+
+def _copies(src: np.ndarray, dst: np.ndarray, where=True) -> BatchTrace:
+    """Per element (C order of the broadcast), a load of ``src`` then a
+    store to ``dst``; elements where ``where`` is false are dropped."""
+    src, dst, where = np.broadcast_arrays(src, dst, where)
+    return BatchTrace.of(np.stack([src, dst], axis=-1),
+                         (CODE_LOAD, CODE_STORE), where=where[..., None])
 
 
 @dataclass(frozen=True)
@@ -339,103 +347,57 @@ class ConvWorkload(Workload):
             (c * s.height + oy + dh) * s.width + ox + dw
         ) * _ELEM
 
-    def _pack_a_rows(
-        self, ii: int, mcur: int, kk: int, kcur: int
-    ) -> np.ndarray:
-        """Pack-A phase rows: per sliver, (k-major, i-minor) load+store."""
-        s = self.spec
-        mr = self.blocking.mr
-        rows: List[np.ndarray] = []
-        ns = -(-mcur // mr)
-        for sl in range(ns):
-            lo, hi = sl * mr, min((sl + 1) * mr, mcur)
-            kg, ig = np.mgrid[0:kcur, lo:hi]
-            kg, ig = kg.ravel(), ig.ravel()
-            p = ii + ig
-            kidx = kk + kg
-            if self.lowering == "im2col":
-                src = PATCHES_BASE + (p * s.k + kidx) * _ELEM
-            else:
-                src = self._patch_source_addresses(p, kidx)
-            dst = PACKA_BASE + ((sl * kcur + kg) * mr + (ig - lo)) * _ELEM
-            rec = np.empty(2 * src.size, dtype=ACCESS_DTYPE)
-            rec["address"][0::2] = src
-            rec["address"][1::2] = dst
-            rec["kind"][0::2] = CODE_LOAD
-            rec["kind"][1::2] = CODE_STORE
-            rec["nbytes"] = _ELEM
-            rec["level"] = 1
-            rows.append(rec)
-        return np.concatenate(rows)
+    def _patches_addresses(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Scratch-matrix byte addresses of ``patches[p, k]`` (im2col)."""
+        return PATCHES_BASE + (p * self.spec.k + k) * _ELEM
 
-    def _pack_b_rows(self, jj: int, ncur: int, kk: int, kcur: int) -> np.ndarray:
-        s = self.spec
-        nr = self.blocking.nr
-        rows: List[np.ndarray] = []
-        ns = -(-ncur // nr)
-        for sl in range(ns):
-            lo, hi = sl * nr, min((sl + 1) * nr, ncur)
-            kg, jg = np.mgrid[0:kcur, lo:hi]
-            kg, jg = kg.ravel(), jg.ravel()
-            src = W_BASE + ((kk + kg) * s.filters + jj + jg) * _ELEM
-            dst = PACKB_BASE + ((sl * kcur + kg) * nr + (jg - lo)) * _ELEM
-            rec = np.empty(2 * src.size, dtype=ACCESS_DTYPE)
-            rec["address"][0::2] = src
-            rec["address"][1::2] = dst
-            rec["kind"][0::2] = CODE_LOAD
-            rec["kind"][1::2] = CODE_STORE
-            rec["nbytes"] = _ELEM
-            rec["level"] = 1
-            rows.append(rec)
-        return np.concatenate(rows)
+    def _pack_rows(
+        self, source, dst_base: int, r: int, lo: int, cur: int,
+        kk: int, kcur: int,
+    ) -> BatchTrace:
+        """Pack phase: per sliver of ``r`` lanes, (k-major, lane-minor) a
+        load of ``source(row, k)`` then a store into the packed buffer.
+
+        Rows ``lo .. lo + cur`` of the operand (A rows or filter
+        columns) fill ``ceil(cur / r)`` slivers; the ragged last
+        sliver's missing lanes are masked out.
+        """
+        sl, k, lane = np.ogrid[0:-(-cur // r), 0:kcur, 0:r]
+        row = sl * r + lane
+        src = source(lo + row, kk + k)
+        dst = dst_base + ((sl * kcur + k) * r + lane) * _ELEM
+        return _copies(src, dst, where=row < cur)
 
     def _gebp_rows(
         self, jj: int, ncur: int, kk: int, kcur: int, ii: int, mcur: int
-    ) -> np.ndarray:
-        """GEBP streaming rows: per register tile, C load -> k-loop
-        (mr packed-A + nr packed-B loads) -> C store."""
-        s = self.spec
+    ) -> BatchTrace:
+        """GEBP streaming rows, one register tile after another.
+
+        A ``(tile col j, tile row i, ...)`` grid: each tile is its C
+        loads (column-major over the ``(P, F)`` output), ``kcur`` times
+        ``mr`` packed-A then ``nr`` packed-B loads, and its C stores.
+        The C elements past the panel are masked out; C order gives the
+        loop's j-major, i-minor tile order.
+        """
         mr, nr = self.blocking.mr, self.blocking.nr
-        na, nb = -(-mcur // mr), -(-ncur // nr)
-        rows: List[np.ndarray] = []
-        for j in range(nb):
-            jlo, jhi = j * nr, min((j + 1) * nr, ncur)
-            for i in range(na):
-                ilo, ihi = i * mr, min((i + 1) * mr, mcur)
-                # C tile addresses, column-major over the (P, F) output.
-                ci, cj = np.mgrid[ilo:ihi, jlo:jhi]
-                c_addr = C_BASE + (
-                    (jj + cj.T.ravel()) * s.p + ii + ci.T.ravel()
-                ) * _ELEM
-                kg = np.arange(kcur)
-                a_addr = PACKA_BASE + (
-                    ((i * kcur + kg)[:, None] * mr + np.arange(mr)[None, :])
-                    * _ELEM
-                ).ravel()
-                b_addr = PACKB_BASE + (
-                    ((j * kcur + kg)[:, None] * nr + np.arange(nr)[None, :])
-                    * _ELEM
-                ).ravel()
-                # Interleave per k: mr A loads then nr B loads.
-                k_addr = np.concatenate(
-                    [
-                        a_addr.reshape(kcur, mr),
-                        b_addr.reshape(kcur, nr),
-                    ],
-                    axis=1,
-                ).ravel()
-                n_c = c_addr.size
-                rec = np.empty(2 * n_c + k_addr.size, dtype=ACCESS_DTYPE)
-                rec["address"][:n_c] = c_addr
-                rec["kind"][:n_c] = CODE_LOAD
-                rec["address"][n_c : n_c + k_addr.size] = k_addr
-                rec["kind"][n_c : n_c + k_addr.size] = CODE_LOAD
-                rec["address"][n_c + k_addr.size :] = c_addr
-                rec["kind"][n_c + k_addr.size :] = CODE_STORE
-                rec["nbytes"] = _ELEM
-                rec["level"] = 1
-                rows.append(rec)
-        return np.concatenate(rows)
+        j, i, e = np.ogrid[0:-(-ncur // nr), 0:-(-mcur // mr), 0:nr * mr]
+        col, row = j * nr + e // mr, i * mr + e % mr
+        c = C_BASE + ((jj + col) * self.spec.p + ii + row) * _ELEM
+        c_keep = (col < ncur) & (row < mcur)
+        k, lane = np.ogrid[0:kcur, 0:mr + nr]
+        ab = np.where(
+            lane < mr,
+            PACKA_BASE + ((i[..., None] * kcur + k) * mr + lane) * _ELEM,
+            PACKB_BASE + ((j[..., None] * kcur + k) * nr + lane - mr) * _ELEM,
+        ).reshape(j.size, i.size, -1)
+        return BatchTrace.of(
+            np.concatenate([c, ab, c], axis=-1),
+            np.repeat([CODE_LOAD, CODE_LOAD, CODE_STORE],
+                      [c.shape[-1], ab.shape[-1], c.shape[-1]]),
+            where=np.concatenate(
+                [c_keep, np.ones_like(ab, dtype=bool), c_keep], axis=-1
+            ),
+        )
 
     def _loop_nest(self):
         """(jj, ncur, kk, kcur, ii, mcur) in dgemm's iteration order;
@@ -455,56 +417,44 @@ class ConvWorkload(Workload):
     ) -> Tuple[BatchTrace, BatchTrace]:
         """Compile ``(warm, main)`` access streams.
 
-        Warm-up installs the just-written image and filter tensors. The
-        main stream follows the loop nest: an im2col workload first
-        materializes the patches matrix (image load + scratch store per
-        element), then both lowerings run pack-B/pack-A/GEBP — with
-        pack-A reading the scratch matrix (im2col) or gathering from the
-        image (direct). The GEBP streaming rows are identical in both.
+        Warm-up installs the just-written image and filter tensors
+        (:meth:`BatchTrace.line_stores`). The main stream follows the
+        loop nest: an im2col workload first materializes the patches
+        matrix (image load + scratch store per element), then both
+        lowerings run pack-B/pack-A/GEBP per cache block — with pack-A
+        reading the scratch matrix (im2col) or gathering from the image
+        (direct). Inside a block every phase is one array expression
+        over its slivers or register tiles (:meth:`_pack_rows`,
+        :meth:`_gebp_rows`); the GEBP streaming rows are identical in
+        both lowerings.
         """
-        s = self.spec
-        line = chip.l1d.line_bytes
-        warm_parts = []
-        for base, nbytes in (
-            (X_BASE, s.cin * s.height * s.width * _ELEM),
-            (W_BASE, s.k * s.filters * _ELEM),
-        ):
-            addr = base + np.arange(0, nbytes, line, dtype=np.int64)
-            rec = np.empty(addr.size, dtype=ACCESS_DTYPE)
-            rec["address"] = addr
-            rec["nbytes"] = 1
-            rec["kind"] = CODE_STORE
-            rec["level"] = 1
-            warm_parts.append(rec)
-        warm = np.concatenate(warm_parts)
-
-        parts: List[np.ndarray] = []
+        s, mr, nr = self.spec, self.blocking.mr, self.blocking.nr
+        warm = BatchTrace.line_stores(
+            ((X_BASE, s.cin * s.height * s.width * _ELEM),
+             (W_BASE, s.k * s.filters * _ELEM)),
+            chip.l1d.line_bytes,
+        )
+        parts: List[BatchTrace] = []
         if self.lowering == "im2col":
-            pg, kg = np.mgrid[0 : s.p, 0 : s.k]
-            pg, kg = pg.ravel(), kg.ravel()
-            src = self._patch_source_addresses(pg, kg)
-            dst = PATCHES_BASE + (pg * s.k + kg) * _ELEM
-            rec = np.empty(2 * src.size, dtype=ACCESS_DTYPE)
-            rec["address"][0::2] = src
-            rec["address"][1::2] = dst
-            rec["kind"][0::2] = CODE_LOAD
-            rec["kind"][1::2] = CODE_STORE
-            rec["nbytes"] = _ELEM
-            rec["level"] = 1
-            parts.append(rec)
+            p, k = np.ogrid[0:s.p, 0:s.k]
+            parts.append(_copies(self._patch_source_addresses(p, k),
+                                 self._patches_addresses(p, k)))
+            a_source = self._patches_addresses
+        else:
+            a_source = self._patch_source_addresses
         for jj, ncur, kk, kcur, ii, mcur in self._loop_nest():
             if ii is None:
-                parts.append(self._pack_b_rows(jj, ncur, kk, kcur))
+                parts.append(self._pack_rows(
+                    lambda j, k: W_BASE + (k * s.filters + j) * _ELEM,
+                    PACKB_BASE, nr, jj, ncur, kk, kcur,
+                ))
             else:
-                parts.append(self._pack_a_rows(ii, mcur, kk, kcur))
+                parts.append(self._pack_rows(a_source, PACKA_BASE, mr, ii,
+                                             mcur, kk, kcur))
                 parts.append(self._gebp_rows(jj, ncur, kk, kcur, ii, mcur))
-        main = np.concatenate(parts)
 
         shift = core * CORE_STRIDE
-        return (
-            BatchTrace(warm).shifted(shift),
-            BatchTrace(main).shifted(shift),
-        )
+        return warm.shifted(shift), BatchTrace.concat(parts).shifted(shift)
 
     def kernel_segments(
         self, chip: ChipParams

@@ -33,7 +33,7 @@ from repro.blocking.cache_blocking import solve_cache_blocking
 from repro.errors import SimulationError
 from repro.isa.instructions import Fmla, Instruction, Ldr, Str
 from repro.isa.registers import VReg, XReg
-from repro.memory.batch import ACCESS_DTYPE, BatchTrace
+from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_STORE
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -273,75 +273,48 @@ class StencilWorkload(Workload):
     def _element_order(self) -> Tuple[np.ndarray, np.ndarray]:
         """(i, j) of every interior element, one sweep, traversal order."""
         tiles = _tiles(self.height, self.width, self.spec.radius, self.block)
-        ii: List[np.ndarray] = []
-        jj: List[np.ndarray] = []
-        for i0, i1, j0, j1 in tiles:
-            ti, tj = np.mgrid[i0:i1, j0:j1]
-            ii.append(ti.ravel())
-            jj.append(tj.ravel())
-        if not ii:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return (
-            np.concatenate(ii).astype(np.int64),
-            np.concatenate(jj).astype(np.int64),
-        )
+        cells = [np.mgrid[i0:i1, j0:j1].reshape(2, -1)
+                 for i0, i1, j0, j1 in tiles]
+        ii, jj = np.concatenate(cells, axis=1).astype(np.int64)
+        return ii, jj
 
     def traces(
         self, chip: ChipParams, core: int = 0
     ) -> Tuple[BatchTrace, BatchTrace]:
         """Compile ``(warm, main)`` access streams.
 
-        Warm-up installs the just-initialized input grid (line-strided
-        stores, the :mod:`~repro.sim.gebp_cachesim` idiom). The main
-        stream is, per interior element in traversal order: one 8-byte
-        load per tap (canonical tap order) then the 8-byte store of the
-        result — with the ping-pong buffers swapping roles every sweep.
-        Blocked and unblocked workloads emit the same row multiset in a
-        different order; the cache walk prices the difference.
+        Warm-up installs the just-initialized input grid
+        (:meth:`BatchTrace.line_stores`). The main stream is, per
+        interior element in traversal order: one 8-byte load per tap
+        (canonical tap order) then the 8-byte store of the result. One
+        ``(element, tap)`` offset matrix, the store as its last column,
+        serves every sweep: a sweep adds its source base to the tap
+        columns and its destination base to the store column, the
+        ping-pong buffers swapping roles every sweep. Blocked and
+        unblocked workloads emit the same row multiset in a different
+        order; the cache walk prices the difference.
         """
-        h, w = self.height, self.width
-        line = chip.l1d.line_bytes
-        grid_bytes = h * w * _ELEM
-        warm_addr = GRID_A_BASE + np.arange(0, grid_bytes, line, dtype=np.int64)
-        warm = np.empty(warm_addr.size, dtype=ACCESS_DTYPE)
-        warm["address"] = warm_addr
-        warm["nbytes"] = 1
-        warm["kind"] = CODE_STORE
-        warm["level"] = 1
-
+        w = self.width
+        warm = BatchTrace.line_stores(
+            ((GRID_A_BASE, self.height * w * _ELEM),), chip.l1d.line_bytes
+        )
         ii, jj = self._element_order()
-        offsets = tap_offsets(self.spec.radius)
-        n = ii.size
-        cols = len(offsets) + 1
-        addr = np.empty((n, cols), dtype=np.int64)
-        kinds = np.empty((n, cols), dtype=np.int8)
-        for t, (di, dj) in enumerate(offsets):
-            addr[:, t] = ((ii + di) * w + (jj + dj)) * _ELEM
-            kinds[:, t] = CODE_LOAD
-        addr[:, -1] = (ii * w + jj) * _ELEM
-        kinds[:, -1] = CODE_STORE
-
-        sweeps = []
-        for it in range(self.spec.iterations):
-            src = GRID_A_BASE if it % 2 == 0 else GRID_B_BASE
-            dst = GRID_B_BASE if it % 2 == 0 else GRID_A_BASE
-            rec = np.empty(n * cols, dtype=ACCESS_DTYPE)
-            shifted = addr.copy()
-            shifted[:, :-1] += src
-            shifted[:, -1] += dst
-            rec["address"] = shifted.ravel()
-            rec["nbytes"] = _ELEM
-            rec["kind"] = kinds.ravel()
-            rec["level"] = 1
-            sweeps.append(rec)
-        main = np.concatenate(sweeps) if sweeps else np.empty(0, ACCESS_DTYPE)
+        di, dj = np.array(tap_offsets(self.spec.radius) + [(0, 0)]).T
+        offset = ((ii[:, None] + di) * w + jj[:, None] + dj) * _ELEM
+        kind = np.full(di.size, CODE_LOAD, dtype=np.int8)
+        kind[-1] = CODE_STORE
+        bases = (GRID_A_BASE, GRID_B_BASE)
+        main = BatchTrace.concat([
+            BatchTrace.of(
+                offset + np.where(kind == CODE_LOAD, bases[it % 2],
+                                  bases[1 - it % 2]),
+                kind,
+            )
+            for it in range(self.spec.iterations)
+        ])
 
         shift = core * CORE_STRIDE
-        return (
-            BatchTrace(warm).shifted(shift),
-            BatchTrace(main).shifted(shift),
-        )
+        return warm.shifted(shift), main.shifted(shift)
 
     def kernel_segments(
         self, chip: ChipParams

@@ -8,6 +8,11 @@
   replacement policy.
 - ``conv_reference`` is the plain einsum convolution, the numeric
   (allclose) reference of the conv lowerings.
+- ``conv_trace_reference`` is the conv workload's access stream built
+  one record at a time by a plain loop nest, the reference of
+  ``ConvWorkload.traces``.
+- ``interpreted_pipeline`` runs a workload's kernel segments through
+  the scoreboard interpreter, the reference of ``timed_workload``.
 """
 
 from dataclasses import replace
@@ -19,6 +24,8 @@ from repro.apps.lu import LuResult
 from repro.arch import XGENE, ChipParams
 from repro.arch.params import CacheParams, ReplacementPolicy
 from repro.errors import SimulationError
+from repro.memory.cache import CODE_LOAD, CODE_STORE
+from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
 
 
 def unpack_a(packed: np.ndarray, mc: int) -> np.ndarray:
@@ -126,3 +133,97 @@ def conv_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x, (kh, kw), axis=(1, 2)
     )  # (cin, OH, OW, kh, kw)
     return np.einsum("cyxhw,fchw->fyx", windows, w, optimize=True)
+
+
+def conv_trace_reference(workload, line_bytes: int):
+    """``(warm, main)`` record tuples of a ``ConvWorkload`` at core 0.
+
+    Each record is ``(address, nbytes, kind, level)``, built per element
+    by the plain Goto loop nest: the im2col copy, then per cache block
+    pack-B slivers, pack-A slivers and the GEBP register tiles (C loads,
+    per k the ``mr`` packed-A then ``nr`` packed-B loads, C stores).
+    """
+    from repro.workloads import conv
+
+    s, blk = workload.spec, workload.blocking
+    mr, nr, e = blk.mr, blk.nr, 8
+    warm = [
+        (base + off, 1, CODE_STORE, 1)
+        for base, nbytes in ((conv.X_BASE, s.cin * s.height * s.width * e),
+                             (conv.W_BASE, s.k * s.filters * e))
+        for off in range(0, nbytes, line_bytes)
+    ]
+    main = []
+
+    def copy(src, dst):
+        main.extend([(src, e, CODE_LOAD, 1), (dst, e, CODE_STORE, 1)])
+
+    def image(p, k):
+        oy, ox = divmod(p, s.out_width)
+        c, rem = divmod(k, s.kh * s.kw)
+        dh, dw = divmod(rem, s.kw)
+        return conv.X_BASE + ((c * s.height + oy + dh) * s.width
+                              + ox + dw) * e
+
+    def patches(p, k):
+        return conv.PATCHES_BASE + (p * s.k + k) * e
+
+    def pack(source, dst_base, r, cur, kcur):
+        for sliver in range(-(-cur // r)):
+            for k in range(kcur):
+                for lane in range(r):
+                    if sliver * r + lane < cur:
+                        copy(source(sliver * r + lane, k), dst_base
+                             + ((sliver * kcur + k) * r + lane) * e)
+
+    if workload.lowering == "im2col":
+        for p in range(s.p):
+            for k in range(s.k):
+                copy(image(p, k), patches(p, k))
+    a_source = patches if workload.lowering == "im2col" else image
+    for jj in range(0, s.filters, blk.nc):
+        ncur = min(blk.nc, s.filters - jj)
+        for kk in range(0, s.k, blk.kc):
+            kcur = min(blk.kc, s.k - kk)
+            pack(lambda j, k: conv.W_BASE + ((kk + k) * s.filters + jj + j) * e,
+                 conv.PACKB_BASE, nr, ncur, kcur)
+            for ii in range(0, s.p, blk.mc):
+                mcur = min(blk.mc, s.p - ii)
+                pack(lambda i, k: a_source(ii + i, kk + k),
+                     conv.PACKA_BASE, mr, mcur, kcur)
+                for tj in range(-(-ncur // nr)):
+                    for ti in range(-(-mcur // mr)):
+                        cells = [
+                            conv.C_BASE + ((jj + col) * s.p + ii + row) * e
+                            for col in range(tj * nr, min(tj * nr + nr, ncur))
+                            for row in range(ti * mr, min(ti * mr + mr, mcur))
+                        ]
+                        main.extend((a, e, CODE_LOAD, 1) for a in cells)
+                        for k in range(kcur):
+                            main.extend(
+                                (conv.PACKA_BASE
+                                 + ((ti * kcur + k) * mr + lane) * e,
+                                 e, CODE_LOAD, 1)
+                                for lane in range(mr)
+                            )
+                            main.extend(
+                                (conv.PACKB_BASE
+                                 + ((tj * kcur + k) * nr + lane) * e,
+                                 e, CODE_LOAD, 1)
+                                for lane in range(nr)
+                            )
+                        main.extend((a, e, CODE_STORE, 1) for a in cells)
+    return warm, main
+
+
+def interpreted_pipeline(workload, chip: ChipParams, cache) -> PipelineResult:
+    """``workload``'s kernel segments run instruction by instruction
+    through :meth:`ScoreboardCore.run`, each demand load at its latency
+    from the cache replay ``cache``."""
+    flat = [instr for body, repeat in workload.kernel_segments(chip)
+            for instr in list(body) * repeat]
+    lats = iter(cache.load_latencies.tolist())
+    lat_of = {i: next(lats) for i, instr in enumerate(flat) if instr.is_load}
+    return ScoreboardCore(chip.core).run(
+        flat, repeat=1, latency_fn=lambda instr, i: lat_of.get(i, 0)
+    )

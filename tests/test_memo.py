@@ -1,11 +1,10 @@
 """The bounded memo: one LRU policy behind every process-global memo.
 
-The module memos (generated and compiled kernels, the micro-tile and
-cache-replay warm-state snapshots) share
-:class:`~repro.memo.BoundedMemo`; the tune caches are
-``functools.lru_cache``. These tests pin the policy on each module's own
-instance at its own bound, and hammer it from threads the way serve's
-``WorkerPool`` does.
+The module memos (generated and compiled kernels, the tuner's rotation
+plans and kernels, compiled GEBP traces, the micro-tile and cache-replay
+warm-state snapshots) share :class:`~repro.memo.BoundedMemo`. These
+tests pin the policy on each module's own instance at its own bound,
+and hammer it from threads the way serve's ``WorkerPool`` does.
 """
 
 import dataclasses
@@ -20,8 +19,9 @@ from repro.blocking.cache_blocking import CacheBlocking
 from repro.kernels import compiled, variants
 from repro.kernels.variants import VARIANTS
 from repro.memo import BoundedMemo
-from repro.sim import timed_executor
-from repro.sim.gebp_cachesim import simulate_gebp_cache
+from repro.sim import gebp_cachesim, timed_executor
+from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
+from repro.tune import evaluate
 from repro.tune.evaluate import build_kernel
 from repro.workloads import base as workloads_base
 
@@ -31,6 +31,24 @@ MODULE_MEMOS = {
     "kernels.variants": (variants._cache, 64),
     "workloads.base": (workloads_base._WARM_MEMO, 32),
     "sim.timed_executor": (timed_executor._WARM_MEMO, 16),
+    "tune.evaluate.plans": (evaluate._PLANS, 64),
+    "tune.evaluate.kernels": (evaluate._KERNELS, 64),
+    "sim.gebp_cachesim": (gebp_cachesim._TRACES, 64),
+}
+
+_RACE_BLOCKING = CacheBlocking(mr=8, nr=6, kc=48, mc=24, nc=36,
+                               k1=1, k2=1, k3=1)
+
+#: Memoized makers whose misses threads race on: (memo, call).
+RACES = {
+    "tune.evaluate._plan": (
+        evaluate._PLANS, lambda: evaluate._plan(8, 6, "solved")),
+    "tune.evaluate.build_kernel": (
+        evaluate._KERNELS,
+        lambda: build_kernel(4, 4, "static", "earliest", 64)),
+    "sim.gebp_cachesim._gebp_trace": (
+        gebp_cachesim._TRACES,
+        lambda: gebp_traces(VARIANTS["OpenBLAS-8x6"], _RACE_BLOCKING)[:2]),
 }
 
 
@@ -94,13 +112,13 @@ class TestBoundedMemo:
         assert len(module_memo) == limit
 
     def test_build_kernel_cache_is_bounded(self):
-        build_kernel.cache_clear()
+        evaluate._KERNELS.clear()
         try:
             for kc in range(1, 66):
                 build_kernel(4, 4, "static", "earliest", kc)
-            assert build_kernel.cache_info().currsize == 64
+            assert len(evaluate._KERNELS) == 64
         finally:
-            build_kernel.cache_clear()
+            evaluate._KERNELS.clear()
 
 
 class TestConcurrency:
@@ -135,6 +153,27 @@ class TestConcurrency:
             _run_threads(worker, 8)
             assert len({id(kernel) for kernel in got}) == 1, trial
         variants._cache.clear()
+
+    @pytest.mark.parametrize("name", sorted(RACES))
+    def test_racing_first_calls_make_once(self, name):
+        """Threads racing on a memo's first call for one key must all get
+        the one value the first of them made: a rotation solve costs
+        ~0.4 s, and ``compile_kernel`` compiles each kernel object it is
+        given separately."""
+        memo, call = RACES[name]
+        memo.clear()
+        got = [None] * 4
+
+        def worker(i):
+            got[i] = call()
+
+        try:
+            _run_threads(worker, 4)
+        finally:
+            memo.clear()
+        ids = {tuple(map(id, v)) if isinstance(v, tuple) else id(v)
+               for v in got}
+        assert len(ids) == 1
 
     def test_threaded_gebp_sweep_matches_cold_start(self, monkeypatch):
         """Serve's pool threads share the GEBP warm memo. Under eviction

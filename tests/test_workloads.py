@@ -42,7 +42,11 @@ from repro.workloads import (
     traced_dgemm,
     unblocked_conv_blocking,
 )
-from tests.helpers import conv_reference
+from tests.helpers import (
+    conv_reference,
+    conv_trace_reference,
+    interpreted_pipeline,
+)
 
 SMALL_BLOCKING = CacheBlocking(mr=4, nr=4, kc=8, mc=8, nc=8,
                                k1=1, k2=1, k3=1)
@@ -147,22 +151,16 @@ class TestStencilMachineFaces:
     def test_timed_compiled_equals_interpreted(self):
         wl = self._workload()
         cache = simulate_workload_cache(wl, XGENE, seed=0)
-        compiled = timed_workload(wl, XGENE, cache, engine="compiled")
-        interp = timed_workload(wl, XGENE, cache, engine="interpreted")
-        assert compiled.cycles == interp.cycles
-        assert compiled.pipeline == interp.pipeline
-        assert compiled.engine == "compiled"
-        assert interp.engine == "interpreted"
-        assert compiled.gflops > 0
-        assert 0 < compiled.efficiency <= 1
+        timed = timed_workload(wl, XGENE, cache)
+        assert timed.pipeline == interpreted_pipeline(wl, XGENE, cache)
+        assert timed.cycles == timed.pipeline.cycles
+        assert timed.gflops > 0
+        assert 0 < timed.efficiency <= 1
 
     def test_unknown_engines_rejected(self):
         wl = self._workload()
         with pytest.raises(SimulationError):
             simulate_workload_cache(wl, XGENE, engine="nope")
-        with pytest.raises(SimulationError):
-            timed_workload(wl, XGENE, simulate_workload_cache(wl, XGENE),
-                           engine="nope")
 
     def test_misaligned_kernel_segments_raise(self):
         class Broken(StencilWorkload):
@@ -267,10 +265,35 @@ class TestConvMachineFaces:
     def test_timed_compiled_equals_interpreted(self, lowering):
         wl = self._workload(lowering)
         cache = simulate_workload_cache(wl, XGENE, seed=0)
-        compiled = timed_workload(wl, XGENE, cache, engine="compiled")
-        interp = timed_workload(wl, XGENE, cache, engine="interpreted")
-        assert compiled.cycles == interp.cycles
-        assert compiled.pipeline == interp.pipeline
+        timed = timed_workload(wl, XGENE, cache)
+        assert timed.pipeline == interpreted_pipeline(wl, XGENE, cache)
+        assert timed.cycles == timed.pipeline.cycles
+
+    @pytest.mark.parametrize("lowering", ["im2col", "direct"])
+    @pytest.mark.parametrize("shape,tile,kc,mc,nc", [
+        # 5x3 tiles; mc, nc not multiples of mr, nr; kc not dividing K=12.
+        ((2, 7, 6, 3, 2, 7), (5, 3), 5, 7, 4),
+        # 2x2 tiles; odd mc, nc; kc=3 over K=4.
+        ((1, 5, 5, 2, 2, 5), (2, 2), 3, 3, 3),
+        # The paper's 8x6 tile with ragged blocks on every axis.
+        ((3, 6, 7, 3, 3, 11), (8, 6), 7, 20, 10),
+        # One block covering the problem, ragged register tiles.
+        ((1, 6, 6, 3, 3, 5), (4, 4), 9, 16, 5),
+    ])
+    def test_trace_records_match_loop_nest(self, lowering, shape, tile,
+                                           kc, mc, nc):
+        """The streams are array expressions over slivers and register
+        tiles; a per-element loop nest must give the same records in the
+        same order."""
+        cin, h, w, kh, kw, f = shape
+        spec = ConvSpec(cin=cin, height=h, width=w, kh=kh, kw=kw, filters=f)
+        blocking = CacheBlocking(mr=tile[0], nr=tile[1], kc=kc, mc=mc, nc=nc,
+                                 k1=1, k2=1, k3=1)
+        wl = ConvWorkload(spec, lowering, blocking)
+        warm, main = wl.traces(XGENE)
+        ref_warm, ref_main = conv_trace_reference(wl, XGENE.l1d.line_bytes)
+        assert warm.records.tolist() == ref_warm
+        assert main.records.tolist() == ref_main
 
     def test_im2col_pays_the_patches_round_trip(self):
         im = simulate_workload_cache(self._workload("im2col"), XGENE, seed=0)
