@@ -459,7 +459,10 @@ def _cache_dir(path: str) -> str:
 
     A file at ``path`` or at one of its ancestors would fail the first
     store write, after every answer was computed; this rejects it first.
+    So is ``''``, which would root the store in the working directory.
     """
+    if not path:
+        raise ReproError("--cache-dir '': names no directory")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)

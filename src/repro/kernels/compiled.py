@@ -462,28 +462,23 @@ class CompiledKernel:
             rows.append((line * line_bytes, 1, CODE_PREFETCH, level))
             streams.append(current_stream)
 
-        prefetcher = SequentialPrefetcher(
-            None, 0, late_rate=hw_late, install=install
-        )
-        tag_of = {_STREAM_A: "A", _STREAM_B: "B"}
+        prefetcher = SequentialPrefetcher(hw_late, install)
         for sid, off, observed in prologue_events:
             addr = base_of[sid] + off
             rows.append((addr, 1, CODE_LOAD, 0))
             streams.append(sid)
             if observed:
                 current_stream = sid
-                prefetcher.observe(addr // line_bytes, tag_of[sid])
+                prefetcher.observe(addr // line_bytes, sid)
         for body in range(n_bodies):
             for is_prefetch, sid, off, level in body_events:
                 addr = base_of[sid] + off + body * advance[sid]
-                if is_prefetch:
-                    rows.append((addr, 1, CODE_PREFETCH, level))
-                    streams.append(sid)
-                else:
-                    rows.append((addr, 1, CODE_LOAD, 0))
-                    streams.append(sid)
+                kind = CODE_PREFETCH if is_prefetch else CODE_LOAD
+                rows.append((addr, 1, kind, level if is_prefetch else 0))
+                streams.append(sid)
+                if not is_prefetch:
                     current_stream = sid
-                    prefetcher.observe(addr // line_bytes, tag_of[sid])
+                    prefetcher.observe(addr // line_bytes, sid)
         records = BatchTrace.from_rows(rows).records
         n_demand = int((records["kind"] == CODE_LOAD).sum())
         if n_demand != self.loads_per_tile(n_bodies):

@@ -16,11 +16,7 @@ from repro.memory.cache import (
     CacheStats,
 )
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
-from repro.memory.prefetcher import (
-    DropPattern,
-    PrefetcherStats,
-    SequentialPrefetcher,
-)
+from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
 from repro.memory.tlb import Tlb, TlbStats
 from repro.memory.trace import (
     Access,
@@ -55,5 +51,4 @@ __all__ = [
     "strided_matrix_trace",
     "DropPattern",
     "SequentialPrefetcher",
-    "PrefetcherStats",
 ]

@@ -14,7 +14,6 @@ the timing benefit of prefetching is that later demand accesses hit.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -100,11 +99,6 @@ class MemoryHierarchy:
             Tlb(chip.tlb) if (with_tlb and chip.tlb) else None
             for _ in range(chip.cores)
         ]
-        # Hardware prefetchers attached to this hierarchy register here so
-        # reset_stats/flush/reset cover their counters and stream state.
-        # Weak references: the hierarchy must not keep a dead prefetcher
-        # (or its install closure over this hierarchy) alive.
-        self._prefetchers: "weakref.WeakSet" = weakref.WeakSet()
 
     def _cache_rng(self, index: int) -> Optional[random.Random]:
         """The per-cache victim RNG for position ``index`` (see ``seed``)."""
@@ -202,9 +196,7 @@ class MemoryHierarchy:
 
     # -- batched replay -----------------------------------------------------
 
-    def run_batch(
-        self, core: int, trace: "BatchTrace", max_level: int = 8
-    ) -> "TraceCost":
+    def run_batch(self, core: int, trace: "BatchTrace") -> "TraceCost":
         """Replay a :class:`~repro.memory.batch.BatchTrace` on ``core``.
 
         Produces bit-identical counters (per-level :class:`CacheStats`,
@@ -215,15 +207,7 @@ class MemoryHierarchy:
         """
         from repro.memory.trace import TraceCost
 
-        served, latencies = self._walk(core, trace)
-        hits = np.bincount(
-            np.minimum(served, max_level) - 1, minlength=max_level
-        )
-        return TraceCost(
-            accesses=int(served.size),
-            latency_cycles=int(latencies.sum()),
-            level_hits=hits.tolist(),
-        )
+        return TraceCost.of(*self._walk(core, trace))
 
     def run_batch_levels(
         self, core: int, trace: "BatchTrace"
@@ -356,26 +340,6 @@ class MemoryHierarchy:
         out_levels = served_at[demand]
         return out_levels, latency_of[out_levels] + tlb_penalty[demand]
 
-    # -- prefetchers --------------------------------------------------------
-
-    def register_prefetcher(self, prefetcher) -> None:
-        """Tie a hardware prefetcher's lifecycle to this hierarchy.
-
-        Registered prefetchers have their counters cleared by
-        :meth:`reset_stats`, their stream state cleared by :meth:`flush`,
-        and both by :meth:`reset`. Held weakly.
-        """
-        self._prefetchers.add(prefetcher)
-
-    def prefetcher_stats(self) -> Dict[str, int]:
-        """Merged observation/issue counters of registered prefetchers."""
-        merged = {"observed_lines": 0, "issued": 0, "late": 0}
-        for pf in self._prefetchers:
-            merged["observed_lines"] += pf.stats.observed_lines
-            merged["issued"] += pf.stats.issued
-            merged["late"] += pf.stats.late
-        return merged
-
     # -- statistics ---------------------------------------------------------
 
     def all_caches(self) -> Dict[str, Cache]:
@@ -428,9 +392,9 @@ class MemoryHierarchy:
         Restoring the snapshot on the same hierarchy reproduces contents,
         statistics and replacement state bit-exactly, so a sweep can carry
         a warmed hierarchy across adjacent points instead of re-replaying
-        the warm-up trace. Hardware-prefetcher stream state is deliberately
-        excluded: prefetchers are re-attached per run and observe their
-        streams from the replayed trace itself.
+        the warm-up trace. The hierarchy holds no hardware-prefetcher
+        state: a prefetcher lives for one run and reaches the caches only
+        through the installs it issues.
         """
         return {
             "caches": {
@@ -455,32 +419,21 @@ class MemoryHierarchy:
                 tlb.restore(tlb_snap)
 
     def flush(self) -> None:
-        """Empty every cache and TLB (stats retained).
-
-        Registered hardware prefetchers forget their tracked streams too:
-        a stream position remembered across a flush would suppress the
-        re-prefetching a cold cache needs, so flushed state and stream
-        state travel together.
-        """
+        """Empty every cache and TLB (stats retained)."""
         for cache in self.all_caches().values():
             cache.flush()
         for tlb in self.tlbs:
             if tlb is not None:
                 tlb.flush()
-        for pf in self._prefetchers:
-            pf.reset_streams()
 
     def reset_stats(self) -> None:
-        """Zero every counter: caches, DRAM, TLBs, and the observation/
-        issue counters of registered hardware prefetchers."""
+        """Zero every counter: caches, DRAM and TLBs."""
         for cache in self.all_caches().values():
             cache.reset_stats()
         self.dram_accesses = 0
         for tlb in self.tlbs:
             if tlb is not None:
                 tlb.reset_stats()
-        for pf in self._prefetchers:
-            pf.reset_stats()
 
     def reset(self) -> None:
         """Restore the pristine just-constructed state.
@@ -497,5 +450,3 @@ class MemoryHierarchy:
             if tlb is not None:
                 tlb.flush()
                 tlb.reset_stats()
-        for pf in self._prefetchers:
-            pf.reset()

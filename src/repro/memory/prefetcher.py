@@ -1,10 +1,16 @@
 """Hardware sequential prefetcher model.
 
-X-Gene-class cores tag sequential access streams and pull the next line(s)
+X-Gene-class cores tag sequential access streams and pull the next line
 into the L1 ahead of demand. The GEBP streams (packed A, packed B) are
 perfectly sequential inside the k-loop, so this prefetcher is what keeps
 the B sliver effectively L1-resident even though true LRU would evict it
 (see :mod:`repro.sim.gebp_cachesim`).
+
+The prefetcher is a pure stream transform: its issue pattern is a function
+of the observed demand-line sequence alone, and each issue goes to the
+caller's ``install`` sink. The interpreter's sink installs into a live
+hierarchy; the trace compilers' sinks record prefetch rows, so a recorded
+stream replays identically on any hierarchy.
 
 Timeliness is modeled with a deterministic late/drop pattern: a fraction
 ``late_rate`` of prefetches fail to arrive before the demand access.
@@ -12,11 +18,9 @@ Timeliness is modeled with a deterministic late/drop pattern: a fraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Hashable
 
 from repro.errors import SimulationError
-from repro.memory.hierarchy import MemoryHierarchy
 
 
 class DropPattern:
@@ -41,96 +45,29 @@ class DropPattern:
             return True
         return False
 
-    def reset(self) -> None:
-        """Rewind to the start of the pattern (fresh-object equivalence)."""
-        self._acc = 0.0
-
-
-@dataclass
-class PrefetcherStats:
-    """Issue counters for one prefetcher instance."""
-
-    observed_lines: int = 0
-    issued: int = 0
-    late: int = 0
-
 
 class SequentialPrefetcher:
     """Tagged next-line prefetcher in front of a core's L1.
 
     Args:
-        hierarchy: The memory system to install lines into (may be ``None``
-            when a custom ``install`` sink is supplied).
-        core: The core this prefetcher serves.
         late_rate: Fraction of prefetches that arrive too late (modeled
             as not issued).
-        degree: Lines fetched ahead per stream advance.
-        install: Override for the install action, called as
-            ``install(line, target_level)``. Trace compilers use this to
-            *record* the prefetch stream instead of applying it — the
-            issue pattern is a pure function of the observed addresses, so
-            a recorded stream replays identically on any hierarchy.
+        install: The install action, called as ``install(line, 1)`` for
+            each issued next-line prefetch into the L1.
     """
 
     def __init__(
-        self,
-        hierarchy: Optional[MemoryHierarchy],
-        core: int,
-        late_rate: float = 0.25,
-        degree: int = 1,
-        install: Optional[Callable[[int, int], None]] = None,
+        self, late_rate: float, install: Callable[[int, int], None]
     ) -> None:
-        if degree < 1:
-            raise SimulationError("prefetch degree must be >= 1")
-        if hierarchy is None and install is None:
-            raise SimulationError(
-                "SequentialPrefetcher needs a hierarchy or an install sink"
-            )
-        self.hierarchy = hierarchy
-        self.core = core
-        self.degree = degree
-        self.stats = PrefetcherStats()
         self._late = DropPattern(late_rate)
-        self._last_line: Dict[str, int] = {}
-        if install is None:
-            install = lambda line, level: hierarchy.prefetch_line(
-                core, line, level
-            )
+        self._last_line: Dict[Hashable, int] = {}
         self._install = install
-        if hierarchy is not None:
-            # The hierarchy's reset_stats/flush/reset cover registered
-            # prefetchers, so hardware-prefetch counters share the cache
-            # counters' lifecycle instead of silently surviving resets.
-            hierarchy.register_prefetcher(self)
 
-    def observe(self, line: int, stream: str) -> None:
-        """Notify the prefetcher of a demand access to ``line`` on a
-        named stream; advances trigger next-line prefetches."""
+    def observe(self, line: int, stream: Hashable) -> None:
+        """Notify the prefetcher of a demand access to ``line`` on the
+        stream keyed ``stream``; advances trigger next-line prefetches."""
         if self._last_line.get(stream) == line:
             return
         self._last_line[stream] = line
-        self.stats.observed_lines += 1
-        if self._late.dropped():
-            self.stats.late += 1
-            return
-        for d in range(1, self.degree + 1):
-            self._install(line + d, 1)
-            self.stats.issued += 1
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        """Zero the observation/issue counters."""
-        self.stats = PrefetcherStats()
-
-    def reset_streams(self) -> None:
-        """Forget tracked stream positions and rewind the late pattern,
-        so the next observations behave like a fresh prefetcher (the
-        counterpart of flushing the caches it installs into)."""
-        self._last_line.clear()
-        self._late.reset()
-
-    def reset(self) -> None:
-        """Full fresh-object reset: counters and stream state."""
-        self.reset_stats()
-        self.reset_streams()
+        if not self._late.dropped():
+            self._install(line + 1, 1)

@@ -69,38 +69,39 @@ def contiguous_trace(
         yield Access(base + off, min(step, nbytes - off), kind)
 
 
+#: ``TraceCost.level_hits`` slots; the last also counts deeper levels.
+MAX_LEVEL = 8
+
+
 @dataclass
 class TraceCost:
-    """Aggregate result of replaying a trace."""
+    """Aggregate result of replaying a trace: ``level_hits[i]`` counts
+    demand accesses served at 1-based level ``i+1``."""
 
     accesses: int = 0
     latency_cycles: int = 0
     level_hits: List[int] = field(default_factory=list)
 
+    @classmethod
+    def of(cls, levels: np.ndarray, latencies: np.ndarray) -> "TraceCost":
+        """Sum the per-demand-access ``(levels, latencies)`` arrays of
+        :func:`run_trace_levels` or ``MemoryHierarchy.run_batch_levels``."""
+        hits = np.bincount(
+            np.minimum(levels, MAX_LEVEL) - 1, minlength=MAX_LEVEL
+        )
+        return cls(
+            accesses=int(levels.size),
+            latency_cycles=int(latencies.sum()),
+            level_hits=hits.tolist(),
+        )
+
 
 def run_trace(
-    hierarchy: MemoryHierarchy,
-    core: int,
-    trace: Iterable[Access],
-    max_level: int = 8,
+    hierarchy: MemoryHierarchy, core: int, trace: Iterable[Access]
 ) -> TraceCost:
-    """Replay ``trace`` on ``core``; returns latency and per-level hit counts.
-
-    ``level_hits[i]`` counts accesses served at 1-based level ``i+1``
-    (the last slot is DRAM).
-    """
-    cost = TraceCost(level_hits=[0] * max_level)
-    for acc in trace:
-        if acc.kind == KIND_PREFETCH:
-            line = acc.address // hierarchy.dram_line_bytes
-            hierarchy.prefetch_line(core, line, acc.level)
-            continue
-        for res in hierarchy.access_bytes(core, acc.address, acc.nbytes, acc.kind):
-            cost.accesses += 1
-            cost.latency_cycles += res.latency_cycles
-            idx = min(res.level_hit - 1, max_level - 1)
-            cost.level_hits[idx] += 1
-    return cost
+    """Replay ``trace`` on ``core`` one access at a time; returns latency
+    and per-level hit counts (see :class:`TraceCost`)."""
+    return TraceCost.of(*run_trace_levels(hierarchy, core, trace))
 
 
 def run_trace_levels(

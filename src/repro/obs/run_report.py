@@ -3,7 +3,7 @@
 A :class:`RunReport` is the machine-readable counterpart of the CLI's
 plain-text output: one JSON document per run that snapshots the engine
 stat objects (:class:`~repro.gemm.pool.PoolStats`,
-:class:`~repro.memory.cache.CacheStats` / TLB / prefetcher counters,
+:class:`~repro.memory.cache.CacheStats` / TLB counters,
 :class:`~repro.pipeline.scoreboard.PipelineResult` stall breakdowns),
 the engine selections (requested and selected engine per slot), and
 the run's :class:`~repro.obs.metrics.MetricsRegistry` dump.
@@ -273,8 +273,8 @@ def snapshot_cache_stats(stats: Any) -> Dict[str, Any]:
 
 def snapshot_hierarchy(h: Any) -> Dict[str, Any]:
     """Serialize a :class:`~repro.memory.hierarchy.MemoryHierarchy`'s
-    counters: merged per-level cache stats, DRAM traffic, TLB and
-    hardware-prefetcher totals, and the batched-engine coverage split."""
+    counters: merged per-level cache stats, DRAM traffic, TLB totals,
+    and the batched-engine coverage split."""
     doc: Dict[str, Any] = {
         "l1": snapshot_cache_stats(h.l1_stats()),
         "l2": snapshot_cache_stats(h.l2_stats()),
@@ -282,9 +282,7 @@ def snapshot_hierarchy(h: Any) -> Dict[str, Any]:
         "batched_accesses": sum(
             c.batched_accesses for c in h.all_caches().values()
         ),
-        "batched_fallback_accesses": sum(
-            c.batched_fallback_accesses for c in h.all_caches().values()
-        ),
+        "batched_fallback_accesses": h.batched_fallback_accesses(),
     }
     if h.l3 is not None:
         doc["l3"] = snapshot_cache_stats(h.l3_stats())
@@ -298,7 +296,6 @@ def snapshot_hierarchy(h: Any) -> Dict[str, Any]:
             "accesses": sum(s.accesses for s in tlb_stats),
             "misses": sum(s.misses for s in tlb_stats),
         }
-    doc["hw_prefetch"] = dict(h.prefetcher_stats())
     return doc
 
 

@@ -129,12 +129,8 @@ def _gebp_trace(
     rows: List[Tuple[int, int, int, int]] = []
     drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
     hw = SequentialPrefetcher(
-        None,
-        0,
-        late_rate=hw_late,
-        install=lambda ln, level: rows.append(
-            (ln * line, 1, CODE_PREFETCH, level)
-        ),
+        hw_late,
+        lambda ln, level: rows.append((ln * line, 1, CODE_PREFETCH, level)),
     )
 
     a_qloads_per_iter = -(-mr * elem // QWORD)

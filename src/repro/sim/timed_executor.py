@@ -45,7 +45,6 @@ from repro.kernels.execute import (
     largest_kc,
     stream_widths,
 )
-from repro.memo import BoundedMemo
 from repro.memory.batch import warm_region
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import SequentialPrefetcher
@@ -138,11 +137,12 @@ def run_timed_micro_tile(
 
     h = hierarchy or MemoryHierarchy(chip)
     if warm_l2:
-        wa, wb = stream_widths(kernel)
-        _warm_micro_tile_l2(
-            h, core_id, chip, kc, unroll, wa, wb, chip.l1d.line_bytes,
-            memoizable=hierarchy is None,
-        )
+        # GEBP's precondition: packing left both buffers in the module L2.
+        module_l2 = h.l2[h.module_of(core_id)]
+        for base, width in zip((A_BASE, B_BASE), stream_widths(kernel)):
+            nbytes = (kc + unroll) * width * DOUBLE_BYTES
+            warm_region(module_l2, base, nbytes, chip.l1d.line_bytes)
+        h.reset_stats()
     args = (a_sliver, b_sliver, c_tile, chip, h, core_id, hw_late,
             timing_bases)
     if compiled is not None:
@@ -169,40 +169,6 @@ def _timed_run(
         load_latencies=histogram,
         engine=engine,
     )
-
-
-#: Warm-state snapshots for the micro-tile precondition (packed A/B in
-#: the module L2), keyed by everything the warm stream depends on. Only
-#: consulted for freshly created hierarchies, whose pre-warm state is
-#: pristine by construction — restoring the snapshot is then bit-identical
-#: to replaying the warm stream into the fresh hierarchy.
-_WARM_MEMO: BoundedMemo[dict] = BoundedMemo(16)
-
-
-def _warm_micro_tile_l2(
-    h: MemoryHierarchy,
-    core_id: int,
-    chip: ChipParams,
-    kc: int,
-    unroll: int,
-    wa: int,
-    wb: int,
-    line: int,
-    memoizable: bool,
-) -> None:
-    """Establish GEBP's precondition (packed buffers L2-resident) and
-    zero the stats, restoring a memoized snapshot when possible."""
-    key = (chip, core_id, kc, unroll, wa, wb, line)
-    snap = _WARM_MEMO.get(key) if memoizable else None
-    if snap is not None:
-        h.restore(snap)
-        return
-    module_l2 = h.l2[h.module_of(core_id)]
-    warm_region(module_l2, A_BASE, (kc + unroll) * wa * DOUBLE_BYTES, line)
-    warm_region(module_l2, B_BASE, (kc + unroll) * wb * DOUBLE_BYTES, line)
-    h.reset_stats()
-    if memoizable:
-        _WARM_MEMO.put(key, h.snapshot())
 
 
 def _run_interpreted(
@@ -232,7 +198,9 @@ def _run_interpreted(
     memory = Memory()
     state = MachineState()
     executor = Executor(state, memory)
-    prefetcher = SequentialPrefetcher(h, core_id, late_rate=hw_late)
+    prefetcher = SequentialPrefetcher(
+        hw_late, lambda ln, level: h.prefetch_line(core_id, ln, level)
+    )
 
     stream: List[Instruction] = []
     latencies: List[int] = []

@@ -720,14 +720,21 @@ def _sweep_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
     mults = [rng.randint(1, 6) for _ in range(n_points)]
     if rng.random() < 0.7:
         mults.sort()  # ascending sweeps exercise the prefix-delta path
+    chip: Any = rng.choice(("xgene", "mobile"))
+    if rng.random() < 0.3:  # a RANDOM level puts the seed into the key
+        chip = random_machine(rng, budget)
+        chip[rng.choice(("l1", "l2"))]["replacement"] = "random"
+    # Two seeds: warm state is reused across equal seeds and, on chips
+    # without a RANDOM level, across unequal ones.
+    seeds = [rng.randint(0, 2**31 - 1) for _ in range(2)]
     return {
         "kernel": rng.choice(_SWEEP_KERNELS),
         "kc": rng.choice((16, 32)),
         "mc": rng.choice((16, 32)),
         "nc_mults": mults,
-        "chip": rng.choice(("xgene", "mobile")),
+        "seeds": [rng.choice(seeds) for _ in mults],
+        "chip": chip,
         "engine": rng.choice(("batched", "scalar")),
-        "seed": rng.randint(0, 2**31 - 1),
         "prefetch": rng.random() < 0.8,
     }
 
@@ -740,11 +747,12 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
     from repro.workloads.base import clear_warm_memo
 
     spec = VARIANTS[params["kernel"]]
-    chip = CHIPS[params["chip"]]
+    chip = params["chip"]
+    chip = CHIPS[chip] if isinstance(chip, str) else build_chip(chip)
     clear_warm_memo()
     try:
         points = []
-        for mult in params["nc_mults"]:
+        for mult, seed in zip(params["nc_mults"], params["seeds"]):
             nc = spec.nr * mult
             blocking = CacheBlocking(
                 mr=spec.mr, nr=spec.nr, kc=params["kc"],
@@ -753,7 +761,7 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
             result = simulate_gebp_cache(
                 spec, blocking, chip=chip, nc_slice=nc,
                 prefetch=params["prefetch"], engine=params["engine"],
-                seed=params["seed"], incremental=incremental,
+                seed=seed, incremental=incremental,
             )
             points.append(dataclasses.asdict(result))
         return {"points": points}
@@ -763,8 +771,9 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
 
 def _sweep_shrink(params: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
     if len(params["nc_mults"]) > 2:
-        yield {**params, "nc_mults": params["nc_mults"][:2]}
-        yield {**params, "nc_mults": params["nc_mults"][1:]}
+        for part in (slice(None, 2), slice(1, None)):
+            yield {**params, "nc_mults": params["nc_mults"][part],
+                   "seeds": params["seeds"][part]}
     if max(params["nc_mults"]) > 1:
         yield {
             **params,

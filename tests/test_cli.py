@@ -315,6 +315,21 @@ def test_cache_dir_that_is_a_file_is_a_clean_error(argv, in_tmp, capsys):
         assert captured.err.rstrip().endswith("is not a directory")
 
 
+@pytest.mark.parametrize("argv", [
+    ["query", "--batch", "batch.jsonl", "--threads", "1"],
+    ["serve", "--warm", "xgene", "--threads", "1"],
+], ids=["query", "serve"])
+def test_empty_cache_dir_is_a_clean_error(argv, in_tmp, capsys):
+    """``--cache-dir ''`` would root the result store in the working
+    directory; it is rejected before any answer is computed."""
+    before = sorted(in_tmp.iterdir())
+    assert main(argv + ["--cache-dir", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cache-dir ")
+    assert sorted(in_tmp.iterdir()) == before
+
+
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 

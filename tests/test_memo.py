@@ -1,10 +1,10 @@
 """The bounded memo: one LRU policy behind every process-global memo.
 
 The module memos (generated and compiled kernels, the tuner's rotation
-plans and kernels, compiled GEBP traces, the micro-tile and cache-replay
-warm-state snapshots) share :class:`~repro.memo.BoundedMemo`. These
-tests pin the policy on each module's own instance at its own bound,
-and hammer it from threads the way serve's ``WorkerPool`` does.
+plans and kernels, compiled GEBP traces, the cache-replay warm-state
+snapshots) share :class:`~repro.memo.BoundedMemo`. These tests pin the
+policy on each module's own instance at its own bound, and hammer it
+from threads the way serve's ``WorkerPool`` does.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from repro.blocking.cache_blocking import CacheBlocking
 from repro.kernels import compiled, variants
 from repro.kernels.variants import VARIANTS
 from repro.memo import BoundedMemo
-from repro.sim import gebp_cachesim, timed_executor
+from repro.sim import gebp_cachesim
 from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
 from repro.tune import evaluate
 from repro.tune.evaluate import build_kernel
@@ -30,7 +30,6 @@ MODULE_MEMOS = {
     "kernels.compiled": (compiled._CACHE, 64),
     "kernels.variants": (variants._cache, 64),
     "workloads.base": (workloads_base._WARM_MEMO, 32),
-    "sim.timed_executor": (timed_executor._WARM_MEMO, 16),
     "tune.evaluate.plans": (evaluate._PLANS, 64),
     "tune.evaluate.kernels": (evaluate._KERNELS, 64),
     "sim.gebp_cachesim": (gebp_cachesim._TRACES, 64),

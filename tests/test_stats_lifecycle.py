@@ -2,11 +2,12 @@
 
 The observability layer snapshots engine stat objects, which only works
 if those objects have a trustworthy lifecycle: ``reset_stats`` must zero
-*every* counter (including registered hardware prefetchers),
-``flush``/``reset`` must return a component to a state where replaying
-the same access stream reproduces the same counters as a fresh object,
-and the engine a timed run reports (``engine``) must be the one that
-ran.
+*every* counter, ``flush``/``reset`` must return a component to a state
+where replaying the same access stream reproduces the same counters as a
+fresh object, and the engine a timed run reports (``engine``) must be the
+one that ran. The hardware prefetcher has no lifecycle of its own here:
+it is a stream transform that lives for one run and holds no counters,
+so what it installs is counted, reset and flushed with the caches.
 
 The core property, checked per policy and per engine:
 
@@ -25,7 +26,6 @@ from repro.kernels import get_variant
 from repro.kernels.kernel_spec import PAPER_KERNELS
 from repro.memory import MemoryHierarchy
 from repro.memory.cache import Cache
-from repro.memory.prefetcher import SequentialPrefetcher
 from repro.sim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
 
@@ -171,64 +171,6 @@ class TestHierarchyLifecycle:
             + [f"l2[{j}]" for j in range(XGENE.modules)]
             + ["l3"]
         )
-
-
-class TestPrefetcherLifecycle:
-    def _observe_some(self, pf):
-        for line in (10, 11, 12, 40, 41):
-            pf.observe(line, "a")
-
-    def test_hierarchy_reset_stats_covers_prefetcher(self):
-        """The original bug: hardware-prefetch counters survived
-        ``reset_stats`` because the hierarchy did not know about the
-        prefetchers installed in front of it."""
-        h = MemoryHierarchy(XGENE, seed=0)
-        pf = SequentialPrefetcher(h, core=0, late_rate=0.0)
-        self._observe_some(pf)
-        assert pf.stats.observed_lines > 0
-        h.reset_stats()
-        assert pf.stats.observed_lines == 0
-        assert pf.stats.issued == 0
-        assert pf.stats.late == 0
-
-    def test_hierarchy_flush_resets_streams(self):
-        h = MemoryHierarchy(XGENE, seed=0)
-        pf = SequentialPrefetcher(h, core=0, late_rate=0.5)
-        self._observe_some(pf)
-        h.flush()
-        h.reset_stats()
-        self._observe_some(pf)
-
-        fresh_h = MemoryHierarchy(XGENE, seed=0)
-        fresh = SequentialPrefetcher(fresh_h, core=0, late_rate=0.5)
-        self._observe_some(fresh)
-        assert pf.stats == fresh.stats
-
-    def test_prefetcher_stats_merge(self):
-        h = MemoryHierarchy(XGENE, seed=0)
-        a = SequentialPrefetcher(h, core=0, late_rate=0.0)
-        b = SequentialPrefetcher(h, core=1, late_rate=0.0)
-        self._observe_some(a)
-        self._observe_some(b)
-        merged = h.prefetcher_stats()
-        assert merged["observed_lines"] == (
-            a.stats.observed_lines + b.stats.observed_lines
-        )
-        assert merged["issued"] == a.stats.issued + b.stats.issued
-
-    def test_install_sink_prefetcher_is_not_registered(self):
-        """A trace-recording prefetcher (install sink, no hierarchy) owns
-        its own lifecycle."""
-        seen = []
-        pf = SequentialPrefetcher(
-            None, core=0, late_rate=0.0,
-            install=lambda line, level: seen.append(line),
-        )
-        self._observe_some(pf)
-        assert seen
-        pf.reset()
-        assert pf.stats.observed_lines == 0
-        assert not pf._last_line
 
 
 def _micro_operands(kernel):
