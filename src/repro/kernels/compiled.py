@@ -61,7 +61,7 @@ from repro.kernels.kernel_spec import KernelStyle
 from repro.memo import BoundedMemo
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH
-from repro.memory.prefetcher import SequentialPrefetcher
+from repro.memory.prefetcher import sequential_installs
 from repro.pipeline.scoreboard import ScoreboardTemplate
 
 #: Stream ids used to tag trace records for per-stream relocation.
@@ -453,40 +453,54 @@ class CompiledKernel:
         line_bytes: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         prologue_events, body_events, advance = self._events
-        base_of = {_STREAM_A: a_base, _STREAM_B: b_base, _STREAM_C: c_base}
-        rows: List[Tuple[int, int, int, int]] = []
-        streams: List[int] = []
-        current_stream = _STREAM_A
-
-        def install(line: int, level: int) -> None:
-            rows.append((line * line_bytes, 1, CODE_PREFETCH, level))
-            streams.append(current_stream)
-
-        prefetcher = SequentialPrefetcher(hw_late, install)
-        for sid, off, observed in prologue_events:
-            addr = base_of[sid] + off
-            rows.append((addr, 1, CODE_LOAD, 0))
-            streams.append(sid)
-            if observed:
-                current_stream = sid
-                prefetcher.observe(addr // line_bytes, sid)
-        for body in range(n_bodies):
-            for is_prefetch, sid, off, level in body_events:
-                addr = base_of[sid] + off + body * advance[sid]
-                kind = CODE_PREFETCH if is_prefetch else CODE_LOAD
-                rows.append((addr, 1, kind, level if is_prefetch else 0))
-                streams.append(sid)
-                if not is_prefetch:
-                    current_stream = sid
-                    prefetcher.observe(addr // line_bytes, sid)
-        records = BatchTrace.from_rows(rows).records
+        base = np.array([a_base, b_base, c_base], dtype=np.int64)
+        step = np.array(
+            [advance[_STREAM_A], advance[_STREAM_B], advance[_STREAM_C]],
+            dtype=np.int64,
+        )
+        # Prologue loads, then the body's events once per body, each
+        # body's addresses moved on by the per-body pointer advance.
+        p_sid, p_off, p_observed = np.array(
+            prologue_events, dtype=np.int64
+        ).reshape(-1, 3).T
+        b_prefetch, b_sid, b_off, b_level = np.array(
+            body_events, dtype=np.int64
+        ).reshape(-1, 4).T
+        bodies = np.arange(n_bodies, dtype=np.int64)[:, None]
+        address = np.concatenate([
+            base[p_sid] + p_off,
+            (base[b_sid] + b_off + bodies * step[b_sid]).ravel(),
+        ])
+        sid = np.concatenate([p_sid, np.tile(b_sid, n_bodies)])
+        kind = np.concatenate([
+            np.full(p_sid.size, CODE_LOAD),
+            np.tile(np.where(b_prefetch, CODE_PREFETCH, CODE_LOAD), n_bodies),
+        ])
+        level = np.concatenate([
+            np.zeros(p_sid.size, dtype=np.int64),
+            np.tile(np.where(b_prefetch, b_level, 0), n_bodies),
+        ])
+        # The prefetcher watches the body's loads and the observed
+        # prologue loads; an install joins its load's stream.
+        watched = np.concatenate([
+            np.where(p_observed, p_sid, -1),
+            np.tile(np.where(b_prefetch, -1, b_sid), n_bodies),
+        ])
+        installs, at = sequential_installs(
+            address // line_bytes, watched, hw_late
+        )
+        records = BatchTrace.interleaved(
+            address, kind, level, installs * line_bytes, at
+        ).records
+        issuer = at - np.arange(1, at.size + 1)
+        streams = np.insert(sid, issuer + 1, sid[issuer])
         n_demand = int((records["kind"] == CODE_LOAD).sum())
         if n_demand != self.loads_per_tile(n_bodies):
             raise SimulationError(
                 "compiled trace demand-load count does not match the "
                 "scoreboard templates"
             )
-        return records, np.array(streams, dtype=np.int64)
+        return records, streams
 
     # -- timing layer -------------------------------------------------------
 

@@ -29,6 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import RegisterAllocationError
 from repro.kernels.kernel_spec import KernelSpec
 
@@ -206,7 +208,10 @@ def solve_rotation(spec: KernelSpec) -> RotationPlan:
     Enumerates every cyclic permutation of the pool (fixing ``sigma(start)``
     chains as cycles through all pool registers), applies
     ``reg(slot, copy) = sigma^copy(slot)``, and keeps the assignment with
-    the largest minimum CL->NF distance. For 8x6 the optimum is 7.
+    the largest minimum CL->NF distance, the first in enumeration order
+    on ties. All cycles are scored as one array. For 8x6 it finds
+    distance 11, where the paper's Table I cycle reaches 7
+    (:func:`paper_plan`).
     """
     if not spec.rotated:
         return static_plan(spec)
@@ -216,27 +221,60 @@ def solve_rotation(spec: KernelSpec) -> RotationPlan:
         raise RegisterAllocationError(
             f"{spec.name}: {len(slots)} slots exceed pool of {pool}"
         )
-    unroll = pool  # one full rotation per unrolled loop body
+    # Every cycle through the pool registers: 0 -> p1 -> ... -> 0.
+    cycles = np.array(
+        [(0,) + rest for rest in itertools.permutations(range(1, pool))]
+    )
+    # argmax keeps the first maximum in enumeration order.
+    best = int(np.argmax(_cycle_min_distances(spec, cycles)))
+    return plan_from_cycle(spec, tuple(int(r) for r in cycles[best]))
 
-    best_plan: Optional[RotationPlan] = None
-    # A cycle through pool registers: 0 -> p1 -> p2 -> ... -> 0.
-    for rest in itertools.permutations(range(1, pool)):
-        cycle = (0,) + rest
-        succ = {cycle[i]: cycle[(i + 1) % pool] for i in range(pool)}
-        assignment: List[Dict[str, int]] = []
-        current = {slot: i for i, slot in enumerate(slots)}
-        for _copy in range(unroll):
-            assignment.append(dict(current))
-            current = {s: succ[r] for s, r in current.items()}
-        dist = _evaluate_min_distance(spec, assignment, unroll)
-        if best_plan is None or dist > best_plan.min_distance:
-            best_plan = RotationPlan(
-                spec=spec,
-                pool=pool,
-                unroll=unroll,
-                assignment=tuple(assignment),
-                min_distance=dist,
-                sigma=cycle,
-            )
-    assert best_plan is not None
-    return best_plan
+
+def _cycle_min_distances(spec: KernelSpec, cycles: np.ndarray) -> np.ndarray:
+    """The eq.-(12) objective of :func:`plan_from_cycle` for every row of
+    ``cycles`` at once.
+
+    Copy ``c`` puts slot ``s`` in register ``sigma^c(s)``, and copy
+    ``c``'s FMLA positions are offset by ``c * fpi``, so a register's
+    uses are its occupants' read spans in copy order. A forward pass
+    finds each register's first use; a backward pass gives each use the
+    distance to the register's next use, the last use wrapping round to
+    the first in the next body.
+    """
+    n, pool = cycles.shape
+    reads = slot_read_positions(spec)
+    slots = spec.slot_names()
+    first = np.array([reads[s].first for s in slots])
+    last = np.array([reads[s].last for s in slots])
+    fpi = spec.fmla_per_iter
+    total = pool * fpi
+    succ = np.empty_like(cycles)
+    np.put_along_axis(succ, cycles, np.roll(cycles, -1, axis=1), axis=1)
+    pred = np.empty_like(cycles)
+    np.put_along_axis(pred, np.roll(cycles, -1, axis=1), cycles, axis=1)
+    rows = np.arange(n)[:, None]
+
+    def spans(c, reg):
+        """Read span of each register's occupant in copy ``c`` (start
+        ``-1``: the register idles)."""
+        start = np.full((n, pool), -1, dtype=np.int64)
+        end = np.full((n, pool), -1, dtype=np.int64)
+        start[rows, reg] = c * fpi + first
+        end[rows, reg] = c * fpi + last
+        return start, end
+
+    reg = np.broadcast_to(np.arange(len(slots)), (n, len(slots)))
+    head = np.full((n, pool), -1, dtype=np.int64)
+    for c in range(pool):
+        if c:
+            reg = succ[rows, reg]
+        head = np.where(head < 0, spans(c, reg)[0], head)
+    nxt = head + total
+    best = np.full(n, total, dtype=np.int64)
+    for c in reversed(range(pool)):
+        start, end = spans(c, reg)
+        used = start >= 0
+        best = np.minimum(best, np.where(used, nxt - end, total).min(axis=1))
+        nxt = np.where(used, start, nxt)
+        reg = pred[rows, reg]
+    return best

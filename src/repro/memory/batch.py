@@ -5,8 +5,10 @@ A :class:`BatchTrace` holds an access stream as a NumPy structured array of
 generator-based :class:`~repro.memory.trace.Access` streams. This module
 owns that record format (:data:`ACCESS_DTYPE`): the trace compilers build
 streams through its constructors (:meth:`BatchTrace.of` for address
-arrays, :meth:`BatchTrace.line_stores` for warm-up regions,
-:meth:`BatchTrace.from_rows` for tuples) and never fill records by hand.
+arrays, :meth:`BatchTrace.interleaved` for columns with hardware
+prefetches folded in, :meth:`BatchTrace.line_stores` for warm-up
+regions, :meth:`BatchTrace.from_rows` for tuples) and never fill records
+by hand.
 
 Compiling a stream once per GEBP shape and replaying it through
 :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch` removes the
@@ -100,6 +102,31 @@ class BatchTrace:
         records["nbytes"] = nbytes
         records["kind"] = kind[where]
         records["level"] = 1
+        return cls(records)
+
+    @classmethod
+    def interleaved(
+        cls, address, kind, level, installs, at
+    ) -> "BatchTrace":
+        """1-byte records of the ``address``/``kind``/``level`` columns
+        (program order), with an L1 prefetch of each ``installs`` address
+        at index ``at`` of the result; the columns fill the other indices
+        in order. ``installs`` and ``at`` are what
+        :func:`~repro.memory.prefetcher.sequential_installs` gives.
+        """
+        # Each install follows the record that issued it.
+        copies = np.ones(len(address), dtype=np.intp)
+        copies[at - np.arange(1, len(at) + 1)] = 2
+        records = np.empty(len(address) + len(at), dtype=ACCESS_DTYPE)
+        for field, column, install in (
+            ("address", address, installs),
+            ("kind", kind, CODE_PREFETCH),
+            ("level", level, 1),
+        ):
+            values = np.repeat(column, copies)
+            values[at] = install
+            records[field] = values
+        records["nbytes"] = 1
         return cls(records)
 
     @classmethod

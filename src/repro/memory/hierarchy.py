@@ -377,8 +377,8 @@ class MemoryHierarchy:
         return self.l3.stats
 
     def batched_fallback_accesses(self) -> int:
-        """Line accesses the batched engine resolved through the
-        per-access RANDOM/PLRU loop instead of the vectorized LRU sweep,
+        """Line accesses the batched engine resolved at RANDOM/PLRU
+        levels (grouped runs) instead of the LRU reuse-window sweep,
         summed over all caches since the last stats reset."""
         return sum(
             c.batched_fallback_accesses for c in self.all_caches().values()

@@ -40,7 +40,9 @@ an ``nc`` sweep the driver's warm-state memo replays only the delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
@@ -49,7 +51,7 @@ from repro.kernels.kernel_spec import KernelSpec
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
+from repro.memory.prefetcher import drop_mask, sequential_installs
 from repro.memo import BoundedMemo
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.base import (
@@ -114,6 +116,15 @@ def _gebp_trace(
     issue order. Addresses start at 0; callers relocate per core via
     :meth:`BatchTrace.shifted`. :func:`gebp_traces` memoizes it per
     shape — the sweeps replay the same streams at every point.
+
+    The stream is affine in the loop indices ``(j, i, k, q)``, so it is
+    built as array expressions over them. Per B sliver ``j`` and A
+    sliver ``i``: the C tile's loads, then per ``k`` the A and B qword
+    loads and the PREFA prefetch, then the C tile's stores; after each
+    ``j``, the PLDL2KEEP prefetches of the next B sliver. A PREFA
+    prefetch is issued where it stays inside the sliver and the drop
+    pattern, one event per such ``k``, keeps it. The hardware prefetcher
+    watches the A and B loads (:func:`sequential_installs`).
     """
     a_base = 0
     b_base = 1 << 28
@@ -126,59 +137,76 @@ def _gebp_trace(
     warm = BatchTrace.line_stores(
         ((a_base, na * kc * mr * elem), (b_base, nb * kc * nr * elem)), line
     )
-    rows: List[Tuple[int, int, int, int]] = []
-    drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
-    hw = SequentialPrefetcher(
-        hw_late,
-        lambda ln, level: rows.append((ln * line, 1, CODE_PREFETCH, level)),
+    a_q = np.arange(0, mr * elem, QWORD)  # qword offsets in an A/C row
+    b_q = np.arange(0, nr * elem, QWORD)
+    nq_a, nq_b = a_q.size, b_q.size
+    j = np.arange(nb)[:, None, None]
+    i = np.arange(na)[:, None]
+    k = np.arange(kc)[:, None]
+    a_addr = a_base + i[..., None] * kc * mr * elem + k * mr * elem
+    b_addr = b_base + j[..., None] * kc * nr * elem + k * nr * elem
+    # The stream of B sliver j is row j of ``address``; kinds, levels
+    # and prefetcher stream ids (-1: unobserved) are alike in every row.
+    # A row holds na tiles of ``tile`` records: the C tile's loads,
+    # kc k-iterations of ``step`` records (A loads, B loads, PREFA), the
+    # C tile's stores; then the PLDL2KEEP prefetches.
+    c_len = nr * nq_a
+    step = nq_a + nq_b + prefetch
+    tile = 2 * c_len + kc * step
+    l2_offs = np.arange(0, kc * nr * elem if prefetch else 0, line)
+    width = na * tile + l2_offs.size
+    address = np.empty((nb, width), dtype=np.int64)
+    kind = np.full(width, CODE_LOAD, dtype=np.int8)
+    level = np.ones(width, dtype=np.int8)
+    stream = np.full(width, -1, dtype=np.int8)
+
+    def tiles(a):
+        return a[..., :na * tile].reshape(a.shape[:-1] + (na, tile))
+
+    def k_iters(a):
+        return tiles(a)[..., c_len:c_len + kc * step].reshape(
+            a.shape[:-1] + (na, kc, step)
+        )
+
+    # The C tile, column by column of a panel with leading dimension mc.
+    c_tile = (
+        c_base + j * nr * mc * elem + i * mr * elem
+        + (np.arange(nr)[:, None] * mc * elem + a_q).ravel()
     )
-
-    a_qloads_per_iter = -(-mr * elem // QWORD)
-    b_qloads_per_iter = -(-nr * elem // QWORD)
-    kernel_loads = 0
-
-    def demand(addr: int, stream: Optional[str] = None) -> None:
-        rows.append((addr, 1, CODE_LOAD, 1))
-        if stream is not None:
-            hw.observe(addr // line, stream)
-
-    for j in range(nb):
-        b_sliver = b_base + j * kc * nr * elem
-        for i in range(na):
-            a_sliver = a_base + i * kc * mr * elem
-            # C tile load (column-major panel with leading dimension mc).
-            for col in range(nr):
-                c_col = c_base + (j * nr + col) * mc * elem + i * mr * elem
-                for off in range(0, mr * elem, QWORD):
-                    demand(c_col + off)
-            # The k-loop.
-            for k in range(kc):
-                a_addr = a_sliver + k * mr * elem
-                b_addr = b_sliver + k * nr * elem
-                for q in range(a_qloads_per_iter):
-                    demand(a_addr + q * QWORD, "A")
-                    kernel_loads += 1
-                for q in range(b_qloads_per_iter):
-                    demand(b_addr + q * QWORD, "B")
-                    kernel_loads += 1
-                if prefetch:
-                    pf_a = a_addr + PREFA_BYTES
-                    if pf_a < a_sliver + kc * mr * elem and not drop.dropped():
-                        rows.append(
-                            ((pf_a // line) * line, 1, CODE_PREFETCH, 1)
-                        )
-            # C tile store.
-            for col in range(nr):
-                c_col = c_base + (j * nr + col) * mc * elem + i * mr * elem
-                for off in range(0, mr * elem, QWORD):
-                    rows.append((c_col + off, 1, CODE_STORE, 1))
-        if prefetch:
-            # PLDL2KEEP: pull the next sliver toward the L2.
-            nxt = b_base + ((j + 1) % nb) * kc * nr * elem
-            for off in range(0, kc * nr * elem, line):
-                rows.append((((nxt + off) // line) * line, 1, CODE_PREFETCH, 2))
-
-    return warm, BatchTrace.from_rows(rows), kernel_loads
+    tiles(address)[..., :c_len] = c_tile
+    tiles(address)[..., -c_len:] = c_tile
+    tiles(kind)[:, -c_len:] = CODE_STORE
+    k_iters(address)[..., :nq_a] = a_addr + a_q
+    k_iters(address)[..., nq_a:nq_a + nq_b] = b_addr + b_q
+    k_iters(stream)[..., :nq_a] = 0
+    k_iters(stream)[..., nq_a:nq_a + nq_b] = 1
+    keep = None
+    if prefetch:
+        pf_a = a_addr[..., 0] + PREFA_BYTES
+        k_iters(address)[..., -1] = pf_a // line * line
+        k_iters(kind)[..., -1] = CODE_PREFETCH
+        # PREFA is issued where it stays inside the sliver and the drop
+        # pattern, one event per such k-iteration, keeps it.
+        inside = k[:, 0] * mr * elem + PREFA_BYTES < kc * mr * elem
+        keep = np.ones((nb, width), dtype=bool)
+        k_iters(keep)[..., inside, -1] = ~drop_mask(
+            PREFETCH_DROP, nb * na * int(inside.sum())
+        ).reshape(nb, na, -1)
+        k_iters(keep)[..., ~inside, -1] = False
+        # PLDL2KEEP: pull the next sliver toward the L2.
+        nxt = b_base + (np.arange(1, nb + 1) % nb)[:, None] * kc * nr * elem
+        address[:, na * tile:] = (nxt + l2_offs) // line * line
+        kind[na * tile:] = CODE_PREFETCH
+        level[na * tile:] = 2
+    columns = [address.ravel()]
+    columns += [np.tile(c, nb) for c in (kind, level, stream)]
+    if keep is not None:
+        columns = [c[keep.ravel()] for c in columns]
+    address, kind, level, stream = columns
+    installs, at = sequential_installs(address // line, stream, hw_late)
+    main = BatchTrace.interleaved(address, kind, level, installs * line, at)
+    kernel_loads = nb * na * kc * (nq_a + nq_b)
+    return warm, main, kernel_loads
 
 
 def gebp_traces(

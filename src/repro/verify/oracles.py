@@ -14,6 +14,9 @@ Each oracle is declared once and covers one bit-identity claim:
 - ``cache.policy`` — RANDOM and PLRU :class:`Cache` levels on the same
   arrays, batched, mixed and handed through a snapshot, vs self-contained
   per-set policy models;
+- ``gebp.stream`` — the GEBP access stream built as array expressions
+  vs the loop nest stepping the drop pattern and the hardware
+  prefetcher per access;
 - ``timed.oddtile`` — the compiled engine on the formerly interpreted
   tail (odd-tile lane padding, k-vectorized ``faddp`` folds) vs the
   interpreter;
@@ -808,12 +811,34 @@ register(Oracle(
 
 
 def _lru_accesses(params: Dict[str, Any]) -> List[tuple]:
+    """The case's ``(line, kind)`` stream. With ``revisit``, half the
+    accesses touch one of the last four lines again, mostly after lines
+    of other sets in between."""
     rng = random.Random(params["access_seed"])
     kinds = (CODE_LOAD, CODE_LOAD, CODE_STORE, CODE_PREFETCH)
-    return [
-        (rng.randrange(params["span_lines"]), rng.choice(kinds))
-        for _ in range(params["length"])
-    ]
+    out: List[tuple] = []
+    for _ in range(params["length"]):
+        if params.get("revisit") and out and rng.random() < 0.5:
+            line = rng.choice(out[-4:])[0]
+        else:
+            line = rng.randrange(params["span_lines"])
+        out.append((line, rng.choice(kinds)))
+    return out
+
+
+def _chunk_stops(params: Dict[str, Any]) -> List[int]:
+    """Where the case's chunks end (deterministic in the case)."""
+    rng = random.Random(params["access_seed"] ^ 0x5BD1E995)
+    stops = [0]
+    while stops[-1] < params["length"]:
+        stops.append(
+            min(params["length"], stops[-1] + rng.randint(1, params["length"]))
+        )
+    return stops[1:]
+
+
+def _rng_digest(state: Any) -> str:
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
 
 
 def _lru_cache(
@@ -838,9 +863,9 @@ def _lru_cache(
 
 def _lru_doc(
     hits: List[bool], stats: CacheStats, resident: int,
-    sets: List[List[int]],
+    sets: List[List[int]], draws: Optional[List[Any]] = None,
 ) -> Dict[str, Any]:
-    return {
+    doc = {
         "hits": "".join("1" if h else "0" for h in hits),
         "stats": snapshot_cache_stats(stats),
         "resident_lines": resident,
@@ -849,6 +874,11 @@ def _lru_doc(
         # eviction order, not just on the counters.
         "sets": sets,
     }
+    if draws is not None:
+        # RANDOM: after every chunk, the RNG state (seeded) or the
+        # victims drawn so far (unseeded), so a draw too many shows.
+        doc["draws"] = draws
+    return doc
 
 
 #: (access counter, miss counter) of each access-kind code.
@@ -910,16 +940,17 @@ def _lru_chunked(
     accesses = _lru_accesses(params)
     lines = np.array([a[0] for a in accesses], dtype=np.int64)
     kinds = np.array([a[1] for a in accesses], dtype=np.int8)
-    rng = random.Random(params["access_seed"] ^ 0x5BD1E995)
+    random_policy = params.get("policy", "lru").startswith("random")
+    seeded = params.get("policy") == "random"
     hits: List[bool] = []
+    draws: List[Any] = []
     start, batched = 0, True
-    while start < len(accesses):
+    for stop in _chunk_stops(params):
         if rebuild is not None and 2 * start >= len(accesses):
             snap = cache.snapshot()
             cache = rebuild(params)
             cache.restore(snap)
             rebuild = None
-        stop = min(len(accesses), start + rng.randint(1, params["length"]))
         if batched:
             hits.extend(cache.access_lines_batched(
                 lines[start:stop], kinds[start:stop]
@@ -929,10 +960,15 @@ def _lru_chunked(
                 cache.access_line(line, CODE_TO_KIND[kind])
                 for line, kind in accesses[start:stop]
             )
+        if random_policy:
+            snap = cache.snapshot()
+            draws.append(
+                _rng_digest(snap["rng"]) if seeded else len(snap["victims"])
+            )
         start, batched = stop, batched != mixed
     return _lru_doc(hits, cache.stats, cache.resident_lines(), [
         cache.set_contents(s) for s in range(cache.params.num_sets)
-    ])
+    ], draws if random_policy else None)
 
 
 def _lru_reference(params: Dict[str, Any], model=_lru_model) -> Dict[str, Any]:
@@ -976,6 +1012,8 @@ def _lru_shrink(params: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
         yield {**params, "ways": params["ways"] // 2}
     if params["write_back"]:
         yield {**params, "write_back": False}
+    if params.get("revisit"):
+        yield {**params, "revisit": False}
 
 
 register(Oracle(
@@ -1021,6 +1059,7 @@ def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
         rngs = [random.Random(params["rng_seed"])] * nsets
     else:
         rngs = [random.Random(0) for _ in range(nsets)]
+    drawn = [0] * nsets  # victims drawn per set
 
     def touch(b: List[int], way: int) -> None:
         node, lo, hi = 0, 0, leaves
@@ -1033,6 +1072,7 @@ def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
 
     def victim(s: int) -> int:
         if policy != "plru":
+            drawn[s] += 1
             return rngs[s].randrange(ways)
         while True:
             node, lo, hi = 0, 0, leaves
@@ -1048,7 +1088,9 @@ def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
 
     stats = CacheStats()
     hits: List[bool] = []
-    for line, kind in _lru_accesses(params):
+    stops = set(_chunk_stops(params))
+    draws: List[Any] = []
+    for n, (line, kind) in enumerate(_lru_accesses(params), start=1):
         s = line % nsets
         store = kind == CODE_STORE and write_back
         hit = line in tags[s]
@@ -1067,8 +1109,18 @@ def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
             touch(bits[s], way)
         hits.append(hit)
         _model_count(stats, kind, hit)
+        if n in stops and policy != "plru":
+            # Unseeded, the cache keeps the one victim sequence as far
+            # as the set that has drawn most.
+            draws.append(
+                _rng_digest(rngs[0].getstate()) if policy == "random"
+                else max(drawn)
+            )
     contents = [[t for t in ts if t is not None] for ts in tags]
-    return _lru_doc(hits, stats, sum(map(len, contents)), contents)
+    return _lru_doc(
+        hits, stats, sum(map(len, contents)), contents,
+        None if policy == "plru" else draws,
+    )
 
 
 def _policy_cache(params: Dict[str, Any], rng_offset: int = 0) -> Cache:
@@ -1078,15 +1130,22 @@ def _policy_cache(params: Dict[str, Any], rng_offset: int = 0) -> Cache:
 
 
 def _policy_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    # Chip geometries too (12 and 16 ways; 128, 256 or 1024 sets), with
+    # spans up to four times the capacity, as lru.array has.
+    ways = rng.choice((1, 2, 3, 4, 6, 8, 12, 16))
+    sets = rng.choice((1, 2, 4, 16, 128, 256, 1024))
     return {
         "policy": rng.choice(("plru", "random", "random-unseeded")),
-        "ways": rng.choice((1, 2, 3, 4, 6, 8)),
-        "sets": rng.choice((1, 2, 4, 16)),
+        "ways": ways,
+        "sets": sets,
         "write_back": rng.random() < 0.8,
-        "span_lines": rng.choice((4, 16, 64, 256)),
+        "span_lines": rng.choice(
+            (4, 16, 64, 256, sets * ways, 4 * sets * ways)
+        ),
         "length": rng.randint(20, 200 if budget == "smoke" else 2000),
         "access_seed": rng.randint(0, 2**31 - 1),
         "rng_seed": rng.randint(0, 2**31 - 1),
+        "revisit": rng.random() < 0.5,
     }
 
 
@@ -1108,6 +1167,146 @@ register(Oracle(
         rebuild=lambda q: _policy_cache(q, rng_offset=1),
     ),
     shrink=_lru_shrink,
+))
+
+
+# =============================================================================
+# gebp.stream — the GEBP stream built as array expressions vs the loop nest
+# =============================================================================
+
+
+def _gebp_stream_loop(params: Dict[str, Any]) -> tuple:
+    """The GEBP stream of ``sim.gebp_cachesim._gebp_trace`` built one
+    record at a time by its loop nest, with the software drop pattern and
+    the hardware prefetcher stepped per access: the reference of the
+    array build."""
+    from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
+    from repro.sim.gebp_cachesim import PREFA_BYTES, PREFETCH_DROP, QWORD
+
+    mr, nr, kc, mc, nc = (params[f] for f in ("mr", "nr", "kc", "mc", "nc"))
+    line, prefetch = params["line"], params["prefetch"]
+    a_base, b_base, c_base, elem = 0, 1 << 28, 1 << 29, 8
+    na, nb = -(-mc // mr), -(-nc // nr)
+    warm = BatchTrace.line_stores(
+        ((a_base, na * kc * mr * elem), (b_base, nb * kc * nr * elem)), line
+    )
+    rows: List[tuple] = []
+    drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
+    hw = SequentialPrefetcher(
+        params["hw_late"],
+        lambda ln, level: rows.append((ln * line, 1, CODE_PREFETCH, level)),
+    )
+    a_qloads_per_iter = -(-mr * elem // QWORD)
+    b_qloads_per_iter = -(-nr * elem // QWORD)
+    kernel_loads = 0
+
+    def demand(addr: int, stream: Optional[str] = None) -> None:
+        rows.append((addr, 1, CODE_LOAD, 1))
+        if stream is not None:
+            hw.observe(addr // line, stream)
+
+    for j in range(nb):
+        b_sliver = b_base + j * kc * nr * elem
+        for i in range(na):
+            a_sliver = a_base + i * kc * mr * elem
+            for col in range(nr):
+                c_col = c_base + (j * nr + col) * mc * elem + i * mr * elem
+                for off in range(0, mr * elem, QWORD):
+                    demand(c_col + off)
+            for k in range(kc):
+                a_addr = a_sliver + k * mr * elem
+                b_addr = b_sliver + k * nr * elem
+                for q in range(a_qloads_per_iter):
+                    demand(a_addr + q * QWORD, "A")
+                    kernel_loads += 1
+                for q in range(b_qloads_per_iter):
+                    demand(b_addr + q * QWORD, "B")
+                    kernel_loads += 1
+                if prefetch:
+                    pf_a = a_addr + PREFA_BYTES
+                    if pf_a < a_sliver + kc * mr * elem and not drop.dropped():
+                        rows.append(
+                            ((pf_a // line) * line, 1, CODE_PREFETCH, 1)
+                        )
+            for col in range(nr):
+                c_col = c_base + (j * nr + col) * mc * elem + i * mr * elem
+                for off in range(0, mr * elem, QWORD):
+                    rows.append((c_col + off, 1, CODE_STORE, 1))
+        if prefetch:
+            nxt = b_base + ((j + 1) % nb) * kc * nr * elem
+            for off in range(0, kc * nr * elem, line):
+                rows.append((((nxt + off) // line) * line, 1, CODE_PREFETCH, 2))
+    return warm, BatchTrace.from_rows(rows), kernel_loads
+
+
+def _gebp_stream_doc(traces: tuple) -> Dict[str, Any]:
+    warm, main, kernel_loads = traces
+
+    def records_doc(trace: BatchTrace) -> Dict[str, Any]:
+        records = trace.records
+        return {
+            "records": int(records.size),
+            "kinds": np.bincount(records["kind"], minlength=3).tolist(),
+            "sha256": hashlib.sha256(records.tobytes()).hexdigest(),
+        }
+
+    return {
+        "kernel_loads": kernel_loads,
+        "warm": records_doc(warm),
+        "main": records_doc(main),
+    }
+
+
+def _gebp_stream_fast(params: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.sim.gebp_cachesim import _gebp_trace
+
+    return _gebp_stream_doc(_gebp_trace(
+        params["mr"], params["nr"], params["kc"], params["mc"],
+        params["nc"], params["line"], params["prefetch"], params["hw_late"],
+    ))
+
+
+#: Register tiles of the stream fuzz: the kernels' and odd ones.
+_STREAM_TILES = ((8, 6), (8, 4), (4, 4), (5, 5), (3, 7), (12, 4), (2, 2))
+
+
+def _gebp_stream_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
+    mr, nr = rng.choice(_STREAM_TILES)
+    return {
+        "mr": mr,
+        "nr": nr,
+        "kc": rng.randint(8, 96 if budget == "smoke" else 512),
+        "mc": rng.randint(1, 5 * mr),
+        "nc": rng.randint(1, 3 * nr),
+        "line": rng.choice((32, 64, 128)),
+        "prefetch": rng.random() < 0.75,
+        "hw_late": rng.choice((0.0, 0.1, 0.25, 1.0)),
+    }
+
+
+def _gebp_stream_shrink(params: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    for field in ("kc", "mc", "nc"):
+        if params[field] > 1:
+            yield {**params, field: params[field] // 2}
+    if params["prefetch"]:
+        yield {**params, "prefetch": False}
+    if params["hw_late"]:
+        yield {**params, "hw_late": 0.0}
+
+
+register(Oracle(
+    name="gebp.stream",
+    suite="cachesim",
+    description=(
+        "the GEBP access stream built as array expressions, with the "
+        "software drop pattern and the hardware prefetcher folded in as "
+        "masks, equals the loop nest stepping both per access: warm-up "
+        "and main records, and kernel_loads"
+    ),
+    generate=_gebp_stream_generate,
+    reference=lambda p: _gebp_stream_doc(_gebp_stream_loop(p)),
+    fast=_gebp_stream_fast,
+    shrink=_gebp_stream_shrink,
 ))
 
 

@@ -1,7 +1,10 @@
 """Unit tests for the register-rotation solver (eq. (12), Table I)."""
 
+import itertools
+
 import pytest
 
+from repro.arch.presets import BIG_LITTLE, MOBILE_SOC, XGENE
 from repro.errors import RegisterAllocationError
 from repro.kernels import (
     KERNEL_4X4,
@@ -15,6 +18,9 @@ from repro.kernels import (
     solve_rotation,
     static_plan,
 )
+from repro.kernels.kernel_spec import KernelSpec
+from repro.kernels.variants import VARIANTS
+from repro.tune.space import candidate_tiles
 
 
 class TestSlotReads:
@@ -133,3 +139,34 @@ class TestPlanFromCycle:
             plan_from_cycle(KERNEL_8X6, (0, 1, 2))
         with pytest.raises(RegisterAllocationError):
             plan_from_cycle(KERNEL_8X6, (0, 1, 2, 3, 4, 5, 6, 6))
+
+
+def _solve_by_loop(spec):
+    """``solve_rotation`` as one scoring pass per cycle: the reference of
+    the array scoring."""
+    best = None
+    for rest in itertools.permutations(range(1, spec.rotation_pool)):
+        plan = plan_from_cycle(spec, (0,) + rest)
+        if best is None or plan.min_distance > best.min_distance:
+            best = plan
+    return best
+
+
+def _solved_specs():
+    """Every rotated kernel variant, and every tile the tuner solves a
+    rotation for on the presets (pools of at most 8 registers)."""
+    specs = {(s.mr, s.nr, s.style): s for s in VARIANTS.values() if s.rotated}
+    for chip in (XGENE, MOBILE_SOC, BIG_LITTLE):
+        for mr, nr in candidate_tiles(chip):
+            spec = KernelSpec(mr, nr, rotated=True)
+            if spec.rotation_pool <= 8:
+                specs.setdefault((mr, nr, spec.style), spec)
+    return list(specs.values())
+
+
+@pytest.mark.parametrize(
+    "spec", _solved_specs(), ids=lambda s: f"{s.mr}x{s.nr}-{s.style.value}"
+)
+def test_solve_rotation_matches_the_per_cycle_loop(spec):
+    # The first maximum in cycle order wins in both.
+    assert solve_rotation(spec) == _solve_by_loop(spec)

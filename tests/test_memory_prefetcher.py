@@ -1,5 +1,8 @@
 """Unit tests for the sequential hardware prefetcher and trace utilities."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.arch import XGENE
@@ -13,6 +16,7 @@ from repro.memory import (
     run_trace,
     strided_matrix_trace,
 )
+from repro.memory.prefetcher import drop_mask, sequential_installs
 
 
 def _recording():
@@ -115,3 +119,45 @@ class TestTraceUtilities:
         cost = run_trace(h, 0, trace)
         assert cost.accesses == 1  # prefetch not counted as demand
         assert cost.level_hits[0] == 1  # demand hits L1
+
+
+class TestArrayForms:
+    """``drop_mask`` and ``sequential_installs`` against the per-event
+    ``DropPattern`` and ``SequentialPrefetcher`` they fold."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.25, 0.35, 1 / 3, 1.0])
+    def test_drop_mask_matches_the_pattern(self, rate):
+        pattern = DropPattern(rate)
+        expected = [pattern.dropped() for _ in range(3000)]
+        # A short prefix first: the memo extends it, never recomputes.
+        assert drop_mask(rate, 10).tolist() == expected[:10]
+        assert drop_mask(rate, 3000).tolist() == expected
+        assert drop_mask(rate, 0).size == 0
+
+    def test_drop_mask_checks_the_rate(self):
+        with pytest.raises(SimulationError):
+            drop_mask(1.5, 4)
+
+    @pytest.mark.parametrize("late", [0.0, 0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_installs_match_the_prefetcher(self, late, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 400)
+        lines = [rng.randrange(12) for _ in range(n)]
+        streams = [rng.choice((-1, 0, 1, 2, 5)) for _ in range(n)]
+        merged = []
+        pf = SequentialPrefetcher(
+            late, lambda line, level: merged.append(("install", line))
+        )
+        for line, stream in zip(lines, streams):
+            merged.append(("access", line))
+            if stream >= 0:
+                pf.observe(line, stream)
+        installs, at = sequential_installs(
+            np.array(lines, dtype=np.int64),
+            np.array(streams, dtype=np.int64), late,
+        )
+        expected = [i for i, (what, _) in enumerate(merged)
+                    if what == "install"]
+        assert at.tolist() == expected
+        assert installs.tolist() == [merged[i][1] for i in expected]

@@ -43,7 +43,8 @@ class TestRegistry:
             "gemm.pool", "cachesim.batch", "timed.compiled",
             "timed.oddtile", "timed.runs", "cachesim.writethrough",
             "sweep.incremental",
-            "lru.array", "cache.policy", "serve.cache", "tune.memo",
+            "lru.array", "cache.policy", "gebp.stream", "serve.cache",
+            "tune.memo",
             "tune.analytic", "asym.partition", "stencil.blocked",
             "conv.im2col",
         ]
