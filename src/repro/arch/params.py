@@ -419,6 +419,29 @@ class ChipParams:
             tlb=self.tlb,
         )
 
+    def with_replacement(
+        self, policy: ReplacementPolicy,
+        l3: Optional[ReplacementPolicy] = None,
+    ) -> "ChipParams":
+        """A copy with every cache level using ``policy``; ``l3``, when
+        given, for the L3 alone (e.g. an LRU L3 behind RANDOM inner
+        levels)."""
+
+        def level(cache, rule=policy):
+            return replace(cache, replacement=rule)
+
+        return replace(
+            self,
+            name=f"{self.name}-{policy.value}",
+            l1d=level(self.l1d),
+            l2=level(self.l2),
+            l3=None if self.l3 is None else level(self.l3, l3 or policy),
+            clusters=tuple(
+                replace(c, l1d=level(c.l1d), l2=level(c.l2))
+                for c in self.clusters
+            ),
+        )
+
     @property
     def modules(self) -> int:
         """Number of dual-core (in general, multi-core) modules."""

@@ -1,8 +1,8 @@
 """The one bounded, thread-safe memo type for process-global memos.
 
-Generated and compiled kernels, rotation plans, compiled GEBP traces
-and post-warm-up hierarchy snapshots are memoized across calls and
-reached from serve's worker threads. Some hits are conditional (an
+Generated and compiled kernels, rotation plans, compiled GEBP traces,
+post-warm-up hierarchy snapshots and prefetcher drop masks are memoized
+across calls and reached from serve's worker threads. Some hits are conditional (an
 identity check, a prefix-extension rule), so those callers judge a
 found value with :meth:`BoundedMemo.get`; the rest take
 :meth:`BoundedMemo.get_or_make`, which makes a missing value once even

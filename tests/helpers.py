@@ -4,8 +4,6 @@
   :func:`repro.gemm.packing.pack_b`, dropping the zero padding.
 - ``reconstruct`` rebuilds ``P^{-1} L U`` from a blocked LU factorization.
 - ``single_core`` is a one-core view of a chip for serial experiments.
-- ``with_replacement`` is a copy of a chip with another cache
-  replacement policy.
 - ``conv_reference`` is the plain einsum convolution, the numeric
   (allclose) reference of the conv lowerings.
 - ``conv_trace_reference`` is the conv workload's access stream built
@@ -16,13 +14,11 @@
 """
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
 from repro.apps.lu import LuResult
 from repro.arch import XGENE, ChipParams
-from repro.arch.params import CacheParams, ReplacementPolicy
 from repro.errors import SimulationError
 from repro.memory.cache import CODE_LOAD, CODE_STORE
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
@@ -78,44 +74,6 @@ def single_core(chip: ChipParams = XGENE) -> ChipParams:
         l1d=chip.l1d,
         l2=replace(chip.l2, shared_by=1),
         l3=None if chip.l3 is None else replace(chip.l3, shared_by=1),
-        dram=chip.dram,
-        tlb=chip.tlb,
-    )
-
-
-def _replace_cache(cache: CacheParams, policy: ReplacementPolicy) -> CacheParams:
-    return CacheParams(
-        name=cache.name,
-        size_bytes=cache.size_bytes,
-        line_bytes=cache.line_bytes,
-        ways=cache.ways,
-        latency_cycles=cache.latency_cycles,
-        replacement=policy,
-        write_policy=cache.write_policy,
-        shared_by=cache.shared_by,
-    )
-
-
-def with_replacement(
-    chip: ChipParams, policy: ReplacementPolicy,
-    l3: Optional[ReplacementPolicy] = None,
-) -> ChipParams:
-    """A copy of ``chip`` with every cache level using ``policy``.
-
-    ``l3`` overrides the policy for the L3 alone (e.g. keep the big
-    outer level LRU while stressing RANDOM victim selection inside).
-    """
-    return ChipParams(
-        name=f"{chip.name}-{policy.value}",
-        cores=chip.cores,
-        cores_per_module=chip.cores_per_module,
-        core=chip.core,
-        l1d=_replace_cache(chip.l1d, policy),
-        l2=_replace_cache(chip.l2, policy),
-        l3=(
-            None if chip.l3 is None
-            else _replace_cache(chip.l3, l3 if l3 is not None else policy)
-        ),
         dram=chip.dram,
         tlb=chip.tlb,
     )

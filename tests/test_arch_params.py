@@ -1,8 +1,11 @@
 """Unit tests for architecture parameter dataclasses and the X-Gene preset."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import (
+    BIG_LITTLE,
     KB,
     MB,
     XGENE,
@@ -140,6 +143,27 @@ class TestSingleCore:
         )
         assert single_core(no_l3).l3 is None
         assert len(no_l3.cache_levels) == 2
+
+
+class TestWithReplacement:
+    def test_every_level_and_cluster_takes_the_policy(self):
+        plru = ReplacementPolicy.PLRU
+        chip = BIG_LITTLE.with_replacement(plru)
+        assert chip.name == f"{BIG_LITTLE.name}-plru"
+        assert {c.replacement for c in chip.cache_levels} == {plru}
+        assert {c.l1d.replacement for c in chip.clusters} == {plru}
+        assert {c.l2.replacement for c in chip.clusters} == {plru}
+        assert dataclasses.replace(
+            chip.l2, replacement=BIG_LITTLE.l2.replacement
+        ) == BIG_LITTLE.l2
+
+    def test_l3_override(self):
+        chip = XGENE.with_replacement(
+            ReplacementPolicy.RANDOM, l3=ReplacementPolicy.LRU
+        )
+        assert chip.l1d.replacement is ReplacementPolicy.RANDOM
+        assert chip.l2.replacement is ReplacementPolicy.RANDOM
+        assert chip.l3.replacement is ReplacementPolicy.LRU
 
 
 class TestDramParams:

@@ -32,7 +32,6 @@ from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
 from repro.verify.machines import build_chip, random_machine
 from repro.workloads.base import clear_warm_memo
-from tests.helpers import with_replacement
 
 
 class TestCompiledCoverage:
@@ -126,7 +125,7 @@ class TestSnapshotRestore:
         assert _hierarchy_fingerprint(h) == first
 
 
-_XGENE_RANDOM = with_replacement(XGENE, ReplacementPolicy.RANDOM)
+_XGENE_RANDOM = XGENE.with_replacement(ReplacementPolicy.RANDOM)
 
 
 def _replay_lines(h: MemoryHierarchy, lines):
@@ -167,8 +166,8 @@ class TestRandomSnapshotState:
     def test_unseeded_snapshot_is_no_larger_than_lru(self):
         """Regression: per-set ``Random(0)`` generators made the snapshot
         of serve-cold's RANDOM X-Gene shape ~4x the LRU one pickled."""
-        random_chip = with_replacement(
-            XGENE, ReplacementPolicy.RANDOM, l3=ReplacementPolicy.LRU
+        random_chip = XGENE.with_replacement(
+            ReplacementPolicy.RANDOM, l3=ReplacementPolicy.LRU
         )
         sizes = {}
         for chip in (XGENE, random_chip):
@@ -201,8 +200,8 @@ class TestRandomSnapshotState:
 
 _CHIP_CASES = {
     "lru": XGENE,
-    "random": with_replacement(XGENE, ReplacementPolicy.RANDOM),
-    "plru": with_replacement(XGENE, ReplacementPolicy.PLRU),
+    "random": XGENE.with_replacement(ReplacementPolicy.RANDOM),
+    "plru": XGENE.with_replacement(ReplacementPolicy.PLRU),
     "write-through-l1": dataclasses.replace(
         XGENE,
         l1d=dataclasses.replace(
@@ -280,8 +279,8 @@ class TestWarmMemoEviction:
         )
         # The seed keys the memo only on a chip with a RANDOM level, so
         # each seed here makes a distinct entry.
-        chip = with_replacement(
-            XGENE, ReplacementPolicy.LRU, l3=ReplacementPolicy.RANDOM
+        chip = XGENE.with_replacement(
+            ReplacementPolicy.LRU, l3=ReplacementPolicy.RANDOM
         )
 
         def point(seed, metrics=None):

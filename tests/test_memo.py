@@ -2,9 +2,10 @@
 
 The module memos (generated and compiled kernels, the tuner's rotation
 plans and kernels, compiled GEBP traces, the cache-replay warm-state
-snapshots) share :class:`~repro.memo.BoundedMemo`. These tests pin the
-policy on each module's own instance at its own bound, and hammer it
-from threads the way serve's ``WorkerPool`` does.
+snapshots, the prefetcher's drop masks) share
+:class:`~repro.memo.BoundedMemo`. These tests pin the policy on each
+module's own instance at its own bound, and hammer it from threads the
+way serve's ``WorkerPool`` does.
 """
 
 import dataclasses
@@ -19,6 +20,8 @@ from repro.blocking.cache_blocking import CacheBlocking
 from repro.kernels import compiled, variants
 from repro.kernels.variants import VARIANTS
 from repro.memo import BoundedMemo
+from repro.memory import prefetcher
+from repro.memory.prefetcher import DropPattern, drop_mask
 from repro.sim import gebp_cachesim
 from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
 from repro.tune import evaluate
@@ -33,6 +36,7 @@ MODULE_MEMOS = {
     "tune.evaluate.plans": (evaluate._PLANS, 64),
     "tune.evaluate.kernels": (evaluate._KERNELS, 64),
     "sim.gebp_cachesim": (gebp_cachesim._TRACES, 64),
+    "memory.prefetcher": (prefetcher._MASKS, 16),
 }
 
 _RACE_BLOCKING = CacheBlocking(mr=8, nr=6, kc=48, mc=24, nc=36,
@@ -173,6 +177,27 @@ class TestConcurrency:
         ids = {tuple(map(id, v)) if isinstance(v, tuple) else id(v)
                for v in got}
         assert len(ids) == 1
+
+    def test_racing_drop_masks_keep_the_longest(self):
+        """Threads asking for prefixes of one rate's drop mask each get
+        the pattern's outcomes, and the memo ends up holding the longest
+        prefix asked for, not whichever thread stored last."""
+        counts = [2000 * (7 - i % 7) for i in range(16)]
+        got = [None] * len(counts)
+        start = threading.Barrier(len(counts))
+
+        def worker(i):
+            start.wait()
+            got[i] = drop_mask(0.3, counts[i])
+
+        prefetcher._MASKS.clear()
+        try:
+            _run_threads(worker, len(counts))
+            assert prefetcher._MASKS.get(0.3)[0].size == max(counts)
+        finally:
+            prefetcher._MASKS.clear()
+        ref = DropPattern(0.3).outcomes(max(counts))
+        assert [g.tolist() for g in got] == [ref[:n] for n in counts]
 
     def test_threaded_gebp_sweep_matches_cold_start(self, monkeypatch):
         """Serve's pool threads share the GEBP warm memo. Under eviction

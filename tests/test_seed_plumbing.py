@@ -14,11 +14,10 @@ from repro.cli import main
 from repro.memory.batch import BatchTrace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.verify import run_suite
-from tests.helpers import with_replacement
 
 
 def _random_chip():
-    return with_replacement(XGENE, ReplacementPolicy.RANDOM)
+    return XGENE.with_replacement(ReplacementPolicy.RANDOM)
 
 
 def _thrash_trace(chip):
