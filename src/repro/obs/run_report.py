@@ -20,7 +20,6 @@ and can be loaded (e.g. by CI validators) without pulling numpy.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -122,8 +121,24 @@ class RunReport:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        return {k: doc[k] for k in _SECTIONS}
+        """The report as a plain document, sections in ``_SECTIONS`` order.
+
+        Built directly rather than through :func:`dataclasses.asdict`,
+        whose recursion and per-leaf deep copy every serve and tune miss
+        paid for. The copy is shallow: the document and each section
+        dict are new, so a caller may add or drop a section's keys, but
+        everything below a section's top level is this report's own
+        objects, shared and not copied.
+        """
+        return {
+            "schema_version": self.schema_version,
+            "command": self.command,
+            "created": self.created,
+            "params": dict(self.params),
+            "engines": dict(self.engines),
+            "metrics": dict(self.metrics),
+            "stats": dict(self.stats),
+        }
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -19,7 +19,8 @@ list of query documents:
    no pool, or a lone miss, they are computed inline;
 5. once every miss finished, freshly computed answers are written
    atomically to the store from the dispatching thread, in key order,
-   and served.
+   and served. A write that fails is counted (``stats.store_errors``),
+   never raised: the answer is still served.
 
 Answers are :class:`~repro.obs.run_report.RunReport` documents built by
 :func:`make_answer` with ``created=None`` — deliberately
@@ -57,6 +58,9 @@ class ServeStats:
     counts unique cache misses actually executed, ``deduped`` counts
     repeat occurrences of a computed key within a batch, and ``errors``
     counts occurrences whose query failed to canonicalize or compute.
+    ``store_errors`` stands outside that partition: it counts computed
+    answers that were served but could not be persisted, because the
+    store's write raised an :class:`OSError`.
     """
 
     queries: int = 0
@@ -64,6 +68,7 @@ class ServeStats:
     computed: int = 0
     deduped: int = 0
     errors: int = 0
+    store_errors: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -72,6 +77,7 @@ class ServeStats:
             "computed": self.computed,
             "deduped": self.deduped,
             "errors": self.errors,
+            "store_errors": self.store_errors,
         }
 
 
@@ -255,6 +261,7 @@ def memoized(
     store: Optional[ResultStore],
     jobs: Sequence[MemoJob],
     pool: Optional[WorkerPool] = None,
+    stats: Optional[ServeStats] = None,
 ) -> List[Tuple[str, Any]]:
     """Serve each job's answer from ``store``, computing and persisting
     the misses.
@@ -262,11 +269,15 @@ def memoized(
     Hits are returned verbatim. Misses are computed as
     :meth:`WorkerPool.submit` jobs when ``pool`` is given and more than
     one key missed, else inline; once every miss finished, fresh answers
-    are persisted from the calling thread, in job order. Returns one ``(source, value)`` per
-    job, in job order: ``("hit", answer)``, ``("computed", answer)`` or
-    ``("error", exception)``. An exception is never stored, so its key
-    is computed again on the next call. ``store=None`` misses every key
-    and persists nothing.
+    are persisted from the calling thread, in job order. Returns one
+    ``(source, value)`` per job, in job order: ``("hit", answer)``,
+    ``("computed", answer)`` or ``("error", exception)``. An exception
+    is never stored, so its key is computed again on the next call.
+    ``store=None`` misses every key and persists nothing. A put that
+    raises :class:`OSError` (a full disk, a file where a shard directory
+    belongs) leaves its answer served as ``("computed", answer)`` but
+    unpersisted, and counts it in ``stats.store_errors`` when ``stats``
+    is given: a cache must not be able to take the service down.
     """
     outcomes: List[Tuple[str, Any]] = [
         ("hit", store.get(key) if store is not None else None)
@@ -289,7 +300,11 @@ def memoized(
             source, answer = outcomes[index]
             if source == "computed":
                 key, doc, _ = jobs[index]
-                store.put(key, doc, answer)
+                try:
+                    store.put(key, doc, answer)
+                except OSError:
+                    if stats is not None:
+                        stats.store_errors += 1
     return outcomes
 
 
@@ -378,7 +393,7 @@ class QueryEngine:
         outcomes = memoized(self.store, [
             (key, first[key][0], partial(compute_answer, first[key][0], key))
             for key in order
-        ], self.pool)
+        ], self.pool, self.stats)
         unique: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         for key, (source, value) in zip(order, outcomes):
             if source == "error":

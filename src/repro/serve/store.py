@@ -1,9 +1,21 @@
 """Sharded, crash-safe on-disk result store for the serving layer.
 
-One JSON file per cache key, sharded by hash prefix so no single
-directory grows unboundedly::
+One JSON file per cache key, sharded by the key's first hex character
+into at most 16 directories::
 
-    <root>/ab/ab93f1...e2.json
+    <root>/a/ab93f1...e2.json
+
+Sixteen shards rather than 256: a tune search puts ~226 entries into a
+fresh store, and with 256 shards ~150 of those puts first had to create
+their directory. Creating a directory costs about as much as writing an
+entry: on ext4 (a shared 2-vCPU VM), the 228 puts of one tune search
+into a fresh store took a median 74-164 ms with 256 shards and 53-116 ms
+with 16 (three runs of 7).
+
+Stores written with the earlier two-character shards (``<root>/ab/...``)
+keep the same entry envelope, so :data:`STORE_SCHEMA_VERSION` did not
+change; their entries are simply not looked at. Each such key is a miss
+and is recomputed into its one-character shard.
 
 Every entry is written atomically via
 :func:`~repro.obs.run_report.atomic_write_text` (temp file + rename in
@@ -30,9 +42,11 @@ __all__ = ["STORE_SCHEMA_VERSION", "ResultStore"]
 #: the answer carries the RunReport SCHEMA_VERSION on its own).
 STORE_SCHEMA_VERSION = 1
 
-#: Hash-prefix characters used as the shard directory name. 2 hex chars
-#: = 256 shards, keeping directories small up to millions of entries.
-SHARD_CHARS = 2
+#: Hash-prefix characters used as the shard directory name: 1 hex char
+#: = 16 shards. A tune search's ~226 entries touched ~150 of the 256
+#: two-character shards, and each first touch paid for a ``mkdir`` (see
+#: the module docstring for the timings).
+SHARD_CHARS = 1
 
 
 class ResultStore:

@@ -32,7 +32,7 @@ from repro.arch.presets import XGENE
 from repro.errors import BlockingError
 from repro.gemm.pool import WorkerPool
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.engine import make_answer, memoized
+from repro.serve.engine import ServeStats, make_answer, memoized
 from repro.serve.query import resolve_machine
 from repro.serve.store import ResultStore
 from repro.sim.gemm_sim import GemmSimulator
@@ -69,9 +69,10 @@ def _evaluate_stage(
     def answer(doc: Dict[str, Any]) -> Dict[str, Any]:
         return make_answer(command, doc, compute(doc), engines)
 
+    unstored = ServeStats()
     outcomes = memoized(store, [
         (eval_key(doc), doc, partial(answer, doc)) for doc in docs.values()
-    ], pool)
+    ], pool, unstored)
     misses = sum(1 for source, _ in outcomes if source != "hit")
     if metrics is not None and misses:
         metrics.inc(counter, misses)
@@ -79,7 +80,8 @@ def _evaluate_stage(
         if source == "error":
             raise value
     counts = {"hits": len(outcomes) - misses, "misses": misses,
-              "stored": misses if store is not None else 0}
+              "stored": misses - unstored.store_errors
+              if store is not None else 0}
     stats = {cls: value["stats"] for cls, (_, value) in zip(docs, outcomes)}
     return stats, counts
 

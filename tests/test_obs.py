@@ -1,6 +1,7 @@
 """Tests for the observability layer: metrics registry, run reports,
 baseline comparison, and the CLI surface (``--json`` / ``repro report``)."""
 
+import dataclasses
 import json
 import threading
 
@@ -20,6 +21,7 @@ from repro.obs import (
     load_report_dict,
     validate_report,
 )
+from repro.obs.run_report import _SECTIONS
 
 
 class TestMetricsRegistry:
@@ -193,6 +195,79 @@ class TestRunReport:
              "metrics": {"spans": {"s": {"count": 1}}}}
         ))
         assert validate_report(_report().to_dict()) == []
+
+
+@pytest.fixture
+def built_reports(monkeypatch):
+    """Every ``(report, document)`` pair ``RunReport.to_dict`` returns."""
+    seen = []
+    to_dict = RunReport.to_dict
+
+    def recording(self):
+        doc = to_dict(self)
+        seen.append((self, doc))
+        return doc
+
+    monkeypatch.setattr(RunReport, "to_dict", recording)
+    return seen
+
+
+class TestToDict:
+    """``to_dict`` builds its document directly; ``dataclasses.asdict``
+    is the reference it must match in value and in serialized bytes."""
+
+    @staticmethod
+    def _check(report, doc):
+        assert list(doc) == list(_SECTIONS)
+        ref = dataclasses.asdict(report)
+        ref = {k: ref[k] for k in _SECTIONS}
+        assert doc == ref
+        assert (json.dumps(doc, sort_keys=True)
+                == json.dumps(ref, sort_keys=True))
+
+    def test_sections_in_declared_order(self):
+        assert tuple(_report().to_dict()) == _SECTIONS
+
+    def test_copy_is_shallow(self):
+        inner = {"loads": 10}
+        report = _report(stats={"result": inner})
+        doc = report.to_dict()
+        # The document and each section dict are new ...
+        for section in ("params", "engines", "metrics", "stats"):
+            assert doc[section] is not getattr(report, section)
+        doc["stats"]["extra"] = 1
+        assert report.stats == {"result": inner}
+        # ... everything below a section's top level is shared.
+        assert doc["stats"]["result"] is inner
+        assert doc["engines"]["timed"] is report.engines["timed"]
+
+    def test_serve_answer_matches_asdict(self, built_reports):
+        from repro.serve import compute_answer, query_key
+
+        compute_answer(*query_key({"kind": "timed", "kc": 8}))
+        [(report, doc)] = built_reports
+        assert report.command == "query"
+        self._check(report, doc)
+
+    def test_tune_answers_and_cli_report_match_asdict(
+        self, built_reports, tmp_path, capsys
+    ):
+        path = tmp_path / "tune.json"
+        assert main(["tune", "--smoke", "--cache-dir", str(tmp_path / "c"),
+                     "--json", str(path)]) == 0
+        by_command = {}
+        for report, doc in built_reports:
+            by_command.setdefault(report.command, (report, doc))
+        assert set(by_command) == {
+            "tune-eval-analytic", "tune-eval-timed", "tune",
+        }
+        for report, doc in by_command.values():
+            self._check(report, doc)
+        report, _ = by_command["tune"]
+        ref = dataclasses.asdict(report)
+        assert path.read_text() == json.dumps(
+            {k: ref[k] for k in _SECTIONS}, indent=2, sort_keys=True
+        ) + "\n"
 
 
 class TestBaselineComparison:

@@ -22,6 +22,7 @@ from repro.serve import (
     QueryEngine,
     QueryError,
     ResultStore,
+    ServeStats,
     canonical_query,
     compute_answer,
     query_key,
@@ -170,9 +171,23 @@ class TestResultStore:
         key, answer = self._entry(store)
         assert store.get(key) == answer
         path = store.path_for(key)
-        assert path.parent.name == key[:2]  # hash-prefix shard dir
+        # One hex character names the shard: 16 shard directories.
+        assert path == tmp_path / key[:1] / f"{key}.json"
         assert list(store.keys()) == [key]
         assert len(store) == 1 and store.bytes_held() > 0
+
+    def test_legacy_two_character_shard_is_not_read(self, tmp_path):
+        """A well-formed entry left in a two-character shard directory
+        (the earlier layout) is neither listed nor served."""
+        store = ResultStore(tmp_path)
+        key, answer = self._entry(store)
+        legacy = tmp_path / key[:2] / f"{key}.json"
+        legacy.parent.mkdir()
+        store.path_for(key).replace(legacy)
+        assert json.loads(legacy.read_text())["answer"] == answer
+        assert list(store.keys()) == []
+        assert store.get(key) is None
+        assert len(store) == 0 and store.bytes_held() == 0
 
     def test_entry_is_one_compact_line(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -264,6 +279,32 @@ class TestQueryEngine:
         # The recompute healed the entry on disk.
         assert store.get(first.key) == first.answer
 
+    def test_failed_store_write_still_serves_the_batch(self, tmp_path):
+        """A put that raises OSError must not lose the batch's computed
+        answers. A file sitting where a key's shard directory belongs
+        makes that key's put fail, whatever the shard layout."""
+        from repro.obs import MetricsRegistry
+
+        store = ResultStore(tmp_path / "store")
+        docs = [SIM_Q, CACHE_Q, TIMED_Q]
+        keys = [query_key(doc)[1] for doc in docs]
+        blocked = store.path_for(keys[0]).parent
+        blocked.parent.mkdir()
+        blocked.write_text("not a shard directory")
+        metrics = MetricsRegistry()
+        engine = QueryEngine(store, metrics=metrics)
+        answers = engine.run_batch(docs)
+        assert [a.source for a in answers] == ["computed"] * 3
+        assert answers[0].answer == compute_answer(*query_key(SIM_Q))
+        unstored = [k for k in keys if store.path_for(k).parent == blocked]
+        assert engine.stats.store_errors == len(unstored) >= 1
+        assert engine.stats.errors == 0
+        counters = metrics.as_dict()["counters"]
+        assert counters["serve.store_errors"] == len(unstored)
+        for key, answer in zip(keys, answers):
+            expected = None if key in unstored else answer.answer
+            assert store.get(key) == expected
+
     def test_malformed_query_served_as_error_not_cached(self, tmp_path):
         engine = QueryEngine(tmp_path)
         answers = engine.run_batch([{"kind": "nope"}, SIM_Q])
@@ -327,6 +368,17 @@ class TestMemoized:
                 ("computed", {"k": "a"}), ("computed", {"k": "b"}),
             ]
         assert calls == ["a", "b", "a", "b"]
+
+    def test_failed_put_is_counted_not_raised(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        jobs = _query_jobs(SIM_Q)
+        store.root.write_text("not a directory")  # every put fails
+        stats = ServeStats()
+        [(source, answer)] = memoized(store, jobs, stats=stats)
+        assert source == "computed" and validate_report(answer) == []
+        assert stats.store_errors == 1
+        # Without stats the failure is still swallowed.
+        assert memoized(store, jobs) == [("computed", answer)]
 
     def test_exception_returned_not_stored_and_retried(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -221,6 +221,18 @@ class TestTuneSearch:
         with pytest.raises(ValueError, match="analytic model failed"):
             tune_search(store=ResultStore(tmp_path / "memo"), **SMOKE)
 
+    def test_unwritable_store_still_tunes(self, tmp_path):
+        """Every put fails when the store's root is a file: the search
+        returns the store-free result and reports nothing stored."""
+        root = tmp_path / "memo"
+        root.write_text("not a directory")
+        result = tune_search(store=ResultStore(root), **SMOKE)
+        assert _strip_memo(result) == _strip_memo(
+            tune_search(store=None, **SMOKE))
+        for stage in ("analytic", "timed"):
+            assert result["memo"][stage]["misses"] > 0
+            assert result["memo"][stage]["stored"] == 0
+
     def test_memoized_entries_are_valid_reports(self, tmp_path):
         from repro.obs import validate_report
 
