@@ -153,7 +153,11 @@ def incremental_rows(
                 return [
                     dataclasses.astuple(simulate_gebp_cache(
                         spec, blk, chip=XGENE, nc_slice=blk.nc,
-                        engine="batched", seed=0, incremental=incremental,
+                        hierarchy=(
+                            None if incremental
+                            else MemoryHierarchy(XGENE, seed=0)
+                        ),
+                        engine="batched", seed=0,
                     ))
                     for blk in blocks
                 ]

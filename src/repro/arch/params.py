@@ -88,20 +88,9 @@ class CacheParams:
         return self.size_bytes // (self.line_bytes * self.ways)
 
     @property
-    def num_lines(self) -> int:
-        """Total number of lines in the cache."""
-        return self.size_bytes // self.line_bytes
-
-    @property
     def way_bytes(self) -> int:
         """Capacity of a single way in bytes (= size / ways)."""
         return self.size_bytes // self.ways
-
-    def lines_for(self, nbytes: int) -> int:
-        """Number of cache lines needed to hold ``nbytes`` contiguous bytes."""
-        if nbytes < 0:
-            raise ArchitectureError("nbytes must be non-negative")
-        return -(-nbytes // self.line_bytes)
 
 
 @dataclass(frozen=True)

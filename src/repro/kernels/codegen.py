@@ -66,10 +66,6 @@ class GeneratedKernel:
     epilogue: Program
     prefetch: Optional[PrefetchPlan]
 
-    @property
-    def flops_per_body(self) -> int:
-        return self.spec.flops_per_iter * self.plan.unroll
-
 
 def c_register(spec: KernelSpec, row_group: int, col: int) -> VReg:
     """Pinned register holding rows ``2*row_group..2*row_group+1`` of C

@@ -161,16 +161,6 @@ class KernelSpec:
         return 2 * self.mr * self.nr
 
     @property
-    def flops_per_fmla(self) -> float:
-        """Useful flops per FMLA (4.0 when no lanes are wasted)."""
-        return self.flops_per_group / self.fmla_per_group
-
-    @property
-    def lane_efficiency(self) -> float:
-        """Fraction of FMLA lanes doing useful work."""
-        return self.flops_per_fmla / (2 * LANES)
-
-    @property
     def preload_window_limited(self) -> bool:
         """True when the C tile leaves too few pool registers to preload a
         whole group ahead (the k-vectorized 5x5's handicap)."""

@@ -20,17 +20,15 @@ differential-testing oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.memory.cache import (
     CODE_LOAD,
     CODE_PREFETCH,
     CODE_STORE,
     CODE_TO_KIND,
-    KIND_TO_CODE,
 )
 from repro.memory.trace import Access
 
@@ -63,21 +61,6 @@ class BatchTrace:
         self._line_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[Access]) -> "BatchTrace":
-        """Compile an iterable of :class:`Access` records (a generator
-        trace from :mod:`repro.memory.trace`, a list, ...)."""
-        rows: List[Tuple[int, int, int, int]] = []
-        for acc in accesses:
-            try:
-                code = KIND_TO_CODE[acc.kind]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown access kind: {acc.kind!r}"
-                ) from None
-            rows.append((acc.address, acc.nbytes, code, acc.level))
-        return cls.from_rows(rows)
 
     @classmethod
     def from_rows(

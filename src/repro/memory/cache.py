@@ -18,7 +18,7 @@ policy-state array with a row per set:
   own counter.
 
 Resident lines always fill a prefix of a set's ways: empty ways fill in
-index order, and no way is emptied but by a flush.
+index order, and no way is ever emptied.
 
 Each policy has one per-access transition over a set's rows as Python
 lists. Scalar :meth:`Cache.access_line` runs it on one set; it is the
@@ -45,7 +45,10 @@ program-order blocks of runs in distinct sets, their victims taken in
 order from draws made in bulk (:class:`_Draws`).
 
 Scalar and batched accesses share the state, so they can be freely
-interleaved and give bit-identical results.
+interleaved and give bit-identical results. Everything an access
+mutates (the arrays, counters and victim RNG) lives on the instance, so
+a ``copy.deepcopy`` of a cache replays any trace bit-identically to the
+original without touching it.
 
 Statistics distinguish demand loads, stores and software prefetches, which
 is what Fig. 15 (L1-dcache-load counts) and Table VII (L1 miss rates) need.
@@ -160,7 +163,7 @@ class Cache:
         if self._is_lru:
             # Empty ways get distinct negative timestamps (way 0 lowest),
             # so the argmin victim rule fills them in index order.
-            self._state_row = np.arange(-ways, 0, dtype=np.int64)
+            state_row = np.arange(-ways, 0, dtype=np.int64)
             self._step = Cache._lru_step
         elif params.replacement is ReplacementPolicy.PLRU:
             leaves = 1 << (ways - 1).bit_length()
@@ -172,25 +175,26 @@ class Cache:
             )
             self._plru_nodes = paths[:, :, 0]
             self._plru_bits = paths[:, :, 1].astype(np.int8)
-            self._state_row = np.zeros(max(1, leaves - 1), dtype=np.int8)
+            state_row = np.zeros(max(1, leaves - 1), dtype=np.int8)
             self._step = Cache._plru_step
         else:
             self._shared_stream = rng is not None
             self._rng = rng if rng is not None else random.Random(0)
-            self._rng_start = self._rng.getstate()
-            self._state_row = np.zeros(1, dtype=np.int64)
+            state_row = np.zeros(1, dtype=np.int64)
             self._step = Cache._random_step
-        self.reset()
+        sets = self._num_sets
+        self._tags = np.full((sets, ways), -1, dtype=np.int64)
+        self._dirty = np.zeros((sets, ways), dtype=bool)
+        self._state = np.tile(state_row, (sets, 1))
+        self._clock = 1
+        self._victims: List[int] = []
+        self.reset_stats()
 
     # -- address helpers ----------------------------------------------------
 
     def line_of(self, address: int) -> int:
         """Line index containing byte ``address``."""
         return address // self._line_bytes
-
-    def set_of_line(self, line: int) -> int:
-        """Set index for a line index."""
-        return line % self._num_sets
 
     # -- core access --------------------------------------------------------
 
@@ -693,10 +697,6 @@ class Cache:
                 misses += 1
         return misses
 
-    def contains_line(self, line: int) -> bool:
-        """True if ``line`` is currently resident (no state update)."""
-        return bool((self._tags[line % self._num_sets] == line).any())
-
     def set_contents(self, set_index: int) -> List[int]:
         """Resident lines of one set (diagnostic view, no state update).
 
@@ -716,34 +716,12 @@ class Cache:
         """Total number of lines currently resident."""
         return int((self._tags >= 0).sum())
 
-    def flush(self) -> None:
-        """Drop all contents (stats are retained).
-
-        LRU caches also rewind their timestamps and recency clock, so a
-        flushed cache is indistinguishable from a content-fresh one. PLRU
-        tree bits and the RANDOM victim stream carry on, as replacement
-        state rather than contents.
-        """
-        sets, ways = self._num_sets, self._ways
-        self._tags = np.full((sets, ways), -1, dtype=np.int64)
-        self._dirty = np.zeros((sets, ways), dtype=bool)
-        if self._is_lru:
-            self._rewind_state()
-
-    def _rewind_state(self) -> None:
-        self._state = np.tile(self._state_row, (self._num_sets, 1))
-        self._clock = 1
-        self._victims: List[int] = []
-
     def snapshot(self) -> dict:
         """Copy of the full cache state: contents, stats and counters.
 
         That is the tag/dirty/policy-state arrays, the recency clock, the
-        RANDOM victims drawn so far and the RNG state to draw more. A
-        snapshot restored into a cache of the same geometry and policy,
-        even one built with another RNG, replays any trace
-        bit-identically, and the snapshot stays reusable: it can be
-        restored any number of times.
+        RANDOM victims drawn so far and the RNG state to draw more: a
+        read-only view for comparing two caches' states.
         """
         return {
             "stats": replace(self.stats),
@@ -757,19 +735,6 @@ class Cache:
             "rng": self._rng.getstate() if self._rng is not None else None,
         }
 
-    def restore(self, snap: dict) -> None:
-        """Restore a :meth:`snapshot` (contents, stats, counters)."""
-        self.stats = replace(snap["stats"])
-        self.batched_accesses = snap["batched_accesses"]
-        self.batched_fallback_accesses = snap["batched_fallback_accesses"]
-        self._tags = snap["tags"].copy()
-        self._dirty = snap["dirty"].copy()
-        self._state = snap["state"].copy()
-        self._clock = snap["clock"]
-        self._victims = list(snap["victims"])
-        if snap["rng"] is not None:
-            self._rng.setstate(snap["rng"])
-
     def reset_stats(self) -> None:
         """Zero every statistic, including the batched-engine coverage
         counters: line accesses resolved by the batched LRU's reuse
@@ -780,22 +745,6 @@ class Cache:
         self.stats = CacheStats()
         self.batched_accesses = 0
         self.batched_fallback_accesses = 0
-
-    def reset(self) -> None:
-        """Return the cache to its just-constructed state.
-
-        Beyond :meth:`flush` + :meth:`reset_stats`, this rewinds the
-        replacement state: PLRU tree bits, RANDOM draw counters, and the
-        RANDOM RNG back to its state at construction. A reset cache
-        replays any trace with counters identical to a freshly
-        constructed one.
-        """
-        self.reset_stats()
-        self.flush()
-        if not self._is_lru:  # flush() rewinds LRU state itself
-            self._rewind_state()
-        if self._rng is not None:
-            self._rng.setstate(self._rng_start)
 
 
 def _plru_path(way: int, leaves: int) -> List[tuple]:

@@ -2,9 +2,11 @@
 
 Builds the Fig. 1 topology from a :class:`~repro.arch.params.ChipParams`:
 a private L1D per core, an L2 shared by each dual-core module, an L3 shared
-by the whole chip, and DRAM behind two memory bridges. Accesses walk down
-the levels on miss and allocate on the way back up (non-inclusive,
-allocate-on-fill), charging the latency of the deepest level reached.
+by the whole chip, and DRAM behind two memory bridges. On an asymmetric
+chip each core's L1D and each module's L2 take their cluster's geometry,
+latency and write policy. Accesses walk down the levels on miss and
+allocate on the way back up (non-inclusive, allocate-on-fill), charging
+the latency of the deepest level reached.
 
 Software prefetches (``PLDL1KEEP`` / ``PLDL2KEEP``) install a line into the
 target level and every level below it, without charging demand latency —
@@ -78,14 +80,25 @@ class MemoryHierarchy:
     ) -> None:
         self.chip = chip
         self.seed = seed
-        # Private L1 per core.
+        clusters = chip.core_clusters
+        # Private L1 per core, built from its cluster's geometry.
         self.l1: List[Cache] = [
-            Cache(chip.l1d, rng=self._cache_rng(i)) for i in range(chip.cores)
+            Cache(clusters[k].l1d, rng=self._cache_rng(i))
+            for i, k in enumerate(chip.thread_clusters(chip.cores))
         ]
-        # One L2 per module.
+        # One L2 per module; each cluster's modules follow the last one's.
+        self._module: List[int] = []
+        module_cluster: List[int] = []
+        for k, cluster in enumerate(clusters):
+            first = len(module_cluster)
+            self._module += [
+                first + c // cluster.cores_per_module
+                for c in range(cluster.cores)
+            ]
+            module_cluster += [k] * cluster.modules
         self.l2: List[Cache] = [
-            Cache(chip.l2, rng=self._cache_rng(chip.cores + j))
-            for j in range(chip.modules)
+            Cache(clusters[k].l2, rng=self._cache_rng(chip.cores + j))
+            for j, k in enumerate(module_cluster)
         ]
         # One L3 for the chip (optional).
         self.l3: Optional[Cache] = (
@@ -111,7 +124,7 @@ class MemoryHierarchy:
     def module_of(self, core: int) -> int:
         """Module index owning ``core``."""
         self._check_core(core)
-        return core // self.chip.cores_per_module
+        return self._module[core]
 
     def levels_for(self, core: int) -> List[Cache]:
         """The cache path for ``core``, fastest first."""
@@ -132,14 +145,13 @@ class MemoryHierarchy:
     ) -> AccessResult:
         """One demand line access from ``core``; walks the hierarchy."""
         levels = self.levels_for(core)
-        level_params = self.chip.cache_levels
         tlb_miss = False
         tlb = self.tlbs[core]
         if tlb is not None:
             tlb_miss = not tlb.access_line(line, self.dram_line_bytes)
         for depth, cache in enumerate(levels):
             if cache.access_line(line, kind):
-                lat = level_params[depth].latency_cycles
+                lat = cache.params.latency_cycles
                 if tlb is not None and tlb_miss:
                     lat += tlb.params.miss_penalty_cycles
                 if kind == KIND_STORE:
@@ -147,8 +159,8 @@ class MemoryHierarchy:
                     d = depth
                     while (
                         d < len(levels)
-                        and level_params[d].write_policy.value
-                        == "write-through"
+                        and levels[d].params.write_policy
+                        is WritePolicy.WRITE_THROUGH
                     ):
                         if d + 1 < len(levels):
                             levels[d + 1].access_line(line, KIND_STORE)
@@ -245,7 +257,6 @@ class MemoryHierarchy:
         cache inside :meth:`Cache.access_lines_batched`.
         """
         levels = self.levels_for(core)
-        level_params = self.chip.cache_levels
         lb = self.dram_line_bytes
         lines, kinds, plevels = trace.expand_lines(lb)
         is_prefetch = kinds == CODE_PREFETCH
@@ -308,10 +319,7 @@ class MemoryHierarchy:
             # already-injected stores keep chaining — both regardless of
             # the propagated access's own outcome (the scalar chain is
             # gated on the levels' write policies, not on hit results).
-            wt = (
-                level_params[depth - 1].write_policy
-                is WritePolicy.WRITE_THROUGH
-            )
+            wt = cache.params.write_policy is WritePolicy.WRITE_THROUGH
             if wt:
                 stores_hit = walk_idx[walk_hits & is_store[walk_idx]]
                 next_inject = (
@@ -333,7 +341,7 @@ class MemoryHierarchy:
         served_at[dram_idx] = len(levels) + 1
         latency_of = np.array(
             [0]
-            + [p.latency_cycles for p in level_params]
+            + [cache.params.latency_cycles for cache in levels]
             + [self.chip.dram.latency_cycles],
             dtype=np.int64,
         )
@@ -384,48 +392,6 @@ class MemoryHierarchy:
             c.batched_fallback_accesses for c in self.all_caches().values()
         )
 
-    # -- snapshot / restore -------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Copy of the full cache/TLB/DRAM state, for warm-state reuse.
-
-        Restoring the snapshot on the same hierarchy reproduces contents,
-        statistics and replacement state bit-exactly, so a sweep can carry
-        a warmed hierarchy across adjacent points instead of re-replaying
-        the warm-up trace. The hierarchy holds no hardware-prefetcher
-        state: a prefetcher lives for one run and reaches the caches only
-        through the installs it issues.
-        """
-        return {
-            "caches": {
-                name: cache.snapshot()
-                for name, cache in self.all_caches().items()
-            },
-            "dram_accesses": self.dram_accesses,
-            "tlbs": [
-                tlb.snapshot() if tlb is not None else None
-                for tlb in self.tlbs
-            ],
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Restore a :meth:`snapshot`; the snapshot stays reusable."""
-        caches = self.all_caches()
-        for name, cache_snap in snap["caches"].items():
-            caches[name].restore(cache_snap)
-        self.dram_accesses = snap["dram_accesses"]
-        for tlb, tlb_snap in zip(self.tlbs, snap["tlbs"]):
-            if tlb is not None and tlb_snap is not None:
-                tlb.restore(tlb_snap)
-
-    def flush(self) -> None:
-        """Empty every cache and TLB (stats retained)."""
-        for cache in self.all_caches().values():
-            cache.flush()
-        for tlb in self.tlbs:
-            if tlb is not None:
-                tlb.flush()
-
     def reset_stats(self) -> None:
         """Zero every counter: caches, DRAM and TLBs."""
         for cache in self.all_caches().values():
@@ -433,20 +399,4 @@ class MemoryHierarchy:
         self.dram_accesses = 0
         for tlb in self.tlbs:
             if tlb is not None:
-                tlb.reset_stats()
-
-    def reset(self) -> None:
-        """Restore the pristine just-constructed state.
-
-        Unlike ``flush()`` + ``reset_stats()``, this also rewinds each
-        cache's replacement-policy state and victim RNG (see
-        :meth:`Cache.reset`), so RANDOM/PLRU hierarchies replay the exact
-        same victim stream as a freshly constructed ``MemoryHierarchy``.
-        """
-        for cache in self.all_caches().values():
-            cache.reset()
-        self.dram_accesses = 0
-        for tlb in self.tlbs:
-            if tlb is not None:
-                tlb.flush()
                 tlb.reset_stats()

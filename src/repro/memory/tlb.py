@@ -54,24 +54,5 @@ class Tlb:
         page = (line * line_bytes) // self.params.page_bytes
         return self.access_page(page)
 
-    def flush(self) -> None:
-        self._entries.clear()
-
     def reset_stats(self) -> None:
         self.stats = TlbStats()
-
-    def snapshot(self) -> dict:
-        """Copy of the full TLB state (entries in recency order + stats)."""
-        return {
-            "entries": OrderedDict(self._entries),
-            "stats": TlbStats(
-                accesses=self.stats.accesses, misses=self.stats.misses
-            ),
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Restore a :meth:`snapshot`; the snapshot stays reusable."""
-        self._entries = OrderedDict(snap["entries"])
-        self.stats = TlbStats(
-            accesses=snap["stats"].accesses, misses=snap["stats"].misses
-        )

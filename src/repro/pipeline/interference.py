@@ -79,17 +79,6 @@ class LoadInterferenceModel:
             return 0.0
         return fmas * self.fma_occupancy / self.cycles(loads, fmas)
 
-    def efficiency_from_gamma(self, gamma: float) -> float:
-        """Efficiency as a function of the compute-to-memory ratio.
-
-        ``gamma`` is flops per word moved from L1 to registers, eq. (8) of
-        the paper. For this ISA ``gamma = 2*F/L``, so ``L/F = 2/gamma``.
-        """
-        if gamma <= 0:
-            raise SimulationError("gamma must be positive")
-        loads_per_fma = 2.0 / gamma
-        return self.efficiency(loads_per_fma, 1.0)
-
     def psi(self, gamma: float) -> float:
         """The paper's overlapping factor psi(gamma) (Sec. III, eq. (4)).
 

@@ -244,7 +244,6 @@ class GebpSlice(Workload):
     nc_slice: Optional[int] = None
     prefetch: bool = True
     hw_late: float = 0.25
-    incremental: bool = True
     kernel_loads: int = field(default=0, init=False)
 
     name = "gebp"
@@ -261,8 +260,6 @@ class GebpSlice(Workload):
     def warm_key(self, chip: ChipParams) -> Optional[Hashable]:
         # The warm stream depends on the kernel shape and kc/mc only (the
         # driver's key covers the chip); a larger nc extends it.
-        if not self.incremental:
-            return None
         return (self.name, self.spec.mr, self.spec.nr,
                 self.blocking.kc, self.blocking.mc)
 
@@ -279,7 +276,6 @@ def simulate_gebp_cache(
     engine: str = "auto",
     seed: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    incremental: bool = True,
 ) -> GebpCacheResult:
     """Replay one GEBP's access stream through the cache hierarchy.
 
@@ -288,8 +284,13 @@ def simulate_gebp_cache(
         blocking: Block sizes (mc, kc used in full; nc possibly sliced).
         chip: Architecture.
         core: Executing core id.
-        hierarchy: Shared hierarchy for multi-thread experiments; a fresh
-            private one is created when omitted.
+        hierarchy: Shared hierarchy for multi-thread experiments. When
+            omitted, the replay starts from the warm-state memo of
+            :func:`~repro.workloads.base.simulate_workload_cache` (a copy
+            of the hierarchy warmed by an earlier call with the
+            same kernel shape, ``kc``/``mc``, chip, seed, core and engine)
+            or from a fresh private hierarchy; passing a fresh one forces
+            a cold start.
         nc_slice: Columns of the B panel to replay (default
             ``min(nc, 6*nr)`` — steady state is reached within a sliver).
         prefetch: Software prefetching enabled.
@@ -302,14 +303,9 @@ def simulate_gebp_cache(
             (ignored when ``hierarchy`` is passed in).
         metrics: Optional registry receiving replay counters and span
             timings; ``None`` (the default) costs nothing.
-        incremental: Reuse the post-warm-up hierarchy state across calls
-            that share a warm stream (same kernel shape, ``kc``/``mc``,
-            chip, seed, core and engine) through the driver's warm-state
-            memo; only applies when ``hierarchy`` is omitted.
     """
     workload = GebpSlice(spec, blocking, nc_slice=nc_slice,
-                         prefetch=prefetch, hw_late=hw_late,
-                         incremental=incremental)
+                         prefetch=prefetch, hw_late=hw_late)
     r = simulate_workload_cache(
         workload, chip, core=core, hierarchy=hierarchy, engine=engine,
         seed=seed, metrics=metrics,

@@ -203,7 +203,7 @@ class GemmSimulator:
         set-associative simulator behind Table VII. ``blocking`` defaults
         to :meth:`default_blocking` for ``threads``; remaining keyword
         arguments (``core``, ``hierarchy``, ``nc_slice``, ``prefetch``,
-        ``hw_late``, ``seed``, ``incremental``) pass through to
+        ``hw_late``, ``seed``) pass through to
         :func:`repro.sim.gebp_cachesim.simulate_gebp_cache`.
         """
         spec = self._resolve(kernel)

@@ -12,7 +12,7 @@ Each oracle is declared once and covers one bit-identity claim:
   sweeps alone and mixed with scalar accesses, vs an independent
   ``OrderedDict`` LRU model;
 - ``cache.policy`` — RANDOM and PLRU :class:`Cache` levels on the same
-  arrays, batched, mixed and handed through a snapshot, vs self-contained
+  arrays, batched and mixed with scalar accesses, vs self-contained
   per-set policy models;
 - ``gebp.stream`` — the GEBP access stream built as array expressions
   vs the loop nest stepping the drop pattern and the hardware
@@ -25,8 +25,9 @@ Each oracle is declared once and covers one bit-identity claim:
   kernel and workload bodies, one memo shared across two calls;
 - ``cachesim.writethrough`` — the batched store-propagation walk on
   machines with write-through levels vs the scalar chain;
-- ``sweep.incremental`` — sweeps carrying warm hierarchy state across
-  adjacent points vs cold-start replays of every point;
+- ``sweep.incremental`` — sweeps replaying on copies of warmed
+  hierarchies across adjacent points vs cold-start replays of every
+  point on a fresh hierarchy;
 - ``stencil.blocked`` — cache-blocked stencil sweeps (any tile shape,
   remainder tiles included) vs the unblocked reference, plus the batched
   vs scalar walk of the blocked access stream;
@@ -743,6 +744,8 @@ def _sweep_generate(rng: random.Random, budget: str) -> Dict[str, Any]:
 
 
 def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
+    """The sweep's points: through the warm-state memo, or with
+    ``incremental`` off each on a fresh hierarchy (a cold start)."""
     import dataclasses
 
     from repro.kernels.variants import VARIANTS
@@ -761,10 +764,11 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
                 mr=spec.mr, nr=spec.nr, kc=params["kc"],
                 mc=params["mc"], nc=nc, k1=1, k2=1, k3=1,
             )
+            cold = None if incremental else MemoryHierarchy(chip, seed=seed)
             result = simulate_gebp_cache(
-                spec, blocking, chip=chip, nc_slice=nc,
+                spec, blocking, chip=chip, hierarchy=cold, nc_slice=nc,
                 prefetch=params["prefetch"], engine=params["engine"],
-                seed=seed, incremental=incremental,
+                seed=seed,
             )
             points.append(dataclasses.asdict(result))
         return {"points": points}
@@ -795,8 +799,8 @@ register(Oracle(
     name="sweep.incremental",
     suite="cachesim",
     description=(
-        "sweeps carrying warm hierarchy snapshots across adjacent points "
-        "report counters bit-identical to cold-start replays"
+        "sweeps carrying copies of warmed hierarchies across adjacent "
+        "points report counters bit-identical to cold-start replays"
     ),
     generate=_sweep_generate,
     reference=lambda p: _sweep_run(p, incremental=False),
@@ -928,14 +932,11 @@ def _model_count(stats: CacheStats, kind: int, hit: bool) -> None:
 def _lru_chunked(
     params: Dict[str, Any], mixed: bool,
     make_cache: Callable[[Dict[str, Any]], Cache] = _lru_cache,
-    rebuild: Optional[Callable[[Dict[str, Any]], Cache]] = None,
 ) -> Dict[str, Any]:
     """Replay the case through a :class:`Cache` from ``make_cache`` in
     chunks (boundaries come from the case, deterministically). Every
     chunk is batched, or with ``mixed`` the chunks alternate batched
-    sweeps and scalar ``access_line`` runs on the same state. With
-    ``rebuild``, the first chunk boundary at or past mid-stream moves the
-    state through ``snapshot()`` into a fresh cache from ``rebuild``."""
+    sweeps and scalar ``access_line`` runs on the same state."""
     cache = make_cache(params)
     accesses = _lru_accesses(params)
     lines = np.array([a[0] for a in accesses], dtype=np.int64)
@@ -946,11 +947,6 @@ def _lru_chunked(
     draws: List[Any] = []
     start, batched = 0, True
     for stop in _chunk_stops(params):
-        if rebuild is not None and 2 * start >= len(accesses):
-            snap = cache.snapshot()
-            cache = rebuild(params)
-            cache.restore(snap)
-            rebuild = None
         if batched:
             hits.extend(cache.access_lines_batched(
                 lines[start:stop], kinds[start:stop]
@@ -1021,13 +1017,12 @@ register(Oracle(
     suite="lru",
     description=(
         "timestamp-array LRU cache (batched sweeps, alone and mixed with "
-        "scalar accesses, and handed through snapshot() to a fresh cache "
-        "mid-stream) matches an independent OrderedDict LRU model on "
+        "scalar accesses) matches an independent OrderedDict LRU model on "
         "hits, counters and full per-set recency state"
     ),
     generate=_lru_generate,
     reference=_lru_reference,
-    fast=lambda p: _lru_fast(p, rebuild=_lru_cache),
+    fast=_lru_fast,
     shrink=_lru_shrink,
 ))
 
@@ -1123,9 +1118,9 @@ def _policy_model(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-def _policy_cache(params: Dict[str, Any], rng_offset: int = 0) -> Cache:
+def _policy_cache(params: Dict[str, Any]) -> Cache:
     seeded = params["policy"] == "random"
-    rng = random.Random(params["rng_seed"] + rng_offset) if seeded else None
+    rng = random.Random(params["rng_seed"]) if seeded else None
     return _lru_cache(params, rng)
 
 
@@ -1154,18 +1149,13 @@ register(Oracle(
     suite="cachesim",
     description=(
         "RANDOM (seeded and unseeded) and PLRU caches on the shared "
-        "tag/dirty/policy-state arrays (batched, mixed with scalar "
-        "accesses, and handed through snapshot() to a cache with another "
-        "RNG mid-stream) match self-contained per-set models on hits, "
-        "counters and per-set contents"
+        "tag/dirty/policy-state arrays (batched, and mixed with scalar "
+        "accesses) match self-contained per-set models on hits, counters "
+        "and per-set contents"
     ),
     generate=_policy_generate,
     reference=lambda p: _lru_reference(p, model=_policy_model),
-    # Mid-stream, the state moves into a cache built with another RNG.
-    fast=lambda p: _lru_fast(
-        p, make_cache=_policy_cache,
-        rebuild=lambda q: _policy_cache(q, rng_offset=1),
-    ),
+    fast=lambda p: _lru_fast(p, make_cache=_policy_cache),
     shrink=_lru_shrink,
 ))
 

@@ -11,6 +11,14 @@
   ``ConvWorkload.traces``.
 - ``interpreted_pipeline`` runs a workload's kernel segments through
   the scoreboard interpreter, the reference of ``timed_workload``.
+- ``num_lines``/``lines_for`` count a cache's lines and the lines a byte
+  range needs; ``contains_line`` asks a cache for one line without
+  touching its state; ``trace_of`` compiles ``Access`` records into a
+  ``BatchTrace``.
+- ``flops_per_fmla``/``lane_efficiency``/``flops_per_body`` read a
+  kernel's useful flops per FMLA, FMLA lane use and useful flops per
+  unrolled body; ``efficiency_from_gamma`` prices a
+  compute-to-memory ratio with the load-interference model.
 """
 
 from dataclasses import replace
@@ -18,9 +26,11 @@ from dataclasses import replace
 import numpy as np
 
 from repro.apps.lu import LuResult
-from repro.arch import XGENE, ChipParams
-from repro.errors import SimulationError
-from repro.memory.cache import CODE_LOAD, CODE_STORE
+from repro.arch import XGENE, CacheParams, ChipParams
+from repro.errors import ArchitectureError, SimulationError
+from repro.kernels.kernel_spec import LANES
+from repro.memory.batch import BatchTrace
+from repro.memory.cache import CODE_LOAD, CODE_STORE, KIND_TO_CODE
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
 
 
@@ -185,3 +195,60 @@ def interpreted_pipeline(workload, chip: ChipParams, cache) -> PipelineResult:
     return ScoreboardCore(chip.core).run(
         flat, repeat=1, latency_fn=lambda instr, i: lat_of.get(i, 0)
     )
+
+
+def num_lines(params: CacheParams) -> int:
+    """Total number of lines in a cache of geometry ``params``."""
+    return params.size_bytes // params.line_bytes
+
+
+def lines_for(params: CacheParams, nbytes: int) -> int:
+    """Number of cache lines needed to hold ``nbytes`` contiguous bytes."""
+    if nbytes < 0:
+        raise ArchitectureError("nbytes must be non-negative")
+    return -(-nbytes // params.line_bytes)
+
+
+def contains_line(cache, line: int) -> bool:
+    """True if ``line`` is resident in ``cache`` (no state update)."""
+    return line in cache.set_contents(line % cache.params.num_sets)
+
+
+def trace_of(accesses) -> BatchTrace:
+    """Compile an iterable of ``Access`` records (a generator trace from
+    ``repro.memory.trace``, a list, ...) into a ``BatchTrace``."""
+    rows = []
+    for acc in accesses:
+        try:
+            code = KIND_TO_CODE[acc.kind]
+        except KeyError:
+            raise SimulationError(
+                f"unknown access kind: {acc.kind!r}"
+            ) from None
+        rows.append((acc.address, acc.nbytes, code, acc.level))
+    return BatchTrace.from_rows(rows)
+
+
+def flops_per_fmla(spec) -> float:
+    """Useful flops per FMLA of a kernel spec (4.0 when no lanes are
+    wasted)."""
+    return spec.flops_per_group / spec.fmla_per_group
+
+
+def lane_efficiency(spec) -> float:
+    """Fraction of a kernel spec's FMLA lanes doing useful work."""
+    return flops_per_fmla(spec) / (2 * LANES)
+
+
+def flops_per_body(kernel) -> int:
+    """Useful flops of one unrolled body of a generated kernel."""
+    return kernel.spec.flops_per_iter * kernel.plan.unroll
+
+
+def efficiency_from_gamma(model, gamma: float) -> float:
+    """The load-interference model's efficiency at ``gamma`` flops per
+    word moved from L1 to registers (eq. (8) of the paper). For this ISA
+    ``gamma = 2*F/L``, so ``L/F = 2/gamma``."""
+    if gamma <= 0:
+        raise SimulationError("gamma must be positive")
+    return model.efficiency(2.0 / gamma, 1.0)

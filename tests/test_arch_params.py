@@ -16,7 +16,7 @@ from repro.arch import (
     ReplacementPolicy,
 )
 from repro.errors import ArchitectureError
-from tests.helpers import single_core
+from tests.helpers import lines_for, num_lines, single_core
 
 
 class TestCacheParams:
@@ -26,7 +26,7 @@ class TestCacheParams:
         assert l1.ways == 4
         assert l1.line_bytes == 64
         assert l1.num_sets == 128
-        assert l1.num_lines == 512
+        assert num_lines(l1) == 512
         assert l1.way_bytes == 8 * KB
 
     def test_xgene_l2_geometry(self):
@@ -44,14 +44,14 @@ class TestCacheParams:
 
     def test_lines_for_rounds_up(self):
         l1 = XGENE.l1d
-        assert l1.lines_for(0) == 0
-        assert l1.lines_for(1) == 1
-        assert l1.lines_for(64) == 1
-        assert l1.lines_for(65) == 2
+        assert lines_for(l1, 0) == 0
+        assert lines_for(l1, 1) == 1
+        assert lines_for(l1, 64) == 1
+        assert lines_for(l1, 65) == 2
 
     def test_lines_for_rejects_negative(self):
         with pytest.raises(ArchitectureError):
-            XGENE.l1d.lines_for(-1)
+            lines_for(XGENE.l1d, -1)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ArchitectureError):

@@ -5,9 +5,10 @@
   ``docs/*.md`` resolves by import plus ``getattr``, so no doc points at a
   deleted or renamed symbol.
 - Every module-level ``def``/``class`` in a non-``__init__`` module under
-  ``src/repro`` is named, as a whole word, somewhere other than its own
-  definition: elsewhere in its module, in another non-``__init__`` module,
-  in ``benchmarks/``, ``perfbench/`` or ``examples/``, or in
+  ``src/repro``, and every non-dunder method of a module-level class, is
+  named, as a whole word, somewhere other than its own definition:
+  elsewhere in its module, in another non-``__init__`` module, in
+  ``benchmarks/``, ``perfbench/`` or ``examples/``, or in
   ``docs/api.md``. A module's ``__all__`` entry is an export, not a use.
   A helper only tests call belongs in ``tests/``.
 """
@@ -80,11 +81,18 @@ def test_no_test_only_definitions_in_src():
         outside += sorted((ROOT / sub).rglob("*.py"))
     outside_text = "\n".join(p.read_text() for p in outside)
 
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
     for path, text in modules.items():
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        nodes = [n for n in ast.parse(text).body if isinstance(n, defs)]
+        nodes += [
+            m
+            for n in nodes
+            if isinstance(n, ast.ClassDef)
+            for m in n.body
+            if isinstance(m, defs[:2]) and not re.fullmatch(r"__\w+__", m.name)
+        ]
+        for node in nodes:
             word = re.compile(rf"\b{node.name}\b")
             used = (
                 len(word.findall(uses[path])) > 1
@@ -94,6 +102,6 @@ def test_no_test_only_definitions_in_src():
             if not used:
                 unused.append(f"{path.relative_to(ROOT).as_posix()}: {node.name}")
     assert not unused, (
-        "module-level definitions with no caller outside tests/ "
+        "definitions with no caller outside tests/ "
         "(move them into tests/ or delete them):\n" + "\n".join(unused)
     )

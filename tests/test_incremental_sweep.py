@@ -1,15 +1,17 @@
-"""Warm-state carry: snapshot/restore and the incremental sweep.
+"""Warm-state carry: copies of warmed hierarchies and the incremental sweep.
 
-The incremental engine's contract is that carrying a warmed hierarchy
+The warm-state memo's contract is that carrying a warmed hierarchy
 across adjacent sweep points is *unobservable* in the results: every
-counter must be bit-identical to a cold start that re-replays the warm-up
-stream from scratch. These tests pin that contract across replacement
-policies (LRU, RANDOM, PLRU), write-through machines, both replay
-engines, and the snapshot/restore primitives it is built on — plus the
+counter must be bit-identical to a cold start on a fresh hierarchy that
+re-replays the warm-up stream from scratch. These tests pin that
+contract across replacement policies (LRU, RANDOM, PLRU), write-through
+machines, both replay engines, and the deep copies it is built on (a
+replay on a copy leaves the stored hierarchy untouched) — plus the
 compiled-coverage ratchet: every registered kernel variant must stay
 compilable.
 """
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -70,11 +72,18 @@ def _hierarchy_fingerprint(h: MemoryHierarchy):
     )
 
 
+def _replay(h, core, trace, scalar):
+    if scalar:
+        run_trace(h, core, trace)
+    else:
+        h.run_batch(core, trace)
+
+
 class TestSnapshotRestore:
     @settings(max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=2**20))
     def test_restore_then_replay_is_bit_identical(self, seed):
-        """Snapshot, replay, restore, replay again: the second replay
+        """Copy, replay, then replay again on the copy: the second replay
         must reproduce the first on every machine the fuzzer can draw —
         all replacement policies, write-through levels, TLBs, both
         engines."""
@@ -93,36 +102,26 @@ class TestSnapshotRestore:
         main = _random_trace(rng, chip, n_levels)
         scalar = rng.random() < 0.5
 
-        def replay(trace):
-            if scalar:
-                run_trace(h, core, trace)
-            else:
-                h.run_batch(core, trace)
-
-        replay(warm)
-        snap = h.snapshot()
-        replay(main)
-        first = _hierarchy_fingerprint(h)
-        h.restore(snap)
-        assert _hierarchy_fingerprint(h) == _hierarchy_fingerprint(h)
-        replay(main)
-        assert _hierarchy_fingerprint(h) == first
+        _replay(h, core, warm, scalar)
+        saved = copy.deepcopy(h)
+        assert _hierarchy_fingerprint(saved) == _hierarchy_fingerprint(h)
+        _replay(h, core, main, scalar)
+        _replay(saved, core, main, scalar)
+        assert _hierarchy_fingerprint(saved) == _hierarchy_fingerprint(h)
 
     def test_snapshot_survives_representation_migration(self):
-        """A snapshot taken after scalar accesses restores correctly
-        after a batched replay has moved the live state on."""
+        """A copy taken after scalar accesses replays like its original
+        after a batched replay has moved the original on."""
         h = MemoryHierarchy(XGENE)
         for line in range(10):
             h.access_line(0, line)  # scalar accesses
-        snap = h.snapshot()
+        saved = copy.deepcopy(h)
         trace = BatchTrace.from_rows(
             [(i * 64, 8, CODE_LOAD, 0) for i in range(40)]
         )
-        h.run_batch(0, trace)  # batched replay on the same state
-        first = _hierarchy_fingerprint(h)
-        h.restore(snap)
-        h.run_batch(0, trace)
-        assert _hierarchy_fingerprint(h) == first
+        h.run_batch(0, trace)  # batched replay on the original
+        saved.run_batch(0, trace)
+        assert _hierarchy_fingerprint(saved) == _hierarchy_fingerprint(h)
 
 
 _XGENE_RANDOM = XGENE.with_replacement(ReplacementPolicy.RANDOM)
@@ -138,14 +137,13 @@ class TestRandomSnapshotState:
     """A RANDOM cache's victim state is one RNG plus per-set draw
     counters: seeded caches read that RNG's stream in program order,
     unseeded ones index a shared ``Random(0)`` victim sequence per set.
-    A snapshot stores the RNG state once per cache, never once per set."""
+    A cache holds its RNG state once, never once per set."""
 
     def test_seeded_snapshot_holds_one_rng_state_per_cache(self):
         h = MemoryHierarchy(_XGENE_RANDOM, seed=3)
         _replay_lines(h, range(0, 4096, 3))
-        snap = h.snapshot()
         for name, cache in h.all_caches().items():
-            cache_snap = snap["caches"][name]
+            cache_snap = cache.snapshot()
             assert isinstance(cache_snap["rng"], tuple), name
             # Victims come straight from the shared stream: none buffered.
             assert cache_snap["victims"] == [], name
@@ -154,8 +152,7 @@ class TestRandomSnapshotState:
     def test_unseeded_snapshot_keeps_one_state_per_set(self):
         h = MemoryHierarchy(_XGENE_RANDOM)
         _replay_lines(h, range(0, 65_536, 5))
-        snap = h.snapshot()
-        l1 = snap["caches"][next(iter(h.all_caches()))]
+        l1 = h.l1[0].snapshot()
         sets = XGENE.l1d.num_sets
         # One draw counter per set into one buffered victim sequence.
         assert l1["state"].shape == (sets, 1)
@@ -164,8 +161,9 @@ class TestRandomSnapshotState:
         assert isinstance(l1["rng"], tuple)
 
     def test_unseeded_snapshot_is_no_larger_than_lru(self):
-        """Regression: per-set ``Random(0)`` generators made the snapshot
-        of serve-cold's RANDOM X-Gene shape ~4x the LRU one pickled."""
+        """Regression: per-set ``Random(0)`` generators made the warmed
+        hierarchy of serve-cold's RANDOM X-Gene shape ~4x the LRU one
+        pickled."""
         random_chip = XGENE.with_replacement(
             ReplacementPolicy.RANDOM, l3=ReplacementPolicy.LRU
         )
@@ -173,7 +171,7 @@ class TestRandomSnapshotState:
         for chip in (XGENE, random_chip):
             h = MemoryHierarchy(chip)
             _replay_lines(h, range(0, 65_536, 5))
-            sizes[chip.name] = len(pickle.dumps(h.snapshot()))
+            sizes[chip.name] = len(pickle.dumps(h))
         assert sizes[random_chip.name] <= 1.5 * sizes[XGENE.name], sizes
 
     @pytest.mark.parametrize("seed", [None, 5])
@@ -185,15 +183,15 @@ class TestRandomSnapshotState:
         expected = _replay_lines(fresh, warm + main)
 
         h = MemoryHierarchy(_XGENE_RANDOM, seed=seed)
-        start = h.snapshot()
-        _replay_lines(h, main)  # consume the victim RNGs
-        h.restore(start)
+        start = copy.deepcopy(h)
+        _replay_lines(h, main)  # consume the original's victim RNGs
+        h = start
         assert _replay_lines(h, warm) == expected[:len(warm)]
-        mid = h.snapshot()
+        mid = copy.deepcopy(h)
         first = _replay_lines(h, main)
         assert first == expected[len(warm):]
-        for _ in range(2):  # the snapshot stays reusable
-            h.restore(mid)
+        for _ in range(2):  # the stored copy stays reusable
+            h = copy.deepcopy(mid)
             assert _replay_lines(h, main) == first
         assert _hierarchy_fingerprint(h) == _hierarchy_fingerprint(fresh)
 
@@ -218,7 +216,7 @@ class TestIncrementalSweep:
         chip = _CHIP_CASES[chip_name]
         spec = VARIANTS["OpenBLAS-4x4"]
 
-        def sweep(incremental):
+        def sweep(warm_memo):
             clear_warm_memo()
             try:
                 out = []
@@ -228,9 +226,10 @@ class TestIncrementalSweep:
                         mr=spec.mr, nr=spec.nr, kc=32, mc=16, nc=nc,
                         k1=1, k2=1, k3=1,
                     )
+                    cold = None if warm_memo else MemoryHierarchy(chip, seed=5)
                     out.append(dataclasses.astuple(simulate_gebp_cache(
-                        spec, blk, chip=chip, nc_slice=nc, engine=engine,
-                        seed=5, incremental=incremental,
+                        spec, blk, chip=chip, hierarchy=cold, nc_slice=nc,
+                        engine=engine, seed=5,
                     )))
                 return out
             finally:
@@ -240,18 +239,19 @@ class TestIncrementalSweep:
 
     def test_revisiting_a_smaller_point_stays_cold_correct(self):
         """A sweep that shrinks nc (cached warm trace is *longer* than
-        needed) must fall back to a cold warm-up, not restore a
-        superset state."""
+        needed) must fall back to a cold warm-up, not replay on a copy
+        of a superset state."""
         spec = VARIANTS["OpenBLAS-8x6"]
 
-        def point(nc, incremental):
+        def point(nc, warm_memo):
             blk = CacheBlocking(
                 mr=spec.mr, nr=spec.nr, kc=32, mc=16, nc=nc,
                 k1=1, k2=1, k3=1,
             )
+            cold = None if warm_memo else MemoryHierarchy(XGENE, seed=9)
             return dataclasses.astuple(simulate_gebp_cache(
-                spec, blk, chip=XGENE, nc_slice=nc, engine="batched",
-                seed=9, incremental=incremental,
+                spec, blk, chip=XGENE, hierarchy=cold, nc_slice=nc,
+                engine="batched", seed=9,
             ))
 
         clear_warm_memo()
@@ -268,7 +268,7 @@ class TestWarmMemoEviction:
     def test_hot_entries_survive_a_long_sweep(self):
         """LRU eviction: a >32-shape sweep must evict cold entries one
         at a time, never the recently-touched hot entry (the old
-        wholesale clear() nuked every snapshot at the 33rd shape)."""
+        wholesale clear() dropped every entry at the 33rd shape)."""
         from repro.obs import MetricsRegistry
         from repro.workloads import base
 
@@ -283,9 +283,9 @@ class TestWarmMemoEviction:
             ReplacementPolicy.LRU, l3=ReplacementPolicy.RANDOM
         )
 
-        def point(seed, metrics=None):
+        def point(seed, metrics=None, hierarchy=None):
             return dataclasses.astuple(simulate_gebp_cache(
-                spec, blk, chip=chip, nc_slice=spec.nr,
+                spec, blk, chip=chip, hierarchy=hierarchy, nc_slice=spec.nr,
                 engine="batched", seed=seed, metrics=metrics,
             ))
 
@@ -299,17 +299,72 @@ class TestWarmMemoEviction:
                 point(0, metrics=metrics)     # keep the hot one recent
             counters = metrics.as_dict()["counters"]
             # The hot entry survived every eviction round and was
-            # restored (not recomputed) on every touch; the cold shapes
+            # copied (not recomputed) on every touch; the cold shapes
             # were evicted one at a time, oldest first.
             assert counters["cachesim.warm_restores"] == distinct
             assert counters["cachesim.warm_evictions"] == (
                 1 + distinct - base._WARM_MEMO.limit
             )
             assert len(base._WARM_MEMO) == base._WARM_MEMO.limit
-            # And restoring it still reproduces the cold-start result.
+            # And a replay on a copy of it still reproduces the cold
+            # start on a fresh hierarchy.
             assert point(0) == hot
+            assert hot == point(0, hierarchy=MemoryHierarchy(chip, seed=0))
         finally:
             clear_warm_memo()
+
+
+def _cache_states(h: MemoryHierarchy):
+    """Every cache's full state (contents, policy state, RNG, counters)
+    as comparable bytes."""
+    out = {}
+    for name, cache in h.all_caches().items():
+        snap = cache.snapshot()
+        out[name] = tuple(
+            v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for v in snap.values()
+        )
+    return out, h.dram_accesses
+
+
+class TestWarmMemoCopies:
+    @pytest.mark.parametrize("chip_name", sorted(_CHIP_CASES))
+    def test_hits_leave_the_stored_hierarchy_untouched(self, chip_name):
+        """A memo hit replays on a copy: two hits in a row and a cold
+        start on a fresh hierarchy give equal results, and the stored
+        hierarchy's state is the same after the hits as before."""
+        from repro.obs import MetricsRegistry
+        from repro.workloads import base
+
+        chip = _CHIP_CASES[chip_name]
+        spec = VARIANTS["OpenBLAS-4x4"]
+        blk = CacheBlocking(
+            mr=spec.mr, nr=spec.nr, kc=32, mc=16, nc=2 * spec.nr,
+            k1=1, k2=1, k3=1,
+        )
+
+        def point(metrics=None, hierarchy=None):
+            return simulate_gebp_cache(
+                spec, blk, chip=chip, hierarchy=hierarchy,
+                nc_slice=2 * spec.nr, engine="batched", seed=5,
+                metrics=metrics,
+            )
+
+        clear_warm_memo()
+        try:
+            point()  # the miss stores the warmed hierarchy
+            (entry,) = base._WARM_MEMO._entries.values()
+            stored = _cache_states(entry[1])
+            metrics = MetricsRegistry()
+            first, second = point(metrics), point(metrics)
+            assert metrics.as_dict()["counters"][
+                "cachesim.warm_restores"
+            ] == 2
+            assert _cache_states(entry[1]) == stored
+        finally:
+            clear_warm_memo()
+        cold = point(hierarchy=MemoryHierarchy(chip, seed=5))
+        assert first == second == cold
 
 
 class TestTimedWarmMemo:

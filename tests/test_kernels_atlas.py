@@ -15,6 +15,7 @@ from repro.kernels import (
 )
 from repro.kernels.execute import A_BASE, drive_kvec, execute_micro_tile
 from repro.pipeline import LoadInterferenceModel, ScoreboardCore
+from tests.helpers import flops_per_body
 
 RNG = np.random.default_rng(55)
 KVEC = build_kvec_variant()
@@ -139,7 +140,7 @@ class TestAtlasTiming:
         ) / XGENE.core.flops_per_cycle
         k86 = get_variant("OpenBLAS-8x6")
         eff86 = (
-            k86.flops_per_body
+            flops_per_body(k86)
             / core.steady_state_cycles_per_iteration(k86.body.instructions)
         ) / XGENE.core.flops_per_cycle
         assert eff86 > atlas_eff

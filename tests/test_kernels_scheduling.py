@@ -18,6 +18,7 @@ from repro.kernels import (
     static_plan,
 )
 from repro.pipeline import ScoreboardCore
+from tests.helpers import flops_per_body
 
 
 class TestBodySchedule:
@@ -92,7 +93,7 @@ class TestCodegen:
         assert k.body.num_prefetches == 16
         assert k.body.ldr_fmla_ratio == (7, 24)
         assert k.body.arithmetic_fraction == pytest.approx(0.774, abs=1e-3)
-        assert k.flops_per_body == 8 * 96
+        assert flops_per_body(k) == 8 * 96
 
     def test_body_round_trips_through_assembler(self):
         k = get_variant("OpenBLAS-8x6")

@@ -12,6 +12,7 @@ from repro.kernels import (
     PAPER_KERNELS,
     KernelSpec,
 )
+from tests.helpers import flops_per_fmla, lane_efficiency
 
 
 class TestKernel8x6:
@@ -32,8 +33,8 @@ class TestKernel8x6:
         assert k.ldr_per_iter == 7
         assert k.ldr_fmla_ratio == (7, 24)
         assert k.flops_per_iter == 96
-        assert k.flops_per_fmla == 4.0
-        assert k.lane_efficiency == 1.0
+        assert flops_per_fmla(k) == 4.0
+        assert lane_efficiency(k) == 1.0
 
     def test_arithmetic_fraction(self):
         # Paper Sec. V-A: 77.4% for 8x6.
@@ -83,8 +84,8 @@ class TestOtherKernels:
         assert k.fmla_per_group == 25
         assert k.ldr_per_group == 10
         assert k.flops_per_group == 100
-        assert k.flops_per_fmla == 4.0
-        assert k.lane_efficiency == 1.0
+        assert flops_per_fmla(k) == 4.0
+        assert lane_efficiency(k) == 1.0
         assert k.gamma == pytest.approx(5.0)
         assert k.c_regs_for_style == 25
         assert k.preload_window_limited
@@ -97,12 +98,12 @@ class TestOtherKernels:
         assert k.a_regs_per_copy == 3   # ceil(5/2)
         assert k.c_regs == 15
         assert k.fmla_per_iter == 15
-        assert k.flops_per_fmla == pytest.approx(50 / 15)
-        assert k.lane_efficiency == pytest.approx(5 / 6)
+        assert flops_per_fmla(k) == pytest.approx(50 / 15)
+        assert lane_efficiency(k) == pytest.approx(5 / 6)
 
     def test_even_kernels_full_lanes(self):
         for k in (KERNEL_8X6, KERNEL_8X4, KERNEL_4X4):
-            assert k.lane_efficiency == 1.0
+            assert lane_efficiency(k) == 1.0
             assert k.k_iters_per_group == 1
             assert not k.preload_window_limited
             assert k.fmla_per_group == k.fmla_per_iter

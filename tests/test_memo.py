@@ -2,7 +2,7 @@
 
 The module memos (generated and compiled kernels, the tuner's rotation
 plans and kernels, compiled GEBP traces, the cache-replay warm-state
-snapshots, the prefetcher's drop masks) share
+hierarchies, the prefetcher's drop masks) share
 :class:`~repro.memo.BoundedMemo`. These tests pin the policy on each
 module's own instance at its own bound, and hammer it from threads the
 way serve's ``WorkerPool`` does.
@@ -17,10 +17,12 @@ import pytest
 
 from repro.arch import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
+from repro.arch.params import ReplacementPolicy
 from repro.kernels import compiled, variants
-from repro.kernels.variants import VARIANTS
+from repro.kernels.compiled import compile_kernel
+from repro.kernels.variants import VARIANTS, get_variant
 from repro.memo import BoundedMemo
-from repro.memory import prefetcher
+from repro.memory import MemoryHierarchy, prefetcher
 from repro.memory.prefetcher import DropPattern, drop_mask
 from repro.sim import gebp_cachesim
 from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
@@ -52,6 +54,9 @@ RACES = {
     "sim.gebp_cachesim._gebp_trace": (
         gebp_cachesim._TRACES,
         lambda: gebp_traces(VARIANTS["OpenBLAS-8x6"], _RACE_BLOCKING)[:2]),
+    "kernels.compiled.compile_kernel": (
+        compiled._CACHE,
+        lambda: compile_kernel(get_variant("OpenBLAS-8x6"))),
 }
 
 
@@ -208,26 +213,58 @@ class TestConcurrency:
         spec = VARIANTS["OpenBLAS-4x4"]
         points = [(mc, m) for mc in (8, 16, 24, 32) for m in (1, 2, 3)]
 
-        def point(mc, m, incremental):
+        def point(mc, m, hierarchy=None):
             nc = spec.nr * m
             blk = CacheBlocking(
                 mr=spec.mr, nr=spec.nr, kc=32, mc=mc, nc=nc,
                 k1=1, k2=1, k3=1,
             )
             return dataclasses.astuple(simulate_gebp_cache(
-                spec, blk, chip=XGENE, nc_slice=nc, engine="batched",
-                seed=0, incremental=incremental,
+                spec, blk, chip=XGENE, hierarchy=hierarchy, nc_slice=nc,
+                engine="batched", seed=0,
             ))
 
-        cold = {p: point(*p, incremental=False) for p in points}
+        cold = {p: point(*p, MemoryHierarchy(XGENE, seed=0)) for p in points}
         mismatches = []
 
         def worker(i):
             order = points * 2
             random.Random(i).shuffle(order)
             for p in order:
-                if point(*p, incremental=True) != cold[p]:
+                if point(*p) != cold[p]:
                     mismatches.append(p)
 
         _run_threads(worker, 8)
         assert mismatches == []
+
+    def test_threads_hitting_one_warm_entry_get_the_cold_result(self):
+        """Eight threads hitting one warm-memo entry at once each replay
+        on their own copy: every result equals the cold start on a fresh
+        hierarchy (seeded RANDOM levels, so a shared victim RNG would
+        show)."""
+        chip = XGENE.with_replacement(ReplacementPolicy.RANDOM)
+        spec = VARIANTS["OpenBLAS-4x4"]
+        blk = CacheBlocking(mr=spec.mr, nr=spec.nr, kc=32, mc=16,
+                            nc=2 * spec.nr, k1=1, k2=1, k3=1)
+
+        def point(hierarchy=None):
+            return dataclasses.astuple(simulate_gebp_cache(
+                spec, blk, chip=chip, hierarchy=hierarchy,
+                nc_slice=2 * spec.nr, engine="batched", seed=3,
+            ))
+
+        cold = point(MemoryHierarchy(chip, seed=3))
+        got = [None] * 8
+        start = threading.Barrier(len(got))
+
+        def worker(i):
+            start.wait()
+            got[i] = point()
+
+        workloads_base.clear_warm_memo()
+        try:
+            point()  # store the entry the threads hit
+            _run_threads(worker, len(got))
+        finally:
+            workloads_base.clear_warm_memo()
+        assert got == [cold] * len(got)

@@ -34,6 +34,7 @@ from repro.memory.cache import (
     KIND_TO_CODE,
 )
 from repro.sim import gebp_traces, simulate_gebp_cache
+from tests.helpers import trace_of
 
 
 def small_chip(policy=ReplacementPolicy.LRU, base=XGENE):
@@ -69,18 +70,18 @@ class TestBatchTrace:
             Access(100, 8, "store"),
             Access(4096, 1, "prefetch", level=2),
         ]
-        trace = BatchTrace.from_accesses(accs)
+        trace = trace_of(accs)
         assert len(trace) == 3
         assert list(trace) == accs
 
     def test_compile_trace_of_generators(self):
         gen = list(strided_matrix_trace(0, 8, 4, 16))
-        trace = BatchTrace.from_accesses(strided_matrix_trace(0, 8, 4, 16))
+        trace = trace_of(strided_matrix_trace(0, 8, 4, 16))
         assert list(trace) == gen
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimulationError):
-            BatchTrace.from_accesses([Access(0, 8, "fetch")])
+            trace_of([Access(0, 8, "fetch")])
 
     def test_from_rows_and_views(self):
         trace = BatchTrace.from_rows(
@@ -217,17 +218,6 @@ class TestBatchedCache:
             assert c.set_contents(s) == twin.set_contents(s)
         with pytest.raises(SimulationError):
             c.set_contents(99)
-
-    def test_flush_in_array_mode(self):
-        """Flush empties a cache that has run a batch."""
-        c = l1_cache()
-        c.access_lines_batched(
-            np.array([0, 8, 16], dtype=np.int64), np.zeros(3, dtype=np.int8)
-        )
-        assert c.contains_line(8)
-        c.flush()
-        assert c.resident_lines() == 0
-        assert not c.contains_line(8)
 
     def test_validation_errors(self):
         c = l1_cache()
@@ -371,7 +361,7 @@ class TestRunBatch:
         )
 
     def compare(self, chip, accesses, core=0, seed=None, with_tlb=False):
-        trace = BatchTrace.from_accesses(accesses)
+        trace = trace_of(accesses)
         h_s = MemoryHierarchy(chip, with_tlb=with_tlb, seed=seed)
         h_b = MemoryHierarchy(chip, with_tlb=with_tlb, seed=seed)
         cost_s = run_trace(h_s, core, trace)
@@ -410,7 +400,7 @@ class TestRunBatch:
         """The scalar ``run_trace`` reference and the batched walk agree
         on the cost and the L1 counters of the same compiled trace."""
         chip = small_chip()
-        trace = BatchTrace.from_accesses(self.generator_trace())
+        trace = trace_of(self.generator_trace())
         h_a = MemoryHierarchy(chip)
         h_b = MemoryHierarchy(chip)
         assert run_trace(h_a, 0, trace) == h_b.run_batch(0, trace)
@@ -428,7 +418,7 @@ class TestRunBatch:
         )
         self.compare(chip, self.generator_trace())
         h = MemoryHierarchy(chip)
-        h.run_batch(0, BatchTrace.from_accesses(self.generator_trace()))
+        h.run_batch(0, trace_of(self.generator_trace()))
         assert h.l1[0].batched_accesses > 0
         assert h.batched_fallback_accesses() == 0
 
@@ -450,7 +440,7 @@ class TestRunBatch:
     def test_prefetch_target_out_of_range(self):
         chip = small_chip()
         h = MemoryHierarchy(chip)
-        bad = BatchTrace.from_accesses([Access(0, 1, "prefetch", level=9)])
+        bad = trace_of([Access(0, 1, "prefetch", level=9)])
         with pytest.raises(SimulationError):
             h.run_batch(0, bad)
 

@@ -5,7 +5,7 @@ import pytest
 from repro.arch import XGENE, TlbParams
 from repro.errors import SimulationError
 from repro.memory import KIND_STORE, MemoryHierarchy, Tlb, run_trace_levels
-from tests.helpers import single_core
+from tests.helpers import contains_line, single_core
 
 
 class TestTopology:
@@ -53,9 +53,9 @@ class TestAccessWalk:
     def test_allocation_fills_all_levels(self):
         h = MemoryHierarchy(XGENE)
         h.access_line(0, 100)
-        assert h.l1[0].contains_line(100)
-        assert h.l2[0].contains_line(100)
-        assert h.l3.contains_line(100)
+        assert contains_line(h.l1[0], 100)
+        assert contains_line(h.l2[0], 100)
+        assert contains_line(h.l3, 100)
 
     def test_sharing_within_module(self):
         h = MemoryHierarchy(XGENE)
@@ -97,7 +97,7 @@ class TestPrefetch:
     def test_prefetch_l2_skips_l1(self):
         h = MemoryHierarchy(XGENE)
         h.prefetch_line(0, 42, target_level=2)
-        assert not h.l1[0].contains_line(42)
+        assert not contains_line(h.l1[0], 42)
         res = h.access_line(0, 42)
         assert res.level_hit == 2
 
@@ -120,13 +120,6 @@ class TestStatsAndReset:
         h.access_line(0, 1)
         h.access_line(3, 2)
         assert h.l1_stats().loads == 2
-
-    def test_flush_then_miss(self):
-        h = MemoryHierarchy(XGENE)
-        h.access_line(0, 1)
-        h.flush()
-        res = h.access_line(0, 1)
-        assert res.level_hit == 4
 
     def test_reset_stats(self):
         h = MemoryHierarchy(XGENE)
@@ -178,14 +171,6 @@ class TestTlb:
         assert res1.latency_cycles == (
             XGENE.dram.latency_cycles + XGENE.tlb.miss_penalty_cycles
         )
-
-    def test_tlb_reset(self):
-        t = Tlb(TlbParams())
-        t.access_page(1)
-        t.flush()
-        t.reset_stats()
-        assert t.stats.accesses == 0
-        assert t.access_page(1) is False
 
 
 class TestRunBatchLevels:
@@ -241,3 +226,63 @@ class TestRunBatchLevels:
         trace = BatchTrace.from_rows([(0, 1, CODE_PREFETCH, 9)])
         with pytest.raises(SimulationError):
             h.run_batch_levels(0, trace)
+
+
+class TestClusterCaches:
+    """Each core's L1D and each module's L2 come from its own cluster."""
+
+    def _chips(self):
+        import random
+
+        from repro.arch import PRESETS
+        from repro.verify.machines import build_chip, random_asym_machine
+
+        rng = random.Random(4)
+        return list(PRESETS.values()) + [
+            build_chip(random_asym_machine(rng)) for _ in range(12)
+        ]
+
+    def test_every_core_gets_its_clusters_caches(self):
+        for chip in self._chips():
+            h = MemoryHierarchy(chip)
+            clusters = chip.core_clusters
+            assert len(h.l2) == chip.modules
+            for core, k in enumerate(chip.thread_clusters(chip.cores)):
+                assert h.l1[core].params == clusters[k].l1d, (chip, core)
+                l2 = h.l2[h.module_of(core)]
+                assert l2.params == clusters[k].l2, (chip, core)
+            # Modules never straddle clusters or mix cores of two.
+            owners = {}
+            for core, k in enumerate(chip.thread_clusters(chip.cores)):
+                owners.setdefault(h.module_of(core), set()).add(k)
+            assert all(len(ks) == 1 for ks in owners.values())
+
+    @pytest.mark.parametrize("core", [0, 2, 5])
+    def test_little_core_walk_charges_its_cluster_latency(self, core):
+        import numpy as np
+
+        from repro.arch import BIG_LITTLE
+        from repro.memory import BatchTrace
+        from repro.memory.cache import CODE_LOAD
+
+        cluster = BIG_LITTLE.core_clusters[
+            BIG_LITTLE.thread_clusters(BIG_LITTLE.cores)[core]
+        ]
+        # Touch 64 lines twice: the second pass hits the L1D.
+        rows = [(64 * (i % 64), 8, CODE_LOAD, 1) for i in range(128)]
+        trace = BatchTrace.from_rows(rows)
+        h_fast = MemoryHierarchy(BIG_LITTLE)
+        h_ref = MemoryHierarchy(BIG_LITTLE)
+        lv_fast, lat_fast = h_fast.run_batch_levels(core, trace)
+        lv_ref, lat_ref = run_trace_levels(h_ref, core, trace)
+        assert np.array_equal(lv_fast, lv_ref)
+        assert np.array_equal(lat_fast, lat_ref)
+        assert (lv_fast[64:] == 1).all()
+        assert (lat_fast[64:] == cluster.l1d.latency_cycles).all()
+        module = h_fast.module_of(core)
+        h_fast.access_line(core, 1 << 20)
+        other = next(c for c in range(BIG_LITTLE.cores)
+                     if h_fast.module_of(c) == module and c != core)
+        res = h_fast.access_line(other, 1 << 20)  # the shared L2 serves
+        assert res.level_hit == 2
+        assert res.latency_cycles == cluster.l2.latency_cycles

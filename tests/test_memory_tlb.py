@@ -58,13 +58,6 @@ class TestTlb:
         tlb.access_page(0)
         assert tlb.stats.miss_rate == 0.25
 
-    def test_flush_forgets_translations_keeps_stats(self):
-        tlb = make_tlb()
-        tlb.access_page(3)
-        tlb.flush()
-        assert tlb.stats.accesses == 1
-        assert tlb.access_page(3) is False
-
     def test_reset_stats_keeps_translations(self):
         tlb = make_tlb()
         tlb.access_page(3)

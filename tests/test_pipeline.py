@@ -6,6 +6,7 @@ from repro.arch import XGENE, CoreParams
 from repro.errors import SimulationError
 from repro.isa import Fmla, Ldr, Nop, VLane, VReg, XReg
 from repro.pipeline import LoadInterferenceModel, PipelineResult, ScoreboardCore
+from tests.helpers import efficiency_from_gamma
 
 
 def fmla(acc, src=0, mul=4, lane=0):
@@ -133,7 +134,7 @@ class TestInterferenceModel:
     def test_monotone_in_gamma(self):
         model = LoadInterferenceModel()
         gammas = [2, 4, 5, 5.33, 6, 6.86, 8, 10]
-        effs = [model.efficiency_from_gamma(g) for g in gammas]
+        effs = [efficiency_from_gamma(model, g) for g in gammas]
         assert effs == sorted(effs)
 
     def test_psi_decreasing(self):
@@ -159,7 +160,7 @@ class TestInterferenceModel:
         with pytest.raises(SimulationError):
             model.load_density(0, 0)
         with pytest.raises(SimulationError):
-            model.efficiency_from_gamma(0)
+            efficiency_from_gamma(model, 0)
         with pytest.raises(SimulationError):
             model.psi(-1)
 
@@ -167,10 +168,10 @@ class TestInterferenceModel:
         """Register-kernel gammas from eq. (8): 6.86, 5.33, 4, 5."""
         model = LoadInterferenceModel()
         # eff ordering must match the paper's kernel ordering.
-        e86 = model.efficiency_from_gamma(6.86)
-        e84 = model.efficiency_from_gamma(5.33)
-        e55 = model.efficiency_from_gamma(5.0)
-        e44 = model.efficiency_from_gamma(4.0)
+        e86 = efficiency_from_gamma(model, 6.86)
+        e84 = efficiency_from_gamma(model, 5.33)
+        e55 = efficiency_from_gamma(model, 5.0)
+        e44 = efficiency_from_gamma(model, 4.0)
         assert e86 > e84 > e55 > e44
         # And the 8x6 upper bound is the paper's 91.5%.
         assert e86 == pytest.approx(0.915, abs=0.01)

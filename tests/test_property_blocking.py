@@ -20,6 +20,7 @@ from repro.blocking import solve_cache_blocking
 from repro.errors import BlockingError
 from repro.model import gebp_ratio, gess_ratio, register_kernel_ratio
 from repro.sim import analyze_residency
+from tests.helpers import efficiency_from_gamma
 
 KB = 1024
 
@@ -130,6 +131,6 @@ class TestModelProperties:
 
         model = LoadInterferenceModel()
         lo, hi = sorted((g1, g2))
-        assert model.efficiency_from_gamma(lo) <= (
-            model.efficiency_from_gamma(hi) + 1e-12
+        assert efficiency_from_gamma(model, lo) <= (
+            efficiency_from_gamma(model, hi) + 1e-12
         )

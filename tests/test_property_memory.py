@@ -7,7 +7,8 @@ from hypothesis import given, settings
 
 from repro.arch import CacheParams, ReplacementPolicy
 from repro.arch.presets import MOBILE_SOC, XGENE
-from repro.memory import Access, BatchTrace, Cache, MemoryHierarchy, run_trace
+from repro.memory import Access, Cache, MemoryHierarchy, run_trace
+from tests.helpers import contains_line, trace_of
 
 SMALL_GEOMS = st.sampled_from(
     [
@@ -65,7 +66,7 @@ class TestCacheInvariants:
         c = make_cache(ways, sets, line)
         for ln in lines:
             c.access_line(ln)
-            assert c.contains_line(ln)
+            assert contains_line(c, ln)
 
     @given(SMALL_GEOMS, ACCESSES)
     @settings(max_examples=60)
@@ -99,18 +100,6 @@ class TestCacheInvariants:
             c.access_line(ln)
         assert c.resident_lines() <= ways * sets
         assert c.stats.accesses == len(lines)
-
-    @given(SMALL_GEOMS, ACCESSES)
-    @settings(max_examples=40)
-    def test_flush_forgets_everything(self, geom, lines):
-        ways, sets, line = geom
-        c = make_cache(ways, sets, line)
-        for ln in lines:
-            c.access_line(ln)
-        c.flush()
-        assert c.resident_lines() == 0
-        for ln in set(lines):
-            assert not c.contains_line(ln)
 
     @given(SMALL_GEOMS, st.lists(
         st.tuples(st.integers(0, 127), st.booleans()),
@@ -165,7 +154,7 @@ class TestBatchedScalarEquivalence:
 
     def _compare(self, chip, rows, core, with_tlb=False, seed=17):
         n_levels = 3 if chip.l3 else 2
-        trace = BatchTrace.from_accesses(
+        trace = trace_of(
             Access(addr, nb, kind, min(level, n_levels))
             for addr, nb, kind, level in rows
         )
@@ -218,4 +207,4 @@ class TestBatchedScalarEquivalence:
         assert list(hits) == scalar_hits
         assert c_s.stats == c_b.stats
         for ln in set(lines.tolist()):
-            assert c_s.contains_line(ln) == c_b.contains_line(ln)
+            assert contains_line(c_s, ln) == contains_line(c_b, ln)

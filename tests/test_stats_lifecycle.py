@@ -2,18 +2,20 @@
 
 The observability layer snapshots engine stat objects, which only works
 if those objects have a trustworthy lifecycle: ``reset_stats`` must zero
-*every* counter, ``flush``/``reset`` must return a component to a state
-where replaying the same access stream reproduces the same counters as a
-fresh object, and the engine a timed run reports (``engine``) must be the
-one that ran. The hardware prefetcher has no lifecycle of its own here:
-it is a stream transform that lives for one run and holds no counters,
-so what it installs is counted, reset and flushed with the caches.
+*every* counter, a deep copy must be independent of its original (the
+warm-state memo replays on copies of the hierarchies it stores), and the
+engine a timed run reports (``engine``) must be the one that ran. The
+hardware prefetcher has no lifecycle of its own here: it is a stream
+transform that lives for one run and holds no counters, so what it
+installs is counted and copied with the caches.
 
 The core property, checked per policy and per engine:
 
-    run(work); obj.reset(); run(work)  ==  run(work) on a fresh object
+    saved = deepcopy(obj); run(work) on obj; run(work) on saved
+        ==  run(work) on a fresh object
 """
 
+import copy
 import dataclasses
 import random
 
@@ -28,6 +30,7 @@ from repro.memory import MemoryHierarchy
 from repro.memory.cache import Cache
 from repro.sim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
+from tests.helpers import num_lines
 
 SPEC_8X6 = next(s for s in PAPER_KERNELS if s.name == "8x6")
 
@@ -45,7 +48,7 @@ def _mixed_workload(cache, params):
     evictions; returns the hit pattern so state (not just counters) is
     compared."""
     rng = random.Random(123)
-    lines = [rng.randrange(0, 4 * params.num_lines) for _ in range(400)]
+    lines = [rng.randrange(0, 4 * num_lines(params)) for _ in range(400)]
     hits = []
     for i, line in enumerate(lines):
         kind = "store" if i % 7 == 3 else "load"
@@ -56,47 +59,33 @@ def _mixed_workload(cache, params):
 class TestCacheLifecycle:
     @pytest.mark.parametrize("policy", list(ReplacementPolicy))
     def test_reset_equals_fresh(self, policy):
+        """A copy taken before a run is untouched by it: it replays like
+        a freshly constructed cache."""
         cache, params = _small_cache(policy)
+        saved = copy.deepcopy(cache)
         _mixed_workload(cache, params)
-        cache.reset()
 
         fresh, _ = _small_cache(policy)
-        assert _mixed_workload(cache, params) == _mixed_workload(
+        assert _mixed_workload(saved, params) == _mixed_workload(
             fresh, params
         )
-        assert cache.stats == fresh.stats
-        assert cache.resident_lines() == fresh.resident_lines()
+        assert saved.stats == fresh.stats
+        assert saved.resident_lines() == fresh.resident_lines()
 
     def test_seeded_random_reset_keeps_its_stream(self):
-        """reset() rewinds a seeded RANDOM cache to its own
-        construction-time victim stream, not to the unseeded one."""
+        """A copy of a seeded RANDOM cache draws its own victim stream,
+        not the original's continuation nor the unseeded one."""
         cache, params = _small_cache(ReplacementPolicy.RANDOM, seed=11)
+        saved = copy.deepcopy(cache)
         first = _mixed_workload(cache, params)
-        cache.reset()
-        assert _mixed_workload(cache, params) == first
+        assert _mixed_workload(saved, params) == first
 
         fresh, _ = _small_cache(ReplacementPolicy.RANDOM, seed=11)
         _mixed_workload(fresh, params)
-        assert cache.stats == fresh.stats
-        assert [cache.set_contents(s) for s in range(params.num_sets)] == [
+        assert saved.stats == fresh.stats
+        assert [saved.set_contents(s) for s in range(params.num_sets)] == [
             fresh.set_contents(s) for s in range(params.num_sets)
         ]
-
-    @pytest.mark.parametrize(
-        "policy", [ReplacementPolicy.LRU, ReplacementPolicy.PLRU]
-    )
-    def test_flush_plus_reset_stats_equals_fresh(self, policy):
-        """For RNG-free policies, flush + reset_stats is a full reset."""
-        cache, params = _small_cache(policy)
-        _mixed_workload(cache, params)
-        cache.flush()
-        cache.reset_stats()
-
-        fresh, _ = _small_cache(policy)
-        assert _mixed_workload(cache, params) == _mixed_workload(
-            fresh, params
-        )
-        assert cache.stats == fresh.stats
 
     def test_reset_stats_zeroes_batched_coverage_counters(self):
         cache, params = _small_cache(ReplacementPolicy.LRU)
@@ -123,34 +112,20 @@ def _run_gebp(h, engine):
 class TestHierarchyLifecycle:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_reset_equals_fresh(self, engine):
+        """A hierarchy copied before a run replays like a fresh one."""
         h = MemoryHierarchy(XGENE, seed=0)
+        saved = copy.deepcopy(h)
         _run_gebp(h, engine)
-        h.reset()
-        again = _run_gebp(h, engine)
+        again = _run_gebp(saved, engine)
 
         fresh = MemoryHierarchy(XGENE, seed=0)
         first = _run_gebp(fresh, engine)
         assert dataclasses.astuple(again) == dataclasses.astuple(first)
-        assert _hierarchy_counters(h) == _hierarchy_counters(fresh)
-
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_flush_plus_reset_stats_equals_fresh(self, engine):
-        """XGENE is all-LRU, so the two-step lifecycle is equivalent to a
-        full reset — including the LRU recency-clock rewind."""
-        h = MemoryHierarchy(XGENE, seed=0)
-        _run_gebp(h, engine)
-        h.flush()
-        h.reset_stats()
-        again = _run_gebp(h, engine)
-
-        fresh = MemoryHierarchy(XGENE, seed=0)
-        first = _run_gebp(fresh, engine)
-        assert dataclasses.astuple(again) == dataclasses.astuple(first)
-        assert _hierarchy_counters(h) == _hierarchy_counters(fresh)
+        assert _hierarchy_counters(saved) == _hierarchy_counters(fresh)
 
     def test_reset_covers_random_policy_rng(self):
-        """reset() re-seeds per-cache victim RNGs, so a RANDOM-replacement
-        hierarchy replays identically after reset."""
+        """Copying a hierarchy copies its per-cache victim RNGs, so a
+        RANDOM-replacement copy replays the original's run."""
         chip = dataclasses.replace(
             XGENE,
             l1d=dataclasses.replace(
@@ -158,9 +133,9 @@ class TestHierarchyLifecycle:
             ),
         )
         h = MemoryHierarchy(chip, seed=11)
+        saved = copy.deepcopy(h)
         first = _run_gebp(h, "scalar")
-        h.reset()
-        again = _run_gebp(h, "scalar")
+        again = _run_gebp(saved, "scalar")
         assert dataclasses.astuple(again) == dataclasses.astuple(first)
 
     def test_all_caches_enumerates_every_level(self):
